@@ -18,8 +18,6 @@ from .blowup import (
     ChartPointK2,
     GermReport,
     germ_check,
-    k1_blowdown,
-    k1_lift,
     k1_vdp_field,
     k2_blowdown,
     k2_field,
@@ -30,7 +28,6 @@ from .blowup import (
 from .controllers import (
     K1Domain,
     NeighborhoodParams,
-    SlowManifoldGraph,
     bump_psi,
     c2_bound,
     composite_u,
@@ -115,8 +112,6 @@ __all__ = [
     "ChartPointK2",
     "GermReport",
     "germ_check",
-    "k1_blowdown",
-    "k1_lift",
     "k1_vdp_field",
     "k2_blowdown",
     "k2_field",
@@ -125,7 +120,6 @@ __all__ = [
     "kappa21",
     "K1Domain",
     "NeighborhoodParams",
-    "SlowManifoldGraph",
     "bump_psi",
     "c2_bound",
     "composite_u",

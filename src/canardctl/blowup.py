@@ -29,17 +29,12 @@ __all__ = [
     "ChartPointK1",
     "ChartPointK2",
     "GermReport",
-    "k1_lift",
-    "k1_blowdown",
     "k2_lift",
     "k2_blowdown",
     "kappa12",
     "kappa21",
     "k2_field",
     "k1_vdp_field",
-    "blowdown_controller",
-    "slow_branch_x1",
-    "equilibrium_radius_x1",
     "germ_check",
 ]
 
@@ -95,28 +90,6 @@ def k2_blowdown(cp: ChartPointK2) -> tuple[PhasePoint, SystemParams, float]:
     alpha = cp.r2 * cp.alpha2
     x = cp.r2 * cp.x2 + alpha
     return PhasePoint(x, eps * cp.y2), SystemParams(eps, alpha), eps * cp.mu2
-
-
-def k1_lift(p: PhasePoint, params: SystemParams, u: float = 0.0) -> ChartPointK1:
-    """Original coordinates to the entry chart; requires y > 0."""
-    if not p.y > 0.0:
-        raise DomainError("k1_lift needs y > 0")
-    r1 = math.sqrt(p.y)
-    xh = p.x - params.alpha
-    return ChartPointK1(r1, xh / r1, params.eps / p.y, params.alpha / r1, u / p.y)
-
-
-def k1_blowdown(cp: ChartPointK1) -> tuple[PhasePoint, SystemParams, float]:
-    """Inverse of k1_lift."""
-    if not cp.r1 > 0.0:
-        raise DomainError("k1_blowdown needs r1 > 0")
-    y = cp.r1 * cp.r1
-    alpha = cp.r1 * cp.alpha1
-    return (
-        PhasePoint(cp.r1 * cp.x1 + alpha, y),
-        SystemParams(y * cp.eps1, alpha),
-        y * cp.mu1,
-    )
 
 
 def kappa12(cp: ChartPointK1) -> ChartPointK2:
@@ -179,27 +152,6 @@ def k1_vdp_field(cp: ChartPointK1, mu1: float | None = None) -> tuple[float, flo
         -eps1 * eps1 * x1,
         -1.0 + x1 * x1 - 0.5 * x1 * x1 * eps1 - r1 * x1 ** 3 / 3.0 + m,
     )
-
-
-def blowdown_controller(mu2: float, eps: float) -> float:
-    """Central-chart control back to the original scale: u = eps * mu2."""
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise DomainError(f"eps must be positive, got {eps!r}")
-    return eps * mu2
-
-
-def slow_branch_x1(eps1: float, sign: float = 1.0) -> float:
-    """x1 location +-sqrt(1 + eps1/2) of the slow branch in the entry chart."""
-    if eps1 < -2.0:
-        raise DomainError("slow branch needs eps1 >= -2")
-    return math.copysign(math.sqrt(1.0 + 0.5 * eps1), sign)
-
-
-def equilibrium_radius_x1(x1: float) -> float:
-    """Radius r1 = 3(1/x1 - 1/x1^3) where x1' = 0 on eps1 = 0, mu1 = 0."""
-    if x1 == 0.0:
-        raise DomainError("x1 = 0 is not on the equilibrium set")
-    return 3.0 * (1.0 / x1 - 1.0 / x1 ** 3)
 
 
 # germ check -----------------------------------------------------------------

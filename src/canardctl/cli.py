@@ -1,10 +1,12 @@
 """`canard-ctl`: experiment runner, verification entry point, MMO front-end.
 
-Each experiment id maps to one registered runner that reproduces a standard
-closed-loop simulation at desk scale.  A run writes four artifacts into its
-output directory: trajectory.csv (t, x, y, u at 17 significant digits,
+Each experiment id maps to one spec: the keys its run reads, with their
+defaults, the optional keys it accepts, and a run that reproduces a
+standard closed-loop simulation at desk scale.  One writer turns every
+outcome into trajectory.csv (t, x, y, u at 17 significant digits,
 re-parseable to the bit), metrics.json (the fully resolved configuration
-plus the numbers the run was made for), and phase.svg / controller.svg.
+plus the numbers the run was made for, or the fault it stopped at), and
+phase.svg / controller.svg.
 
 Exit codes: 0 success, 2 validation error or unwritable output, 3
 integration fault, 4 pattern deviation.
@@ -19,15 +21,15 @@ import json
 import math
 import random
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .blowup import ChartPointK1, ChartPointK2, k1_vdp_field, k2_field
 from .controllers import (
     K1Domain,
+    NeighborhoodParams,
     default_neighborhoods,
     fast_u,
     k1_chart_phi1,
@@ -50,11 +52,11 @@ from .errors import (
     IntegrationError,
     PatternDeviationError,
     SingularConfigurationError,
+    StepLimitError,
     StepUnderflowError,
 )
 from .mmo import MmoPattern, classify_loops, run_pattern
 from .models import (
-    Derivative,
     fold_rhs,
     parabolic_shear_terms,
     quadratic_gap_phi2,
@@ -74,19 +76,22 @@ __all__ = ["ExperimentConfig", "run_experiment", "main"]
 
 _SEED = 20260822
 
-# parameter glossary: every accepted key and the block it configures
-_PARAM_KEYS: Dict[str, str] = {
-    "eps": "system", "alpha": "system",
-    "c1": "gains", "c2": "gains", "k1": "gains", "x_star": "gains", "K": "gains",
-    "h0": "level", "E": "level",
-    "beta1": "nbhd", "beta2": "nbhd", "x_min": "nbhd", "x_max": "nbhd",
-    "y_min": "nbhd", "y_h": "nbhd", "inner_margin": "nbhd",
-    "rel_tol": "integ", "abs_tol": "integ", "max_step": "integ",
-    "min_step": "integ", "max_steps": "integ",
-    "t_end": "extra", "pattern": "extra", "repeat": "extra", "weights": "extra",
+# every parameter key: its type, and whether `canard-ctl run` has a flag for it
+_KEYS: Dict[str, Tuple[type, bool]] = {
+    "eps": (float, True), "alpha": (float, True), "c1": (float, True),
+    "c2": (float, True), "h0": (float, True), "E": (float, True),
+    "x_star": (float, True), "y_h": (float, True), "k1": (float, True),
+    "t_end": (float, True), "pattern": (str, True), "repeat": (int, True),
+    "beta1": (float, False), "beta2": (float, False), "x_min": (float, False),
+    "x_max": (float, False), "y_min": (float, False),
+    "inner_margin": (float, False),
+    "rel_tol": (float, False), "abs_tol": (float, False),
+    "max_step": (float, False), "min_step": (float, False),
+    "max_steps": (int, False),
 }
-_STR_KEYS = {"pattern", "weights"}
-_INT_KEYS = {"repeat", "max_steps"}
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string"}
+_INTEG_KEYS = ("rel_tol", "abs_tol", "max_step", "min_step", "max_steps")
+_NBHD_KEYS = ("beta1", "beta2", "x_min", "x_max", "y_min", "inner_margin")
 
 _DEFAULT_OUTPUTS = {
     "trajectory": "trajectory.csv",
@@ -106,28 +111,27 @@ class ExperimentConfig:
     outputs: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in _RUNNERS:
+        spec = _SPECS.get(self.experiment)
+        if spec is None:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
-                f"registered: {', '.join(sorted(_RUNNERS))}")
+                f"registered: {', '.join(sorted(_SPECS))}")
         if "h" in self.params:
             raise ConfigError(
                 "raw 'h' rejected: supply the level as (h0, E) with "
                 "h = h0*exp(-E); a literal h underflows silently")
+        accepted = {*spec.defaults, *spec.extras}
         for key, value in self.params.items():
-            if key not in _PARAM_KEYS:
-                raise ConfigError(f"unknown parameter {key!r}")
-            if key in _STR_KEYS:
-                if not isinstance(value, str):
-                    raise ConfigError(f"parameter {key!r} must be a string")
-            elif key in _INT_KEYS:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(f"parameter {key!r} must be an integer")
-            else:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"parameter {key!r} must be a number")
-                if not math.isfinite(float(value)):
-                    raise ConfigError(f"parameter {key!r} must be finite")
+            if key not in accepted:
+                raise ConfigError(
+                    f"unknown parameter {key!r} for {self.experiment}; "
+                    f"accepted: {', '.join(sorted(accepted)) or 'none'}")
+            kind = _KEYS[key][0]
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise ConfigError(f"parameter {key!r} must be {_KIND_NAMES[kind]}")
+            if kind is float and not math.isfinite(float(value)):
+                raise ConfigError(f"parameter {key!r} must be finite")
         object.__setattr__(
             self, "initial_conditions",
             tuple(PhasePoint(float(p[0]), float(p[1]))
@@ -172,45 +176,16 @@ class ExperimentConfig:
                                 self.initial_conditions, self.outputs)
 
 
-class _Blocks:
-    """Parameter blocks constructed from the merged experiment parameters."""
-
-    def __init__(self, eff: Dict[str, object]):
-        self.eff = eff
-        self.params = SystemParams(float(eff["eps"]), float(eff.get("alpha", 0.0)))
-        self.gains = ControllerGains(
-            c1=float(eff.get("c1", 1.0)),
-            c2=float(eff.get("c2", 2.0)),
-            k1=float(eff.get("k1", 0.0)),
-            x_star=float(eff.get("x_star", 0.0)),
-            K=float(eff.get("K", 1.0)),
-        )
-        self.level = ScaledLevel(float(eff.get("h0", 0.0)), float(eff.get("E", 0.0)))
-        self.integ = IntegratorConfig(
-            rel_tol=float(eff.get("rel_tol", 1e-8)),
-            abs_tol=float(eff.get("abs_tol", 1e-10)),
-            max_step=float(eff.get("max_step", 10.0)),
-            min_step=float(eff.get("min_step", 1e-12)),
-            max_steps=int(eff.get("max_steps", 1_000_000)),
-        )
-
-    def neighborhoods(self) -> NeighborhoodParams:
-        eff = self.eff
-        base = default_neighborhoods(self.params.eps, float(eff.get("y_h", 1.25)))
-        kwargs = {}
-        for name in ("beta1", "beta2", "x_min", "x_max", "y_min", "inner_margin"):
-            if name in eff:
-                kwargs[name] = float(eff[name])
-        if not kwargs:
-            return base
-        from dataclasses import replace
-        return replace(base, **kwargs)
+def _picked(cls, eff: Dict[str, object]) -> Dict[str, object]:
+    """The parameters that name fields of the dataclass ``cls``, typed."""
+    names = {f.name for f in fields(cls)}
+    return {k: _KEYS[k][0](v) for k, v in eff.items() if k in names}
 
 
-def _merge_defaults(cfg: ExperimentConfig, defaults: Dict[str, object]) -> Dict[str, object]:
-    eff = dict(defaults)
-    eff.update(cfg.params)
-    return eff
+def _blocks(eff: Dict[str, object], *classes) -> tuple:
+    """One instance per class from the parameters; each class's own
+    defaults fill the fields the parameters leave out."""
+    return tuple(cls(**_picked(cls, eff)) for cls in classes)
 
 
 # reference-cycle tracing --------------------------------------------------
@@ -267,7 +242,27 @@ def _cycle_curve(level: ScaledLevel, eps: float, alpha: float = 0.0,
     return tuple(right + left[::-1] + right[:1])
 
 
-# artifact writers ---------------------------------------------------------
+# artifacts ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Outcome:
+    """What a run hands the artifact writer.
+
+    ``trajs`` are drawn in phase.svg; the first also goes to trajectory.csv
+    and controller.svg.  A run without trajectories writes metrics.json
+    only.  ``labels`` name the phase axes and the control.
+    """
+
+    trajs: Sequence[Trajectory]
+    overlays: Sequence[object]
+    results: Dict[str, object]
+    summary: str = ""
+    labels: Tuple[str, str, str] = ("x", "y", "u")
+    extra_csv: Dict[str, Trajectory] = field(default_factory=dict)
+    extra_phase: Dict[str, Sequence[Trajectory]] = field(default_factory=dict)
+    status: str = "ok"
+    code: int = 0
+
 
 def _write_trajectory_csv(path, traj: Trajectory) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -284,14 +279,6 @@ def read_trajectory_csv(path) -> Tuple[Tuple[float, float, float, float], ...]:
     if not rows or rows[0] != ["t", "x", "y", "u"]:
         raise ConfigError(f"{path} is not a trajectory file")
     return tuple(tuple(float(v) for v in row) for row in rows[1:])
-
-
-def _event_records(traj: Trajectory) -> List[Dict[str, object]]:
-    return [
-        {"kind": ev.kind, "time": ev.time, "direction": ev.direction,
-         "state": list(ev.state)}
-        for ev in traj.events
-    ]
 
 
 def _write_metrics(path, cfg: ExperimentConfig, eff: Dict[str, object],
@@ -312,12 +299,52 @@ def _write_metrics(path, cfg: ExperimentConfig, eff: Dict[str, object],
         fh.write("\n")
 
 
-def _out_paths(cfg: ExperimentConfig, outdir: Path) -> Dict[str, Path]:
-    names = {**_DEFAULT_OUTPUTS, **cfg.outputs}
-    return {slot: outdir / name for slot, name in names.items()}
+def _write_outcome(cfg: ExperimentConfig, eff: Dict[str, object],
+                   out: _Outcome, outdir: Path) -> None:
+    path = {slot: outdir / name
+            for slot, name in {**_DEFAULT_OUTPUTS, **cfg.outputs}.items()}
+    x_label, y_label, u_label = out.labels
+    if out.trajs:
+        _write_trajectory_csv(path["trajectory"], out.trajs[0])
+        emit_phase_svg(out.trajs, out.overlays, path["phase"],
+                       x_label=x_label, y_label=y_label)
+        emit_timeseries_svg(out.trajs[0], path["controller"], label=u_label)
+    for name, traj in out.extra_csv.items():
+        _write_trajectory_csv(outdir / name, traj)
+    for name, trajs in out.extra_phase.items():
+        emit_phase_svg(trajs, out.overlays, outdir / name,
+                       x_label=x_label, y_label=y_label)
+    _write_metrics(path["metrics"], cfg, eff, out.results, out.status)
 
 
-# experiment runners -------------------------------------------------------
+# status a fault leaves in metrics.json, most specific exception type first
+_FAULT_STATUS = (
+    (PatternDeviationError, "pattern-deviation"),
+    (StepLimitError, "step-limit"),
+    (StepUnderflowError, "step-underflow"),
+    (ExponentOverflowError, "overflow-fault"),
+    (IntegrationError, "integration-fault"),
+    (SingularConfigurationError, "integration-fault"),
+)
+
+
+def _fault_outcome(exc: Exception) -> _Outcome:
+    status = next(s for kind, s in _FAULT_STATUS if isinstance(exc, kind))
+    traj = getattr(exc, "trajectory", None)
+    trajs = [traj] if traj is not None else []
+    results: Dict[str, object] = {
+        "message": str(exc),
+        "last_time": trajs[0].final_time if trajs else None,
+        "last_state": list(trajs[0].final_state) if trajs else None,
+    }
+    if isinstance(exc, PatternDeviationError):
+        results.update(achieved=list(exc.achieved), expected=exc.expected,
+                       got=exc.got)
+    return _Outcome(trajs, (), results, status=status,
+                    code=4 if status == "pattern-deviation" else 3)
+
+
+# experiment runs ----------------------------------------------------------
 
 def _convergence_results(traj: Trajectory, eps: float, level: ScaledLevel) -> Dict[str, object]:
     rep = convergence_metrics(traj, eps, level)
@@ -329,33 +356,22 @@ def _convergence_results(traj: Trajectory, eps: float, level: ScaledLevel) -> Di
     }
 
 
-def _section_gap(traj: Trajectory) -> Tuple[List[float], Optional[float]]:
-    """Return times of section returns and the widest consecutive state gap."""
-    hits = traj.events_of("section-crossing")
-    times = [ev.time for ev in hits]
-    gap = None
-    for a, b in zip(hits, hits[1:]):
-        d = math.hypot(b.state[0] - a.state[0], b.state[1] - a.state[1])
-        gap = d if gap is None else max(gap, d)
-    return times, gap
+def _guarded(underflow: str, *args, **kwargs) -> Tuple[Trajectory, str]:
+    """integrate() with a fault reported as a status next to the trajectory;
+    ``underflow`` names the status of a step-size collapse."""
+    try:
+        traj = integrate(*args, **kwargs)
+        return traj, "overflow-fault" if traj.events_of("overflow-fault") else "ok"
+    except StepUnderflowError as exc:
+        return exc.trajectory, underflow
+    except IntegrationError as exc:
+        return exc.trajectory, "step-limit"
 
 
-def _run_fold(cfg: ExperimentConfig, outdir: Path, channel: str) -> int:
-    if channel == "fast":
-        defaults = {"eps": 0.01, "alpha": -0.1, "c1": 1.0, "c2": 2.0,
-                    "h0": 0.25, "E": 400.0, "t_end": 1400.0}
-        default_ic = PhasePoint(0.2, 0.3)
-    else:
-        # slow actuation only brakes or boosts the climb, so its transverse
-        # contraction at c2 = 2 is c1*sqrt(eps)/4 and must beat the layer
-        # repulsion 2*x along the canard ascent; a low stored cycle keeps
-        # that repulsion small and the gain affordable
-        defaults = {"eps": 0.01, "alpha": -0.1, "c1": 60.0, "c2": 2.0,
-                    "h0": 0.25, "E": 60.0, "t_end": 600.0}
-        default_ic = PhasePoint(0.45, 0.25)
-    eff = _merge_defaults(cfg, defaults)
-    blocks = _Blocks(eff)
-    params, gains, level = blocks.params, blocks.gains, blocks.level
+def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _Outcome:
+    params, gains, level, integ = _blocks(
+        eff, SystemParams, ControllerGains, ScaledLevel, IntegratorConfig)
+    default_ic = PhasePoint(0.2, 0.3) if channel == "fast" else PhasePoint(0.45, 0.25)
     ics = cfg.initial_conditions or (default_ic,)
     hot = zero_terms()
     # fast actuation relocates the fold to x = alpha; slow actuation cancels
@@ -371,11 +387,10 @@ def _run_fold(cfg: ExperimentConfig, outdir: Path, channel: str) -> int:
     # on its lower arc
     section = Watcher("section-crossing", lambda p: p.x - center,
                       direction="up")
-    trajs = []
-    for ic in ics:
-        trajs.append(integrate(
-            lambda p, uval: fold_rhs(p, params, hot, uval, channel=channel),
-            u, ic, (0.0, float(eff["t_end"])), blocks.integ, watchers=[section]))
+    trajs = [integrate(
+        lambda p, uval: fold_rhs(p, params, hot, uval, channel=channel),
+        u, ic, (0.0, float(eff["t_end"])), integ, watchers=[section])
+        for ic in ics]
 
     primary = trajs[0]
     framed = Trajectory(
@@ -383,32 +398,21 @@ def _run_fold(cfg: ExperimentConfig, outdir: Path, channel: str) -> int:
         tuple(PhasePoint(p.x - center, p.y) for p in primary.states),
         primary.controls, primary.events)
     results: Dict[str, object] = _convergence_results(framed, params.eps, level)
-    times, gap = _section_gap(primary)
-    results["section_return_times"] = times
-    results["max_return_gap"] = gap
+    hits = primary.events_of("section-crossing")
+    results["section_return_times"] = [ev.time for ev in hits]
+    # widest state gap between consecutive section returns
+    results["max_return_gap"] = max(
+        (math.hypot(b.state[0] - a.state[0], b.state[1] - a.state[1])
+         for a, b in zip(hits, hits[1:])), default=None)
     results["overflow_events"] = len(primary.events_of("overflow-fault"))
-
-    paths = _out_paths(cfg, outdir)
-    _write_trajectory_csv(paths["trajectory"], primary)
     cycle = _cycle_curve(level, params.eps, center)
-    emit_phase_svg(trajs, [CriticalManifold("fold"), ReferenceCycle(cycle)],
-                   paths["phase"])
-    emit_timeseries_svg(primary, paths["controller"])
-    _write_metrics(paths["metrics"], cfg, eff, results)
-    print(f"{cfg.experiment}: terminal residual {results['residual_terminal']:.3g}, "
-          f"{len(times)} section returns")
-    return 0
+    return _Outcome(
+        trajs, [CriticalManifold("fold"), ReferenceCycle(cycle)], results,
+        f"{cfg.experiment}: terminal residual {results['residual_terminal']:.3g}, "
+        f"{len(hits)} section returns")
 
 
-def _run_fold_fast(cfg: ExperimentConfig, outdir: Path) -> int:
-    return _run_fold(cfg, outdir, "fast")
-
-
-def _run_fold_slow(cfg: ExperimentConfig, outdir: Path) -> int:
-    return _run_fold(cfg, outdir, "slow")
-
-
-def _run_fold_fast_hot(cfg: ExperimentConfig, outdir: Path) -> int:
+def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     """Shear-perturbed plant, with and without the compensating term.
 
     At these gains both runs converge; the correction's job shows in the
@@ -416,40 +420,29 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, outdir: Path) -> int:
     the cancellation is exact.  At c1 <= 3 the plain loop loses the cycle
     outright and the run records the fault.
     """
-    defaults = {"eps": 0.01, "alpha": 0.0, "c1": 5.0, "c2": 2.0,
-                "h0": 0.25, "E": 400.0, "t_end": 700.0}
-    eff = _merge_defaults(cfg, defaults)
-    blocks = _Blocks(eff)
-    params, gains, level = blocks.params, blocks.gains, blocks.level
+    params, gains, level, integ = _blocks(
+        eff, SystemParams, ControllerGains, ScaledLevel, IntegratorConfig)
     ic = (cfg.initial_conditions or (PhasePoint(0.2, 0.3),))[0]
     hot = parabolic_shear_terms(100.0)
     span = (0.0, float(eff["t_end"]))
 
-    def run(compensate: bool):
+    def run(phi_hat):
         def u(p: PhasePoint) -> float:
-            return fast_u(p, params, gains, level,
-                          phi_hat=hot.phi_hat if compensate else None)
+            return fast_u(p, params, gains, level, phi_hat=phi_hat)
 
-        try:
-            traj = integrate(
-                lambda p, uval: fold_rhs(p, params, hot, uval),
-                u, ic, span, blocks.integ)
-            status = "overflow-fault" if traj.events_of("overflow-fault") else "ok"
-        except StepUnderflowError as exc:
-            traj, status = exc.trajectory, "step-underflow"
-        except IntegrationError as exc:
-            traj, status = exc.trajectory, "step-limit"
-        return traj, status
+        return _guarded("step-underflow",
+                        lambda p, uval: fold_rhs(p, params, hot, uval),
+                        u, ic, span, integ)
 
-    comp, comp_status = run(True)
-    plain, plain_status = run(False)
+    comp, comp_status = run(hot.phi_hat)
+    plain, plain_status = run(None)
     if comp_status != "ok":
         raise IntegrationError(
             f"compensated run faulted ({comp_status}); nothing to demonstrate",
             comp)
 
     plain_block: Dict[str, object] = {"status": plain_status,
-                                      "final_time": plain.final_time if plain else None}
+                                      "final_time": plain.final_time}
     if plain_status == "ok":
         plain_block.update(_convergence_results(plain, params.eps, level))
     results = {
@@ -457,25 +450,19 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, outdir: Path) -> int:
                         "status": comp_status},
         "plain": plain_block,
     }
-    paths = _out_paths(cfg, outdir)
-    _write_trajectory_csv(paths["trajectory"], comp)
-    if plain is not None:
-        _write_trajectory_csv(outdir / "plain.csv", plain)
     cycle = _cycle_curve(level, params.eps, params.alpha)
-    emit_phase_svg([comp] + ([plain] if plain else []),
-                   [CriticalManifold("fold"), ReferenceCycle(cycle)],
-                   paths["phase"])
-    emit_timeseries_svg(comp, paths["controller"])
-    _write_metrics(paths["metrics"], cfg, eff, results)
-    print(f"fold-fast-hot: compensated terminal residual "
-          f"{results['compensated']['residual_terminal']:.3g}; "
-          f"plain run {plain_status}")
-    return 0
+    return _Outcome(
+        [comp, plain], [CriticalManifold("fold"), ReferenceCycle(cycle)],
+        results,
+        f"fold-fast-hot: compensated terminal residual "
+        f"{results['compensated']['residual_terminal']:.3g}; "
+        f"plain run {plain_status}",
+        extra_csv={"plain.csv": plain})
 
 
-def _chart_ics(count: int, seed_shift: int = 0) -> Tuple[PhasePoint, ...]:
+def _chart_ics(count: int) -> Tuple[PhasePoint, ...]:
     """Deterministic chart-plane samples with |x2|, |y2| <= 3, off the origin."""
-    rng = random.Random(_SEED + seed_shift)
+    rng = random.Random(_SEED)
     out = []
     while len(out) < count:
         x2, y2 = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
@@ -491,129 +478,79 @@ _SHEAR_ICS = (PhasePoint(0.5, 0.5), PhasePoint(-1.0, 1.0), PhasePoint(2.0, 3.2),
               PhasePoint(-1.5, 1.8), PhasePoint(1.0, 0.8))
 
 
-def _run_k2_family(cfg: ExperimentConfig, outdir: Path, with_shear: bool) -> int:
+def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
+                   with_shear: bool) -> _Outcome:
     """Central-chart runs; eps enters only through r2 = sqrt(eps)."""
-    defaults = ({"eps": 1.0, "alpha": 1.0, "c1": 10.0, "c2": 2.0,
-                 "h0": 1e-16, "E": 0.0, "t_end": 60.0}
-                if with_shear else
-                {"eps": 0.0, "alpha": 1.0, "c1": 1.0, "c2": 2.0,
-                 "h0": 1e-16, "E": 0.0, "t_end": 500.0})
-    eff = _merge_defaults(cfg, defaults)
-    blocks = _Blocks(eff)
-    gains = blocks.gains
-    r2 = math.sqrt(float(eff["eps"]))
-    alpha2 = float(eff.get("alpha", 0.0))
-    h = blocks.level.value
+    params, gains, level, integ = _blocks(
+        eff, SystemParams, ControllerGains, ScaledLevel, IntegratorConfig)
+    r2, alpha2, h = math.sqrt(params.eps), params.alpha, level.value
     ics = cfg.initial_conditions or (_SHEAR_ICS if with_shear else _chart_ics(10))
     span = (0.0, float(eff["t_end"]))
 
     g2 = (lambda r, x2, y2, a2: x2 * quadratic_gap_phi2(r, x2, y2, a2)) \
         if with_shear else None
 
-    def rhs_factory(mu_fn):
-        def rhs(p: PhasePoint, mu: float) -> Derivative:
-            d = k2_field(ChartPointK2(r2, p.x, p.y, alpha2), g2=g2, mu2=mu)
-            return Derivative(d[0], d[1])
-        return rhs
-
-    def mu_factory(phi2):
-        def mu(p: PhasePoint) -> float:
-            return k2_mu(ChartPointK2(r2, p.x, p.y, alpha2), gains, h, phi2=phi2)
-        return mu
+    def rhs(p: PhasePoint, mu: float) -> Tuple[float, float]:
+        return k2_field(ChartPointK2(r2, p.x, p.y, alpha2), g2=g2, mu2=mu)
 
     stop = Watcher("level-convergence",
                    lambda p: 1e-7 - abs(eval_H2(p.x, p.y) - h), terminal=True)
 
     def run_ic(ic: PhasePoint, phi2, watched: bool):
-        u = mu_factory(phi2)
+        def mu(p: PhasePoint) -> float:
+            return k2_mu(ChartPointK2(r2, p.x, p.y, alpha2), gains, h, phi2=phi2)
+
+        traj, status = _guarded("diverged", rhs, mu, ic, span, integ,
+                                watchers=[stop] if watched else [])
+        p = traj.final_state
         try:
-            traj = integrate(rhs_factory(u), u, ic, span, blocks.integ,
-                             watchers=[stop] if watched else [])
-            status = "overflow-fault" if traj.events_of("overflow-fault") else "ok"
-        except StepUnderflowError as exc:
-            traj, status = exc.trajectory, "diverged"
-        except IntegrationError as exc:
-            traj, status = exc.trajectory, "step-limit"
-        gap = math.inf
-        if traj is not None and len(traj):
-            p = traj.final_state
-            try:
-                gap = abs(eval_H2(p[0], p[1]) - h)
-            except ExponentOverflowError:
-                gap = math.inf
+            gap = abs(eval_H2(p[0], p[1]) - h)
+        except ExponentOverflowError:
+            gap = math.inf
         return traj, status, gap
 
-    t0 = time.perf_counter()
-    results: Dict[str, object] = {}
     phi2 = quadratic_gap_phi2 if with_shear else None
     per_ic = []
     trajs = []
     for ic in ics:
         traj, status, gap = run_ic(ic, phi2, watched=True)
-        hits = traj.events_of("level-convergence") if traj is not None else ()
-        max_rise = 0.0
-        prev = None
-        for p in traj.states:
-            l2, _ = lyapunov_L2(ChartPointK2(r2, p[0], p[1], alpha2), gains, h)
-            if prev is not None:
-                max_rise = max(max_rise, l2 - prev)
-            prev = l2
+        hits = traj.events_of("level-convergence")
+        l2 = [lyapunov_L2(ChartPointK2(r2, p[0], p[1], alpha2), gains, h)[0]
+              for p in traj.states]
         per_ic.append({
             "ic": [ic.x, ic.y],
             "status": status,
             "terminal_h_gap": gap,
             "converged_at": hits[0].time if hits else None,
-            "max_l2_increase": max_rise,
+            "max_l2_increase": max([0.0] + [b - a for a, b in zip(l2, l2[1:])]),
         })
         trajs.append(traj)
-    results["per_ic"] = per_ic
-    results["max_terminal_h_gap"] = max(r["terminal_h_gap"] for r in per_ic)
-    results["runtime_s"] = round(time.perf_counter() - t0, 3)
-
+    results: Dict[str, object] = {
+        "per_ic": per_ic,
+        "max_terminal_h_gap": max(r["terminal_h_gap"] for r in per_ic),
+    }
+    extra_phase = {}
     if with_shear:
-        plain = []
-        plain_trajs = []
-        for ic in ics:
-            traj, status, gap = run_ic(ic, None, watched=False)
-            plain.append({"ic": [ic.x, ic.y], "status": status,
-                          "terminal_h_gap": gap})
-            if traj is not None:
-                plain_trajs.append(traj)
-        results["plain_per_ic"] = plain
-        results["plain_worst_h_gap"] = max(r["terminal_h_gap"] for r in plain)
-        paths = _out_paths(cfg, outdir)
-        emit_phase_svg(plain_trajs, [ReferenceCycle(_cycle_curve(blocks.level, 1.0))],
-                       outdir / "phase-plain.svg", x_label="x2", y_label="y2")
-    else:
-        paths = _out_paths(cfg, outdir)
+        plain = [run_ic(ic, None, watched=False) for ic in ics]
+        results["plain_per_ic"] = [
+            {"ic": [ic.x, ic.y], "status": status, "terminal_h_gap": gap}
+            for ic, (_, status, gap) in zip(ics, plain)]
+        results["plain_worst_h_gap"] = max(gap for _, _, gap in plain)
+        extra_phase["phase-plain.svg"] = [traj for traj, _, _ in plain]
 
-    _write_trajectory_csv(paths["trajectory"], trajs[0])
-    emit_phase_svg(trajs, [ReferenceCycle(_cycle_curve(blocks.level, 1.0))],
-                   paths["phase"], x_label="x2", y_label="y2")
-    emit_timeseries_svg(trajs[0], paths["controller"], label="mu2")
-    _write_metrics(paths["metrics"], cfg, eff, results)
-    print(f"{cfg.experiment}: worst terminal |H2 - h| = "
-          f"{results['max_terminal_h_gap']:.3g} over {len(ics)} starts "
-          f"({results['runtime_s']}s)")
-    return 0
+    return _Outcome(
+        trajs, [ReferenceCycle(_cycle_curve(level, 1.0))], results,
+        f"{cfg.experiment}: worst terminal |H2 - h| = "
+        f"{results['max_terminal_h_gap']:.3g} over {len(ics)} starts",
+        labels=("x2", "y2", "mu2"), extra_phase=extra_phase)
 
 
-def _run_k2(cfg: ExperimentConfig, outdir: Path) -> int:
-    return _run_k2_family(cfg, outdir, with_shear=False)
-
-
-def _run_k2_hot(cfg: ExperimentConfig, outdir: Path) -> int:
-    return _run_k2_family(cfg, outdir, with_shear=True)
-
-
-def _run_k1_vdp(cfg: ExperimentConfig, outdir: Path) -> int:
+def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     """Entry-chart wedge transport: a grid on the entry section contracts
     onto the shifted branch before it exits at r1 = rho1."""
-    defaults = {"eps": 0.01, "c1": 1.0, "c2": 2.0, "k1": 1.0,
-                "x_star": -0.01, "t_end": 6000.0}
-    eff = _merge_defaults(cfg, defaults)
-    blocks = _Blocks(eff)
-    gains = blocks.gains
+    # k1_vdp_mu reads only k1 and x_star; ControllerGains requires c1 and c2
+    gains = ControllerGains(1.0, 2.0, **_picked(ControllerGains, eff))
+    integ = IntegratorConfig(**_picked(IntegratorConfig, eff))
     dom = K1Domain()
     exit_section = Watcher("section-crossing", lambda s: s[0] - dom.rho1,
                            direction="up", terminal=True)
@@ -634,7 +571,7 @@ def _run_k1_vdp(cfg: ExperimentConfig, outdir: Path) -> int:
             x1_initial.append(x1)
             times, states, events, status = integrate_vector(
                 fun, (r1, x1, dom.delta1), (0.0, float(eff["t_end"])),
-                blocks.integ, watchers=[exit_section])
+                integ, watchers=[exit_section])
             hits = [ev for ev in events if ev.kind == "section-crossing"]
             if not hits:
                 raise IntegrationError(
@@ -658,104 +595,104 @@ def _run_k1_vdp(cfg: ExperimentConfig, outdir: Path) -> int:
         "contraction_ratio": spread1 / spread0,
         "exit_times": exit_t,
     }
-    paths = _out_paths(cfg, outdir)
-    _write_trajectory_csv(paths["trajectory"], blown[0])
-    emit_phase_svg(blown, [CriticalManifold("vdp")], paths["phase"])
-    emit_timeseries_svg(blown[0], paths["controller"])
-    _write_metrics(paths["metrics"], cfg, eff, results)
-    print(f"k1-vdp: exit x1 spread {spread1:.3g} "
-          f"({100 * results['contraction_ratio']:.2f}% of initial)")
-    return 0
+    return _Outcome(
+        blown, [CriticalManifold("vdp")], results,
+        f"k1-vdp: exit x1 spread {spread1:.3g} "
+        f"({100 * results['contraction_ratio']:.2f}% of initial)")
 
 
-def _run_vdp_pattern(cfg: ExperimentConfig, outdir: Path,
-                     pattern: MmoPattern, eff: Dict[str, object]) -> int:
-    blocks = _Blocks(eff)
-    nbhd = blocks.neighborhoods()
+def _run_vdp_pattern(cfg: ExperimentConfig, eff: Dict[str, object],
+                     pattern: MmoPattern) -> _Outcome:
+    eps = float(eff["eps"])
+    nbhd = replace(default_neighborhoods(eps), **_picked(NeighborhoodParams, eff))
+    # composite_u never reads c2; ControllerGains requires one
+    gains = ControllerGains(c2=2.0, **_picked(ControllerGains, eff))
+    integ = IntegratorConfig(**_picked(IntegratorConfig, eff))
     start = (cfg.initial_conditions or (PhasePoint(-1.0, 0.6),))[0]
-    try:
-        traj, loops = run_pattern(pattern, blocks.params.eps, blocks.gains,
-                                  nbhd, blocks.integ, start)
-    except PatternDeviationError as exc:
-        # leave the diagnostics behind before reporting the deviation
-        paths = _out_paths(cfg, outdir)
-        if exc.trajectory is not None:
-            _write_trajectory_csv(paths["trajectory"], exc.trajectory)
-            emit_phase_svg([exc.trajectory],
-                           [CriticalManifold("vdp"), NeighborhoodShading(nbhd)],
-                           paths["phase"])
-            emit_timeseries_svg(exc.trajectory, paths["controller"])
-        _write_metrics(paths["metrics"], cfg, eff, {
-            "achieved": list(exc.achieved),
-            "expected": exc.expected, "got": exc.got,
-        }, status="pattern-deviation")
-        raise
+    traj, loops = run_pattern(pattern, eps, gains, nbhd, integ, start)
 
     labels = "".join(lb.label[0] for lb in loops)
-    agreed = [lb.label for lb in classify_loops(traj)]
     results = {
         "labels": labels,
         "loops": [{"label": lb.label, "t_start": lb.t_start, "t_end": lb.t_end,
                    "max_x": lb.max_x, "max_y": lb.max_y} for lb in loops],
-        "classifier_labels": agreed,
+        "classifier_labels": [lb.label for lb in classify_loops(traj)],
         "pattern": pattern.compact(),
         "repeat": pattern.repeat,
     }
-    paths = _out_paths(cfg, outdir)
-    _write_trajectory_csv(paths["trajectory"], traj)
-    emit_phase_svg([traj], [CriticalManifold("vdp"), NeighborhoodShading(nbhd)],
-                   paths["phase"])
-    emit_timeseries_svg(traj, paths["controller"])
-    _write_metrics(paths["metrics"], cfg, eff, results)
-    print(f"{cfg.experiment}: loops {labels}")
-    return 0
+    return _Outcome(
+        [traj], [CriticalManifold("vdp"), NeighborhoodShading(nbhd)], results,
+        f"{cfg.experiment}: loops {labels}")
 
 
-def _run_vdp_canard(cfg: ExperimentConfig, outdir: Path) -> int:
-    defaults = {"eps": 0.01, "c1": 1.0, "c2": 2.0, "k1": 1.0,
-                "x_star": -0.01, "y_h": 1.25, "repeat": 1}
-    eff = _merge_defaults(cfg, defaults)
+def _run_vdp_canard(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     x_star = float(eff["x_star"])
     label = "S" if x_star < 0 else "L"
     pattern = MmoPattern.parse(f"3{label}:{eff['y_h']:g}:{x_star:g}",
                                repeat=int(eff["repeat"]))
-    return _run_vdp_pattern(cfg, outdir, pattern, eff)
+    return _run_vdp_pattern(cfg, eff, pattern)
 
 
-def _run_vdp_mmo(cfg: ExperimentConfig, outdir: Path) -> int:
-    defaults = {"eps": 0.01, "c1": 1.0, "c2": 2.0, "k1": 1.0,
-                "pattern": "3L:0.75:0.01,4S:1.25:-0.01", "repeat": 1}
-    eff = _merge_defaults(cfg, defaults)
+def _run_vdp_mmo(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     pattern = MmoPattern.parse(str(eff["pattern"]), repeat=int(eff["repeat"]))
-    return _run_vdp_pattern(cfg, outdir, pattern, eff)
+    return _run_vdp_pattern(cfg, eff, pattern)
 
 
-def _run_verify(cfg: ExperimentConfig, outdir: Path) -> int:
+def _run_verify(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     buf = io.StringIO()
     failures = run_verification(buf)
     text = buf.getvalue()
     sys.stdout.write(text)
-    checks = []
-    for line in text.splitlines():
-        if line.startswith(("PASS", "FAIL")):
-            checks.append({"ok": line.startswith("PASS"), "line": line})
-    paths = _out_paths(cfg, outdir)
-    _write_metrics(paths["metrics"], cfg, dict(cfg.params),
-                   {"failures": failures, "checks": checks},
-                   status="ok" if failures == 0 else "failed")
-    return 0 if failures == 0 else 1
+    checks = [{"ok": line.startswith("PASS"), "line": line}
+              for line in text.splitlines() if line.startswith(("PASS", "FAIL"))]
+    return _Outcome((), (), {"failures": failures, "checks": checks},
+                    status="ok" if failures == 0 else "failed",
+                    code=0 if failures == 0 else 1)
 
 
-_RUNNERS: Dict[str, Callable[[ExperimentConfig, Path], int]] = {
-    "fold-fast": _run_fold_fast,
-    "fold-fast-hot": _run_fold_fast_hot,
-    "fold-slow": _run_fold_slow,
-    "k2": _run_k2,
-    "k2-hot": _run_k2_hot,
-    "k1-vdp": _run_k1_vdp,
-    "vdp-canard": _run_vdp_canard,
-    "vdp-mmo": _run_vdp_mmo,
-    "verify": _run_verify,
+class _Spec(NamedTuple):
+    defaults: Dict[str, object]  # every key the run reads, with its default
+    extras: Tuple[str, ...]  # optional keys; the library's defaults apply
+    run: Callable[[ExperimentConfig, Dict[str, object]], _Outcome]
+
+
+_SPECS: Dict[str, _Spec] = {
+    "fold-fast": _Spec(
+        {"eps": 0.01, "alpha": -0.1, "c1": 1.0, "c2": 2.0,
+         "h0": 0.25, "E": 400.0, "t_end": 1400.0},
+        _INTEG_KEYS, lambda cfg, eff: _run_fold(cfg, eff, "fast")),
+    "fold-fast-hot": _Spec(
+        {"eps": 0.01, "alpha": 0.0, "c1": 5.0, "c2": 2.0,
+         "h0": 0.25, "E": 400.0, "t_end": 700.0},
+        _INTEG_KEYS, _run_fold_fast_hot),
+    # slow actuation only brakes or boosts the climb, so its transverse
+    # contraction at c2 = 2 is c1*sqrt(eps)/4 and must beat the layer
+    # repulsion 2*x along the canard ascent; a low stored cycle keeps that
+    # repulsion small and the gain affordable
+    "fold-slow": _Spec(
+        {"eps": 0.01, "alpha": -0.1, "c1": 60.0, "c2": 2.0,
+         "h0": 0.25, "E": 60.0, "t_end": 600.0},
+        _INTEG_KEYS, lambda cfg, eff: _run_fold(cfg, eff, "slow")),
+    "k2": _Spec(
+        {"eps": 0.0, "alpha": 1.0, "c1": 1.0, "c2": 2.0,
+         "h0": 1e-16, "E": 0.0, "t_end": 500.0},
+        _INTEG_KEYS, lambda cfg, eff: _run_k2_family(cfg, eff, False)),
+    "k2-hot": _Spec(
+        {"eps": 1.0, "alpha": 1.0, "c1": 10.0, "c2": 2.0,
+         "h0": 1e-16, "E": 0.0, "t_end": 60.0},
+        _INTEG_KEYS, lambda cfg, eff: _run_k2_family(cfg, eff, True)),
+    "k1-vdp": _Spec(
+        {"k1": 1.0, "x_star": -0.01, "t_end": 6000.0},
+        _INTEG_KEYS, _run_k1_vdp),
+    "vdp-canard": _Spec(
+        {"eps": 0.01, "c1": 1.0, "k1": 1.0, "x_star": -0.01, "y_h": 1.25,
+         "repeat": 1},
+        _INTEG_KEYS + _NBHD_KEYS, _run_vdp_canard),
+    "vdp-mmo": _Spec(
+        {"eps": 0.01, "c1": 1.0, "k1": 1.0,
+         "pattern": "3L:0.75:0.01,4S:1.25:-0.01", "repeat": 1},
+        _INTEG_KEYS + _NBHD_KEYS, _run_vdp_mmo),
+    "verify": _Spec({}, (), _run_verify),
 }
 
 
@@ -771,46 +708,31 @@ def run_experiment(cfg: ExperimentConfig, outdir) -> int:
         print(f"error: output directory {outdir} is not writable: {exc}",
               file=sys.stderr)
         return 2
+    spec = _SPECS[cfg.experiment]
+    eff = {**spec.defaults, **cfg.params}
     try:
-        return _RUNNERS[cfg.experiment](cfg, outdir)
+        try:
+            out = spec.run(cfg, eff)
+        except PatternDeviationError as exc:
+            print(f"pattern deviation: {exc}", file=sys.stderr)
+            out = _fault_outcome(exc)
+        except (IntegrationError, ExponentOverflowError,
+                SingularConfigurationError) as exc:
+            print(f"integration fault: {exc}", file=sys.stderr)
+            out = _fault_outcome(exc)
+        _write_outcome(cfg, eff, out, outdir)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PatternDeviationError as exc:
-        print(f"pattern deviation: {exc}", file=sys.stderr)
-        return 4
-    except (IntegrationError, ExponentOverflowError,
-            SingularConfigurationError) as exc:
-        print(f"integration fault: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
         return 2
+    if out.summary:
+        print(out.summary)
+    return out.code
 
 
 # command line -------------------------------------------------------------
-
-_OVERRIDE_FLOAT = ("eps", "alpha", "c1", "c2", "h0", "E", "x_star", "y_h",
-                   "k1", "K", "t_end")
-
-
-def _add_override_flags(sub: argparse.ArgumentParser) -> None:
-    grp = sub.add_argument_group("parameter overrides")
-    for name in _OVERRIDE_FLOAT:
-        grp.add_argument(f"--{name}", type=float, default=None)
-    grp.add_argument("--pattern", type=str, default=None)
-    grp.add_argument("--repeat", type=int, default=None)
-    grp.add_argument("--weights", type=str, default=None)
-
-
-def _collect_overrides(args: argparse.Namespace) -> Dict[str, object]:
-    out: Dict[str, object] = {}
-    for name in _OVERRIDE_FLOAT + ("pattern", "repeat", "weights"):
-        v = getattr(args, name, None)
-        if v is not None:
-            out[name] = v
-    return out
-
 
 def _run_one(job: Tuple[str, str, Dict[str, object]]) -> Tuple[str, int]:
     path, outdir, overrides = job
@@ -823,18 +745,19 @@ def _run_one(job: Tuple[str, str, Dict[str, object]]) -> Tuple[str, int]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    overrides = _collect_overrides(args)
-    base = Path(args.out) if args.out else Path("out")
-    jobs: List[Tuple[str, str, Dict[str, object]]] = []
-    if len(args.config) == 1:
-        jobs.append((args.config[0], str(base), overrides))
-    else:
-        stems = [Path(c).stem for c in args.config]
-        if len(set(stems)) != len(stems):
-            print("error: batch configs must have distinct file stems "
-                  "(each gets its own output directory)", file=sys.stderr)
-            return 2
-        jobs = [(c, str(base / s), overrides) for c, s in zip(args.config, stems)]
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
+    overrides = {name: getattr(args, name) for name, (_, flag) in _KEYS.items()
+                 if flag and getattr(args, name) is not None}
+    base = Path(args.out or "out")
+    stems = [Path(c).stem for c in args.config]
+    if len(set(stems)) != len(stems):
+        print("error: batch configs must have distinct file stems "
+              "(each gets its own output directory)", file=sys.stderr)
+        return 2
+    jobs = [(c, str(base / s if len(stems) > 1 else base), overrides)
+            for c, s in zip(args.config, stems)]
 
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -852,12 +775,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if run_verification() == 0 else 1
 
 
+_MMO_FLAGS = ("pattern", "eps", "c1", "k1", "repeat")
+
+
 def _cmd_mmo(args: argparse.Namespace) -> int:
-    params: Dict[str, object] = {"pattern": args.pattern}
-    for name in ("eps", "c1", "k1", "repeat"):
-        v = getattr(args, name, None)
-        if v is not None:
-            params[name] = v
+    params = {name: getattr(args, name) for name in _MMO_FLAGS
+              if getattr(args, name) is not None}
     try:
         cfg = ExperimentConfig("vdp-mmo", params)
     except ConfigError as exc:
@@ -879,7 +802,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes for batch runs")
     run_p.add_argument("--out", default=None,
                        help="output directory (batch: one subdirectory per config)")
-    _add_override_flags(run_p)
+    grp = run_p.add_argument_group("parameter overrides")
+    for name, (kind, flag) in _KEYS.items():
+        if flag:
+            grp.add_argument(f"--{name}", type=kind, default=None)
     run_p.set_defaults(fn=_cmd_run)
 
     ver_p = sub.add_parser("verify", help="run the invariant suite")
@@ -888,10 +814,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mmo_p = sub.add_parser("mmo", help="drive an MMO pattern directly")
     mmo_p.add_argument("--pattern", required=True,
                        help='compact pattern, e.g. "3L:0.75:0.01,4S:1.25:-0.01"')
-    mmo_p.add_argument("--eps", type=float, default=None)
-    mmo_p.add_argument("--c1", type=float, default=None)
-    mmo_p.add_argument("--k1", type=float, default=None)
-    mmo_p.add_argument("--repeat", type=int, default=None)
+    for name in _MMO_FLAGS[1:]:
+        mmo_p.add_argument(f"--{name}", type=_KEYS[name][0], default=None)
     mmo_p.add_argument("--out", default="out-mmo")
     mmo_p.set_defaults(fn=_cmd_mmo)
     return ap

@@ -43,7 +43,6 @@ from .sim import IntegratorConfig, Watcher, integrate
 __all__ = [
     "NeighborhoodParams",
     "K1Domain",
-    "SlowManifoldGraph",
     "default_neighborhoods",
     "fast_u",
     "slow_u",
@@ -151,29 +150,6 @@ class K1Domain:
     def exit_branch_attracting(self) -> bool:
         """Whether the exit section sits on the attracting part of the branch."""
         return self.rho1 < _RHO1_STABLE
-
-
-@dataclass(frozen=True)
-class SlowManifoldGraph:
-    """Graph x = phi(y, eps) of the repelling slow manifold over [lo, hi]."""
-
-    phi: Callable[[float, float], float]
-    domain: Tuple[float, float]
-
-    def __post_init__(self):
-        lo, hi = self.domain
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise DomainError(f"domain must be a finite interval, got {self.domain!r}")
-
-    def __call__(self, y: float, eps: float) -> float:
-        return self.phi(y, eps)
-
-    @classmethod
-    def from_neighborhoods(cls, nbhd: NeighborhoodParams) -> "SlowManifoldGraph":
-        return cls(
-            phi=lambda y, eps: vdp_slow_manifold_phi(y, eps, nbhd),
-            domain=(nbhd.y_min, nbhd.y_h),
-        )
 
 
 def fast_u(p: PhasePoint, params: SystemParams, gains: ControllerGains,

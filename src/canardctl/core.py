@@ -93,27 +93,23 @@ class ControllerGains:
     c1 scales the level-stabilizing feedback, c2 shifts the exponential
     weight (c2 = 2 cancels the conserved quantity's own exponential), k1 is
     the transverse damping gain of the variational controller, x_star the
-    signed offset selecting the jump direction, K the constant in the
-    admissible c2 bound.
+    signed offset selecting the jump direction.
     """
 
     c1: float
     c2: float
     k1: float = 0.0
     x_star: float = 0.0
-    K: float = 1.0
 
     def __post_init__(self):
         _require_finite(c1=self.c1, c2=self.c2, k1=self.k1,
-                        x_star=self.x_star, K=self.K)
+                        x_star=self.x_star)
         if self.c1 <= 0.0:
             raise DomainError(f"c1 must be > 0, got {self.c1!r}")
         if self.k1 < 0.0:
             raise DomainError(f"k1 must be >= 0, got {self.k1!r}")
         if abs(self.x_star) >= 1.0:
             raise DomainError(f"|x_star| must be < 1, got {self.x_star!r}")
-        if self.K <= 0.0:
-            raise DomainError(f"K must be > 0, got {self.K!r}")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ fast; the physics itself is covered by the module tests and the acceptance
 suite.
 """
 
+import hashlib
 import json
 import math
 
@@ -32,8 +33,25 @@ class TestConfigValidation:
             ExperimentConfig("k2", {"h": 1e-180})
 
     def test_unknown_parameter(self):
-        with pytest.raises(ConfigError, match="unknown parameter"):
-            ExperimentConfig("k2", {"c3": 1.0})
+        # K and weights were config keys once; no run ever read them
+        for key in ("c3", "K", "weights"):
+            with pytest.raises(ConfigError, match="unknown parameter"):
+                ExperimentConfig("k2", {key: 1.0})
+
+    @pytest.mark.parametrize("experiment,key,value", [
+        ("fold-fast", "y_h", 0.5), ("fold-fast", "k1", 5.0),
+        ("fold-fast", "x_star", 0.5),
+        ("k1-vdp", "eps", 0.3), ("k1-vdp", "alpha", 2.0), ("k1-vdp", "h0", 1.0),
+        ("k1-vdp", "E", 3.0), ("k1-vdp", "c1", 9.0), ("k1-vdp", "c2", 7.0),
+        ("vdp-mmo", "x_star", 0.5), ("vdp-mmo", "y_h", 1.0),
+        ("vdp-mmo", "t_end", 3.0), ("vdp-mmo", "alpha", 4.0),
+        ("vdp-mmo", "c2", 7.0),
+        ("verify", "c1", 1.0), ("verify", "pattern", "2S:1.25:-0.01"),
+    ])
+    def test_key_the_run_ignores_is_rejected(self, experiment, key, value):
+        with pytest.raises(ConfigError,
+                           match=f"unknown parameter '{key}' for {experiment}"):
+            ExperimentConfig(experiment, {key: value})
 
     def test_pattern_must_be_string(self):
         with pytest.raises(ConfigError, match="string"):
@@ -161,6 +179,22 @@ class TestRunExperiment:
         cfg = ExperimentConfig("k1-vdp", {"t_end": 10.0})
         assert run_experiment(cfg, tmp_path) == 3
         assert "never reached" in capsys.readouterr().err
+        m = json.loads((tmp_path / "metrics.json").read_text())
+        assert m["status"] == "integration-fault"
+        assert "never reached" in m["results"]["message"]
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_step_limit_leaves_metrics_and_partial_trajectory(self, tmp_path, capsys):
+        cfg = ExperimentConfig("fold-fast", {"max_steps": 10})
+        assert run_experiment(cfg, tmp_path) == 3
+        assert "max_steps" in capsys.readouterr().err
+        m = json.loads((tmp_path / "metrics.json").read_text())
+        assert m["status"] == "step-limit"
+        assert "max_steps = 10" in m["results"]["message"]
+        rows = read_trajectory_csv(tmp_path / "trajectory.csv")
+        assert len(rows) > 1
+        assert m["results"]["last_time"] == rows[-1][0]
+        assert m["results"]["last_state"] == [rows[-1][1], rows[-1][2]]
 
     def test_pattern_deviation_exits_4_with_diagnostics(self, tmp_path, capsys):
         cfg = ExperimentConfig(
@@ -191,14 +225,42 @@ class TestMain:
         assert m["config"]["params"]["c1"] == 3.0
 
     def test_batch_two_jobs_separate_outdirs(self, tmp_path):
-        a = _write_cfg(tmp_path / "a.json", "k2", t_end=120.0)
-        b = _write_cfg(tmp_path / "b.json", "k2", t_end=150.0)
-        base = tmp_path / "batch"
-        rc = main(["run", str(a), str(b), "--jobs", "2",
-                   "--out", str(base)])
-        assert rc == 0
-        assert (base / "a" / "metrics.json").exists()
-        assert (base / "b" / "metrics.json").exists()
+        configs = [_write_cfg(tmp_path / "a.json", "k2", t_end=120.0),
+                   _write_cfg(tmp_path / "b.json", "k2", t_end=150.0),
+                   _write_cfg(tmp_path / "c.json", "fold-fast", t_end=50.0),
+                   _write_cfg(tmp_path / "d.json", "verify")]
+        digests = []
+        for jobs in ("2", "1"):
+            base = tmp_path / f"batch-{jobs}"
+            rc = main(["run", *map(str, configs), "--jobs", jobs,
+                       "--out", str(base)])
+            assert rc == 0
+            for stem in "abcd":
+                assert (base / stem / "metrics.json").exists()
+            # every artifact, metrics.json included, is byte-identical
+            # whatever the worker count
+            digests.append({
+                p.relative_to(base).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in base.rglob("*") if p.is_file()})
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        cfg = _write_cfg(tmp_path / "a.json", "k2", t_end=120.0)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--jobs", jobs, "--out", str(out)]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_for_ignored_key_exits_2(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "a.json", "fold-fast", t_end=50.0)
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out), "--y_h", "0.5"]) == 2
+        assert "unknown parameter 'y_h'" in capsys.readouterr().err
+        for flag in ("--K", "--weights"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", str(cfg), "--out", str(out), flag, "1"])
+            assert exc.value.code == 2
 
     def test_batch_duplicate_stems_rejected(self, tmp_path, capsys):
         d1 = tmp_path / "one"
@@ -229,6 +291,8 @@ class TestMain:
         m = json.loads((out / "metrics.json").read_text())
         assert m["results"]["labels"] == "SS"
         assert m["config"]["params"]["pattern"] == "2S:1.25:-0.01"
+        # only the keys the run reads are echoed
+        assert set(m["config"]["params"]) == {"eps", "c1", "k1", "pattern", "repeat"}
 
     def test_verify_subcommand(self, capsys):
         assert main(["verify"]) == 0

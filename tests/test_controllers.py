@@ -9,7 +9,6 @@ from canardctl.blowup import ChartPointK1, ChartPointK2
 from canardctl.controllers import (
     K1Domain,
     NeighborhoodParams,
-    SlowManifoldGraph,
     _vdp_u2,
     bump_psi,
     c2_bound,
@@ -198,12 +197,6 @@ class TestSlowManifoldGraph:
         with pytest.raises(DomainError):
             vdp_slow_manifold_phi(1.3, 0.01, nb)
 
-    def test_graph_wrapper(self):
-        nb = default_neighborhoods(0.01)
-        graph = SlowManifoldGraph.from_neighborhoods(nb)
-        assert graph.domain == (nb.y_min, nb.y_h)
-        assert graph(0.5, 0.0) == vdp_slow_manifold_phi(0.5, 0.0, nb)
-
     def test_chart_graph_limit_and_interior(self):
         # r1 = 0 limit is the centre-branch root, checked through H1 = 0
         for eps1 in (0.05, 0.1, 0.4):
@@ -386,7 +379,3 @@ class TestParamBlocks:
             K1Domain(rho1=0.5, rho1_tilde=0.6)
         assert K1Domain(rho1=0.6).exit_branch_attracting
         assert not K1Domain(rho1=0.8).exit_branch_attracting
-
-    def test_graph_domain_validation(self):
-        with pytest.raises(DomainError):
-            SlowManifoldGraph(phi=lambda y, e: 1.0, domain=(1.0, 0.5))

@@ -181,12 +181,10 @@ def test_system_params_validation():
 
 
 def test_controller_gains_validation():
-    ControllerGains(c1=1.0, c2=2.0, k1=1.0, x_star=-0.01, K=1.0)
+    ControllerGains(c1=1.0, c2=2.0, k1=1.0, x_star=-0.01)
     with pytest.raises(DomainError):
         ControllerGains(c1=0.0, c2=2.0)
     with pytest.raises(DomainError):
         ControllerGains(c1=1.0, c2=2.0, k1=-0.5)
     with pytest.raises(DomainError):
         ControllerGains(c1=1.0, c2=2.0, x_star=1.0)
-    with pytest.raises(DomainError):
-        ControllerGains(c1=1.0, c2=2.0, K=0.0)
