@@ -9,7 +9,9 @@ plus the numbers the run was made for, or the fault it stopped at), and
 phase.svg / controller.svg.
 
 Exit codes: 0 success, 2 validation error or unwritable output, 3
-integration fault, 4 pattern deviation.
+integration fault, 4 pattern deviation, 5 internal error (an exception no
+other code covers, reported with its traceback; a batch goes on with its
+next config).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 import random
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -735,13 +738,19 @@ def run_experiment(cfg: ExperimentConfig, outdir) -> int:
 # command line -------------------------------------------------------------
 
 def _run_one(job: Tuple[str, str, Dict[str, object]]) -> Tuple[str, int]:
+    """One config of a batch; an exception no exit code covers is reported
+    as an internal error (exit 5) so that the rest of the batch still runs."""
     path, outdir, overrides = job
     try:
         cfg = ExperimentConfig.from_file(path).with_overrides(overrides)
+        return path, run_experiment(cfg, outdir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return path, 2
-    return path, run_experiment(cfg, outdir)
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return path, 5
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -8,12 +8,15 @@ where small steps are wanted anyway; a step-size collapse below ``min_step``
 is reported as a stiffness fault carrying the partial trajectory instead of
 being hidden by an implicit solver.
 
-The controller is evaluated at every stage point.  A typed exponent overflow
-raised by a controller, or a non-finite control value, terminates the run
-with a terminal ``overflow-fault`` event at the last accepted state.  Events
-requested through watchers are localized on the dense output by bisection to
-1e-10 * max(1, |t|) in time.  Integration is deterministic: identical inputs
-produce bitwise-identical trajectories.
+The controller is evaluated once per field evaluation.  The controls a
+trajectory records are the values from the first field call and from each
+accepted step's last stage, which FSAL places at the new state; only a state
+the run ends on at a terminal event is evaluated again.  A typed exponent
+overflow raised by a controller, or a non-finite control value, terminates
+the run with a terminal ``overflow-fault`` event at the last accepted state.
+Events requested through watchers are localized on the dense output by
+bisection to 1e-10 * max(1, |t|) in time.  Integration is deterministic:
+identical inputs produce bitwise-identical trajectories.
 """
 
 from __future__ import annotations
@@ -63,6 +66,21 @@ _D = (
     -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
     -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0,
 )
+# The step spells every stage combination out term by term from these names.
+# Each sum starts from 0.0 and adds left to right, as sum() over the rows did
+# before Python 3.12 made it compensated (so a lone -0.0 term gives +0.0),
+# and the zero entries stay in so that inf and nan propagate from every stage.
+_C2, _C3, _C4, _C5, _C6, _C7 = _C
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+    (_A71, _A72, _A73, _A74, _A75, _A76),
+) = _A
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
+_D1, _D2, _D3, _D4, _D5, _D6, _D7 = _D
 
 _SAFE = 0.9
 _BETA = 0.04
@@ -151,7 +169,10 @@ class Trajectory:
 
 
 def _rms(values: Sequence[float]) -> float:
-    return math.sqrt(sum(v * v for v in values) / len(values))
+    acc = 0.0  # left to right from zero, as sum() adds floats before 3.12
+    for v in values:
+        acc += v * v
+    return math.sqrt(acc / len(values))
 
 
 def _initial_step(fun, t0, y0, f0, t1, cfg, pack):
@@ -171,12 +192,25 @@ def _initial_step(fun, t0, y0, f0, t1, cfg, pack):
     return min(100.0 * h0, h1, t1 - t0, cfg.max_step)
 
 
-def _dense_eval(theta, h, y_old, rcont):
-    th1 = 1.0 - theta
-    return tuple(
-        rc1 + theta * (rc2 + th1 * (rc3 + theta * (rc4 + th1 * rc5)))
-        for rc1, rc2, rc3, rc4, rc5 in zip(*rcont)
-    )
+def _interpolant(h, y, y_new, ks, pack):
+    """Quartic dense output of an accepted step as theta in [0, 1] -> state."""
+    rcont = []
+    for rc1, y1, a, b, c, d, e, f, g in zip(y, y_new, *ks):
+        rc2 = y1 - rc1
+        rc3 = h * a - rc2
+        rc4 = rc2 - h * g - rc3
+        rc5 = h * (0.0 + _D1 * a + _D2 * b + _D3 * c + _D4 * d + _D5 * e
+                   + _D6 * f + _D7 * g)
+        rcont.append((rc1, rc2, rc3, rc4, rc5))
+
+    def at(theta):
+        th1 = 1.0 - theta
+        return pack([
+            rc1 + theta * (rc2 + th1 * (rc3 + theta * (rc4 + th1 * rc5)))
+            for rc1, rc2, rc3, rc4, rc5 in rcont
+        ])
+
+    return at
 
 
 def _crossing(kind: str, direction: str, g_old: float, g_new: float):
@@ -212,13 +246,21 @@ def _locate(crossed, h, t_old):
 
 
 class _Engine:
-    """One integration run over a tuple state; collects points and events."""
+    """One integration run over a tuple state; collects points and events.
 
-    def __init__(self, fun, y0, t_span, cfg, watchers, pack):
+    ``note``, if given, is called right after the field has been evaluated at
+    the start state and at every accepted step end (the FSAL stage), and what
+    it returns is kept in ``notes``, one entry per such point.  A state the
+    run ends on at a terminal event comes from the dense output and has no
+    note.
+    """
+
+    def __init__(self, fun, y0, t_span, cfg, watchers, pack, note=None):
         self.fun = fun
         self.cfg = cfg
         self.watchers = tuple(watchers)
         self.pack = pack
+        self.note = note
         self.t0, self.t1 = t_span
         if not (math.isfinite(self.t0) and math.isfinite(self.t1) and self.t1 > self.t0):
             raise DomainError(f"bad t_span {t_span!r}")
@@ -229,55 +271,75 @@ class _Engine:
         self.t = self.t0
         self.times = [self.t0]
         self.states = [self.y]
+        self.notes = []
         self.events = []
         self.status = "ok"
 
     def run(self):
-        fun, cfg, pack = self.fun, self.cfg, self.pack
-        n = len(self.y)
+        fun, cfg, pack, note, watchers = (
+            self.fun, self.cfg, self.pack, self.note, self.watchers)
+        t1, atol, rtol = self.t1, cfg.abs_tol, cfg.rel_tol
+        times, states, notes = self.times, self.states, self.notes
+        t, y = self.t, self.y
         try:
-            f_now = fun(self.t, self.y)
-            h = _initial_step(fun, self.t, self.y, f_now, self.t1, cfg, pack)
+            try:
+                f_now = fun(t, y)
+            finally:
+                if note is not None:
+                    notes.append(note())
+            h = _initial_step(fun, t, y, f_now, t1, cfg, pack)
         except (ExponentOverflowError, IntegrationError):
             self._fault()
             return self
-        g_now = [w.fn(self.y) for w in self.watchers]
+        g_now = [w.fn(y) for w in watchers]
         facold = 1e-4
         just_rejected = False
         nsteps = 0
 
-        while self.t < self.t1:
+        while t < t1:
             if nsteps >= cfg.max_steps:
                 self.status = "step-limit"
                 return self
             h = min(h, cfg.max_step)
-            clamped = h > self.t1 - self.t
+            clamped = h > t1 - t
             if clamped:
-                h = self.t1 - self.t
+                h = t1 - t
 
-            ks = [f_now]
+            k1 = f_now
             try:
-                for s in range(6):
-                    ts = self.t + _C[s] * h
-                    ys = pack(tuple(
-                        self.y[i] + h * sum(_A[s][j] * ks[j][i] for j in range(s + 1))
-                        for i in range(n)
-                    ))
-                    ks.append(fun(ts, ys))
+                k2 = fun(t + _C2 * h, pack([
+                    y0 + h * (0.0 + _A21 * a)
+                    for y0, a in zip(y, k1)]))
+                k3 = fun(t + _C3 * h, pack([
+                    y0 + h * (0.0 + _A31 * a + _A32 * b)
+                    for y0, a, b in zip(y, k1, k2)]))
+                k4 = fun(t + _C4 * h, pack([
+                    y0 + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
+                    for y0, a, b, c in zip(y, k1, k2, k3)]))
+                k5 = fun(t + _C5 * h, pack([
+                    y0 + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                    for y0, a, b, c, d in zip(y, k1, k2, k3, k4)]))
+                k6 = fun(t + _C6 * h, pack([
+                    y0 + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d
+                              + _A65 * e)
+                    for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
+                # the last stage row is the 5th-order solution at t + h
+                y_new = pack([
+                    y0 + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d
+                              + _A75 * e + _A76 * f)
+                    for y0, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)])
+                k7 = fun(t + _C7 * h, y_new)
             except (ExponentOverflowError, IntegrationError):
                 self._fault()
                 return self
             nsteps += 1
-            y_new = ys  # stage 6 lands on the 5th-order solution at t + h
-            k7 = ks[6]
 
-            sc = [
-                cfg.abs_tol + cfg.rel_tol * max(abs(self.y[i]), abs(y_new[i]))
-                for i in range(n)
-            ]
             err = _rms([
-                h * sum(_E[j] * ks[j][i] for j in range(7)) / sc[i]
-                for i in range(n)
+                h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e
+                     + _E6 * f + _E7 * g)
+                / (atol + rtol * max(abs(y0), abs(y1)))
+                for y0, y1, a, b, c, d, e, f, g
+                in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)
             ])
             if not math.isfinite(err):
                 err = 10.0
@@ -290,36 +352,32 @@ class _Engine:
                 just_rejected = True
                 continue
 
-            # accepted: dense output then event sweep
-            rcont = self._rcont(h, ks, k7, y_new, n)
-            fired = self._sweep_events(h, rcont, g_now, y_new)
-            terminal = next((f for f in fired if f[2].terminal), None)
-            if terminal is not None:
-                theta, direction, watcher = terminal
-                t_ev = self.t + theta * h
-                y_ev = pack(_dense_eval(theta, h, self.y, rcont))
+            # accepted: event sweep on the dense output
+            if watchers:
+                fired, dense = self._sweep_events(
+                    t, h, y, y_new, (k1, k2, k3, k4, k5, k6, k7), g_now)
+                terminal = next((f for f in fired if f[2].terminal), None)
+                if terminal is not None:
+                    theta = terminal[0]
+                    for th, dr, w in fired:
+                        if th <= theta:
+                            self.events.append(Event(w.kind, t + th * h, dense(th), dr))
+                    self.t, self.y = t + theta * h, dense(theta)
+                    times.append(self.t)
+                    states.append(self.y)
+                    return self
                 for th, dr, w in fired:
-                    if th <= theta:
-                        self.events.append(
-                            Event(w.kind, self.t + th * h,
-                                  pack(_dense_eval(th, h, self.y, rcont)), dr)
-                        )
-                self.t, self.y = t_ev, y_ev
-                self.times.append(self.t)
-                self.states.append(self.y)
-                return self
-            for th, dr, w in fired:
-                self.events.append(
-                    Event(w.kind, self.t + th * h,
-                          pack(_dense_eval(th, h, self.y, rcont)), dr)
-                )
+                    self.events.append(Event(w.kind, t + th * h, dense(th), dr))
 
-            self.t = self.t1 if clamped else self.t + h
-            self.y = y_new
-            self.times.append(self.t)
-            self.states.append(self.y)
+            t = t1 if clamped else t + h
+            y = y_new
+            self.t, self.y = t, y
+            times.append(t)
+            states.append(y)
+            if note is not None:
+                notes.append(note())  # k7 was the field's last call, at y_new
             f_now = k7
-            g_now = [w.fn(self.y) for w in self.watchers]
+            g_now = [w.fn(y) for w in watchers]
 
             facold = max(err, 1e-4)
             fac = err ** _EXPO1 / facold ** _BETA
@@ -330,37 +388,31 @@ class _Engine:
                 just_rejected = False
             if not clamped:
                 h *= scale
-                if h < cfg.min_step and self.t < self.t1:
+                if h < cfg.min_step and t < t1:
                     self.status = "step-underflow"
                     return self
         return self
 
-    def _rcont(self, h, ks, k7, y_new, n):
-        rc1 = self.y
-        rc2 = tuple(y_new[i] - self.y[i] for i in range(n))
-        rc3 = tuple(h * ks[0][i] - rc2[i] for i in range(n))
-        rc4 = tuple(rc2[i] - h * k7[i] - rc3[i] for i in range(n))
-        rc5 = tuple(h * sum(_D[j] * ks[j][i] for j in range(7)) for i in range(n))
-        return (rc1, rc2, rc3, rc4, rc5)
-
-    def _sweep_events(self, h, rcont, g_now, y_new):
+    def _sweep_events(self, t, h, y, y_new, ks, g_now):
+        """Crossings of the step as (theta, direction, watcher) by theta, and
+        the step's dense output (None when nothing crossed)."""
         fired = []
-        for idx, w in enumerate(self.watchers):
-            g_old = g_now[idx]
-            g_new = w.fn(y_new)
-            direction = _crossing(w.kind, w.direction, g_old, g_new)
+        dense = None
+        for w, g_old in zip(self.watchers, g_now):
+            direction = _crossing(w.kind, w.direction, g_old, w.fn(y_new))
             if direction is None:
                 continue
+            if dense is None:
+                dense = _interpolant(h, y, y_new, ks, self.pack)
             upward = direction in ("up", "enter", "converged")
 
             def crossed(theta, w=w, upward=upward):
-                g = w.fn(self.pack(_dense_eval(theta, h, self.y, rcont)))
+                g = w.fn(dense(theta))
                 return g >= 0.0 if upward else g <= 0.0
 
-            theta = _locate(crossed, h, self.t)
-            fired.append((theta, direction, w))
+            fired.append((_locate(crossed, h, t), direction, w))
         fired.sort(key=lambda f: f[0])
-        return fired
+        return fired, dense
 
     def _fault(self):
         self.events.append(
@@ -384,22 +436,27 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     """Integrate a controlled planar field, recording control at accepted steps.
 
     ``rhs(p, u_value) -> Derivative`` supplies the field, ``u(p) -> float``
-    the feedback.  The feedback is evaluated at every internal stage; a typed
-    exponent overflow or non-finite control value ends the run with a
-    terminal ``overflow-fault`` event.  Step-size collapse raises
-    :class:`StepUnderflowError` and an exhausted step budget raises
-    :class:`StepLimitError`, both carrying the partial trajectory.
+    the feedback, which every field evaluation calls once.  The recorded
+    controls are the values those calls returned: at the start state and, at
+    each accepted step, from the last (FSAL) stage, which runs at the new
+    state.  Only a state the run ends on at a terminal event is evaluated
+    again.  A typed exponent overflow or non-finite control value ends the
+    run with a terminal ``overflow-fault`` event; a fault at the start state
+    records the control ``u`` returned there, or nan if it raised.
+    Step-size collapse raises :class:`StepUnderflowError` and an exhausted
+    step budget raises :class:`StepLimitError`, both carrying the partial
+    trajectory.
     """
     cfg = cfg or IntegratorConfig()
+    last_u = [math.nan]
 
     def fun(t, p):
-        d = rhs(p, u(p))
+        last_u[0] = u_value = u(p)
+        d = rhs(p, u_value)
         return (d[0], d[1])
 
-    def pack(vals):
-        return PhasePoint(vals[0], vals[1])
-
-    eng = _Engine(fun, tuple(start), t_span, cfg, watchers, pack).run()
+    eng = _Engine(fun, tuple(start), t_span, cfg, watchers, PhasePoint._make,
+                  note=lambda: last_u[0]).run()
 
     def control_at(p):
         try:
@@ -407,7 +464,8 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
         except (ExponentOverflowError, IntegrationError):
             return math.nan  # fault record; the matching fault event is present
 
-    controls = tuple(control_at(p) for p in eng.states)
+    eng.notes.extend(control_at(p) for p in eng.states[len(eng.notes):])
+    controls = tuple(eng.notes)
     traj = Trajectory(tuple(eng.times), tuple(eng.states), controls, tuple(eng.events))
     if eng.status == "step-underflow":
         raise StepUnderflowError(

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from canardctl import cli
 from canardctl.cli import (
     ExperimentConfig,
     main,
@@ -243,6 +244,25 @@ class TestMain:
                 p.relative_to(base).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in base.rglob("*") if p.is_file()})
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unexpected_exception_exits_5_and_batch_goes_on(
+            self, tmp_path, monkeypatch, capfd, jobs):
+        def broken(cfg, eff):
+            raise ValueError("spec bug")
+
+        # a --jobs pool forks after this, so its workers see the patch too
+        monkeypatch.setitem(cli._SPECS, "verify",
+                            cli._SPECS["verify"]._replace(run=broken))
+        configs = [_write_cfg(tmp_path / "a.json", "verify"),
+                   _write_cfg(tmp_path / "b.json", "k2", t_end=120.0)]
+        base = tmp_path / "o"
+        rc = main(["run", *map(str, configs), "--jobs", jobs, "--out", str(base)])
+        out, err = capfd.readouterr()
+        assert rc == 5
+        assert "internal error: ValueError: spec bug" in err
+        assert f"{configs[0]}: exit 5" in out and f"{configs[1]}: exit 0" in out
+        assert (base / "b" / "metrics.json").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):

@@ -1,17 +1,24 @@
 """Tests for the embedded RK45 integrator, events, and faults."""
 
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from canardctl.core import PhasePoint, ScaledLevel
+from canardctl.controllers import composite_u, default_neighborhoods, fast_u
+from canardctl.core import ControllerGains, PhasePoint, ScaledLevel, SystemParams
 from canardctl.errors import (
+    DomainError,
     ExponentOverflowError,
+    IntegrationError,
     StepLimitError,
     StepUnderflowError,
 )
-from canardctl.models import Derivative
+from canardctl.models import Derivative, fold_rhs, vdp_rhs, zero_terms
 from canardctl.sim import (
+    _EVENT_TIME_TOL,
     ConvergenceReport,
     Event,
     IntegratorConfig,
@@ -19,6 +26,8 @@ from canardctl.sim import (
     Watcher,
     convergence_metrics,
     integrate,
+    _crossing,
+    _locate,
     integrate_vector,
 )
 
@@ -202,3 +211,206 @@ def test_convergence_metrics_relative_threshold():
     # cut is 1e-3 * 20.25; first satisfied at t = 4 where the residual is 1e-3
     assert rep.time_below == 4.0
     assert rep.terminal == pytest.approx((-0.0051 + 0.005) / 0.02)
+
+
+# -- bit-level pins ----------------------------------------------------------
+# SHA-256 of repr((times, states, controls, events)) for runs that exercise
+# every engine path: a watcher run, a terminal-event stop, a mid-run fault
+# and faults at the start state.  A digest that moves means the arithmetic of
+# the step changed, which no refactoring of the engine may do.
+
+def _digest(times, states, controls, events):
+    text = repr((tuple(times), tuple(states), tuple(controls), tuple(events)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _traj_digest(traj):
+    return _digest(traj.times, traj.states, traj.controls, traj.events)
+
+
+def _same(name, fn):
+    return fn
+
+
+def _fold_fast_run(wrap=_same, watched=True):
+    params = SystemParams(0.01, -0.1)
+    gains = ControllerGains(1.0, 2.0)
+    level = ScaledLevel(0.25, 400.0)
+    hot = zero_terms()
+    section = Watcher("section-crossing", lambda p: p.x + 0.1, "up")
+    return integrate(
+        wrap("rhs", lambda p, u: fold_rhs(p, params, hot, u, channel="fast")),
+        wrap("u", lambda p: fast_u(p, params, gains, level)),
+        PhasePoint(-0.35, 0.06), (0.0, 120.0),
+        watchers=[section] if watched else [])
+
+
+def _vdp_mmo_chunk(wrap=_same):
+    eps = 0.01
+    gains = ControllerGains(c1=1.0, c2=2.0, k1=1.0, x_star=0.01)
+    nbhd = default_neighborhoods(eps, y_h=0.75)
+    return integrate(
+        wrap("rhs", lambda p, u: vdp_rhs(p, eps, u)),
+        wrap("u", lambda p: composite_u(p, eps, gains, nbhd)),
+        PhasePoint(-1.0, 0.6), (0.0, 2000.0),
+        watchers=[Watcher("set-entry",
+                          lambda p: 0.0625 - p[0] * p[0] - p[1] * p[1],
+                          terminal=True)])
+
+
+def _overflow_mid_run():
+    def u(p):
+        if p.x > 2.0:
+            raise ExponentOverflowError("c2*y/eps - E", 900.0)
+        return -0.3 * p.y
+
+    return integrate(lambda p, uval: Derivative(1.0 + 0.1 * p.y, -p.x + uval),
+                     u, PhasePoint(0.0, 0.5), (0.0, 10.0))
+
+
+def _raising_u(p):
+    raise ExponentOverflowError("c2*y/eps - E", 900.0)
+
+
+def _fault_at_start(u, rhs=None):
+    params = SystemParams(0.01, -0.1)
+    hot = zero_terms()
+    return integrate(rhs or (lambda p, uval: fold_rhs(p, params, hot, uval)),
+                     u, PhasePoint(0.2, 0.3), (0.0, 1.0))
+
+
+def _raising_rhs(p, uval):
+    raise IntegrationError("field refuses the start state")
+
+
+def _vector_run():
+    def fun(t, s):
+        r, e, x = s
+        return (0.5 * r * e * x, -e * e * x, 0.0)
+
+    times, states, events, status = integrate_vector(fun, (1.0, 1.0, 1.0), (0.0, 4.0))
+    assert status == "ok"
+    return _digest(times, states, (), events)
+
+
+GOLDEN = {
+    "fold-fast-watcher": (
+        lambda: _traj_digest(_fold_fast_run()),
+        "7b11eb2d534be1868f6d640ca931024d99b79362dbc9331e88438dbeb8401f16"),
+    "vdp-mmo-disc-entry": (
+        lambda: _traj_digest(_vdp_mmo_chunk()),
+        "507fbcb47232cde33bb019d90db36d86bd4faf39098e0cfd58d4caff875bfb76"),
+    "overflow-mid-run": (
+        lambda: _traj_digest(_overflow_mid_run()),
+        "e05ffd133af917f2d07028df3a59cb8c0f17f4304c5ce887eeb3aca19e344751"),
+    "start-u-raises": (
+        lambda: _traj_digest(_fault_at_start(_raising_u)),
+        "2bd5a166ff60ff16a108516e0c30b80a498939853d32735d9d011e9a2fdd1de3"),
+    "start-u-nan": (
+        lambda: _traj_digest(_fault_at_start(lambda p: math.nan)),
+        "2bd5a166ff60ff16a108516e0c30b80a498939853d32735d9d011e9a2fdd1de3"),
+    "start-rhs-raises": (
+        lambda: _traj_digest(_fault_at_start(lambda p: 0.7, _raising_rhs)),
+        "35a26ea1bcfe95815f91701c499360d8c66dcc211f216a1f356c0c03192db600"),
+    "vector-three-components": (
+        _vector_run,
+        "810df24dbc8d6929516e38fb3af4d605bf4d5ee7afb8b87f0a6bf5e7efd39ddb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trajectory_bits_pinned(name):
+    compute, expected = GOLDEN[name]
+    assert compute() == expected
+
+
+def test_pinned_runs_take_the_paths_they_pin():
+    assert _fold_fast_run().events_of("section-crossing")
+    assert _vdp_mmo_chunk().events[-1].kind == "set-entry"
+    mid = _overflow_mid_run()
+    assert mid.events[-1].kind == "overflow-fault" and len(mid) > 2
+    for u, rhs, control in ((_raising_u, None, None), (lambda p: math.nan, None, None),
+                            (lambda p: 0.7, _raising_rhs, 0.7)):
+        start = _fault_at_start(u, rhs)
+        assert [ev.kind for ev in start.events] == ["overflow-fault"]
+        if control is None:
+            assert math.isnan(start.controls[0])
+        else:
+            assert start.controls == (control,)
+
+
+@pytest.mark.parametrize("run, terminal_states", [
+    (lambda wrap: _fold_fast_run(wrap, watched=False), 0),
+    (_fold_fast_run, 0),
+    (_vdp_mmo_chunk, 1),
+], ids=["plain", "section-watcher", "terminal-watcher"])
+def test_one_controller_call_per_field_call(run, terminal_states):
+    # recorded controls come from the stages already run; only a state
+    # taken from the dense output at a terminal event needs its own call
+    calls = {"rhs": 0, "u": 0}
+
+    def wrap(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    traj = run(wrap)
+    assert calls["rhs"] > 0
+    assert calls["u"] == calls["rhs"] + terminal_states
+    assert len(traj.controls) == len(traj.states)
+
+
+# -- event location properties -----------------------------------------------
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=300)
+_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(allow_nan=False))
+# the sign changes each (kind, direction) fires on, and what it reports
+_FIRES = {
+    ("section-crossing", "up"): {"up": "up"},
+    ("section-crossing", "down"): {"down": "down"},
+    ("section-crossing", "any"): {"up": "up", "down": "down"},
+    # the other kinds ignore the watcher's direction
+    **{(kind, direction): fires
+       for kind, fires in (("set-entry", {"up": "enter"}),
+                           ("set-exit", {"down": "exit"}),
+                           ("level-convergence", {"up": "converged"}))
+       for direction in ("up", "down", "any")},
+}
+
+
+@_PROPERTY
+@given(kind_direction=st.sampled_from(sorted(_FIRES)), g_old=_values, g_new=_values)
+def test_crossing_fires_exactly_on_allowed_sign_changes(kind_direction, g_old, g_new):
+    # up: from strictly below zero to zero or above; down: the mirror image
+    if g_old < 0.0 and g_new >= 0.0:
+        change = "up"
+    elif g_old > 0.0 and g_new <= 0.0:
+        change = "down"
+    else:
+        change = None
+    kind, direction = kind_direction
+    assert _crossing(kind, direction, g_old, g_new) == _FIRES[kind_direction].get(change)
+
+
+def test_crossing_rejects_unknown_kind():
+    with pytest.raises(DomainError):
+        _crossing("tangency", "any", -1.0, 1.0)
+
+
+@_PROPERTY
+@given(theta_star=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       h=st.floats(min_value=1e-12, max_value=10.0),
+       t_old=st.floats(min_value=-1e6, max_value=1e6))
+def test_locate_returns_first_point_past_a_monotone_crossing(theta_star, h, t_old):
+    def crossed(theta):
+        return theta >= theta_star
+
+    tol = _EVENT_TIME_TOL * max(1.0, abs(t_old) + h)
+    theta = _locate(crossed, h, t_old)
+    assert 0.0 < theta <= 1.0
+    assert crossed(theta)
+    assert not crossed(theta - tol / h)
