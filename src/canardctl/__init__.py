@@ -86,7 +86,6 @@ from .sim import (
     Watcher,
     convergence_metrics,
     integrate,
-    integrate_vector,
 )
 
 __version__ = "0.1.0"
@@ -137,7 +136,6 @@ __all__ = [
     "Watcher",
     "convergence_metrics",
     "integrate",
-    "integrate_vector",
     "DISC_RADIUS",
     "LAO_THRESHOLD",
     "LoopLabel",

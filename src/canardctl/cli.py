@@ -65,7 +65,7 @@ from .models import (
     quadratic_gap_phi2,
     zero_terms,
 )
-from .sim import IntegratorConfig, Trajectory, Watcher, convergence_metrics, integrate, integrate_vector
+from .sim import IntegratorConfig, Trajectory, Watcher, convergence_metrics, integrate
 from .svgplot import (
     CriticalManifold,
     NeighborhoodShading,
@@ -558,11 +558,20 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     exit_section = Watcher("section-crossing", lambda s: s[0] - dom.rho1,
                            direction="up", terminal=True)
 
-    def fun(t, s):
-        cp = ChartPointK1(s[0], s[1], s[2])
-        mu = k1_vdp_mu(cp, gains, k1_chart_phi1)
-        d = k1_vdp_field(cp, mu)
-        return (d[0], d[2], d[1])  # field reports (r1', eps1', x1')
+    # the state is (r1, x1, eps1); the field reports (r1', eps1', x1')
+    def mu(s):
+        return k1_vdp_mu(ChartPointK1(*s), gains, k1_chart_phi1)
+
+    def rhs(s, mu_value):
+        d = k1_vdp_field(ChartPointK1(*s), mu_value)
+        return (d[0], d[2], d[1])
+
+    def blown_down(traj: Trajectory) -> Trajectory:
+        # (x, y, u) = (r1 x1, r1^2, r1^2 mu1)
+        return Trajectory(
+            traj.times,
+            tuple(PhasePoint(s[0] * s[1], s[0] * s[0]) for s in traj.states),
+            tuple(s[0] * s[0] * m for s, m in zip(traj.states, traj.controls)))
 
     r1_grid = [0.05 + i * (dom.rho1_tilde - 0.05) / 4 for i in range(5)]
     exit_x1, exit_t, blown = [], [], []
@@ -572,10 +581,13 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
         for j in range(5):
             x1 = center - dom.sigma1 + j * dom.sigma1 / 2
             x1_initial.append(x1)
-            times, states, events, status = integrate_vector(
-                fun, (r1, x1, dom.delta1), (0.0, float(eff["t_end"])),
-                integ, watchers=[exit_section])
-            hits = [ev for ev in events if ev.kind == "section-crossing"]
+            try:
+                traj = integrate(rhs, mu, (r1, x1, dom.delta1),
+                                 (0.0, float(eff["t_end"])), integ,
+                                 watchers=[exit_section])
+            except IntegrationError as exc:  # step limit or step underflow
+                raise type(exc)(str(exc), blown_down(exc.trajectory)) from exc
+            hits = traj.events_of("section-crossing")
             if not hits:
                 raise IntegrationError(
                     f"grid point (r1={r1:.3g}, x1={x1:.3g}) never reached "
@@ -583,11 +595,7 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
             exit_x1.append(hits[0].state[1])
             exit_t.append(hits[0].time)
             if len(blown) < 5:
-                pts = tuple(PhasePoint(s[0] * s[1], s[0] * s[0]) for s in states)
-                us = tuple(s[0] * s[0] * k1_vdp_mu(
-                    ChartPointK1(s[0], s[1], s[2]), gains, k1_chart_phi1)
-                    for s in states)
-                blown.append(Trajectory(tuple(times), pts, us))
+                blown.append(blown_down(traj))
 
     spread0 = max(x1_initial) - min(x1_initial)
     spread1 = max(exit_x1) - min(exit_x1)

@@ -1,5 +1,11 @@
 """Adaptive explicit integration with event detection and fault capture.
 
+`integrate` is the one entry point.  It integrates an autonomous controlled
+field y' = rhs(y, u(y)) over a state of any length, and the states it
+returns have the type of the start: a NamedTuple start such as
+``PhasePoint`` is rebuilt with its ``_make``, any other sequence gives
+plain tuples.
+
 The integrator is a Dormand-Prince 5(4) embedded pair with PI step-size
 control and the matching quartic dense-output interpolant.  An explicit
 method is deliberate: trajectories either stay on controller-tamed slow
@@ -8,15 +14,17 @@ where small steps are wanted anyway; a step-size collapse below ``min_step``
 is reported as a stiffness fault carrying the partial trajectory instead of
 being hidden by an implicit solver.
 
-The controller is evaluated once per field evaluation.  The controls a
-trajectory records are the values from the first field call and from each
-accepted step's last stage, which FSAL places at the new state; only a state
-the run ends on at a terminal event is evaluated again.  A typed exponent
-overflow raised by a controller, or a non-finite control value, terminates
-the run with a terminal ``overflow-fault`` event at the last accepted state.
-Events requested through watchers are localized on the dense output by
-bisection to 1e-10 * max(1, |t|) in time.  Integration is deterministic:
-identical inputs produce bitwise-identical trajectories.
+The controller is evaluated once per field evaluation, and the engine keeps
+the values it needs.  The controls a trajectory records are the values from
+the first field call and from each accepted step's last stage, which FSAL
+places at the new state; only a state the run ends on at a terminal event
+is evaluated again.  A typed exponent overflow raised by a controller, or a
+non-finite control value, terminates the run with a terminal
+``overflow-fault`` event at the last accepted state.  Events requested
+through watchers are localized on the dense output by bisection to
+1e-10 * max(1, |t|) in time; each watcher is evaluated once per accepted
+state plus the bisection probes.  Integration is deterministic: identical
+inputs produce bitwise-identical trajectories.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import PhasePoint, ScaledLevel, eval_level_term
+from .core import ScaledLevel, eval_level_term
 from .errors import (
     DomainError,
     ExponentOverflowError,
@@ -33,7 +41,6 @@ from .errors import (
     StepLimitError,
     StepUnderflowError,
 )
-from .models import Derivative
 
 __all__ = [
     "IntegratorConfig",
@@ -42,13 +49,12 @@ __all__ = [
     "Trajectory",
     "ConvergenceReport",
     "integrate",
-    "integrate_vector",
     "convergence_metrics",
 ]
 
 # Dormand-Prince 5(4) tableau, FSAL form: the 5th-order weights are the last
-# stage row, the 7th stage sits at the step end and seeds the next step.
-_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
+# stage row, the 7th stage sits at the step end and seeds the next step.  The
+# field is autonomous, so the stage nodes c_i are not needed.
 _A = (
     (0.2,),
     (3.0 / 40.0, 9.0 / 40.0),
@@ -70,7 +76,6 @@ _D = (
 # Each sum starts from 0.0 and adds left to right, as sum() over the rows did
 # before Python 3.12 made it compensated (so a lone -0.0 term gives +0.0),
 # and the zero entries stay in so that inf and nan propagate from every stage.
-_C2, _C3, _C4, _C5, _C6, _C7 = _C
 (
     (_A21,),
     (_A31, _A32),
@@ -175,21 +180,20 @@ def _rms(values: Sequence[float]) -> float:
     return math.sqrt(acc / len(values))
 
 
-def _initial_step(fun, t0, y0, f0, t1, cfg, pack):
+def _initial_step(field, y0, f0, span, cfg, pack):
     # standard two-probe starting-step heuristic, fully deterministic
     sc = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, sc)])
     d1 = _rms([v / s for v, s in zip(f0, sc)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t1 - t0, cfg.max_step)
-    y1 = pack(tuple(v + h0 * d for v, d in zip(y0, f0)))
-    f1 = fun(t0 + h0, y1)
+    h0 = min(h0, span, cfg.max_step)
+    f1 = field(pack([v + h0 * d for v, d in zip(y0, f0)]))
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, sc)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, t1 - t0, cfg.max_step)
+    return min(100.0 * h0, h1, span, cfg.max_step)
 
 
 def _interpolant(h, y, y_new, ks, pack):
@@ -245,237 +249,187 @@ def _locate(crossed, h, t_old):
     return hi
 
 
-class _Engine:
-    """One integration run over a tuple state; collects points and events.
+def _located(crossings, dense, t, h):
+    """(theta, direction, watcher) for each crossing of an accepted step,
+    ordered by theta on the step's dense output."""
+    fired = []
+    for w, direction in crossings:
+        upward = direction in ("up", "enter", "converged")
 
-    ``note``, if given, is called right after the field has been evaluated at
-    the start state and at every accepted step end (the FSAL stage), and what
-    it returns is kept in ``notes``, one entry per such point.  A state the
-    run ends on at a terminal event comes from the dense output and has no
-    note.
-    """
+        def crossed(theta, w=w, upward=upward):
+            g = w.fn(dense(theta))
+            return g >= 0.0 if upward else g <= 0.0
 
-    def __init__(self, fun, y0, t_span, cfg, watchers, pack, note=None):
-        self.fun = fun
-        self.cfg = cfg
-        self.watchers = tuple(watchers)
-        self.pack = pack
-        self.note = note
-        self.t0, self.t1 = t_span
-        if not (math.isfinite(self.t0) and math.isfinite(self.t1) and self.t1 > self.t0):
-            raise DomainError(f"bad t_span {t_span!r}")
-        for v in y0:
-            if not math.isfinite(v):
-                raise DomainError(f"non-finite initial state {y0!r}")
-        self.y = pack(y0)
-        self.t = self.t0
-        self.times = [self.t0]
-        self.states = [self.y]
-        self.notes = []
-        self.events = []
-        self.status = "ok"
+        fired.append((_locate(crossed, h, t), direction, w))
+    fired.sort(key=lambda f: f[0])
+    return fired
 
-    def run(self):
-        fun, cfg, pack, note, watchers = (
-            self.fun, self.cfg, self.pack, self.note, self.watchers)
-        t1, atol, rtol = self.t1, cfg.abs_tol, cfg.rel_tol
-        times, states, notes = self.times, self.states, self.notes
-        t, y = self.t, self.y
+
+def _run(rhs, u, start, t_span, cfg, watchers):
+    """One integration run: (times, states, controls, events, status)."""
+    t, t1 = t_span
+    if not (math.isfinite(t) and math.isfinite(t1) and t1 > t):
+        raise DomainError(f"bad t_span {t_span!r}")
+    for v in start:
+        if not math.isfinite(v):
+            raise DomainError(f"non-finite initial state {tuple(start)!r}")
+    pack = getattr(type(start), "_make", tuple)
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    y = pack(start)
+    times, states, controls, events = [t], [y], [math.nan], []
+
+    def field(p):
+        return rhs(p, u(p))
+
+    try:
+        controls[0] = u(y)
+        f_now = rhs(y, controls[0])
+        h = _initial_step(field, y, f_now, t1 - t, cfg, pack)
+    except (ExponentOverflowError, IntegrationError):
+        events.append(Event("overflow-fault", t, y, "fault"))
+        return times, states, controls, events, "overflow-fault"
+    g_now = [w.fn(y) for w in watchers]
+    just_rejected = False
+    nsteps = 0
+    status = "ok"
+
+    while t < t1:
+        if nsteps >= cfg.max_steps:
+            status = "step-limit"
+            break
+        h = min(h, cfg.max_step)
+        clamped = h > t1 - t
+        if clamped:
+            h = t1 - t
+
+        k1 = f_now
         try:
-            try:
-                f_now = fun(t, y)
-            finally:
-                if note is not None:
-                    notes.append(note())
-            h = _initial_step(fun, t, y, f_now, t1, cfg, pack)
+            k2 = field(pack([
+                y0 + h * (0.0 + _A21 * a)
+                for y0, a in zip(y, k1)]))
+            k3 = field(pack([
+                y0 + h * (0.0 + _A31 * a + _A32 * b)
+                for y0, a, b in zip(y, k1, k2)]))
+            k4 = field(pack([
+                y0 + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
+                for y0, a, b, c in zip(y, k1, k2, k3)]))
+            k5 = field(pack([
+                y0 + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                for y0, a, b, c, d in zip(y, k1, k2, k3, k4)]))
+            k6 = field(pack([
+                y0 + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d
+                          + _A65 * e)
+                for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
+            # the last stage row is the 5th-order solution at t + h, and the
+            # control found there is the one the new point records
+            y_new = pack([
+                y0 + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d
+                          + _A75 * e + _A76 * f)
+                for y0, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)])
+            u_new = u(y_new)
+            k7 = rhs(y_new, u_new)
         except (ExponentOverflowError, IntegrationError):
-            self._fault()
-            return self
-        g_now = [w.fn(y) for w in watchers]
-        facold = 1e-4
-        just_rejected = False
-        nsteps = 0
+            events.append(Event("overflow-fault", t, y, "fault"))
+            status = "overflow-fault"
+            break
+        nsteps += 1
 
-        while t < t1:
-            if nsteps >= cfg.max_steps:
-                self.status = "step-limit"
-                return self
-            h = min(h, cfg.max_step)
-            clamped = h > t1 - t
-            if clamped:
-                h = t1 - t
+        err = _rms([
+            h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e
+                 + _E6 * f + _E7 * g)
+            / (atol + rtol * max(abs(y0), abs(y1)))
+            for y0, y1, a, b, c, d, e, f, g
+            in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)
+        ])
+        if not math.isfinite(err):
+            err = 10.0
 
-            k1 = f_now
-            try:
-                k2 = fun(t + _C2 * h, pack([
-                    y0 + h * (0.0 + _A21 * a)
-                    for y0, a in zip(y, k1)]))
-                k3 = fun(t + _C3 * h, pack([
-                    y0 + h * (0.0 + _A31 * a + _A32 * b)
-                    for y0, a, b in zip(y, k1, k2)]))
-                k4 = fun(t + _C4 * h, pack([
-                    y0 + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
-                    for y0, a, b, c in zip(y, k1, k2, k3)]))
-                k5 = fun(t + _C5 * h, pack([
-                    y0 + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                    for y0, a, b, c, d in zip(y, k1, k2, k3, k4)]))
-                k6 = fun(t + _C6 * h, pack([
-                    y0 + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d
-                              + _A65 * e)
-                    for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
-                # the last stage row is the 5th-order solution at t + h
-                y_new = pack([
-                    y0 + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d
-                              + _A75 * e + _A76 * f)
-                    for y0, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)])
-                k7 = fun(t + _C7 * h, y_new)
-            except (ExponentOverflowError, IntegrationError):
-                self._fault()
-                return self
-            nsteps += 1
+        if err > 1.0:
+            h *= max(_FAC_MIN, _SAFE / err ** _EXPO1)
+            if h < cfg.min_step:
+                status = "step-underflow"
+                break
+            just_rejected = True
+            continue
 
-            err = _rms([
-                h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e
-                     + _E6 * f + _E7 * g)
-                / (atol + rtol * max(abs(y0), abs(y1)))
-                for y0, y1, a, b, c, d, e, f, g
-                in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)
-            ])
-            if not math.isfinite(err):
-                err = 10.0
+        # accepted: the watchers' values at y_new serve this step's sweep and
+        # the next one's start
+        if watchers:
+            g_new = [w.fn(y_new) for w in watchers]
+            crossings = [
+                (w, direction) for w, g0, g1 in zip(watchers, g_now, g_new)
+                if (direction := _crossing(w.kind, w.direction, g0, g1))]
+            g_now = g_new
+            if crossings:
+                dense = _interpolant(h, y, y_new, (k1, k2, k3, k4, k5, k6, k7), pack)
+                fired = _located(crossings, dense, t, h)
+                stop = next((th for th, _, w in fired if w.terminal), None)
+                events.extend(Event(w.kind, t + th * h, dense(th), dr)
+                              for th, dr, w in fired if stop is None or th <= stop)
+                if stop is not None:
+                    # a dense-output state: no stage ran there, so evaluate u
+                    y = dense(stop)
+                    times.append(t + stop * h)
+                    states.append(y)
+                    try:
+                        controls.append(u(y))
+                    except (ExponentOverflowError, IntegrationError):
+                        controls.append(math.nan)
+                    break
 
-            if err > 1.0:
-                h *= max(_FAC_MIN, _SAFE / err ** _EXPO1)
-                if h < cfg.min_step:
-                    self.status = "step-underflow"
-                    return self
-                just_rejected = True
-                continue
+        t = t1 if clamped else t + h
+        y = y_new
+        times.append(t)
+        states.append(y)
+        controls.append(u_new)
+        f_now = k7
 
-            # accepted: event sweep on the dense output
-            if watchers:
-                fired, dense = self._sweep_events(
-                    t, h, y, y_new, (k1, k2, k3, k4, k5, k6, k7), g_now)
-                terminal = next((f for f in fired if f[2].terminal), None)
-                if terminal is not None:
-                    theta = terminal[0]
-                    for th, dr, w in fired:
-                        if th <= theta:
-                            self.events.append(Event(w.kind, t + th * h, dense(th), dr))
-                    self.t, self.y = t + theta * h, dense(theta)
-                    times.append(self.t)
-                    states.append(self.y)
-                    return self
-                for th, dr, w in fired:
-                    self.events.append(Event(w.kind, t + th * h, dense(th), dr))
-
-            t = t1 if clamped else t + h
-            y = y_new
-            self.t, self.y = t, y
-            times.append(t)
-            states.append(y)
-            if note is not None:
-                notes.append(note())  # k7 was the field's last call, at y_new
-            f_now = k7
-            g_now = [w.fn(y) for w in watchers]
-
-            facold = max(err, 1e-4)
-            fac = err ** _EXPO1 / facold ** _BETA
-            scale = _SAFE / fac if fac > 0.0 else _FAC_MAX
-            scale = min(_FAC_MAX, max(_FAC_MIN, scale))
-            if just_rejected:
-                scale = min(1.0, scale)
-                just_rejected = False
-            if not clamped:
-                h *= scale
-                if h < cfg.min_step and t < t1:
-                    self.status = "step-underflow"
-                    return self
-        return self
-
-    def _sweep_events(self, t, h, y, y_new, ks, g_now):
-        """Crossings of the step as (theta, direction, watcher) by theta, and
-        the step's dense output (None when nothing crossed)."""
-        fired = []
-        dense = None
-        for w, g_old in zip(self.watchers, g_now):
-            direction = _crossing(w.kind, w.direction, g_old, w.fn(y_new))
-            if direction is None:
-                continue
-            if dense is None:
-                dense = _interpolant(h, y, y_new, ks, self.pack)
-            upward = direction in ("up", "enter", "converged")
-
-            def crossed(theta, w=w, upward=upward):
-                g = w.fn(dense(theta))
-                return g >= 0.0 if upward else g <= 0.0
-
-            fired.append((_locate(crossed, h, t), direction, w))
-        fired.sort(key=lambda f: f[0])
-        return fired, dense
-
-    def _fault(self):
-        self.events.append(
-            Event("overflow-fault", self.t, self.y, "fault")
-        )
-        self.status = "overflow-fault"
-
-
-def integrate_vector(fun, y0, t_span, cfg=None, watchers=()):
-    """Integrate y' = fun(t, y) over a tuple state.
-
-    Returns (times, states, events, status); raising on faults is left to
-    the caller, which knows what the state components mean.
-    """
-    cfg = cfg or IntegratorConfig()
-    eng = _Engine(fun, tuple(y0), t_span, cfg, watchers, tuple).run()
-    return eng.times, eng.states, eng.events, eng.status
+        facold = max(err, 1e-4)
+        fac = err ** _EXPO1 / facold ** _BETA
+        scale = _SAFE / fac if fac > 0.0 else _FAC_MAX
+        scale = min(_FAC_MAX, max(_FAC_MIN, scale))
+        if just_rejected:
+            scale = min(1.0, scale)
+            just_rejected = False
+        if not clamped:
+            h *= scale
+            if h < cfg.min_step and t < t1:
+                status = "step-underflow"
+                break
+    return times, states, controls, events, status
 
 
 def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
-    """Integrate a controlled planar field, recording control at accepted steps.
+    """Integrate the autonomous controlled field y' = rhs(y, u(y)).
 
-    ``rhs(p, u_value) -> Derivative`` supplies the field, ``u(p) -> float``
-    the feedback, which every field evaluation calls once.  The recorded
-    controls are the values those calls returned: at the start state and, at
-    each accepted step, from the last (FSAL) stage, which runs at the new
-    state.  Only a state the run ends on at a terminal event is evaluated
-    again.  A typed exponent overflow or non-finite control value ends the
-    run with a terminal ``overflow-fault`` event; a fault at the start state
-    records the control ``u`` returned there, or nan if it raised.
-    Step-size collapse raises :class:`StepUnderflowError` and an exhausted
-    step budget raises :class:`StepLimitError`, both carrying the partial
-    trajectory.
+    The state may have any number of components, and every state the run
+    returns (trajectory points and event states) has the type of ``start``:
+    a NamedTuple such as :class:`PhasePoint` is rebuilt with its ``_make``,
+    any other sequence gives plain tuples.  ``u(p) -> float`` is the
+    feedback, called once per field evaluation, and ``rhs(p, u_value)``
+    returns the derivative as a sequence in the order of the state.  The
+    recorded controls are the values those calls returned: at the start
+    state and, at each accepted step, from the last (FSAL) stage, which runs
+    at the new state.  Only a state the run ends on at a terminal event is
+    evaluated again.  A typed exponent overflow or non-finite control value
+    ends the run with a terminal ``overflow-fault`` event; a fault at the
+    start state records the control ``u`` returned there, or nan if it
+    raised.  Step-size collapse raises :class:`StepUnderflowError` and an
+    exhausted step budget raises :class:`StepLimitError`, both carrying the
+    partial trajectory.
     """
     cfg = cfg or IntegratorConfig()
-    last_u = [math.nan]
-
-    def fun(t, p):
-        last_u[0] = u_value = u(p)
-        d = rhs(p, u_value)
-        return (d[0], d[1])
-
-    eng = _Engine(fun, tuple(start), t_span, cfg, watchers, PhasePoint._make,
-                  note=lambda: last_u[0]).run()
-
-    def control_at(p):
-        try:
-            return u(p)
-        except (ExponentOverflowError, IntegrationError):
-            return math.nan  # fault record; the matching fault event is present
-
-    eng.notes.extend(control_at(p) for p in eng.states[len(eng.notes):])
-    controls = tuple(eng.notes)
-    traj = Trajectory(tuple(eng.times), tuple(eng.states), controls, tuple(eng.events))
-    if eng.status == "step-underflow":
+    times, states, controls, events, status = _run(
+        rhs, u, start, t_span, cfg, tuple(watchers))
+    traj = Trajectory(tuple(times), tuple(states), tuple(controls), tuple(events))
+    if status == "step-underflow":
         raise StepUnderflowError(
-            f"step size collapsed below min_step = {cfg.min_step:g} at t = {eng.t:.6g}",
-            traj,
-        )
-    if eng.status == "step-limit":
+            f"step size collapsed below min_step = {cfg.min_step:g} "
+            f"at t = {traj.final_time:.6g}", traj)
+    if status == "step-limit":
         raise StepLimitError(
-            f"max_steps = {cfg.max_steps} exhausted at t = {eng.t:.6g}", traj
-        )
+            f"max_steps = {cfg.max_steps} exhausted at t = {traj.final_time:.6g}",
+            traj)
     return traj
 
 

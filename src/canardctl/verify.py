@@ -41,7 +41,7 @@ from .core import (
 from .errors import DomainError, ExtrapolationError
 from .mmo import MmoPattern
 from .models import fold_rhs, zero_terms
-from .sim import IntegratorConfig, integrate, integrate_vector
+from .sim import IntegratorConfig, integrate
 
 __all__ = ["CHECKS", "run_verification"]
 
@@ -204,12 +204,12 @@ def _check_pattern_round_trip() -> Tuple[bool, str]:
 
 def _check_integrator_return() -> Tuple[bool, str]:
     # harmonic oscillator must return to its start after one period
-    times, states, _, status = integrate_vector(
-        lambda t, s: (s[1], -s[0]), (1.0, 0.0), (0.0, 2.0 * math.pi),
-        IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12),
-    )
-    err = math.hypot(states[-1][0] - 1.0, states[-1][1])
-    return status == "ok" and err < 1e-6, f"return defect {err:.3g}"
+    end = integrate(
+        lambda s, u: (s[1], -s[0]), lambda s: 0.0, (1.0, 0.0),
+        (0.0, 2.0 * math.pi), IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12),
+    ).final_state
+    err = math.hypot(end[0] - 1.0, end[1])
+    return err < 1e-6, f"return defect {err:.3g}"
 
 
 CHECKS: List[Check] = [

@@ -20,8 +20,8 @@ from canardctl.cli import (
     _write_trajectory_csv,
 )
 from canardctl.core import PhasePoint
-from canardctl.errors import ConfigError
-from canardctl.sim import Trajectory
+from canardctl.errors import ConfigError, StepLimitError
+from canardctl.sim import Trajectory, integrate
 
 
 class TestConfigValidation:
@@ -197,6 +197,31 @@ class TestRunExperiment:
         assert m["results"]["last_time"] == rows[-1][0]
         assert m["results"]["last_state"] == [rows[-1][1], rows[-1][2]]
 
+    def test_k1_vdp_step_limit_leaves_blown_down_partial_trajectory(
+            self, tmp_path, capsys, monkeypatch):
+        charted = []
+
+        def keeping_partial(*args, **kwargs):
+            try:
+                return integrate(*args, **kwargs)
+            except StepLimitError as exc:
+                charted.append(exc.trajectory)
+                raise
+
+        monkeypatch.setattr(cli, "integrate", keeping_partial)
+        cfg = ExperimentConfig("k1-vdp", {"max_steps": 10})
+        assert run_experiment(cfg, tmp_path) == 3
+        assert "max_steps = 10" in capsys.readouterr().err
+        m = json.loads((tmp_path / "metrics.json").read_text())
+        assert m["status"] == "step-limit"
+        # the partial run is written in original coordinates, as on success:
+        # (x, y, u) = (r1 x1, r1^2, r1^2 mu1)
+        [chart] = charted
+        assert len(chart) > 1
+        assert read_trajectory_csv(tmp_path / "trajectory.csv") == tuple(
+            (t, r1 * x1, r1 * r1, r1 * r1 * mu)
+            for t, (r1, x1, _), mu in zip(chart.times, chart.states, chart.controls))
+
     def test_pattern_deviation_exits_4_with_diagnostics(self, tmp_path, capsys):
         cfg = ExperimentConfig(
             "vdp-canard",
@@ -209,6 +234,29 @@ class TestRunExperiment:
         assert m["results"]["expected"] == "LAO"
         assert m["results"]["got"] == "SAO"
         assert (tmp_path / "trajectory.csv").exists()
+
+
+# SHA-256 of the default k1-vdp artifacts and of the verify experiment's
+# metrics.json.  Both integrate a plain-tuple state (three components in
+# k1-vdp); a digest that moves means a refactoring changed their bytes.
+_PINNED_ARTIFACTS = {
+    "k1-vdp": {
+        "controller.svg": "7361f7b28825e8bf6dc528a0a4fcb840c8465c65747e87bcb6c8f177c2877bac",
+        "metrics.json": "6db4aac3b9512eb1c93bb5a5935699311252a1cc32c89d537a187b002d998dc1",
+        "phase.svg": "4cace22ba01f58beedd3c9740e9eceeb7a826155b7f943d49d3aaab67a54f2aa",
+        "trajectory.csv": "2d13b006a8e41d79e9c255c75c4b727d147b996170b1a0a67b6a33b5dab50fb2",
+    },
+    "verify": {
+        "metrics.json": "5f79c8946c15c072c40844a04c2a243b3ce5c9c6eb89160839898ef19ba96c61",
+    },
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_PINNED_ARTIFACTS))
+def test_artifact_bytes_pinned(tmp_path, capsys, experiment):
+    assert run_experiment(ExperimentConfig(experiment), tmp_path) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in _PINNED_ARTIFACTS[experiment]} == _PINNED_ARTIFACTS[experiment]
 
 
 def _write_cfg(path, experiment, **params):

@@ -28,7 +28,6 @@ from canardctl.sim import (
     integrate,
     _crossing,
     _locate,
-    integrate_vector,
 )
 
 
@@ -174,18 +173,56 @@ def test_controls_recorded_at_accepted_points():
         assert c == 0.5 * p.x
 
 
-def test_integrate_vector_three_components():
+def _three_components(s, u):
     # r' = 0.5 r e x, e' = -e^2 x, x' = 0 with x = 1: e(t) = e0/(1 + e0 t)
-    def fun(t, s):
-        r, e, x = s
-        return (0.5 * r * e * x, -e * e * x, 0.0)
+    r, e, x = s
+    return (0.5 * r * e * x, -e * e * x, 0.0)
 
-    times, states, events, status = integrate_vector(fun, (1.0, 1.0, 1.0), (0.0, 4.0))
-    assert status == "ok"
-    r, e, x = states[-1]
+
+def test_integrate_three_components():
+    traj = integrate(_three_components, _no_u, (1.0, 1.0, 1.0), (0.0, 4.0))
+    assert traj.final_time == 4.0
+    r, e, x = traj.final_state
     assert e == pytest.approx(1.0 / 5.0, rel=1e-7)
     # r grows like (1 + e0 t)^(1/2)
     assert r == pytest.approx(math.sqrt(5.0), rel=1e-7)
+
+
+@pytest.mark.parametrize("start", [PhasePoint(-1.0, 0.5), (-1.0, 0.5)],
+                         ids=["PhasePoint", "tuple"])
+def test_states_keep_the_type_of_start(start):
+    # x' = 1 crosses x = 0 at t = 1 and stops at the terminal x = 1 at t = 2
+    traj = integrate(
+        lambda p, u: (1.0, -p[1]), _no_u, start, (0.0, 5.0),
+        watchers=[Watcher("section-crossing", lambda p: p[0], "up"),
+                  Watcher("section-crossing", lambda p: p[0] - 1.0, "up",
+                          terminal=True)])
+    assert [ev.kind for ev in traj.events] == ["section-crossing"] * 2
+    assert traj.final_time == pytest.approx(2.0, abs=1e-8)
+    assert {type(p) for p in traj.states} == {type(start)}
+    assert {type(ev.state) for ev in traj.events} == {type(start)}
+    assert type(traj.final_state) is type(start)
+
+
+def test_watchers_evaluated_once_per_accepted_state():
+    # neither watcher ever crosses, so no bisection adds calls: each one is
+    # evaluated at the start and at every accepted step end, once
+    calls = {"a": 0, "b": 0}
+
+    def counted(name, g):
+        def fn(p):
+            calls[name] += 1
+            return g(p)
+
+        return fn
+
+    traj = integrate(
+        lambda p, u: Derivative(p.y, -p.x), _no_u, PhasePoint(1.0, 0.0),
+        (0.0, 20.0),
+        watchers=[Watcher("section-crossing", counted("a", lambda p: p.x + 2.0)),
+                  Watcher("set-exit", counted("b", lambda p: 4.0 - p.y))])
+    assert not traj.events
+    assert calls == {"a": len(traj.times), "b": len(traj.times)}
 
 
 def test_config_validation():
@@ -284,13 +321,8 @@ def _raising_rhs(p, uval):
 
 
 def _vector_run():
-    def fun(t, s):
-        r, e, x = s
-        return (0.5 * r * e * x, -e * e * x, 0.0)
-
-    times, states, events, status = integrate_vector(fun, (1.0, 1.0, 1.0), (0.0, 4.0))
-    assert status == "ok"
-    return _digest(times, states, (), events)
+    traj = integrate(_three_components, _no_u, (1.0, 1.0, 1.0), (0.0, 4.0))
+    return _digest(traj.times, traj.states, (), traj.events)
 
 
 GOLDEN = {
