@@ -130,10 +130,17 @@ def k2_field(
     x2' = -y2 + (x2 + alpha2)^2 + mu2,  y2' = x2 + r2 * g2(r2, x2, y2, alpha2).
     ``mu2`` defaults to the value stored on the chart point.
     """
-    m = cp.mu2 if mu2 is None else mu2
-    g = g2(cp.r2, cp.x2, cp.y2, cp.alpha2) if g2 is not None else 0.0
-    s = cp.x2 + cp.alpha2
-    return (-cp.y2 + s * s + m, cp.x2 + cp.r2 * g)
+    return _k2_field(cp.r2, cp.x2, cp.y2, cp.alpha2, g2,
+                     cp.mu2 if mu2 is None else mu2)
+
+
+def _k2_field(r2: float, x2: float, y2: float, alpha2: float,
+              g2: Callable[[float, float, float, float], float] | None,
+              mu2: float) -> tuple[float, float]:
+    """:func:`k2_field` on the chart coordinates."""
+    g = g2(r2, x2, y2, alpha2) if g2 is not None else 0.0
+    s = x2 + alpha2
+    return (-y2 + s * s + mu2, x2 + r2 * g)
 
 
 def k1_vdp_field(cp: ChartPointK1, mu1: float | None = None) -> tuple[float, float, float]:

@@ -24,22 +24,21 @@ import math
 import random
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .blowup import ChartPointK1, ChartPointK2, k1_vdp_field, k2_field
+from .blowup import ChartPointK1, ChartPointK2, _k2_field, k1_vdp_field
 from .controllers import (
     K1Domain,
     NeighborhoodParams,
+    _fast_u,
+    _k2_mu,
+    _slow_u,
     default_neighborhoods,
-    fast_u,
     k1_chart_phi1,
     k1_vdp_mu,
-    k2_mu,
     lyapunov_L2,
-    slow_u,
 )
 from .core import (
     ControllerGains,
@@ -60,7 +59,7 @@ from .errors import (
 )
 from .mmo import MmoPattern, classify_loops, run_pattern
 from .models import (
-    fold_rhs,
+    _fold_rhs,
     parabolic_shear_terms,
     quadratic_gap_phi2,
     zero_terms,
@@ -380,25 +379,27 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
     # fast actuation relocates the fold to x = alpha; slow actuation cancels
     # the detuning instead and leaves the canard point at the origin
     center = params.alpha if channel == "fast" else 0.0
+    law = _fast_u if channel == "fast" else _slow_u
 
-    def u(p: PhasePoint) -> float:
-        if channel == "fast":
-            return fast_u(p, params, gains, level)
-        return slow_u(p, params, gains, level)
+    # the state is a plain (x, y) tuple
+    def u(p) -> float:
+        return law(p[0], p[1], params, gains, level)
+
+    def rhs(p, uval):
+        return _fold_rhs(p[0], p[1], params, hot, uval, channel)
 
     # once per revolution: the cycle crosses the frame center moving right
     # on its lower arc
-    section = Watcher("section-crossing", lambda p: p.x - center,
+    section = Watcher("section-crossing", lambda p: p[0] - center,
                       direction="up")
-    trajs = [integrate(
-        lambda p, uval: fold_rhs(p, params, hot, uval, channel=channel),
-        u, ic, (0.0, float(eff["t_end"])), integ, watchers=[section])
-        for ic in ics]
+    trajs = [integrate(rhs, u, tuple(ic), (0.0, float(eff["t_end"])), integ,
+                       watchers=[section])
+             for ic in ics]
 
     primary = trajs[0]
     framed = Trajectory(
         primary.times,
-        tuple(PhasePoint(p.x - center, p.y) for p in primary.states),
+        tuple((p[0] - center, p[1]) for p in primary.states),
         primary.controls, primary.events)
     results: Dict[str, object] = _convergence_results(framed, params.eps, level)
     hits = primary.events_of("section-crossing")
@@ -429,13 +430,14 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcom
     hot = parabolic_shear_terms(100.0)
     span = (0.0, float(eff["t_end"]))
 
-    def run(phi_hat):
-        def u(p: PhasePoint) -> float:
-            return fast_u(p, params, gains, level, phi_hat=phi_hat)
+    def rhs(p, uval):
+        return _fold_rhs(p[0], p[1], params, hot, uval)
 
-        return _guarded("step-underflow",
-                        lambda p, uval: fold_rhs(p, params, hot, uval),
-                        u, ic, span, integ)
+    def run(phi_hat):
+        def u(p) -> float:
+            return _fast_u(p[0], p[1], params, gains, level, phi_hat)
+
+        return _guarded("step-underflow", rhs, u, tuple(ic), span, integ)
 
     comp, comp_status = run(hot.phi_hat)
     plain, plain_status = run(None)
@@ -493,17 +495,18 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
     g2 = (lambda r, x2, y2, a2: x2 * quadratic_gap_phi2(r, x2, y2, a2)) \
         if with_shear else None
 
-    def rhs(p: PhasePoint, mu: float) -> Tuple[float, float]:
-        return k2_field(ChartPointK2(r2, p.x, p.y, alpha2), g2=g2, mu2=mu)
+    # the state is a plain (x2, y2) tuple
+    def rhs(p, mu: float) -> Tuple[float, float]:
+        return _k2_field(r2, p[0], p[1], alpha2, g2, mu)
 
     stop = Watcher("level-convergence",
-                   lambda p: 1e-7 - abs(eval_H2(p.x, p.y) - h), terminal=True)
+                   lambda p: 1e-7 - abs(eval_H2(p[0], p[1]) - h), terminal=True)
 
     def run_ic(ic: PhasePoint, phi2, watched: bool):
-        def mu(p: PhasePoint) -> float:
-            return k2_mu(ChartPointK2(r2, p.x, p.y, alpha2), gains, h, phi2=phi2)
+        def mu(p) -> float:
+            return _k2_mu(r2, p[0], p[1], alpha2, gains, h, phi2)
 
-        traj, status = _guarded("diverged", rhs, mu, ic, span, integ,
+        traj, status = _guarded("diverged", rhs, mu, tuple(ic), span, integ,
                                 watchers=[stop] if watched else [])
         p = traj.final_state
         try:
@@ -591,7 +594,7 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
             if not hits:
                 raise IntegrationError(
                     f"grid point (r1={r1:.3g}, x1={x1:.3g}) never reached "
-                    f"the exit section r1 = {dom.rho1}")
+                    f"the exit section r1 = {dom.rho1}", blown_down(traj))
             exit_x1.append(hits[0].state[1])
             exit_t.append(hits[0].time)
             if len(blown) < 5:
@@ -777,6 +780,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             for c, s in zip(args.config, stems)]
 
     if args.jobs > 1 and len(jobs) > 1:
+        # imported here: a run without a pool need not pay for the import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_run_one, jobs))
     else:

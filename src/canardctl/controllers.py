@@ -26,10 +26,10 @@ from .core import (
     PhasePoint,
     ScaledLevel,
     SystemParams,
+    _level_term,
     _require_eps,
     _require_finite,
     eval_H2,
-    eval_level_term,
 )
 from .errors import (
     DomainError,
@@ -161,14 +161,21 @@ def fast_u(p: PhasePoint, params: SystemParams, gains: ControllerGains,
     When the plant carries a known shear perturbation g = x*phi_hat, passing
     phi_hat appends the exact cancellation term.
     """
-    _require_eps(params.eps)
+    return _fast_u(p.x, p.y, params, gains, level, phi_hat)
+
+
+def _fast_u(x: float, y: float, params: SystemParams, gains: ControllerGains,
+            level: ScaledLevel, phi_hat=None) -> float:
+    """:func:`fast_u` on the coordinates of the point."""
     eps = params.eps
-    xh = p.x - params.alpha
-    term = eval_level_term(PhasePoint(xh, p.y), eps, gains.c2, level)
+    if not (math.isfinite(eps) and eps > 0.0):
+        _require_eps(eps)
+    xh = x - params.alpha
+    term = _level_term(xh, y, eps, gains.c2, level)
     u = -2.0 * params.alpha * xh - params.alpha ** 2 \
         + gains.c1 * xh * math.sqrt(eps) * term
     if phi_hat is not None:
-        u -= math.sqrt(eps) * (p.y - xh * xh) * phi_hat(p.x, p.y, eps, params.alpha)
+        u -= math.sqrt(eps) * (y - xh * xh) * phi_hat(x, y, eps, params.alpha)
     return u
 
 
@@ -179,10 +186,17 @@ def slow_u(p: PhasePoint, params: SystemParams, gains: ControllerGains,
     The factor (y - x**2) vanishes on the critical manifold, so the slow
     equation is unchanged where the reduced flow already lives.
     """
-    _require_eps(params.eps)
+    return _slow_u(p.x, p.y, params, gains, level)
+
+
+def _slow_u(x: float, y: float, params: SystemParams, gains: ControllerGains,
+            level: ScaledLevel) -> float:
+    """:func:`slow_u` on the coordinates of the point."""
     eps = params.eps
-    term = eval_level_term(p, eps, gains.c2, level)
-    return params.alpha + gains.c1 * (p.y - p.x * p.x) / math.sqrt(eps) * term
+    if not (math.isfinite(eps) and eps > 0.0):
+        _require_eps(eps)
+    term = _level_term(x, y, eps, gains.c2, level)
+    return params.alpha + gains.c1 * (y - x * x) / math.sqrt(eps) * term
 
 
 def c2_bound(channel: str, eps: float, y: float, K: float) -> float:
@@ -214,20 +228,27 @@ def k2_mu(p: ChartPointK2, gains: ControllerGains, level_h: float,
     raw c2*y2 exponent.  An O(r2) shear g2 = x2*phi2 is cancelled by the
     optional phi2 correction.
     """
-    _require_finite(r2=p.r2, x2=p.x2, y2=p.y2, alpha2=p.alpha2,
-                    level_h=level_h)
-    e1 = (gains.c2 - 2.0) * p.y2
+    return _k2_mu(p.r2, p.x2, p.y2, p.alpha2, gains, level_h, phi2)
+
+
+def _k2_mu(r2: float, x2: float, y2: float, alpha2: float,
+           gains: ControllerGains, level_h: float, phi2=None) -> float:
+    """:func:`k2_mu` on the chart coordinates."""
+    if not (math.isfinite(r2) and math.isfinite(x2) and math.isfinite(y2)
+            and math.isfinite(alpha2) and math.isfinite(level_h)):
+        _require_finite(r2=r2, x2=x2, y2=y2, alpha2=alpha2, level_h=level_h)
+    e1 = (gains.c2 - 2.0) * y2
     if e1 > EXP_GUARD:
         raise ExponentOverflowError("(c2-2)*y2", e1)
-    level_term = math.exp(e1) * 0.5 * (p.y2 - p.x2 * p.x2 + 0.5)
+    level_term = math.exp(e1) * 0.5 * (y2 - x2 * x2 + 0.5)
     if level_h != 0.0:
-        e2 = gains.c2 * p.y2
+        e2 = gains.c2 * y2
         if e2 > EXP_GUARD:
             raise ExponentOverflowError("c2*y2", e2)
         level_term -= level_h * math.exp(e2)
-    mu = -2.0 * p.alpha2 * p.x2 - p.alpha2 ** 2 + gains.c1 * p.x2 * level_term
+    mu = -2.0 * alpha2 * x2 - alpha2 ** 2 + gains.c1 * x2 * level_term
     if phi2 is not None:
-        mu -= (p.y2 - p.x2 * p.x2) * p.r2 * phi2(p.r2, p.x2, p.y2, p.alpha2)
+        mu -= (y2 - x2 * x2) * r2 * phi2(r2, x2, y2, alpha2)
     return mu
 
 

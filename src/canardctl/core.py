@@ -165,7 +165,8 @@ def eval_H(p: PhasePoint, eps: float) -> float:
 
 def eval_H2(x2: float, y2: float) -> float:
     """H in self-similar variables: 1/2 exp(-2 y2)(y2 - x2^2 + 1/2)."""
-    _require_finite(x2=x2, y2=y2)
+    if not (math.isfinite(x2) and math.isfinite(y2)):
+        _require_finite(x2=x2, y2=y2)
     w = 2.0 * y2
     if w > H_ZERO_EXPONENT:
         return 0.0
@@ -198,8 +199,16 @@ def eval_level_term(p: PhasePoint, eps: float, c2: float, level: ScaledLevel) ->
     exponential factor at all.
     """
     x, y = p
-    _require_finite(x=x, y=y, c2=c2)
-    _require_eps(eps)
+    return _level_term(x, y, eps, c2, level)
+
+
+def _level_term(x: float, y: float, eps: float, c2: float,
+                level: ScaledLevel) -> float:
+    """:func:`eval_level_term` on the coordinates of the point."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(c2)):
+        _require_finite(x=x, y=y, c2=c2)
+    if not (math.isfinite(eps) and eps > 0.0):
+        _require_eps(eps)
     e1 = (c2 - 2.0) * y / eps
     if e1 > EXP_GUARD:
         raise ExponentOverflowError("(c2-2)*y/eps", e1)

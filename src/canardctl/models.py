@@ -99,16 +99,22 @@ def fold_rhs(
     channel: str = "fast",
 ) -> Derivative:
     """Fold normal form velocity with the control injected on one channel."""
+    x, y = p
+    return Derivative._make(_fold_rhs(x, y, params, hot, u, channel))
+
+
+def _fold_rhs(x: float, y: float, params: SystemParams, hot: HigherOrderTerms,
+              u: float, channel: str = "fast") -> tuple[float, float]:
+    """:func:`fold_rhs` on the coordinates of the point, as a plain tuple."""
     if not math.isfinite(u):
         raise IntegrationError(f"non-finite control value {u!r}")
-    x, y = p
     eps, alpha = params.eps, params.alpha
     ft = hot.f_tilde(x, y, eps, alpha)
     gt = hot.g_tilde(x, y, eps, alpha)
     if channel == "fast":
-        return Derivative(-y + x * x + ft + u, eps * (x - alpha + gt))
+        return (-y + x * x + ft + u, eps * (x - alpha + gt))
     if channel == "slow":
-        return Derivative(-y + x * x + ft, eps * (x - alpha + gt + u))
+        return (-y + x * x + ft, eps * (x - alpha + gt + u))
     raise DomainError(f"unknown actuation channel {channel!r}")
 
 

@@ -6,12 +6,17 @@ returns have the type of the start: a NamedTuple start such as
 ``PhasePoint`` is rebuilt with its ``_make``, any other sequence gives
 plain tuples.
 
-The integrator is a Dormand-Prince 5(4) embedded pair with PI step-size
-control and the matching quartic dense-output interpolant.  An explicit
-method is deliberate: trajectories either stay on controller-tamed slow
-manifolds, where moderate steps are accurate, or jump along fast fibers,
-where small steps are wanted anyway; a step-size collapse below ``min_step``
-is reported as a stiffness fault carrying the partial trajectory instead of
+The integrator is a Dormand-Prince 5(4) embedded pair with the matching
+quartic dense-output interpolant.  Its step-size control is written in PI
+form but acts as an I controller: the "previous" error it divides by,
+``facold = max(err, 1e-4)``, is set from the current step's error just
+before use, so an accepted step with err >= 1e-4 scales h by
+0.9 * err**-0.13, clamped to [0.2, 10].  Making it a true PI controller
+would change the bits of every trajectory.  An explicit method is
+deliberate: trajectories either stay on controller-tamed slow manifolds,
+where moderate steps are accurate, or jump along fast fibers, where small
+steps are wanted anyway; a step-size collapse below ``min_step`` is
+reported as a stiffness fault carrying the partial trajectory instead of
 being hidden by an implicit solver.
 
 The controller is evaluated once per field evaluation, and the engine keeps

@@ -8,6 +8,10 @@ suite.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,14 +180,29 @@ class TestRunExperiment:
         assert run_experiment(cfg, blocker / "out") == 2
         assert "not writable" in capsys.readouterr().err
 
-    def test_integration_fault_exits_3(self, tmp_path, capsys):
+    def test_integration_fault_exits_3(self, tmp_path, capsys, monkeypatch):
+        charted = []
+
+        def keeping_run(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            charted.append(traj)
+            return traj
+
+        monkeypatch.setattr(cli, "integrate", keeping_run)
         cfg = ExperimentConfig("k1-vdp", {"t_end": 10.0})
         assert run_experiment(cfg, tmp_path) == 3
         assert "never reached" in capsys.readouterr().err
         m = json.loads((tmp_path / "metrics.json").read_text())
         assert m["status"] == "integration-fault"
         assert "never reached" in m["results"]["message"]
-        assert not (tmp_path / "trajectory.csv").exists()
+        # the run that never reached the exit section is written blown down:
+        # (x, y, u) = (r1 x1, r1^2, r1^2 mu1)
+        [chart] = charted
+        assert chart.final_time == 10.0
+        assert read_trajectory_csv(tmp_path / "trajectory.csv") == tuple(
+            (t, r1 * x1, r1 * r1, r1 * r1 * mu)
+            for t, (r1, x1, _), mu in zip(chart.times, chart.states, chart.controls))
+        assert m["results"]["last_time"] == 10.0
 
     def test_step_limit_leaves_metrics_and_partial_trajectory(self, tmp_path, capsys):
         cfg = ExperimentConfig("fold-fast", {"max_steps": 10})
@@ -236,10 +255,43 @@ class TestRunExperiment:
         assert (tmp_path / "trajectory.csv").exists()
 
 
-# SHA-256 of the default k1-vdp artifacts and of the verify experiment's
-# metrics.json.  Both integrate a plain-tuple state (three components in
-# k1-vdp); a digest that moves means a refactoring changed their bytes.
+# SHA-256 of the default artifacts of the fold and central-chart runs, of
+# k1-vdp and of the verify experiment's metrics.json.  Each run integrates a
+# plain-tuple state (three components in k1-vdp); a digest that moves means
+# a refactoring changed their bytes.
 _PINNED_ARTIFACTS = {
+    "fold-fast": {
+        "controller.svg": "cb552f3928f141bb1caabe97bae3d2ab2e320c53a516024c87362eb4600e2782",
+        "metrics.json": "2c193ff4b1bf177365d8cc5e05b5978972704ce0a326cca6b6ba87ac06d6ae5d",
+        "phase.svg": "8f1f6ee6f1549e071236f3b9d90e1753db9c5114a28eff2f180ac827a6225093",
+        "trajectory.csv": "8fd0f69113d9c1e70732fea2ecc91fd0a186087b61b527b2edf938e666733837",
+    },
+    "fold-fast-hot": {
+        "controller.svg": "6bfcb2c421bb929d467b581da9004cd1004c2f0421a73657e947104a4505b230",
+        "metrics.json": "84b1882a7500794acd90a75494ba43072b012d95abf41f3d31495498409b38b8",
+        "phase.svg": "d9acc989cb97975dabbe09c097cb04c3eb0c44ebade6737f9d908eaf3061eae5",
+        "plain.csv": "d579ee830fd80f652ce424e397684f0525d40d592d233f1d48fed3669c9b0c16",
+        "trajectory.csv": "3ac218f90659be239afcf35835d41208a4cdcb8c8c47353f8391624f4846c76f",
+    },
+    "fold-slow": {
+        "controller.svg": "a78c51883bb400defec33e5e6822776c461dd4a0557a874c42a347e32e3b2e04",
+        "metrics.json": "b5f12ab88f6ecdb7acbd8855d4fb5c19046390d8273eb2039d255a3b698ca27a",
+        "phase.svg": "8ce053323515989da5d017af71d478fb312004cdbb04164c4aea1ced14ae95df",
+        "trajectory.csv": "e557feafa10db5c15c9604137c5369e8f823fa25fb1cfb0c4992e58c13ff8a13",
+    },
+    "k2": {
+        "controller.svg": "2675d6b863b797c7d4f414888f2eb90cc0626fec80e895b36607c9a8e6f0148d",
+        "metrics.json": "12fa6dd8f999a67c8fc751b9346fce6423aaac7d1f16eb34235de4c740afff4a",
+        "phase.svg": "63ab1e3724e1baf35008596762d7d70e58cd8c63444d706df6edb9e5c7a71870",
+        "trajectory.csv": "69a7fc8ba33dc0b0cb2d63cdbbd6b409c21e4ff06d54f9f59fd75b67a528bbe8",
+    },
+    "k2-hot": {
+        "controller.svg": "1ec91583f3ccfd81e0e33dcfb8101efa3f9dd3138b5f0d906c59157f3718c7f6",
+        "metrics.json": "1c7ec52a75b49673c613d8c52cdc73b24b04ba11a50d06032f8a43ecafd2b58a",
+        "phase-plain.svg": "8c7e13d0a188225825d21d714e20b8f5b2ea9154593a5a2f388aa8859d66246c",
+        "phase.svg": "ef9a7c18e91bdce5f666ab257844c90066524f50bdd579f9153da29625232afa",
+        "trajectory.csv": "2be0750c322eb9c9d07bbe08667eb4a823c814d414dcf96949853d3f81347e8c",
+    },
     "k1-vdp": {
         "controller.svg": "7361f7b28825e8bf6dc528a0a4fcb840c8465c65747e87bcb6c8f177c2877bac",
         "metrics.json": "6db4aac3b9512eb1c93bb5a5935699311252a1cc32c89d537a187b002d998dc1",
@@ -311,6 +363,15 @@ class TestMain:
         assert "internal error: ValueError: spec bug" in err
         assert f"{configs[0]}: exit 5" in out and f"{configs[1]}: exit 0" in out
         assert (base / "b" / "metrics.json").exists()
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # only a --jobs batch of more than one config imports the pool
+        code = ("import sys, canardctl.cli; "
+                "sys.exit('concurrent.futures.process' in sys.modules)")
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):

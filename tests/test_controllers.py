@@ -1,6 +1,8 @@
 """Tests for the control laws, bump geometry, and the slow-manifold graph."""
 
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -379,3 +381,41 @@ class TestParamBlocks:
             K1Domain(rho1=0.5, rho1_tilde=0.6)
         assert K1Domain(rho1=0.6).exit_branch_attracting
         assert not K1Domain(rho1=0.8).exit_branch_attracting
+
+
+_NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+def _finite_message(name, value):
+    return f"^{re.escape(f'{name} must be finite, got {value!r}')}$"
+
+
+def _eps_message(value):
+    return f"^{re.escape(f'eps must be a positive finite real, got {value!r}')}$"
+
+
+class TestArgumentChecks:
+    """Every argument a law checks still raises the same DomainError."""
+
+    @pytest.mark.parametrize("arg,bad", [
+        *((arg, bad) for arg in ("x", "y", "c2", "eps") for bad in _NONFINITE),
+        ("eps", 0.0), ("eps", -0.5)])
+    @pytest.mark.parametrize("law", [fast_u, slow_u])
+    def test_fold_laws(self, law, arg, bad):
+        args = {"x": 0.2, "y": 0.3, "c2": 2.0, "eps": 0.01, arg: bad}
+        # stand-ins for the parameter blocks, which refuse a non-finite value
+        params = SimpleNamespace(eps=args["eps"], alpha=0.0)
+        gains = SimpleNamespace(c1=1.0, c2=args["c2"])
+        msg = _eps_message(bad) if arg == "eps" else _finite_message(arg, bad)
+        with pytest.raises(DomainError, match=msg):
+            law(PhasePoint(args["x"], args["y"]), params, gains,
+                ScaledLevel(0.25, 400.0))
+
+    @pytest.mark.parametrize("bad", _NONFINITE)
+    @pytest.mark.parametrize("arg", ["r2", "x2", "y2", "alpha2", "level_h"])
+    def test_k2_mu(self, arg, bad):
+        args = {"r2": 0.1, "x2": 0.5, "y2": 1.0, "alpha2": 1.0,
+                "level_h": 1e-16, arg: bad}
+        p = ChartPointK2(args["r2"], args["x2"], args["y2"], args["alpha2"])
+        with pytest.raises(DomainError, match=_finite_message(arg, bad)):
+            k2_mu(p, ControllerGains(1.0, 2.0), args["level_h"])

@@ -1,6 +1,7 @@
 """Tests for the conserved quantity and log-domain level arithmetic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,3 +189,38 @@ def test_controller_gains_validation():
         ControllerGains(c1=1.0, c2=2.0, k1=-0.5)
     with pytest.raises(DomainError):
         ControllerGains(c1=1.0, c2=2.0, x_star=1.0)
+
+
+_NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+def _finite_message(name, value):
+    return f"^{re.escape(f'{name} must be finite, got {value!r}')}$"
+
+
+def _eps_message(value):
+    return f"^{re.escape(f'eps must be a positive finite real, got {value!r}')}$"
+
+
+@pytest.mark.parametrize("bad", _NONFINITE)
+@pytest.mark.parametrize("arg", ["x", "y", "c2", "eps"])
+def test_eval_level_term_rejects_nonfinite_arguments(arg, bad):
+    args = {"x": 0.2, "y": 0.3, "c2": 2.0, "eps": 0.01, arg: bad}
+    msg = _eps_message(bad) if arg == "eps" else _finite_message(arg, bad)
+    with pytest.raises(DomainError, match=msg):
+        eval_level_term(PhasePoint(args["x"], args["y"]), args["eps"],
+                        args["c2"], ScaledLevel(0.25, 400.0))
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.0, -0.5])
+def test_eval_level_term_rejects_nonpositive_eps(eps):
+    with pytest.raises(DomainError, match=_eps_message(eps)):
+        eval_level_term(PhasePoint(0.2, 0.3), eps, 2.0, ScaledLevel(0.0))
+
+
+@pytest.mark.parametrize("bad", _NONFINITE)
+@pytest.mark.parametrize("arg", ["x2", "y2"])
+def test_eval_H2_rejects_nonfinite_arguments(arg, bad):
+    args = {"x2": 0.5, "y2": 1.0, arg: bad}
+    with pytest.raises(DomainError, match=_finite_message(arg, bad)):
+        eval_H2(**args)

@@ -44,6 +44,15 @@ def test_fold_rhs_rejects_nonfinite_control():
         vdp_rhs(PhasePoint(0.0, 0.0), 0.1, math.inf)
 
 
+@pytest.mark.parametrize("channel", ["fast", "slow"])
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_fold_rhs_nonfinite_control_message(u, channel):
+    with pytest.raises(IntegrationError,
+                       match=f"^non-finite control value {u!r}$"):
+        fold_rhs(PhasePoint(0.0, 0.0), SystemParams(0.1), zero_terms(), u,
+                 channel=channel)
+
+
 def test_parabolic_shear_preset():
     hot = parabolic_shear_terms()
     assert hot.g_tilde(0.5, 0.5, 0.01, 0.0) == pytest.approx(100 * 0.5 * (0.5 - 0.25))
