@@ -19,9 +19,7 @@ from .blowup import (
     GermReport,
     germ_check,
     k1_vdp_field,
-    k2_blowdown,
     k2_field,
-    k2_lift,
     kappa12,
     kappa21,
 )
@@ -29,7 +27,6 @@ from .controllers import (
     K1Domain,
     NeighborhoodParams,
     bump_psi,
-    c2_bound,
     composite_u,
     default_neighborhoods,
     fast_u,
@@ -71,9 +68,7 @@ from .mmo import (
     run_pattern,
 )
 from .models import (
-    Derivative,
     HigherOrderTerms,
-    critical_residual,
     fold_rhs,
     parabolic_shear_terms,
     vdp_rhs,
@@ -100,9 +95,7 @@ __all__ = [
     "eval_H1",
     "eval_H2",
     "eval_level_term",
-    "Derivative",
     "HigherOrderTerms",
-    "critical_residual",
     "fold_rhs",
     "parabolic_shear_terms",
     "vdp_rhs",
@@ -112,15 +105,12 @@ __all__ = [
     "GermReport",
     "germ_check",
     "k1_vdp_field",
-    "k2_blowdown",
     "k2_field",
-    "k2_lift",
     "kappa12",
     "kappa21",
     "K1Domain",
     "NeighborhoodParams",
     "bump_psi",
-    "c2_bound",
     "composite_u",
     "default_neighborhoods",
     "fast_u",

@@ -22,15 +22,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from .core import PhasePoint, SystemParams
 from .errors import DomainError, ExtrapolationError
 
 __all__ = [
     "ChartPointK1",
     "ChartPointK2",
     "GermReport",
-    "k2_lift",
-    "k2_blowdown",
     "kappa12",
     "kappa21",
     "k2_field",
@@ -73,25 +70,6 @@ class GermReport:
     passes: bool
 
 
-def k2_lift(p: PhasePoint, params: SystemParams, u: float = 0.0) -> ChartPointK2:
-    """Original coordinates to the central chart; requires eps > 0."""
-    if not params.eps > 0.0:
-        raise DomainError("k2_lift needs eps > 0")
-    r2 = math.sqrt(params.eps)
-    xh = p.x - params.alpha
-    return ChartPointK2(r2, xh / r2, p.y / (r2 * r2), params.alpha / r2, u / (r2 * r2))
-
-
-def k2_blowdown(cp: ChartPointK2) -> tuple[PhasePoint, SystemParams, float]:
-    """Inverse of k2_lift: chart point to (point, params, control)."""
-    if not cp.r2 > 0.0:
-        raise DomainError("k2_blowdown needs r2 > 0")
-    eps = cp.r2 * cp.r2
-    alpha = cp.r2 * cp.alpha2
-    x = cp.r2 * cp.x2 + alpha
-    return PhasePoint(x, eps * cp.y2), SystemParams(eps, alpha), eps * cp.mu2
-
-
 def kappa12(cp: ChartPointK1) -> ChartPointK2:
     """Entry chart to central chart on the overlap eps1 > 0."""
     if not cp.eps1 > 0.0:
@@ -121,23 +99,19 @@ def kappa21(cp: ChartPointK2) -> ChartPointK1:
 
 
 def k2_field(
-    cp: ChartPointK2,
+    cp: Sequence[float],
     g2: Callable[[float, float, float, float], float] | None = None,
     mu2: float | None = None,
 ) -> tuple[float, float]:
     """Desingularized central-chart flow (x2', y2').
 
     x2' = -y2 + (x2 + alpha2)^2 + mu2,  y2' = x2 + r2 * g2(r2, x2, y2, alpha2).
-    ``mu2`` defaults to the value stored on the chart point.
+    ``cp`` is a :class:`ChartPointK2` or a plain (r2, x2, y2, alpha2[, mu2])
+    tuple; ``mu2`` defaults to the value stored on the chart point.
     """
-    return _k2_field(cp.r2, cp.x2, cp.y2, cp.alpha2, g2,
-                     cp.mu2 if mu2 is None else mu2)
-
-
-def _k2_field(r2: float, x2: float, y2: float, alpha2: float,
-              g2: Callable[[float, float, float, float], float] | None,
-              mu2: float) -> tuple[float, float]:
-    """:func:`k2_field` on the chart coordinates."""
+    r2, x2, y2, alpha2 = cp[0], cp[1], cp[2], cp[3]
+    if mu2 is None:
+        mu2 = cp[4]
     g = g2(r2, x2, y2, alpha2) if g2 is not None else 0.0
     s = x2 + alpha2
     return (-y2 + s * s + mu2, x2 + r2 * g)

@@ -28,17 +28,17 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .blowup import ChartPointK1, ChartPointK2, _k2_field, k1_vdp_field
+from .blowup import ChartPointK1, ChartPointK2, k1_vdp_field, k2_field
 from .controllers import (
     K1Domain,
     NeighborhoodParams,
-    _fast_u,
-    _k2_mu,
-    _slow_u,
     default_neighborhoods,
+    fast_u,
     k1_chart_phi1,
     k1_vdp_mu,
+    k2_mu,
     lyapunov_L2,
+    slow_u,
 )
 from .core import (
     ControllerGains,
@@ -59,7 +59,7 @@ from .errors import (
 )
 from .mmo import MmoPattern, classify_loops, run_pattern
 from .models import (
-    _fold_rhs,
+    fold_rhs,
     parabolic_shear_terms,
     quadratic_gap_phi2,
     zero_terms,
@@ -113,11 +113,15 @@ class ExperimentConfig:
     outputs: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        spec = _SPECS.get(self.experiment)
+        spec = _SPECS.get(self.experiment) \
+            if isinstance(self.experiment, str) else None
         if spec is None:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
                 f"registered: {', '.join(sorted(_SPECS))}")
+        for section in ("params", "outputs"):
+            if not isinstance(getattr(self, section), dict):
+                raise ConfigError(f"{section} must be a JSON object")
         if "h" in self.params:
             raise ConfigError(
                 "raw 'h' rejected: supply the level as (h0, E) with "
@@ -134,6 +138,14 @@ class ExperimentConfig:
                 raise ConfigError(f"parameter {key!r} must be {_KIND_NAMES[kind]}")
             if kind is float and not math.isfinite(float(value)):
                 raise ConfigError(f"parameter {key!r} must be finite")
+        if not isinstance(self.initial_conditions, (list, tuple)):
+            raise ConfigError("initial_conditions must be a list of [x, y] pairs")
+        for p in self.initial_conditions:
+            if not (isinstance(p, (list, tuple)) and len(p) == 2 and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in p)):
+                raise ConfigError(
+                    f"initial_conditions must be [x, y] pairs of numbers, got {p!r}")
         object.__setattr__(
             self, "initial_conditions",
             tuple(PhasePoint(float(p[0]), float(p[1]))
@@ -160,15 +172,11 @@ class ExperimentConfig:
         unknown = set(raw) - {"experiment", "params", "initial_conditions", "outputs"}
         if unknown:
             raise ConfigError(f"unknown config sections {sorted(unknown)!r}")
-        try:
-            ics = [(p[0], p[1]) for p in raw.get("initial_conditions", [])]
-        except (TypeError, IndexError) as exc:
-            raise ConfigError("initial_conditions must be [x, y] pairs") from exc
         return cls(
             experiment=raw["experiment"],
-            params=dict(raw.get("params", {})),
-            initial_conditions=tuple(ics),
-            outputs=dict(raw.get("outputs", {})),
+            params=raw.get("params", {}),
+            initial_conditions=raw.get("initial_conditions", ()),
+            outputs=raw.get("outputs", {}),
         )
 
     def with_overrides(self, overrides: Dict[str, object]) -> "ExperimentConfig":
@@ -379,14 +387,14 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
     # fast actuation relocates the fold to x = alpha; slow actuation cancels
     # the detuning instead and leaves the canard point at the origin
     center = params.alpha if channel == "fast" else 0.0
-    law = _fast_u if channel == "fast" else _slow_u
+    law = fast_u if channel == "fast" else slow_u
 
     # the state is a plain (x, y) tuple
     def u(p) -> float:
-        return law(p[0], p[1], params, gains, level)
+        return law(p, params, gains, level)
 
     def rhs(p, uval):
-        return _fold_rhs(p[0], p[1], params, hot, uval, channel)
+        return fold_rhs(p, params, hot, uval, channel)
 
     # once per revolution: the cycle crosses the frame center moving right
     # on its lower arc
@@ -431,11 +439,11 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcom
     span = (0.0, float(eff["t_end"]))
 
     def rhs(p, uval):
-        return _fold_rhs(p[0], p[1], params, hot, uval)
+        return fold_rhs(p, params, hot, uval)
 
     def run(phi_hat):
         def u(p) -> float:
-            return _fast_u(p[0], p[1], params, gains, level, phi_hat)
+            return fast_u(p, params, gains, level, phi_hat)
 
         return _guarded("step-underflow", rhs, u, tuple(ic), span, integ)
 
@@ -497,14 +505,14 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
 
     # the state is a plain (x2, y2) tuple
     def rhs(p, mu: float) -> Tuple[float, float]:
-        return _k2_field(r2, p[0], p[1], alpha2, g2, mu)
+        return k2_field((r2, p[0], p[1], alpha2), g2, mu)
 
     stop = Watcher("level-convergence",
                    lambda p: 1e-7 - abs(eval_H2(p[0], p[1]) - h), terminal=True)
 
     def run_ic(ic: PhasePoint, phi2, watched: bool):
         def mu(p) -> float:
-            return _k2_mu(r2, p[0], p[1], alpha2, gains, h, phi2)
+            return k2_mu((r2, p[0], p[1], alpha2), gains, h, phi2)
 
         traj, status = _guarded("diverged", rhs, mu, tuple(ic), span, integ,
                                 watchers=[stop] if watched else [])

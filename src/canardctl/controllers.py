@@ -10,14 +10,16 @@ with a centre-manifold controller that pins the repelling slow branch
 by C2 bump functions subordinate to two overlapping neighborhoods.
 
 All evaluations are pure functions of the state and frozen parameter blocks;
-closures returned by helpers capture only immutable data.
+closures returned by helpers capture only immutable data.  The fold laws
+take their point as an (x, y) sequence and `k2_mu` takes (r2, x2, y2,
+alpha2), so a NamedTuple point and a plain tuple give the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .blowup import ChartPointK1, ChartPointK2
 from .core import (
@@ -26,10 +28,10 @@ from .core import (
     PhasePoint,
     ScaledLevel,
     SystemParams,
-    _level_term,
     _require_eps,
     _require_finite,
     eval_H2,
+    eval_level_term,
 )
 from .errors import (
     DomainError,
@@ -46,7 +48,6 @@ __all__ = [
     "default_neighborhoods",
     "fast_u",
     "slow_u",
-    "c2_bound",
     "k2_mu",
     "lyapunov_L2",
     "vdp_slow_manifold_phi",
@@ -152,7 +153,7 @@ class K1Domain:
         return self.rho1 < _RHO1_STABLE
 
 
-def fast_u(p: PhasePoint, params: SystemParams, gains: ControllerGains,
+def fast_u(p: Sequence[float], params: SystemParams, gains: ControllerGains,
            level: ScaledLevel, phi_hat=None) -> float:
     """Fast-channel canard controller.
 
@@ -161,17 +162,12 @@ def fast_u(p: PhasePoint, params: SystemParams, gains: ControllerGains,
     When the plant carries a known shear perturbation g = x*phi_hat, passing
     phi_hat appends the exact cancellation term.
     """
-    return _fast_u(p.x, p.y, params, gains, level, phi_hat)
-
-
-def _fast_u(x: float, y: float, params: SystemParams, gains: ControllerGains,
-            level: ScaledLevel, phi_hat=None) -> float:
-    """:func:`fast_u` on the coordinates of the point."""
+    x, y = p
     eps = params.eps
     if not (math.isfinite(eps) and eps > 0.0):
         _require_eps(eps)
     xh = x - params.alpha
-    term = _level_term(xh, y, eps, gains.c2, level)
+    term = eval_level_term((xh, y), eps, gains.c2, level)
     u = -2.0 * params.alpha * xh - params.alpha ** 2 \
         + gains.c1 * xh * math.sqrt(eps) * term
     if phi_hat is not None:
@@ -179,46 +175,22 @@ def _fast_u(x: float, y: float, params: SystemParams, gains: ControllerGains,
     return u
 
 
-def slow_u(p: PhasePoint, params: SystemParams, gains: ControllerGains,
+def slow_u(p: Sequence[float], params: SystemParams, gains: ControllerGains,
            level: ScaledLevel) -> float:
     """Slow-channel canard controller.
 
     The factor (y - x**2) vanishes on the critical manifold, so the slow
     equation is unchanged where the reduced flow already lives.
     """
-    return _slow_u(p.x, p.y, params, gains, level)
-
-
-def _slow_u(x: float, y: float, params: SystemParams, gains: ControllerGains,
-            level: ScaledLevel) -> float:
-    """:func:`slow_u` on the coordinates of the point."""
+    x, y = p
     eps = params.eps
     if not (math.isfinite(eps) and eps > 0.0):
         _require_eps(eps)
-    term = _level_term(x, y, eps, gains.c2, level)
+    term = eval_level_term(p, eps, gains.c2, level)
     return params.alpha + gains.c1 * (y - x * x) / math.sqrt(eps) * term
 
 
-def c2_bound(channel: str, eps: float, y: float, K: float) -> float:
-    """Largest admissible exponential weight at height y.
-
-    Beyond this value of c2 the controller magnitude is no longer uniformly
-    bounded along the canard up to height y.  The slow channel tolerates a
-    slightly larger weight (5/2 vs 3/2 prefactor).
-    """
-    if channel == "fast":
-        factor = 1.5
-    elif channel == "slow":
-        factor = 2.5
-    else:
-        raise DomainError(f"channel must be 'fast' or 'slow', got {channel!r}")
-    for name, value in (("eps", eps), ("y", y), ("K", K)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"{name} must be > 0, got {value!r}")
-    return 2.0 + factor * (eps / y) * math.log(K * eps / y)
-
-
-def k2_mu(p: ChartPointK2, gains: ControllerGains, level_h: float,
+def k2_mu(cp: Sequence[float], gains: ControllerGains, level_h: float,
           phi2=None) -> float:
     """Level-stabilizing controller in the central chart.
 
@@ -226,14 +198,10 @@ def k2_mu(p: ChartPointK2, gains: ControllerGains, level_h: float,
     exponentials combined per term: exp(c2*y2)*H2 collapses to
     exp((c2-2)*y2) times a polynomial, so only the h-term ever carries the
     raw c2*y2 exponent.  An O(r2) shear g2 = x2*phi2 is cancelled by the
-    optional phi2 correction.
+    optional phi2 correction.  ``cp`` is a :class:`ChartPointK2` or a plain
+    (r2, x2, y2, alpha2) tuple.
     """
-    return _k2_mu(p.r2, p.x2, p.y2, p.alpha2, gains, level_h, phi2)
-
-
-def _k2_mu(r2: float, x2: float, y2: float, alpha2: float,
-           gains: ControllerGains, level_h: float, phi2=None) -> float:
-    """:func:`k2_mu` on the chart coordinates."""
+    r2, x2, y2, alpha2 = cp[0], cp[1], cp[2], cp[3]
     if not (math.isfinite(r2) and math.isfinite(x2) and math.isfinite(y2)
             and math.isfinite(alpha2) and math.isfinite(level_h)):
         _require_finite(r2=r2, x2=x2, y2=y2, alpha2=alpha2, level_h=level_h)
@@ -320,8 +288,8 @@ def _phi_refined(y: float, eps: float) -> float:
     start = PhasePoint(_phi0(y_seed), y_seed)
 
     def rhs(p, u):
-        d = vdp_rhs(p, eps, u)
-        return (-d.dx, -d.dy)
+        dx, dy = vdp_rhs(p, eps, u)
+        return (-dx, -dy)
 
     traj = integrate(
         rhs, lambda p: 0.0, start,
@@ -466,14 +434,13 @@ def _vdp_u2(p: PhasePoint, eps: float, gains: ControllerGains) -> float:
 
 
 def composite_u(p: PhasePoint, eps: float, gains: ControllerGains,
-                nbhd: NeighborhoodParams, weights: str = "normalized") -> float:
-    """Blend of the branch-pinning and fold-local controllers.
+                nbhd: NeighborhoodParams) -> float:
+    """Normalized blend of the branch-pinning and fold-local controllers.
 
-    paper_literal uses fixed half weights, so the authority drops to half
-    where only one bump is active.  normalized restores full single-bump
-    authority while agreeing with the half-weight mean on the overlap
-    plateau; the envelope factor (s - psi1*psi2)/s with s = psi1 + psi2
-    keeps the blend C2 where a support boundary is crossed.
+    Where one bump alone is active its controller acts with full
+    authority; on the overlap plateau the blend is the mean of the two.
+    The envelope factor (s - psi1*psi2)/s with s = psi1 + psi2 keeps the
+    blend C2 where a support boundary is crossed.
     """
     _require_eps(eps)
     psi1 = bump_psi(p, "N1", nbhd)
@@ -482,10 +449,5 @@ def composite_u(p: PhasePoint, eps: float, gains: ControllerGains,
         return 0.0
     u1 = _vdp_u1(p, eps, gains, nbhd) if psi1 > 0.0 else 0.0
     u2 = _vdp_u2(p, eps, gains) if psi2 > 0.0 else 0.0
-    if weights == "paper_literal":
-        return 0.5 * psi1 * u1 + 0.5 * psi2 * u2
-    if weights == "normalized":
-        s = psi1 + psi2
-        return (psi1 * u1 + psi2 * u2) * (s - psi1 * psi2) / s
-    raise DomainError(
-        f"weights must be 'paper_literal' or 'normalized', got {weights!r}")
+    s = psi1 + psi2
+    return (psi1 * u1 + psi2 * u2) * (s - psi1 * psi2) / s

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ExponentOverflowError
 
@@ -185,10 +185,12 @@ def eval_H1(x1: float, eps1: float) -> float:
     return 0.5 * math.exp(-w) * ((1.0 - x1 * x1) / eps1 + 0.5)
 
 
-def eval_level_term(p: PhasePoint, eps: float, c2: float, level: ScaledLevel) -> float:
+def eval_level_term(p: Sequence[float], eps: float, c2: float,
+                    level: ScaledLevel) -> float:
     """exp(c2*y/eps) * (H(x, y; eps) - h), evaluated with combined exponents.
 
-    Expanding H and h = h0*exp(-E) inside the weight gives
+    ``p`` is (x, y) as a :class:`PhasePoint` or a plain tuple.  Expanding H
+    and h = h0*exp(-E) inside the weight gives
 
         exp((c2-2)*y/eps) * (y - x^2 + eps/2)/(2*eps)  -  h0 * exp(c2*y/eps - E),
 
@@ -199,12 +201,6 @@ def eval_level_term(p: PhasePoint, eps: float, c2: float, level: ScaledLevel) ->
     exponential factor at all.
     """
     x, y = p
-    return _level_term(x, y, eps, c2, level)
-
-
-def _level_term(x: float, y: float, eps: float, c2: float,
-                level: ScaledLevel) -> float:
-    """:func:`eval_level_term` on the coordinates of the point."""
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(c2)):
         _require_finite(x=x, y=y, c2=c2)
     if not (math.isfinite(eps) and eps > 0.0):

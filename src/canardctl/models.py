@@ -13,36 +13,30 @@ The higher-order closures carry whatever smooth remainder the application
 needs; the fold control laws additionally require the shifted slow remainder
 to factor as g^(x^, y, eps, alpha) = x^ * phi^, and callers supplying
 ``phi_hat`` assert that factorization themselves.
+
+Each field takes its point as an (x, y) sequence, a :class:`PhasePoint` or
+a plain tuple alike, and returns the velocity as a plain (dx, dy) tuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Sequence
 
-from .core import PhasePoint, SystemParams
+from .core import SystemParams
 from .errors import DomainError, IntegrationError
 
 __all__ = [
-    "Derivative",
     "HigherOrderTerms",
     "zero_terms",
     "parabolic_shear_terms",
     "quadratic_gap_phi2",
     "fold_rhs",
     "vdp_rhs",
-    "critical_residual",
 ]
 
 HotFn = Callable[[float, float, float, float], float]
-
-
-class Derivative(NamedTuple):
-    """Phase-space velocity (dx, dy)."""
-
-    dx: float
-    dy: float
 
 
 @dataclass(frozen=True)
@@ -92,22 +86,16 @@ def quadratic_gap_phi2(r2: float, x2: float, y2: float, alpha2: float) -> float:
 
 
 def fold_rhs(
-    p: PhasePoint,
+    p: Sequence[float],
     params: SystemParams,
     hot: HigherOrderTerms,
     u: float,
     channel: str = "fast",
-) -> Derivative:
-    """Fold normal form velocity with the control injected on one channel."""
-    x, y = p
-    return Derivative._make(_fold_rhs(x, y, params, hot, u, channel))
-
-
-def _fold_rhs(x: float, y: float, params: SystemParams, hot: HigherOrderTerms,
-              u: float, channel: str = "fast") -> tuple[float, float]:
-    """:func:`fold_rhs` on the coordinates of the point, as a plain tuple."""
+) -> tuple[float, float]:
+    """Fold normal form velocity (dx, dy) with the control injected on one channel."""
     if not math.isfinite(u):
         raise IntegrationError(f"non-finite control value {u!r}")
+    x, y = p
     eps, alpha = params.eps, params.alpha
     ft = hot.f_tilde(x, y, eps, alpha)
     gt = hot.g_tilde(x, y, eps, alpha)
@@ -118,22 +106,9 @@ def _fold_rhs(x: float, y: float, params: SystemParams, hot: HigherOrderTerms,
     raise DomainError(f"unknown actuation channel {channel!r}")
 
 
-def vdp_rhs(p: PhasePoint, eps: float, u: float) -> Derivative:
-    """Van der Pol velocity in Lienard form with fast-channel control."""
+def vdp_rhs(p: Sequence[float], eps: float, u: float) -> tuple[float, float]:
+    """Van der Pol velocity (dx, dy) in Lienard form with fast-channel control."""
     if not math.isfinite(u):
         raise IntegrationError(f"non-finite control value {u!r}")
     x, y = p
-    return Derivative(-y + x * x - x ** 3 / 3.0 + u, eps * x)
-
-
-def critical_residual(system: str, p: PhasePoint) -> float:
-    """Fast-equation residual f(x, y, 0) of the uncontrolled layer problem.
-
-    Zero exactly on the critical manifold of the selected model.
-    """
-    x, y = p
-    if system == "fold":
-        return -y + x * x
-    if system == "vdp":
-        return -y + x * x - x ** 3 / 3.0
-    raise DomainError(f"unknown system {system!r}")
+    return (-y + x * x - x ** 3 / 3.0 + u, eps * x)

@@ -42,7 +42,7 @@ from canardctl.core import (
     eval_H2,
 )
 from canardctl.mmo import MmoPattern, run_pattern
-from canardctl.models import Derivative, fold_rhs, quadratic_gap_phi2, vdp_rhs, zero_terms
+from canardctl.models import fold_rhs, quadratic_gap_phi2, vdp_rhs, zero_terms
 from canardctl.sim import Trajectory, Watcher, convergence_metrics, integrate
 
 _SEED = 20260822
@@ -61,9 +61,8 @@ def _sampled_chart_starts(count):
 
 
 def _chart_rhs(r2, alpha2, g2=None):
-    def rhs(p: PhasePoint, mu: float) -> Derivative:
-        d = k2_field(ChartPointK2(r2, p.x, p.y, alpha2), g2=g2, mu2=mu)
-        return Derivative(d[0], d[1])
+    def rhs(p: PhasePoint, mu: float) -> tuple:
+        return k2_field(ChartPointK2(r2, p.x, p.y, alpha2), g2=g2, mu2=mu)
     return rhs
 
 

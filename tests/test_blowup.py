@@ -5,45 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from canardctl.core import PhasePoint, SystemParams, eval_H1, eval_H2
+from canardctl.core import eval_H1, eval_H2
 from canardctl.errors import DomainError, ExtrapolationError
 from canardctl.blowup import (
     ChartPointK1,
     ChartPointK2,
     germ_check,
     k1_vdp_field,
-    k2_blowdown,
     k2_field,
-    k2_lift,
     kappa12,
     kappa21,
 )
-
-
-def test_k2_lift_example():
-    cp = k2_lift(PhasePoint(0.1, 0.02), SystemParams(0.01, 0.0))
-    assert cp.r2 == pytest.approx(0.1)
-    assert cp.x2 == pytest.approx(1.0)
-    assert cp.y2 == pytest.approx(2.0)
-
-
-def test_k2_lift_requires_positive_eps():
-    with pytest.raises(DomainError):
-        k2_lift(PhasePoint(0.0, 0.0), SystemParams(0.0, 0.0))
-
-
-def test_lift_blowdown_roundtrip():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        p = PhasePoint(float(rng.uniform(-1, 1)), float(rng.uniform(0.01, 2.0)))
-        params = SystemParams(float(rng.uniform(0.001, 0.5)), float(rng.uniform(-0.3, 0.3)))
-        u = float(rng.uniform(-2, 2))
-        q, qparams, qu = k2_blowdown(k2_lift(p, params, u))
-        assert q.x == pytest.approx(p.x, abs=1e-14)
-        assert q.y == pytest.approx(p.y, abs=1e-14)
-        assert qparams.eps == pytest.approx(params.eps, rel=1e-14)
-        assert qparams.alpha == pytest.approx(params.alpha, abs=1e-14)
-        assert qu == pytest.approx(u, abs=1e-13)
 
 
 def test_kappa12_worked_example():

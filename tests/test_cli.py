@@ -33,6 +33,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown experiment"):
             ExperimentConfig("warp-drive")
 
+    def test_experiment_must_be_a_name(self):
+        with pytest.raises(ConfigError, match="unknown experiment"):
+            ExperimentConfig(["k2"])
+
     def test_raw_h_rejected_with_guidance(self):
         with pytest.raises(ConfigError, match="h0"):
             ExperimentConfig("k2", {"h": 1e-180})
@@ -121,6 +125,29 @@ class TestConfigFile:
             ExperimentConfig.from_file(p)
         with pytest.raises(ConfigError, match="cannot read"):
             ExperimentConfig.from_file(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("section,value,message", [
+        ("params", [["eps", 0.01]], "params must be a JSON object"),
+        ("params", "abc", "params must be a JSON object"),
+        ("outputs", [["metrics", "m.json"]], "outputs must be a JSON object"),
+        ("initial_conditions", ["12"], "pairs of numbers"),
+        ("initial_conditions", [[0.2, 0.3, 9]], "pairs of numbers"),
+        ("initial_conditions", [[0.2, "x"]], "pairs of numbers"),
+        ("initial_conditions", [{"x": 1}], "pairs of numbers"),
+        ("initial_conditions", [[True, 0.3]], "pairs of numbers"),
+        ("initial_conditions", "12", "list of"),
+    ], ids=["params-list", "params-string", "outputs-list", "ic-string",
+            "ic-triple", "ic-string-coordinate", "ic-object", "ic-bool",
+            "ics-string"])
+    def test_section_of_the_wrong_shape_exits_2(self, tmp_path, capsys,
+                                                 section, value, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig("k2", **{section: value})
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"experiment": "k2", section: value}))
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.json").exists()
 
     def test_with_overrides_wins_and_preserves_original(self):
         cfg = ExperimentConfig("k2", {"c1": 1.0, "eps": 0.5})
@@ -297,6 +324,18 @@ _PINNED_ARTIFACTS = {
         "metrics.json": "6db4aac3b9512eb1c93bb5a5935699311252a1cc32c89d537a187b002d998dc1",
         "phase.svg": "4cace22ba01f58beedd3c9740e9eceeb7a826155b7f943d49d3aaab67a54f2aa",
         "trajectory.csv": "2d13b006a8e41d79e9c255c75c4b727d147b996170b1a0a67b6a33b5dab50fb2",
+    },
+    "vdp-canard": {
+        "controller.svg": "35cd682c4fac9c31fa232f0526f1e1d23c2b3e29c47f105a184d2dcc307531fb",
+        "metrics.json": "e48e3e197117c4191ea2918309988eacf155445bf29cbac822c8e94934ab0efb",
+        "phase.svg": "2bcfa8eb585fcc60e955853a3f053bf52016091ec6a44691a957d8fb4f42ff41",
+        "trajectory.csv": "ff2e7e3523b286b638b8f9c7148d419b817266aa323dbe2d0e7e22da5a8f908e",
+    },
+    "vdp-mmo": {
+        "controller.svg": "6ad7f47897a8d279078083a492d82c2b5e1ba5e0d94885916a1eabfc693c357f",
+        "metrics.json": "becfaa187025b0e15c314d30b778cd2d1a5a1cc4b18714cfac4aaeb557c6e900",
+        "phase.svg": "7f094ad3f0b7eee57bfdc1c539c78eaa46d5aabedd94dea2614877101d6f769a",
+        "trajectory.csv": "a1e261ab44d825f02288c39959323421341772862b7e318cb75ff32da730121a",
     },
     "verify": {
         "metrics.json": "5f79c8946c15c072c40844a04c2a243b3ce5c9c6eb89160839898ef19ba96c61",

@@ -7,13 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from canardctl.blowup import ChartPointK1, ChartPointK2
+from canardctl.blowup import ChartPointK1, ChartPointK2, k2_field
 from canardctl.controllers import (
     K1Domain,
     NeighborhoodParams,
     _vdp_u2,
     bump_psi,
-    c2_bound,
     composite_u,
     default_neighborhoods,
     fast_u,
@@ -30,9 +29,15 @@ from canardctl.core import (
     ScaledLevel,
     SystemParams,
     eval_H1,
+    eval_level_term,
 )
 from canardctl.errors import DomainError, SingularConfigurationError
-from canardctl.models import parabolic_shear_terms, quadratic_gap_phi2
+from canardctl.models import (
+    fold_rhs,
+    parabolic_shear_terms,
+    quadratic_gap_phi2,
+    vdp_rhs,
+)
 
 
 def _bisect_phi0(y):
@@ -95,31 +100,11 @@ class TestFastSlowLaws:
         # term collapses to an algebraic power of eps/y: no eps blow-up
         eps = 0.01
         for y in np.linspace(eps, 100.0 * eps, 60):
-            c2 = c2_bound("fast", eps, y, 1.0)
+            # largest admissible weight on the fast channel at K = 1
+            c2 = 2.0 + 1.5 * (eps / y) * math.log(eps / y)
             u = fast_u(PhasePoint(math.sqrt(y), y), SystemParams(eps, 0.0),
                        ControllerGains(1.0, c2), ScaledLevel(0.0))
             assert abs(u) < 1.0
-
-
-class TestC2Bound:
-    def test_log_of_one(self):
-        assert c2_bound("fast", 0.3, 0.3, 1.0) == pytest.approx(2.0)
-
-    def test_fast_example(self):
-        assert c2_bound("fast", 1.0, 1.0, math.e) == pytest.approx(3.5)
-
-    def test_slow_example(self):
-        val = c2_bound("slow", 0.01, 1.0, 1.0)
-        assert val == pytest.approx(2.0 + 0.025 * math.log(0.01), rel=1e-12)
-        assert val == pytest.approx(1.8849, abs=5e-5)
-
-    def test_slow_exceeds_fast(self):
-        # for eps < y the log is negative, so the slow bound is smaller
-        assert c2_bound("slow", 0.01, 1.0, 1.0) < c2_bound("fast", 0.01, 1.0, 1.0)
-
-    def test_rejects_bad_channel(self):
-        with pytest.raises(DomainError):
-            c2_bound("sideways", 0.01, 1.0, 1.0)
 
 
 class TestChartK2Law:
@@ -306,8 +291,6 @@ class TestComposite:
         assert bump_psi(p, "N2", nb) == 1.0
         u2 = _vdp_u2(p, 0.01, gains)
         assert composite_u(p, 0.01, gains, nb) == pytest.approx(u2, rel=1e-14)
-        assert composite_u(p, 0.01, gains, nb, weights="paper_literal") == \
-            pytest.approx(0.5 * u2, rel=1e-14)
 
     def test_u2_matches_scaled_fast_law(self):
         # u2 is the h = 0, c2 = 2 fast law with the 1/2 absorbed into c1
@@ -336,8 +319,8 @@ class TestComposite:
         gains = ControllerGains(1.0, 2.0, k1=1.0)
         h = 1e-3
 
-        def scan(points, mode):
-            us = [composite_u(p, 0.01, gains, nb, weights=mode) for p in points]
+        def scan(points):
+            us = [composite_u(p, 0.01, gains, nb) for p in points]
             d2 = [(us[i + 1] - 2.0 * us[i] + us[i - 1]) / h ** 2
                   for i in range(1, len(us) - 1)]
             jump = max(abs(d2[i + 1] - d2[i]) for i in range(len(d2) - 1))
@@ -345,17 +328,10 @@ class TestComposite:
 
         across_x = [PhasePoint(0.15 + i * h, 0.01) for i in range(251)]
         across_y = [PhasePoint(0.35, 0.005 + i * h) for i in range(101)]
-        for mode in ("normalized", "paper_literal"):
-            for pts in (across_x, across_y):
-                mag, jump = scan(pts, mode)
-                assert mag < 500.0
-                assert jump < 100.0
-
-    def test_rejects_unknown_weights(self):
-        nb = default_neighborhoods(0.01)
-        with pytest.raises(DomainError):
-            composite_u(PhasePoint(0.1, 0.01), 0.01, ControllerGains(1.0, 2.0),
-                        nb, weights="mean")
+        for pts in (across_x, across_y):
+            mag, jump = scan(pts)
+            assert mag < 500.0
+            assert jump < 100.0
 
 
 class TestParamBlocks:
@@ -419,3 +395,34 @@ class TestArgumentChecks:
         p = ChartPointK2(args["r2"], args["x2"], args["y2"], args["alpha2"])
         with pytest.raises(DomainError, match=_finite_message(arg, bad)):
             k2_mu(p, ControllerGains(1.0, 2.0), args["level_h"])
+
+
+def _bits(value):
+    return tuple(v.hex() for v in value) if isinstance(value, tuple) else value.hex()
+
+
+_PARAMS = SystemParams(0.01, -0.1)
+_GAINS = ControllerGains(1.5, 2.5)
+_LEVEL = ScaledLevel(0.25, 60.0)
+_SHEAR = parabolic_shear_terms()
+
+
+@pytest.mark.parametrize("law,point,rest", [
+    (fold_rhs, PhasePoint(0.3, 0.2), (_PARAMS, _SHEAR, 0.7, "fast")),
+    (fold_rhs, PhasePoint(0.3, 0.2), (_PARAMS, _SHEAR, 0.7, "slow")),
+    (vdp_rhs, PhasePoint(1.1, 0.4), (0.01, -0.3)),
+    (eval_level_term, PhasePoint(0.3, 0.2), (0.01, 2.5, _LEVEL)),
+    (fast_u, PhasePoint(0.3, 0.2), (_PARAMS, _GAINS, _LEVEL)),
+    (fast_u, PhasePoint(0.3, 0.2), (_PARAMS, _GAINS, _LEVEL, _SHEAR.phi_hat)),
+    (slow_u, PhasePoint(0.3, 0.2), (_PARAMS, _GAINS, _LEVEL)),
+    (k2_mu, ChartPointK2(0.1, 0.5, 1.2, 0.8), (_GAINS, 1e-3, quadratic_gap_phi2)),
+    (k2_field, ChartPointK2(0.1, 0.5, 1.2, 0.8),
+     (lambda r, x2, y2, a2: x2 * quadratic_gap_phi2(r, x2, y2, a2), 0.3)),
+], ids=["fold_rhs-fast", "fold_rhs-slow", "vdp_rhs", "eval_level_term", "fast_u",
+        "fast_u-phi_hat", "slow_u", "k2_mu", "k2_field"])
+def test_law_gives_the_same_bits_for_a_plain_tuple_point(law, point, rest):
+    # the runners integrate plain-tuple states through the same laws; a
+    # slice of a chart point is the (r2, x2, y2, alpha2) tuple the k2 run builds
+    plain = point[:4]
+    assert type(plain) is tuple
+    assert _bits(law(plain, *rest)) == _bits(law(point, *rest))

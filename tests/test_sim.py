@@ -16,7 +16,7 @@ from canardctl.errors import (
     StepLimitError,
     StepUnderflowError,
 )
-from canardctl.models import Derivative, fold_rhs, vdp_rhs, zero_terms
+from canardctl.models import fold_rhs, vdp_rhs, zero_terms
 from canardctl.sim import (
     _EVENT_TIME_TOL,
     ConvergenceReport,
@@ -37,7 +37,7 @@ def _no_u(p):
 
 def test_exponential_decay_accuracy():
     traj = integrate(
-        lambda p, u: Derivative(-p.x, 0.0),
+        lambda p, u: (-p.x, 0.0),
         _no_u,
         PhasePoint(1.0, 0.0),
         (0.0, 5.0),
@@ -50,7 +50,7 @@ def test_exponential_decay_accuracy():
 def test_harmonic_oscillator_section_events():
     # x'' = -x from (1, 0): x = cos t, zero down-crossings at pi/2 + 2k pi
     traj = integrate(
-        lambda p, u: Derivative(p.y, -p.x),
+        lambda p, u: (p.y, -p.x),
         _no_u,
         PhasePoint(1.0, 0.0),
         (0.0, 10.0),
@@ -66,7 +66,7 @@ def test_harmonic_oscillator_section_events():
 
 def test_linear_crossing_time_localization():
     traj = integrate(
-        lambda p, u: Derivative(1.0, 0.0),
+        lambda p, u: (1.0, 0.0),
         _no_u,
         PhasePoint(-1.0, 0.0),
         (0.0, 3.0),
@@ -80,7 +80,7 @@ def test_set_entry_exit_disc():
     # straight line through the unit disc around the origin
     ind = lambda p: 1.0 - (p.x * p.x + p.y * p.y)
     traj = integrate(
-        lambda p, u: Derivative(1.0, 0.0),
+        lambda p, u: (1.0, 0.0),
         _no_u,
         PhasePoint(-2.0, 0.0),
         (0.0, 4.0),
@@ -97,7 +97,7 @@ def test_terminal_level_convergence_truncates():
     # |x| decays like e^-t from 1; threshold 1e-4 is hit at t = ln(1e4)
     thr = 1e-4
     traj = integrate(
-        lambda p, u: Derivative(-p.x, 0.0),
+        lambda p, u: (-p.x, 0.0),
         _no_u,
         PhasePoint(1.0, 0.0),
         (0.0, 50.0),
@@ -116,7 +116,7 @@ def test_controller_overflow_becomes_fault_event():
         return 0.0
 
     traj = integrate(
-        lambda p, uval: Derivative(1.0, 0.0), u, PhasePoint(0.0, 0.0), (0.0, 10.0)
+        lambda p, uval: (1.0, 0.0), u, PhasePoint(0.0, 0.0), (0.0, 10.0)
     )
     assert traj.events[-1].kind == "overflow-fault"
     assert traj.final_time < 10.0
@@ -126,7 +126,7 @@ def test_controller_overflow_becomes_fault_event():
 def test_finite_time_blowup_raises_stiffness_fault():
     with pytest.raises(StepUnderflowError) as exc:
         integrate(
-            lambda p, u: Derivative(1.0 + p.x * p.x, 0.0),
+            lambda p, u: (1.0 + p.x * p.x, 0.0),
             _no_u,
             PhasePoint(0.0, 0.0),
             (0.0, 3.0),
@@ -139,7 +139,7 @@ def test_finite_time_blowup_raises_stiffness_fault():
 def test_step_limit_raises():
     with pytest.raises(StepLimitError):
         integrate(
-            lambda p, u: Derivative(p.y, -p.x),
+            lambda p, u: (p.y, -p.x),
             _no_u,
             PhasePoint(1.0, 0.0),
             (0.0, 1000.0),
@@ -150,7 +150,7 @@ def test_step_limit_raises():
 def test_determinism_bitwise():
     def run():
         return integrate(
-            lambda p, u: Derivative(p.y, -p.x + u),
+            lambda p, u: (p.y, -p.x + u),
             lambda p: -0.1 * p.y,
             PhasePoint(1.0, 0.5),
             (0.0, 20.0),
@@ -164,7 +164,7 @@ def test_determinism_bitwise():
 
 def test_controls_recorded_at_accepted_points():
     traj = integrate(
-        lambda p, u: Derivative(-p.x + u, 0.0),
+        lambda p, u: (-p.x + u, 0.0),
         lambda p: 0.5 * p.x,
         PhasePoint(1.0, 0.0),
         (0.0, 1.0),
@@ -217,7 +217,7 @@ def test_watchers_evaluated_once_per_accepted_state():
         return fn
 
     traj = integrate(
-        lambda p, u: Derivative(p.y, -p.x), _no_u, PhasePoint(1.0, 0.0),
+        lambda p, u: (p.y, -p.x), _no_u, PhasePoint(1.0, 0.0),
         (0.0, 20.0),
         watchers=[Watcher("section-crossing", counted("a", lambda p: p.x + 2.0)),
                   Watcher("set-exit", counted("b", lambda p: 4.0 - p.y))])
@@ -301,7 +301,7 @@ def _overflow_mid_run():
             raise ExponentOverflowError("c2*y/eps - E", 900.0)
         return -0.3 * p.y
 
-    return integrate(lambda p, uval: Derivative(1.0 + 0.1 * p.y, -p.x + uval),
+    return integrate(lambda p, uval: (1.0 + 0.1 * p.y, -p.x + uval),
                      u, PhasePoint(0.0, 0.5), (0.0, 10.0))
 
 
