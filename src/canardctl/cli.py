@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .blowup import ChartPointK1, ChartPointK2, k1_vdp_field, k2_field
+from .blowup import ChartPointK2, k1_vdp_field, k2_field
 from .controllers import (
     K1Domain,
     NeighborhoodParams,
@@ -103,6 +103,14 @@ _DEFAULT_OUTPUTS = {
 }
 
 
+def _as_float(value: float) -> float:
+    """float(value); an integer too large for a float becomes +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment with its flattened parameter block."""
@@ -136,7 +144,7 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(
                     value, (int, float) if kind is float else kind):
                 raise ConfigError(f"parameter {key!r} must be {_KIND_NAMES[kind]}")
-            if kind is float and not math.isfinite(float(value)):
+            if kind is float and not math.isfinite(_as_float(value)):
                 raise ConfigError(f"parameter {key!r} must be finite")
         if not isinstance(self.initial_conditions, (list, tuple)):
             raise ConfigError("initial_conditions must be a list of [x, y] pairs")
@@ -148,7 +156,7 @@ class ExperimentConfig:
                     f"initial_conditions must be [x, y] pairs of numbers, got {p!r}")
         object.__setattr__(
             self, "initial_conditions",
-            tuple(PhasePoint(float(p[0]), float(p[1]))
+            tuple(PhasePoint(_as_float(p[0]), _as_float(p[1]))
                   for p in self.initial_conditions))
         for p in self.initial_conditions:
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
@@ -571,10 +579,10 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
 
     # the state is (r1, x1, eps1); the field reports (r1', eps1', x1')
     def mu(s):
-        return k1_vdp_mu(ChartPointK1(*s), gains, k1_chart_phi1)
+        return k1_vdp_mu(s, gains, k1_chart_phi1)
 
     def rhs(s, mu_value):
-        d = k1_vdp_field(ChartPointK1(*s), mu_value)
+        d = k1_vdp_field(s, mu_value)
         return (d[0], d[2], d[1])
 
     def blown_down(traj: Trajectory) -> Trajectory:

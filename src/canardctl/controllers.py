@@ -11,8 +11,9 @@ by C2 bump functions subordinate to two overlapping neighborhoods.
 
 All evaluations are pure functions of the state and frozen parameter blocks;
 closures returned by helpers capture only immutable data.  The fold laws
-take their point as an (x, y) sequence and `k2_mu` takes (r2, x2, y2,
-alpha2), so a NamedTuple point and a plain tuple give the same bits.
+and `composite_u` take their point as an (x, y) sequence, `k2_mu` takes
+(r2, x2, y2, alpha2) and `k1_vdp_mu` takes (r1, x1, eps1), so a NamedTuple
+point and a plain tuple give the same bits.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
-from .blowup import ChartPointK1, ChartPointK2
+from .blowup import ChartPointK2
 from .core import (
     EXP_GUARD,
     ControllerGains,
@@ -263,14 +264,14 @@ def _phi0(y: float) -> float:
     return x
 
 
-def _phi1_corr(y: float) -> float:
-    """First-order height coefficient phi0 / (2*phi0 - phi0**2)**2."""
+def _phi_expansion(y: float, eps: float) -> float:
+    """First-order graph phi0 + eps*phi0/(2*phi0 - phi0**2)**2 at height y."""
     p0 = _phi0(y)
     fx = 2.0 * p0 - p0 * p0
     if fx == 0.0:
         raise SingularConfigurationError(
             f"slow branch loses hyperbolicity at height {y!r}")
-    return p0 / (fx * fx)
+    return p0 + eps * (p0 / (fx * fx))
 
 
 def _phi_refined(y: float, eps: float) -> float:
@@ -284,7 +285,7 @@ def _phi_refined(y: float, eps: float) -> float:
     """
     y_seed = min(y + 0.35, 1.31)
     if y_seed <= y:
-        return _phi0(y) + eps * _phi1_corr(y)
+        return _phi_expansion(y, eps)
     start = PhasePoint(_phi0(y_seed), y_seed)
 
     def rhs(p, u):
@@ -314,7 +315,8 @@ def vdp_slow_manifold_phi(y: float, eps: float, nbhd: NeighborhoodParams,
     backward-time integration, which resolves the manifold beyond first
     order at the cost of an ODE solve per call.
     """
-    _require_finite(y=y, eps=eps)
+    if not (math.isfinite(y) and math.isfinite(eps)):
+        _require_finite(y=y, eps=eps)
     if eps < 0.0:
         raise DomainError(f"eps must be >= 0, got {eps!r}")
     if not nbhd.y_min <= y <= nbhd.y_h:
@@ -323,7 +325,7 @@ def vdp_slow_manifold_phi(y: float, eps: float, nbhd: NeighborhoodParams,
             f"[{nbhd.y_min!r}, {nbhd.y_h!r}]")
     if refine and eps > 0.0:
         return _phi_refined(y, eps)
-    return _phi0(y) + eps * _phi1_corr(y)
+    return _phi_expansion(y, eps)
 
 
 def k1_chart_phi1(r1: float, eps1: float) -> float:
@@ -333,7 +335,8 @@ def k1_chart_phi1(r1: float, eps1: float) -> float:
     eps = r1**2*eps1, so phi1 = phi(r1**2, r1**2*eps1)/r1 away from r1 = 0
     and extends to the centre-branch root sqrt(1 + eps1/2) on {r1 = 0}.
     """
-    _require_finite(r1=r1, eps1=eps1)
+    if not (math.isfinite(r1) and math.isfinite(eps1)):
+        _require_finite(r1=r1, eps1=eps1)
     if r1 < 0.0 or eps1 < 0.0:
         raise DomainError(f"chart coordinates must be >= 0, got r1={r1!r}, "
                           f"eps1={eps1!r}")
@@ -343,7 +346,7 @@ def k1_chart_phi1(r1: float, eps1: float) -> float:
     if r1 < 1e-8:
         return math.sqrt(1.0 + 0.5 * eps1)
     y = r1 * r1
-    return (_phi0(y) + y * eps1 * _phi1_corr(y)) / r1
+    return _phi_expansion(y, y * eps1) / r1
 
 
 def _smoothstep(t: float) -> float:
@@ -367,7 +370,27 @@ def _window(v: float, lo: float, hi: float, margin: float) -> float:
     return s
 
 
-def bump_psi(p: PhasePoint, region: str, nbhd: NeighborhoodParams) -> float:
+# every window lies in [0, 1], so a zero window makes the product exactly
+# 0.0: each bump tests its cheapest rejecting window first
+
+def _psi_n1(x: float, y: float, nbhd: NeighborhoodParams) -> float:
+    m = nbhd.inner_margin
+    w_y = _window(y, nbhd.y_min, nbhd.y_h, m)
+    if w_y == 0.0:
+        return 0.0
+    g = -y + x * x - x ** 3 / 3.0
+    return _window(g, -nbhd.beta1, nbhd.beta1, m) * _window(x, 0.0, 2.0, m) * w_y
+
+
+def _psi_n2(x: float, y: float, nbhd: NeighborhoodParams) -> float:
+    m = nbhd.inner_margin
+    w_x = _window(x, -nbhd.x_min, nbhd.x_max, m)
+    if w_x == 0.0:
+        return 0.0
+    return _window(-y + x * x, -nbhd.beta2, nbhd.beta2, m) * w_x
+
+
+def bump_psi(p: Sequence[float], region: str, nbhd: NeighborhoodParams) -> float:
     """C2 bump localizing a controller to one activation neighborhood.
 
     One quintic-smoothstep window per defining inequality, multiplied; the
@@ -375,14 +398,9 @@ def bump_psi(p: PhasePoint, region: str, nbhd: NeighborhoodParams) -> float:
     """
     x, y = p
     if region == "N1":
-        g = -y + x * x - x ** 3 / 3.0
-        return (_window(g, -nbhd.beta1, nbhd.beta1, nbhd.inner_margin)
-                * _window(x, 0.0, 2.0, nbhd.inner_margin)
-                * _window(y, nbhd.y_min, nbhd.y_h, nbhd.inner_margin))
+        return _psi_n1(x, y, nbhd)
     if region == "N2":
-        g = -y + x * x
-        return (_window(g, -nbhd.beta2, nbhd.beta2, nbhd.inner_margin)
-                * _window(x, -nbhd.x_min, nbhd.x_max, nbhd.inner_margin))
+        return _psi_n2(x, y, nbhd)
     raise DomainError(f"region must be 'N1' or 'N2', got {region!r}")
 
 
@@ -390,27 +408,30 @@ def _f1(r1: float, eps1: float, x1: float) -> float:
     return -1.0 + x1 * x1 - 0.5 * x1 * x1 * eps1 - r1 * x1 ** 3 / 3.0
 
 
-def k1_vdp_mu(p: ChartPointK1, gains: ControllerGains,
+def k1_vdp_mu(p: Sequence[float], gains: ControllerGains,
               phi1: Callable[[float, float], float]) -> float:
     """Centre-manifold controller in the entry chart.
 
     Reverses the layer direction, recenters it at the offset x_star, and
     adds the invariance plus variational correction that pins the graph
     {x1 = x_star + phi1} as an exponentially attracting centre manifold
-    with transverse rate -(2*phi1 + k1).
+    with transverse rate -(2*phi1 + k1).  ``p`` is a :class:`ChartPointK1`
+    or a plain (r1, x1, eps1) tuple.
     """
-    _require_finite(r1=p.r1, x1=p.x1, eps1=p.eps1)
-    ph = phi1(p.r1, p.eps1)
+    r1, x1, eps1 = p[0], p[1], p[2]
+    if not (math.isfinite(r1) and math.isfinite(x1) and math.isfinite(eps1)):
+        _require_finite(r1=r1, x1=x1, eps1=eps1)
+    ph = phi1(r1, eps1)
     if abs(ph) < 1e-12:
         raise SingularConfigurationError(
             "phi1 vanishes at the fold; the invariance correction divides by it")
     xs = gains.x_star
-    v = ((2.0 * ph + xs) / ph * _f1(p.r1, p.eps1, ph)
-         - (p.eps1 * ph + p.r1 * ph * ph + gains.k1) * (p.x1 - xs - ph))
-    return -_f1(p.r1, p.eps1, p.x1) - _f1(p.r1, p.eps1, p.x1 - xs) + v
+    v = ((2.0 * ph + xs) / ph * _f1(r1, eps1, ph)
+         - (eps1 * ph + r1 * ph * ph + gains.k1) * (x1 - xs - ph))
+    return -_f1(r1, eps1, x1) - _f1(r1, eps1, x1 - xs) + v
 
 
-def _vdp_u1(p: PhasePoint, eps: float, gains: ControllerGains,
+def _vdp_u1(p: Sequence[float], eps: float, gains: ControllerGains,
             nbhd: NeighborhoodParams) -> float:
     """Blow-down of the entry-chart controller to original coordinates."""
     x, y = p
@@ -428,12 +449,13 @@ def _vdp_u1(p: PhasePoint, eps: float, gains: ControllerGains,
     return -f_shift(0.0) - f_shift(xs) + v1
 
 
-def _vdp_u2(p: PhasePoint, eps: float, gains: ControllerGains) -> float:
+def _vdp_u2(p: Sequence[float], eps: float, gains: ControllerGains) -> float:
     """Fold-local law: the h = 0, c2 = 2 fast controller in closed form."""
-    return gains.c1 * p.x / math.sqrt(eps) * (p.y - p.x * p.x + 0.5 * eps)
+    x, y = p
+    return gains.c1 * x / math.sqrt(eps) * (y - x * x + 0.5 * eps)
 
 
-def composite_u(p: PhasePoint, eps: float, gains: ControllerGains,
+def composite_u(p: Sequence[float], eps: float, gains: ControllerGains,
                 nbhd: NeighborhoodParams) -> float:
     """Normalized blend of the branch-pinning and fold-local controllers.
 
@@ -442,9 +464,11 @@ def composite_u(p: PhasePoint, eps: float, gains: ControllerGains,
     The envelope factor (s - psi1*psi2)/s with s = psi1 + psi2 keeps the
     blend C2 where a support boundary is crossed.
     """
-    _require_eps(eps)
-    psi1 = bump_psi(p, "N1", nbhd)
-    psi2 = bump_psi(p, "N2", nbhd)
+    if not (math.isfinite(eps) and eps > 0.0):
+        _require_eps(eps)
+    x, y = p
+    psi1 = _psi_n1(x, y, nbhd)
+    psi2 = _psi_n2(x, y, nbhd)
     if psi1 == 0.0 and psi2 == 0.0:
         return 0.0
     u1 = _vdp_u1(p, eps, gains, nbhd) if psi1 > 0.0 else 0.0

@@ -136,9 +136,12 @@ class TestConfigFile:
         ("initial_conditions", [{"x": 1}], "pairs of numbers"),
         ("initial_conditions", [[True, 0.3]], "pairs of numbers"),
         ("initial_conditions", "12", "list of"),
+        # integers too large for a float
+        ("params", {"c1": 10 ** 400}, "parameter 'c1' must be finite"),
+        ("initial_conditions", [[10 ** 400, 0.5]], "non-finite initial condition"),
     ], ids=["params-list", "params-string", "outputs-list", "ic-string",
             "ic-triple", "ic-string-coordinate", "ic-object", "ic-bool",
-            "ics-string"])
+            "ics-string", "params-huge-int", "ic-huge-int"])
     def test_section_of_the_wrong_shape_exits_2(self, tmp_path, capsys,
                                                  section, value, message):
         with pytest.raises(ConfigError, match=message):
@@ -348,6 +351,24 @@ def test_artifact_bytes_pinned(tmp_path, capsys, experiment):
     assert run_experiment(ExperimentConfig(experiment), tmp_path) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in _PINNED_ARTIFACTS[experiment]} == _PINNED_ARTIFACTS[experiment]
+
+
+# the benchmark's supervised run: pattern LLLSSSS four times over, which
+# drives composite_u through both neighborhoods and every segment switch
+_VDP_PLANT_ARTIFACTS = {
+    "controller.svg": "c4f1c8e46c3b7141edb9fb2541360b62420367ab870a5121b86a35e7c4caddb0",
+    "metrics.json": "6e2c72a64dd7a48af7105eb732f028c6ae3a202a824a398c3eedc56399e15d44",
+    "phase.svg": "c60300ea5c2f3344941e363d60731f8879c79d4ebe905ab3bba326f27cb88310",
+    "trajectory.csv": "1e6e7686a7a8e07496eb9f47f0e6abe7e6a6ab3dd63928767b9675240fab2ffa",
+}
+
+
+def test_vdp_plant_artifact_bytes_pinned(tmp_path, capsys):
+    cfg = ExperimentConfig("vdp-mmo", {"pattern": "3L:0.75:0.01,4S:1.25:-0.01",
+                                       "repeat": 4})
+    assert run_experiment(cfg, tmp_path) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in _VDP_PLANT_ARTIFACTS} == _VDP_PLANT_ARTIFACTS
 
 
 def _write_cfg(path, experiment, **params):

@@ -6,12 +6,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from canardctl.blowup import ChartPointK1, ChartPointK2, k2_field
+from canardctl.blowup import ChartPointK1, ChartPointK2, k1_vdp_field, k2_field
 from canardctl.controllers import (
     K1Domain,
     NeighborhoodParams,
+    _phi0,
     _vdp_u2,
+    _window,
     bump_psi,
     composite_u,
     default_neighborhoods,
@@ -396,6 +400,35 @@ class TestArgumentChecks:
         with pytest.raises(DomainError, match=_finite_message(arg, bad)):
             k2_mu(p, ControllerGains(1.0, 2.0), args["level_h"])
 
+    @pytest.mark.parametrize("bad", _NONFINITE)
+    @pytest.mark.parametrize("arg", ["r1", "x1", "eps1"])
+    def test_k1_vdp_mu(self, arg, bad):
+        args = {"r1": 0.1, "x1": 1.0, "eps1": 0.1, arg: bad}
+        p = ChartPointK1(args["r1"], args["x1"], args["eps1"])
+        with pytest.raises(DomainError, match=_finite_message(arg, bad)):
+            k1_vdp_mu(p, ControllerGains(1.0, 2.0), k1_chart_phi1)
+
+    @pytest.mark.parametrize("bad", _NONFINITE)
+    @pytest.mark.parametrize("arg", ["r1", "eps1"])
+    def test_k1_chart_phi1(self, arg, bad):
+        args = {"r1": 0.1, "eps1": 0.1, arg: bad}
+        with pytest.raises(DomainError, match=_finite_message(arg, bad)):
+            k1_chart_phi1(args["r1"], args["eps1"])
+
+    @pytest.mark.parametrize("bad", _NONFINITE)
+    @pytest.mark.parametrize("arg", ["y", "eps"])
+    def test_vdp_slow_manifold_phi(self, arg, bad):
+        args = {"y": 0.5, "eps": 0.01, arg: bad}
+        with pytest.raises(DomainError, match=_finite_message(arg, bad)):
+            vdp_slow_manifold_phi(args["y"], args["eps"],
+                                  default_neighborhoods(0.01))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
+    def test_composite_u(self, bad):
+        with pytest.raises(DomainError, match=_eps_message(bad)):
+            composite_u(PhasePoint(0.2, 0.04), bad, ControllerGains(1.0, 2.0),
+                        default_neighborhoods(0.01))
+
 
 def _bits(value):
     return tuple(v.hex() for v in value) if isinstance(value, tuple) else value.hex()
@@ -405,6 +438,8 @@ _PARAMS = SystemParams(0.01, -0.1)
 _GAINS = ControllerGains(1.5, 2.5)
 _LEVEL = ScaledLevel(0.25, 60.0)
 _SHEAR = parabolic_shear_terms()
+_VDP_GAINS = ControllerGains(1.0, 2.0, k1=1.0, x_star=-0.01)
+_NBHD = default_neighborhoods(0.01)
 
 
 @pytest.mark.parametrize("law,point,rest", [
@@ -418,11 +453,101 @@ _SHEAR = parabolic_shear_terms()
     (k2_mu, ChartPointK2(0.1, 0.5, 1.2, 0.8), (_GAINS, 1e-3, quadratic_gap_phi2)),
     (k2_field, ChartPointK2(0.1, 0.5, 1.2, 0.8),
      (lambda r, x2, y2, a2: x2 * quadratic_gap_phi2(r, x2, y2, a2), 0.3)),
+    (k1_vdp_mu, ChartPointK1(0.3, 1.05, 0.1), (_VDP_GAINS, k1_chart_phi1)),
+    (k1_vdp_field, ChartPointK1(0.3, 1.05, 0.1), (-0.2,)),
+    (composite_u, PhasePoint(1.0, 2.0 / 3.0), (0.01, _VDP_GAINS, _NBHD)),
+    (composite_u, PhasePoint(0.1, 0.01), (0.01, _VDP_GAINS, _NBHD)),
+    (composite_u, PhasePoint(0.2, 0.04), (0.01, _VDP_GAINS, _NBHD)),
 ], ids=["fold_rhs-fast", "fold_rhs-slow", "vdp_rhs", "eval_level_term", "fast_u",
-        "fast_u-phi_hat", "slow_u", "k2_mu", "k2_field"])
+        "fast_u-phi_hat", "slow_u", "k2_mu", "k2_field", "k1_vdp_mu",
+        "k1_vdp_field", "composite_u-N1", "composite_u-N2", "composite_u-overlap"])
 def test_law_gives_the_same_bits_for_a_plain_tuple_point(law, point, rest):
     # the runners integrate plain-tuple states through the same laws; a
-    # slice of a chart point is the (r2, x2, y2, alpha2) tuple the k2 run builds
-    plain = point[:4]
+    # slice of a chart point is the tuple its run builds: (r2, x2, y2, alpha2)
+    # in k2, (r1, x1, eps1) in k1-vdp
+    plain = point[:3] if isinstance(point, ChartPointK1) else point[:4]
     assert type(plain) is tuple
     assert _bits(law(plain, *rest)) == _bits(law(point, *rest))
+
+
+def _parent_composite_u(p, eps, gains, nbhd):
+    # reference blend with no short cut: every window multiplied in full and
+    # the branch root found twice per graph value (for phi0 and its correction)
+    x, y = p
+    m = nbhd.inner_margin
+    psi1 = (_window(-y + x * x - x ** 3 / 3.0, -nbhd.beta1, nbhd.beta1, m)
+            * _window(x, 0.0, 2.0, m)
+            * _window(y, nbhd.y_min, nbhd.y_h, m))
+    psi2 = (_window(-y + x * x, -nbhd.beta2, nbhd.beta2, m)
+            * _window(x, -nbhd.x_min, nbhd.x_max, m))
+    if psi1 == 0.0 and psi2 == 0.0:
+        return 0.0
+    u1 = u2 = 0.0
+    if psi1 > 0.0:
+        p0 = _phi0(y)
+        fx = 2.0 * p0 - p0 * p0
+        phi = _phi0(y) + eps * (p0 / (fx * fx))
+        sy = math.sqrt(y)
+        xs = gains.x_star * sy
+
+        def f_shift(shift):
+            d = x - shift
+            return -y + d * d - d * d * eps / (2.0 * y) - d ** 3 / 3.0
+
+        v1 = ((2.0 * phi + xs) / phi
+              * (-y + phi * phi - eps / (2.0 * y) * phi * phi - phi ** 3 / 3.0)
+              - (eps / y * phi + sy * phi * phi + gains.k1 * sy) * (x - phi - xs))
+        u1 = -f_shift(0.0) - f_shift(xs) + v1
+    if psi2 > 0.0:
+        u2 = gains.c1 * x / math.sqrt(eps) * (y - x * x + 0.5 * eps)
+    s = psi1 + psi2
+    return (psi1 * u1 + psi2 * u2) * (s - psi1 * psi2) / s
+
+
+# the window edges of the default neighborhoods at eps = 0.01 and of each
+# height the supervised run uses (band = 0.075 at inner_margin 0.5)
+_X_EDGES = [-0.3, -0.225, 0.0, 0.075, 0.225, 0.3, 1.925, 2.0]
+_Y_EDGES = [0.02, 0.095, 0.675, 0.75, 1.175, 1.25]
+_G_EDGES = [-0.15, -0.075, 0.075, 0.15]
+
+
+# boxes where the windows sit inside their bands, so few product factors
+# are exactly 1: near the fold every N1 window and N2's tube residual; at
+# either end of N2 its x window, across both tubes
+_BAND_BOXES = [((0.0, 0.075), (0.075, 0.095)),
+               ((0.225, 0.3), (-0.1, 0.25)),
+               ((-0.3, -0.225), (-0.1, 0.25))]
+
+
+@st.composite
+def _vdp_points(draw):
+    if draw(st.booleans()):
+        (x_lo, x_hi), (y_lo, y_hi) = draw(st.sampled_from(_BAND_BOXES))
+        return (draw(st.floats(min_value=x_lo, max_value=x_hi)),
+                draw(st.floats(min_value=y_lo, max_value=y_hi)))
+    x = draw(st.one_of(st.sampled_from(_X_EDGES),
+                       st.floats(min_value=-2.5, max_value=2.5)))
+    y = draw(st.one_of(
+        st.sampled_from(_Y_EDGES),
+        st.floats(min_value=-0.2, max_value=1.5),
+        # on a level of either tube residual, g = -y + x^2 - x^3/3 (N1) or
+        # g = -y + x^2 (N2), where those windows switch
+        st.sampled_from(_G_EDGES).map(lambda g: x * x - x ** 3 / 3.0 - g),
+        st.sampled_from(_G_EDGES).map(lambda g: x * x - g),
+    ))
+    return x, y
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(point=_vdp_points(), segment=st.sampled_from([(0.75, 0.01), (1.25, -0.01)]))
+@example(point=(-2.0, 1.4), segment=(1.25, -0.01))  # outside both neighborhoods
+@example(point=(1.0, 2.0 / 3.0), segment=(1.25, -0.01))  # N1 plateau
+@example(point=(0.1, 0.01), segment=(0.75, 0.01))  # N2 plateau
+@example(point=(0.2, 0.04), segment=(0.75, 0.01))  # overlap
+def test_composite_u_matches_the_full_product_formula(point, segment):
+    y_h, x_star = segment
+    gains = ControllerGains(1.0, 2.0, k1=1.0, x_star=x_star)
+    nbhd = default_neighborhoods(0.01, y_h)
+    want = _parent_composite_u(point, 0.01, gains, nbhd)
+    assert composite_u(point, 0.01, gains, nbhd).hex() == want.hex()
+    assert composite_u(PhasePoint(*point), 0.01, gains, nbhd).hex() == want.hex()
