@@ -19,6 +19,13 @@ steps are wanted anyway; a step-size collapse below ``min_step`` is
 reported as a stiffness fault carrying the partial trajectory instead of
 being hidden by an implicit solver.
 
+Each step runs in one of two kernels with the same contract.
+``_step_planar`` spells every stage sum, the 5th-order update and the error
+norm out for a two-component state; ``_step_any`` runs the same sums as
+comprehensions over a state of any other length.  A run picks its kernel
+once, from the length of the start.  Both add the same terms in the same
+order, so a planar state gives the same bits through either.
+
 The controller is evaluated once per field evaluation, and the engine keeps
 the values it needs.  The controls a trajectory records are the values from
 the first field call and from each accepted step's last stage, which FSAL
@@ -185,20 +192,95 @@ def _rms(values: Sequence[float]) -> float:
     return math.sqrt(acc / len(values))
 
 
-def _initial_step(field, y0, f0, span, cfg, pack):
+def _initial_step(rhs, u, y0, f0, span, cfg, pack):
     # standard two-probe starting-step heuristic, fully deterministic
     sc = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, sc)])
     d1 = _rms([v / s for v, s in zip(f0, sc)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span, cfg.max_step)
-    f1 = field(pack([v + h0 * d for v, d in zip(y0, f0)]))
+    p = pack([v + h0 * d for v, d in zip(y0, f0)])
+    f1 = rhs(p, u(p))
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, sc)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, span, cfg.max_step)
+
+
+# The step kernels: (rhs, u, y, k1, h, atol, rtol, pack) -> (y_new, u_new,
+# (k1, ..., k7), err), where err is the RMS of the scaled error estimate and
+# may be inf or nan.  Each stage evaluates the controller, then the field, at
+# the stage state.
+
+def _step_planar(rhs, u, y, k1, h, atol, rtol, pack):
+    y0, y1 = y
+    a0, a1 = k1
+    p = pack((y0 + h * (0.0 + _A21 * a0),
+              y1 + h * (0.0 + _A21 * a1)))
+    k2 = b0, b1 = rhs(p, u(p))
+    p = pack((y0 + h * (0.0 + _A31 * a0 + _A32 * b0),
+              y1 + h * (0.0 + _A31 * a1 + _A32 * b1)))
+    k3 = c0, c1 = rhs(p, u(p))
+    p = pack((y0 + h * (0.0 + _A41 * a0 + _A42 * b0 + _A43 * c0),
+              y1 + h * (0.0 + _A41 * a1 + _A42 * b1 + _A43 * c1)))
+    k4 = d0, d1 = rhs(p, u(p))
+    p = pack((y0 + h * (0.0 + _A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
+              y1 + h * (0.0 + _A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1)))
+    k5 = e0, e1 = rhs(p, u(p))
+    p = pack((y0 + h * (0.0 + _A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
+                        + _A65 * e0),
+              y1 + h * (0.0 + _A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
+                        + _A65 * e1)))
+    k6 = f0, f1 = rhs(p, u(p))
+    n0 = y0 + h * (0.0 + _A71 * a0 + _A72 * b0 + _A73 * c0 + _A74 * d0
+                   + _A75 * e0 + _A76 * f0)
+    n1 = y1 + h * (0.0 + _A71 * a1 + _A72 * b1 + _A73 * c1 + _A74 * d1
+                   + _A75 * e1 + _A76 * f1)
+    y_new = pack((n0, n1))
+    u_new = u(y_new)
+    k7 = g0, g1 = rhs(y_new, u_new)
+    q0 = (h * (0.0 + _E1 * a0 + _E2 * b0 + _E3 * c0 + _E4 * d0 + _E5 * e0
+               + _E6 * f0 + _E7 * g0)
+          / (atol + rtol * max(abs(y0), abs(n0))))
+    q1 = (h * (0.0 + _E1 * a1 + _E2 * b1 + _E3 * c1 + _E4 * d1 + _E5 * e1
+               + _E6 * f1 + _E7 * g1)
+          / (atol + rtol * max(abs(y1), abs(n1))))
+    err = math.sqrt((0.0 + q0 * q0 + q1 * q1) / 2)
+    return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
+
+
+def _step_any(rhs, u, y, k1, h, atol, rtol, pack):
+    p = pack([y0 + h * (0.0 + _A21 * a)
+              for y0, a in zip(y, k1)])
+    k2 = rhs(p, u(p))
+    p = pack([y0 + h * (0.0 + _A31 * a + _A32 * b)
+              for y0, a, b in zip(y, k1, k2)])
+    k3 = rhs(p, u(p))
+    p = pack([y0 + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
+              for y0, a, b, c in zip(y, k1, k2, k3)])
+    k4 = rhs(p, u(p))
+    p = pack([y0 + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
+              for y0, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k5 = rhs(p, u(p))
+    p = pack([y0 + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d
+                        + _A65 * e)
+              for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    k6 = rhs(p, u(p))
+    y_new = pack([y0 + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d
+                            + _A75 * e + _A76 * f)
+                  for y0, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)])
+    u_new = u(y_new)
+    k7 = rhs(y_new, u_new)
+    err = _rms([
+        h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e
+             + _E6 * f + _E7 * g)
+        / (atol + rtol * max(abs(y0), abs(y1)))
+        for y0, y1, a, b, c, d, e, f, g
+        in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)
+    ])
+    return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
 
 
 def _interpolant(h, y, y_new, ks, pack):
@@ -275,21 +357,24 @@ def _run(rhs, u, start, t_span, cfg, watchers):
     t, t1 = t_span
     if not (math.isfinite(t) and math.isfinite(t1) and t1 > t):
         raise DomainError(f"bad t_span {t_span!r}")
+    if not start:
+        raise DomainError("the state needs at least one component")
     for v in start:
         if not math.isfinite(v):
             raise DomainError(f"non-finite initial state {tuple(start)!r}")
     pack = getattr(type(start), "_make", tuple)
+    step = _step_planar if len(start) == 2 else _step_any
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     y = pack(start)
     times, states, controls, events = [t], [y], [math.nan], []
 
-    def field(p):
-        return rhs(p, u(p))
-
     try:
         controls[0] = u(y)
         f_now = rhs(y, controls[0])
-        h = _initial_step(field, y, f_now, t1 - t, cfg, pack)
+        if len(f_now) != len(y):
+            raise DomainError(f"the field returned {len(f_now)} components "
+                              f"for a state of {len(y)}")
+        h = _initial_step(rhs, u, y, f_now, t1 - t, cfg, pack)
     except (ExponentOverflowError, IntegrationError):
         events.append(Event("overflow-fault", t, y, "fault"))
         return times, states, controls, events, "overflow-fault"
@@ -307,45 +392,16 @@ def _run(rhs, u, start, t_span, cfg, watchers):
         if clamped:
             h = t1 - t
 
-        k1 = f_now
         try:
-            k2 = field(pack([
-                y0 + h * (0.0 + _A21 * a)
-                for y0, a in zip(y, k1)]))
-            k3 = field(pack([
-                y0 + h * (0.0 + _A31 * a + _A32 * b)
-                for y0, a, b in zip(y, k1, k2)]))
-            k4 = field(pack([
-                y0 + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
-                for y0, a, b, c in zip(y, k1, k2, k3)]))
-            k5 = field(pack([
-                y0 + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                for y0, a, b, c, d in zip(y, k1, k2, k3, k4)]))
-            k6 = field(pack([
-                y0 + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d
-                          + _A65 * e)
-                for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]))
-            # the last stage row is the 5th-order solution at t + h, and the
+            # the last stage is the 5th-order solution at t + h, and the
             # control found there is the one the new point records
-            y_new = pack([
-                y0 + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d
-                          + _A75 * e + _A76 * f)
-                for y0, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)])
-            u_new = u(y_new)
-            k7 = rhs(y_new, u_new)
+            y_new, u_new, ks, err = step(rhs, u, y, f_now, h, atol, rtol, pack)
         except (ExponentOverflowError, IntegrationError):
             events.append(Event("overflow-fault", t, y, "fault"))
             status = "overflow-fault"
             break
         nsteps += 1
 
-        err = _rms([
-            h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e
-                 + _E6 * f + _E7 * g)
-            / (atol + rtol * max(abs(y0), abs(y1)))
-            for y0, y1, a, b, c, d, e, f, g
-            in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)
-        ])
         if not math.isfinite(err):
             err = 10.0
 
@@ -366,7 +422,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
                 if (direction := _crossing(w.kind, w.direction, g0, g1))]
             g_now = g_new
             if crossings:
-                dense = _interpolant(h, y, y_new, (k1, k2, k3, k4, k5, k6, k7), pack)
+                dense = _interpolant(h, y, y_new, ks, pack)
                 fired = _located(crossings, dense, t, h)
                 stop = next((th for th, _, w in fired if w.terminal), None)
                 events.extend(Event(w.kind, t + th * h, dense(th), dr)
@@ -387,7 +443,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
         times.append(t)
         states.append(y)
         controls.append(u_new)
-        f_now = k7
+        f_now = ks[6]
 
         facold = max(err, 1e-4)
         fac = err ** _EXPO1 / facold ** _BETA
@@ -412,7 +468,9 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     a NamedTuple such as :class:`PhasePoint` is rebuilt with its ``_make``,
     any other sequence gives plain tuples.  ``u(p) -> float`` is the
     feedback, called once per field evaluation, and ``rhs(p, u_value)``
-    returns the derivative as a sequence in the order of the state.  The
+    returns the derivative as a sequence in the order of the state.  An
+    empty start, or a derivative at the start with another number of
+    components than the state, raises :class:`DomainError`.  The
     recorded controls are the values those calls returned: at the start
     state and, at each accepted step, from the last (FSAL) stage, which runs
     at the new state.  Only a state the run ends on at a terminal event is

@@ -405,6 +405,22 @@ class TestMain:
                 for p in base.rglob("*") if p.is_file()})
         assert digests[0] == digests[1]
 
+    def test_every_experiment_gives_the_same_bytes_under_any_jobs(self, tmp_path):
+        # all registered experiments at their defaults, full length
+        configs = [_write_cfg(tmp_path / f"{name}.json", name)
+                   for name in sorted(cli._SPECS)]
+        assert len(configs) == 9
+        digests = []
+        for jobs in ("1", "2"):
+            base = tmp_path / f"batch-{jobs}"
+            assert main(["run", *map(str, configs), "--jobs", jobs,
+                         "--out", str(base)]) == 0
+            digests.append({
+                p.relative_to(base).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in base.rglob("*") if p.is_file()})
+        assert {path.split("/")[0] for path in digests[0]} == set(cli._SPECS)
+        assert digests[0] == digests[1]
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_unexpected_exception_exits_5_and_batch_goes_on(
             self, tmp_path, monkeypatch, capfd, jobs):

@@ -2,9 +2,10 @@
 
 import hashlib
 import math
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canardctl.controllers import composite_u, default_neighborhoods, fast_u
@@ -28,6 +29,8 @@ from canardctl.sim import (
     integrate,
     _crossing,
     _locate,
+    _step_any,
+    _step_planar,
 )
 
 
@@ -179,6 +182,39 @@ def _three_components(s, u):
     return (0.5 * r * e * x, -e * e * x, 0.0)
 
 
+def test_fast_controlled_fold_matches_mpmath_taylor_solver():
+    # an independent solver: mpmath's Taylor-series odefun on the same
+    # closed loop, fold-fast's defaults with eps = 0.1, from fold-fast's start
+    mpmath = pytest.importorskip("mpmath")
+    params = SystemParams(0.1, -0.1)
+    gains = ControllerGains(1.0, 2.0)
+    level = ScaledLevel(0.25, 400.0)
+    hot = zero_terms()
+    cfg = IntegratorConfig()
+    t_end = 2.0
+    traj = integrate(lambda p, u: fold_rhs(p, params, hot, u),
+                     lambda p: fast_u(p, params, gains, level),
+                     (0.2, 0.3), (0.0, t_end), cfg)
+
+    with mpmath.workdps(20):
+        eps, alpha = mpmath.mpf(params.eps), mpmath.mpf(params.alpha)
+        c1, c2 = mpmath.mpf(gains.c1), mpmath.mpf(gains.c2)
+        h0, big_e = mpmath.mpf(level.h0), mpmath.mpf(level.E)
+
+        def loop(t, s):
+            x, y = s
+            xh = x - alpha
+            term = (mpmath.exp((c2 - 2) * y / eps) * (y - xh * xh + eps / 2)
+                    / (2 * eps) - h0 * mpmath.exp(c2 * y / eps - big_e))
+            u = -2 * alpha * xh - alpha ** 2 + c1 * xh * mpmath.sqrt(eps) * term
+            return [-y + x * x + u, eps * (x - alpha)]
+
+        exact = mpmath.odefun(loop, 0, [mpmath.mpf(0.2), mpmath.mpf(0.3)])(t_end)
+    assert traj.final_time == t_end
+    for got, want in zip(traj.final_state, exact):
+        assert abs(got - float(want)) <= 10.0 * cfg.rel_tol * max(1.0, abs(float(want)))
+
+
 def test_integrate_three_components():
     traj = integrate(_three_components, _no_u, (1.0, 1.0, 1.0), (0.0, 4.0))
     assert traj.final_time == 4.0
@@ -186,6 +222,23 @@ def test_integrate_three_components():
     assert e == pytest.approx(1.0 / 5.0, rel=1e-7)
     # r grows like (1 + e0 t)^(1/2)
     assert r == pytest.approx(math.sqrt(5.0), rel=1e-7)
+
+
+def test_empty_start_is_rejected():
+    with pytest.raises(DomainError, match="at least one component"):
+        integrate(lambda p, u: (), _no_u, (), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("start, slope", [
+    ((0.0, 1.0), (1.0,)),
+    ((0.0, 1.0), (1.0, 0.0, 0.0)),
+    ((1.0, 1.0, 1.0), (1.0, 0.0)),
+    (PhasePoint(0.0, 1.0), (1.0,)),
+], ids=["2-to-1", "2-to-3", "3-to-2", "PhasePoint-to-1"])
+def test_field_of_another_length_is_rejected(start, slope):
+    # zip would cut the state down to the shorter of the two
+    with pytest.raises(DomainError, match="components"):
+        integrate(lambda p, u: slope, _no_u, start, (0.0, 1.0))
 
 
 @pytest.mark.parametrize("start", [PhasePoint(-1.0, 0.5), (-1.0, 0.5)],
@@ -325,6 +378,22 @@ def _vector_run():
     return _digest(traj.times, traj.states, (), traj.events)
 
 
+def _inf_past_one(calls=None):
+    # x' = 1 - x creeps up to x = 1 while the steps grow to DOPRI5's stability
+    # bound, so stage probes overshoot x = 1, where the field turns infinite:
+    # every such attempt has a non-finite slope, err = 10, and is rejected
+    def rhs(p, u):
+        if calls is not None:
+            calls["rhs"] += 1
+        if p[0] > 1.0:
+            if calls is not None:
+                calls["inf"] += 1
+            return (math.inf, -p[1])
+        return (1.0 - p[0], -p[1])
+
+    return integrate(rhs, _no_u, (0.0, 1.0), (0.0, 40.0))
+
+
 GOLDEN = {
     "fold-fast-watcher": (
         lambda: _traj_digest(_fold_fast_run()),
@@ -347,6 +416,9 @@ GOLDEN = {
     "vector-three-components": (
         _vector_run,
         "810df24dbc8d6929516e38fb3af4d605bf4d5ee7afb8b87f0a6bf5e7efd39ddb"),
+    "non-finite-stage-rejected": (
+        lambda: _traj_digest(_inf_past_one()),
+        "c8c3b5afc888eb5d29a6a4c0bc2c9ec289149bf07f0a36ef921b3ba48d2aebef"),
 }
 
 
@@ -369,6 +441,13 @@ def test_pinned_runs_take_the_paths_they_pin():
             assert math.isnan(start.controls[0])
         else:
             assert start.controls == (control,)
+    # one field call at the start and one in the initial-step probe, then six
+    # per attempted step: more than that for the accepted steps means some
+    # were rejected, and any attempt that met an infinite slope was
+    calls = {"rhs": 0, "inf": 0}
+    accepted = len(_inf_past_one(calls)) - 1
+    assert calls["inf"] > 0
+    assert calls["rhs"] > 6 * accepted + 2
 
 
 @pytest.mark.parametrize("run, terminal_states", [
@@ -446,3 +525,98 @@ def test_locate_returns_first_point_past_a_monotone_crossing(theta_star, h, t_ol
     assert 0.0 < theta <= 1.0
     assert crossed(theta)
     assert not crossed(theta - tol / h)
+
+
+# -- step kernel agreement ---------------------------------------------------
+# The written-out planar step and the generic one must agree to the bit on
+# every two-component input, with non-finite slopes and signed zeros included.
+
+def _bits(value):
+    """A value's exact bits: floats by their IEEE-754 encoding, sequences
+    by their type and items, so nan payloads, infinities and -0.0 count."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return type(value).__name__, tuple(_bits(v) for v in value)
+
+
+def _finite_or_one(v):
+    return v if math.isfinite(v) else 1.0
+
+
+def _stage_field(kind, c, scale, bad_call, bad_component, bad_value, log):
+    """A two-component field, finite everywhere, except that its call number
+    ``bad_call`` (0 is the k1 call) returns ``bad_value`` in one component.
+    Every call's point and control go to ``log``."""
+    def base(p, uval):
+        x, y = p
+        if kind == "signed-zero":
+            return (-0.0, -0.0)
+        fx = c[0] + c[1] * x + c[2] * y + c[3] * uval
+        fy = c[4] + c[5] * x + c[6] * y - c[3] * uval
+        if kind == "quadratic":
+            fx += c[7] * x * x + c[8] * x * y
+            fy += c[9] * y * y - c[8] * x * y
+        return (_finite_or_one(scale * fx), _finite_or_one(scale * fy))
+
+    def rhs(p, uval):
+        log.append((_bits(p), _bits(uval)))
+        out = base(p, uval)
+        if len(log) - 1 == bad_call:
+            out = list(out)
+            out[bad_component] = bad_value
+            out = tuple(out)
+        return out
+
+    return rhs
+
+
+# field scales: unit, the decades where the squares of the scaled error
+# estimate are subnormal, and everything up to where the stages overflow
+_scale = st.one_of(st.just(0),
+                   st.integers(min_value=-160, max_value=-145),
+                   st.integers(min_value=-170, max_value=160)).map(
+    lambda e: 10.0 ** e)
+_component = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                       st.floats(min_value=-1e3, max_value=1e3))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+# both squares of the scaled error are subnormal, so halving each before
+# the sum rounds differently from halving the sum
+@example(kind="linear", c=[3.0, -2.0, 4.0, 0.0, -3.0, -2.0, 4.0, 2.0, -3.0, 1.0],
+         scale=10.0 ** -150, w=(1.0, 0.0), start=(2.0, -1.0), bad_call=None,
+         bad_component=0, bad_value=math.inf, pack=tuple, h=2.0,
+         tols=(1e-10, 1e-8))
+@given(kind=st.sampled_from(["linear", "quadratic", "signed-zero"]),
+       c=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=10,
+                  max_size=10),
+       scale=_scale,
+       w=st.tuples(st.floats(min_value=-2.0, max_value=2.0),
+                   st.floats(min_value=-2.0, max_value=2.0)),
+       start=st.tuples(_component, _component),
+       bad_call=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+       bad_component=st.integers(min_value=0, max_value=1),
+       bad_value=st.sampled_from([math.inf, -math.inf, math.nan]),
+       pack=st.sampled_from([tuple, PhasePoint._make]),
+       h=st.floats(min_value=1e-12, max_value=10.0),
+       tols=st.sampled_from([(1e-10, 1e-8), (1e-6, 1e-3), (1e-12, 1e-12)]))
+def test_planar_step_matches_the_generic_step_bit_for_bit(
+        kind, c, scale, w, start, bad_call, bad_component, bad_value, pack, h,
+        tols):
+    atol, rtol = tols
+    results = []
+    for step in (_step_planar, _step_any):
+        log = []
+        rhs = _stage_field(kind, c, scale, bad_call, bad_component, bad_value,
+                           log)
+
+        def u(p):
+            return w[0] * p[0] + w[1] * p[1]
+
+        y = pack(start)
+        k1 = rhs(y, u(y))
+        y_new, u_new, ks, err = step(rhs, u, y, k1, h, atol, rtol, pack)
+        assert len(ks) == 7 and ks[0] is k1
+        results.append((_bits(y_new), _bits(u_new), _bits(ks), _bits(err),
+                        tuple(log)))
+    assert results[0] == results[1]
