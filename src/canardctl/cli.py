@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .blowup import ChartPointK2, k1_vdp_field, k2_field
+from .blowup import k1_vdp_field, k2_field
 from .controllers import (
     K1Domain,
     NeighborhoodParams,
@@ -537,7 +537,7 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
     for ic in ics:
         traj, status, gap = run_ic(ic, phi2, watched=True)
         hits = traj.events_of("level-convergence")
-        l2 = [lyapunov_L2(ChartPointK2(r2, p[0], p[1], alpha2), gains, h)[0]
+        l2 = [lyapunov_L2((r2, p[0], p[1], alpha2), gains, h)[0]
               for p in traj.states]
         per_ic.append({
             "ic": [ic.x, ic.y],

@@ -9,9 +9,10 @@ with a centre-manifold controller that pins the repelling slow branch
 (`k1_vdp_mu` in the entry chart, blown down inside `composite_u`), localized
 by C2 bump functions subordinate to two overlapping neighborhoods.
 
-All evaluations are pure functions of the state and frozen parameter blocks;
-closures returned by helpers capture only immutable data.  The fold laws
-and `composite_u` take their point as an (x, y) sequence, `k2_mu` takes
+All evaluations are closed-form pure functions of the state and frozen
+parameter blocks; no law integrates anything, and the module builds on
+`core` and `errors` alone.  The fold laws and `composite_u` take their
+point as an (x, y) sequence, `k2_mu` and `lyapunov_L2` take
 (r2, x2, y2, alpha2) and `k1_vdp_mu` takes (r1, x1, eps1), so a NamedTuple
 point and a plain tuple give the same bits.
 """
@@ -22,11 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
-from .blowup import ChartPointK2
 from .core import (
     EXP_GUARD,
     ControllerGains,
-    PhasePoint,
     ScaledLevel,
     SystemParams,
     _require_eps,
@@ -37,11 +36,8 @@ from .core import (
 from .errors import (
     DomainError,
     ExponentOverflowError,
-    IntegrationError,
     SingularConfigurationError,
 )
-from .models import vdp_rhs
-from .sim import IntegratorConfig, Watcher, integrate
 
 __all__ = [
     "NeighborhoodParams",
@@ -221,20 +217,24 @@ def k2_mu(cp: Sequence[float], gains: ControllerGains, level_h: float,
     return mu
 
 
-def lyapunov_L2(p: ChartPointK2, gains: ControllerGains,
+def lyapunov_L2(cp: Sequence[float], gains: ControllerGains,
                 level_h: float) -> Tuple[float, float]:
     """Level-error Lyapunov function and its closed-loop decay rate.
 
     Returns (L2, L2_rate) with L2 = (H2 - h)**2 / 2.  The rate is
     nonpositive for every state and every c2; it vanishes exactly on the
-    target level set and on the axis {x2 = 0}.
+    target level set and on the axis {x2 = 0}.  ``cp`` is a
+    :class:`ChartPointK2` or a plain (r2, x2, y2, alpha2) tuple.
     """
-    _require_finite(x2=p.x2, y2=p.y2, level_h=level_h)
-    ht = eval_H2(p.x2, p.y2) - level_h
+    x2, y2 = cp[1], cp[2]
+    if not (math.isfinite(x2) and math.isfinite(y2)
+            and math.isfinite(level_h)):
+        _require_finite(x2=x2, y2=y2, level_h=level_h)
+    ht = eval_H2(x2, y2) - level_h
     l2 = 0.5 * ht * ht
     # diagnostic: clamp instead of raising so the rate stays plottable
-    e = min((gains.c2 - 2.0) * p.y2, EXP_GUARD)
-    rate = -gains.c1 * p.x2 * p.x2 * math.exp(e) * ht * ht
+    e = min((gains.c2 - 2.0) * y2, EXP_GUARD)
+    rate = -gains.c1 * x2 * x2 * math.exp(e) * ht * ht
     return l2, rate
 
 
@@ -274,46 +274,12 @@ def _phi_expansion(y: float, eps: float) -> float:
     return p0 + eps * (p0 / (fx * fx))
 
 
-def _phi_refined(y: float, eps: float) -> float:
-    """Backward-time refinement of the slow-manifold graph.
-
-    Seeds on the critical branch above the target height and integrates the
-    time-reversed layer-plus-drift flow down to it; reversing time turns
-    the repelling branch into an attractor, so the seed error contracts at
-    the rate of the transverse eigenvalue.  The ceiling keeps the seed away
-    from the upper fold where that rate degenerates.
-    """
-    y_seed = min(y + 0.35, 1.31)
-    if y_seed <= y:
-        return _phi_expansion(y, eps)
-    start = PhasePoint(_phi0(y_seed), y_seed)
-
-    def rhs(p, u):
-        dx, dy = vdp_rhs(p, eps, u)
-        return (-dx, -dy)
-
-    traj = integrate(
-        rhs, lambda p: 0.0, start,
-        (0.0, 20.0 + 4.0 * (y_seed - y) / (eps * max(0.05, math.sqrt(y)))),
-        IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12),
-        watchers=[Watcher("section-crossing", lambda p: p.y - y,
-                          direction="down", terminal=True)],
-    )
-    hits = traj.events_of("section-crossing")
-    if not hits:
-        raise IntegrationError(
-            f"backward refinement never reached height {y!r}", traj)
-    return hits[-1].state.x
-
-
-def vdp_slow_manifold_phi(y: float, eps: float, nbhd: NeighborhoodParams,
-                          refine: bool = False) -> float:
+def vdp_slow_manifold_phi(y: float, eps: float,
+                          nbhd: NeighborhoodParams) -> float:
     """Graph x = phi(y, eps) of the repelling slow manifold.
 
     First-order expansion phi0(y) + eps*phi0/(2*phi0 - phi0**2)**2 about the
-    critical branch; with refine=True the value is instead obtained by
-    backward-time integration, which resolves the manifold beyond first
-    order at the cost of an ODE solve per call.
+    critical branch, on the height range [y_min, y_h] of N1.
     """
     if not (math.isfinite(y) and math.isfinite(eps)):
         _require_finite(y=y, eps=eps)
@@ -323,8 +289,6 @@ def vdp_slow_manifold_phi(y: float, eps: float, nbhd: NeighborhoodParams,
         raise DomainError(
             f"height {y!r} outside the graph domain "
             f"[{nbhd.y_min!r}, {nbhd.y_h!r}]")
-    if refine and eps > 0.0:
-        return _phi_refined(y, eps)
     return _phi_expansion(y, eps)
 
 
@@ -358,8 +322,8 @@ def _smoothstep(t: float) -> float:
 
 
 def _window(v: float, lo: float, hi: float, margin: float) -> float:
-    """C2 plateau window for the scalar constraint lo < v < hi."""
-    if v <= lo or v >= hi:
+    """C2 plateau window for the scalar constraint lo < v < hi; 0 for nan."""
+    if not lo < v < hi:
         return 0.0
     band = (1.0 - margin) * min(0.5 * (hi - lo), _MAX_BAND)
     s = 1.0
@@ -431,22 +395,22 @@ def k1_vdp_mu(p: Sequence[float], gains: ControllerGains,
     return -_f1(r1, eps1, x1) - _f1(r1, eps1, x1 - xs) + v
 
 
-def _vdp_u1(p: Sequence[float], eps: float, gains: ControllerGains,
-            nbhd: NeighborhoodParams) -> float:
-    """Blow-down of the entry-chart controller to original coordinates."""
+def _vdp_u1(p: Sequence[float], eps: float, gains: ControllerGains) -> float:
+    """Blow-down of the entry-chart controller to original coordinates.
+
+    Called only where psi1 > 0, which puts (x, y) finite inside N1, so y
+    lies in (y_min, y_h), the domain of the slow-manifold graph.
+    """
     x, y = p
-    phi = vdp_slow_manifold_phi(y, eps, nbhd)
+    phi = _phi_expansion(y, eps)
     sy = math.sqrt(y)
     xs = gains.x_star * sy
-
-    def f_shift(shift: float) -> float:
-        d = x - shift
-        return -y + d * d - d * d * eps / (2.0 * y) - d ** 3 / 3.0
-
     v1 = ((2.0 * phi + xs) / phi
           * (-y + phi * phi - eps / (2.0 * y) * phi * phi - phi ** 3 / 3.0)
           - (eps / y * phi + sy * phi * phi + gains.k1 * sy) * (x - phi - xs))
-    return -f_shift(0.0) - f_shift(xs) + v1
+    d = x - xs
+    return (-(-y + x * x - x * x * eps / (2.0 * y) - x ** 3 / 3.0)
+            - (-y + d * d - d * d * eps / (2.0 * y) - d ** 3 / 3.0) + v1)
 
 
 def _vdp_u2(p: Sequence[float], eps: float, gains: ControllerGains) -> float:
@@ -471,7 +435,7 @@ def composite_u(p: Sequence[float], eps: float, gains: ControllerGains,
     psi2 = _psi_n2(x, y, nbhd)
     if psi1 == 0.0 and psi2 == 0.0:
         return 0.0
-    u1 = _vdp_u1(p, eps, gains, nbhd) if psi1 > 0.0 else 0.0
+    u1 = _vdp_u1(p, eps, gains) if psi1 > 0.0 else 0.0
     u2 = _vdp_u2(p, eps, gains) if psi2 > 0.0 else 0.0
     s = psi1 + psi2
     return (psi1 * u1 + psi2 * u2) * (s - psi1 * psi2) / s

@@ -201,6 +201,8 @@ def _initial_step(rhs, u, y0, f0, span, cfg, pack):
     h0 = min(h0, span, cfg.max_step)
     p = pack([v + h0 * d for v, d in zip(y0, f0)])
     f1 = rhs(p, u(p))
+    if len(f1) != len(f0):
+        raise _length_error(f1, y0)
     d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, sc)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -209,38 +211,71 @@ def _initial_step(rhs, u, y0, f0, span, cfg, pack):
     return min(100.0 * h0, h1, span, cfg.max_step)
 
 
+def _length_error(k, y):
+    return DomainError(f"the field returned {len(k)} components "
+                       f"for a state of {len(y)}")
+
+
 # The step kernels: (rhs, u, y, k1, h, atol, rtol, pack) -> (y_new, u_new,
 # (k1, ..., k7), err), where err is the RMS of the scaled error estimate and
 # may be inf or nan.  Each stage evaluates the controller, then the field, at
-# the stage state.
+# the stage state, and a field result of another length than the state
+# raises DomainError before any sum could cut the state down.  The planar
+# kernel learns the length from its unpacking, whose try costs nothing
+# until it raises; only the unpacking sits inside it, so a ValueError from
+# the field or the controller passes through unchanged.
 
 def _step_planar(rhs, u, y, k1, h, atol, rtol, pack):
     y0, y1 = y
     a0, a1 = k1
     p = pack((y0 + h * (0.0 + _A21 * a0),
               y1 + h * (0.0 + _A21 * a1)))
-    k2 = b0, b1 = rhs(p, u(p))
+    k2 = rhs(p, u(p))
+    try:
+        b0, b1 = k2
+    except ValueError:
+        raise _length_error(k2, y) from None
     p = pack((y0 + h * (0.0 + _A31 * a0 + _A32 * b0),
               y1 + h * (0.0 + _A31 * a1 + _A32 * b1)))
-    k3 = c0, c1 = rhs(p, u(p))
+    k3 = rhs(p, u(p))
+    try:
+        c0, c1 = k3
+    except ValueError:
+        raise _length_error(k3, y) from None
     p = pack((y0 + h * (0.0 + _A41 * a0 + _A42 * b0 + _A43 * c0),
               y1 + h * (0.0 + _A41 * a1 + _A42 * b1 + _A43 * c1)))
-    k4 = d0, d1 = rhs(p, u(p))
+    k4 = rhs(p, u(p))
+    try:
+        d0, d1 = k4
+    except ValueError:
+        raise _length_error(k4, y) from None
     p = pack((y0 + h * (0.0 + _A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
               y1 + h * (0.0 + _A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1)))
-    k5 = e0, e1 = rhs(p, u(p))
+    k5 = rhs(p, u(p))
+    try:
+        e0, e1 = k5
+    except ValueError:
+        raise _length_error(k5, y) from None
     p = pack((y0 + h * (0.0 + _A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
                         + _A65 * e0),
               y1 + h * (0.0 + _A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
                         + _A65 * e1)))
-    k6 = f0, f1 = rhs(p, u(p))
+    k6 = rhs(p, u(p))
+    try:
+        f0, f1 = k6
+    except ValueError:
+        raise _length_error(k6, y) from None
     n0 = y0 + h * (0.0 + _A71 * a0 + _A72 * b0 + _A73 * c0 + _A74 * d0
                    + _A75 * e0 + _A76 * f0)
     n1 = y1 + h * (0.0 + _A71 * a1 + _A72 * b1 + _A73 * c1 + _A74 * d1
                    + _A75 * e1 + _A76 * f1)
     y_new = pack((n0, n1))
     u_new = u(y_new)
-    k7 = g0, g1 = rhs(y_new, u_new)
+    k7 = rhs(y_new, u_new)
+    try:
+        g0, g1 = k7
+    except ValueError:
+        raise _length_error(k7, y) from None
     q0 = (h * (0.0 + _E1 * a0 + _E2 * b0 + _E3 * c0 + _E4 * d0 + _E5 * e0
                + _E6 * f0 + _E7 * g0)
           / (atol + rtol * max(abs(y0), abs(n0))))
@@ -252,27 +287,40 @@ def _step_planar(rhs, u, y, k1, h, atol, rtol, pack):
 
 
 def _step_any(rhs, u, y, k1, h, atol, rtol, pack):
+    n = len(y)
     p = pack([y0 + h * (0.0 + _A21 * a)
               for y0, a in zip(y, k1)])
     k2 = rhs(p, u(p))
+    if len(k2) != n:
+        raise _length_error(k2, y)
     p = pack([y0 + h * (0.0 + _A31 * a + _A32 * b)
               for y0, a, b in zip(y, k1, k2)])
     k3 = rhs(p, u(p))
+    if len(k3) != n:
+        raise _length_error(k3, y)
     p = pack([y0 + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
               for y0, a, b, c in zip(y, k1, k2, k3)])
     k4 = rhs(p, u(p))
+    if len(k4) != n:
+        raise _length_error(k4, y)
     p = pack([y0 + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
               for y0, a, b, c, d in zip(y, k1, k2, k3, k4)])
     k5 = rhs(p, u(p))
+    if len(k5) != n:
+        raise _length_error(k5, y)
     p = pack([y0 + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d
                         + _A65 * e)
               for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
     k6 = rhs(p, u(p))
+    if len(k6) != n:
+        raise _length_error(k6, y)
     y_new = pack([y0 + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d
                             + _A75 * e + _A76 * f)
                   for y0, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)])
     u_new = u(y_new)
     k7 = rhs(y_new, u_new)
+    if len(k7) != n:
+        raise _length_error(k7, y)
     err = _rms([
         h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e
              + _E6 * f + _E7 * g)
@@ -372,8 +420,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
         controls[0] = u(y)
         f_now = rhs(y, controls[0])
         if len(f_now) != len(y):
-            raise DomainError(f"the field returned {len(f_now)} components "
-                              f"for a state of {len(y)}")
+            raise _length_error(f_now, y)
         h = _initial_step(rhs, u, y, f_now, t1 - t, cfg, pack)
     except (ExponentOverflowError, IntegrationError):
         events.append(Event("overflow-fault", t, y, "fault"))
@@ -469,8 +516,10 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     any other sequence gives plain tuples.  ``u(p) -> float`` is the
     feedback, called once per field evaluation, and ``rhs(p, u_value)``
     returns the derivative as a sequence in the order of the state.  An
-    empty start, or a derivative at the start with another number of
-    components than the state, raises :class:`DomainError`.  The
+    empty start, or a derivative with another number of components than
+    the state, at the start or at any later evaluation, raises
+    :class:`DomainError`; any other exception the field or the controller
+    raises, apart from the faults below, passes through unchanged.  The
     recorded controls are the values those calls returned: at the start
     state and, at each accepted step, from the last (FSAL) stage, which runs
     at the new state.  Only a state the run ends on at a terminal event is
@@ -500,40 +549,33 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
 class ConvergenceReport:
     """Scaled-level residual along a trajectory and its convergence moment."""
 
-    residuals: tuple
     initial: float
     terminal: float
     time_below: float | None
     threshold: float
 
 
-def convergence_metrics(
-    traj: Trajectory,
-    eps: float,
-    level: ScaledLevel,
-    c2: float = 2.0,
-    threshold: float = 1e-3,
-    relative: bool = True,
-) -> ConvergenceReport:
-    """Residual time series exp(c2*y/eps)(H - h) over a planar trajectory.
+def convergence_metrics(traj: Trajectory, eps: float,
+                        level: ScaledLevel) -> ConvergenceReport:
+    """Residual time series exp(2y/eps)(H - h) over a planar trajectory.
 
-    With the default c2 = 2 the evaluation carries no large exponentials and
-    is safe along any finite trajectory; overflowing points (possible after a
-    fault) report an infinite residual.  ``time_below`` is the first accepted
-    time where |residual| falls at or below the threshold, interpreted as a
-    fraction of the initial residual when ``relative`` is set.
+    The weight c2 = 2 carries no large exponentials, so the evaluation is
+    safe along any finite trajectory; overflowing points (possible after a
+    fault) report an infinite residual.  ``time_below`` is the first
+    accepted time where |residual| falls to or below 1e-3 times the initial
+    residual, the cut reported as ``threshold``.
     """
     res = []
     for p in traj.states:
         try:
-            res.append(eval_level_term(p, eps, c2, level))
+            res.append(eval_level_term(p, eps, 2.0, level))
         except ExponentOverflowError:
             res.append(math.inf)
     initial = res[0]
-    cut = threshold * abs(initial) if relative else threshold
+    cut = 1e-3 * abs(initial)
     t_below = None
     for t, r in zip(traj.times, res):
         if abs(r) <= cut:
             t_below = t
             break
-    return ConvergenceReport(tuple(res), initial, res[-1], t_below, cut)
+    return ConvergenceReport(initial, res[-1], t_below, cut)

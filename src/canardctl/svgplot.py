@@ -20,7 +20,6 @@ __all__ = [
     "CriticalManifold",
     "ReferenceCycle",
     "NeighborhoodShading",
-    "emit_svg",
     "emit_phase_svg",
     "emit_timeseries_svg",
 ]
@@ -293,13 +292,6 @@ def emit_phase_svg(trajs: Sequence[Trajectory], overlays: Iterable, path,
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
-
-
-def emit_svg(traj: Trajectory, overlays: Iterable, path) -> None:
-    """Phase portrait of a single trajectory; see :func:`emit_phase_svg`."""
-    if len(traj) == 0:
-        raise ValueError("cannot plot an empty trajectory")
-    emit_phase_svg([traj], overlays, path)
 
 
 def emit_timeseries_svg(traj: Trajectory, path, label: str = "u") -> None:

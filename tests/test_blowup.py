@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canardctl.core import eval_H1, eval_H2
 from canardctl.errors import DomainError, ExtrapolationError
@@ -45,6 +47,34 @@ def test_kappa_roundtrip_and_H_transport():
         assert eval_H1(cp1.x1, cp1.eps1) == pytest.approx(
             eval_H2(cp2.x2, cp2.y2), rel=1e-12, abs=1e-300
         )
+
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=300)
+_coordinate = st.floats(min_value=-1e6, max_value=1e6)
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+
+
+def _same_point(a, b):
+    # abs_tol covers components that a division pushes into the subnormals
+    return all(math.isclose(u, v, rel_tol=1e-14, abs_tol=1e-300)
+               for u, v in zip(a, b, strict=True))
+
+
+@_PROPERTY
+@given(r1=st.floats(min_value=0.0, max_value=1e6), x1=_coordinate,
+       eps1=_positive, alpha1=_coordinate, mu1=_coordinate)
+def test_kappa21_inverts_kappa12(r1, x1, eps1, alpha1, mu1):
+    cp1 = ChartPointK1(r1, x1, eps1, alpha1, mu1)
+    assert _same_point(kappa21(kappa12(cp1)), cp1)
+
+
+@_PROPERTY
+@given(r2=st.floats(min_value=0.0, max_value=1e6), x2=_coordinate,
+       y2=_positive, alpha2=_coordinate, mu2=_coordinate)
+def test_kappa12_inverts_kappa21(r2, x2, y2, alpha2, mu2):
+    cp2 = ChartPointK2(r2, x2, y2, alpha2, mu2)
+    assert _same_point(kappa12(kappa21(cp2)), cp2)
 
 
 def test_kappa_domain_guards():

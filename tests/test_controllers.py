@@ -42,6 +42,7 @@ from canardctl.models import (
     quadratic_gap_phi2,
     vdp_rhs,
 )
+from test_acceptance import _branch_oracle
 
 
 def _bisect_phi0(y):
@@ -178,8 +179,8 @@ class TestSlowManifoldGraph:
     def test_expansion_matches_backward_oracle(self):
         nb = default_neighborhoods(0.01)
         expansion = vdp_slow_manifold_phi(2.0 / 3.0, 0.01, nb)
-        refined = vdp_slow_manifold_phi(2.0 / 3.0, 0.01, nb, refine=True)
-        assert abs(expansion - refined) < 5e-4
+        descended = _branch_oracle(0.01, [2.0 / 3.0])[2.0 / 3.0]
+        assert abs(expansion - descended) < 5e-4
 
     def test_domain_enforced(self):
         nb = default_neighborhoods(0.01)
@@ -240,6 +241,14 @@ class TestBumps:
         # N1 support respects the height slab
         assert bump_psi(PhasePoint(0.5, nb.y_min - 1e-9), "N1", nb) == 0.0
         assert bump_psi(PhasePoint(1.0, nb.y_h + 1e-9), "N1", nb) == 0.0
+
+    @pytest.mark.parametrize("region", ["N1", "N2"])
+    @pytest.mark.parametrize("p", [(math.nan, 0.5), (0.1, math.nan),
+                                   (math.nan, math.nan)])
+    def test_nan_coordinate_is_outside(self, p, region):
+        # each point lies on a plateau of every window its finite coordinate
+        # enters, so a nan window read as 1 would give a full bump
+        assert bump_psi(p, region, default_neighborhoods(0.01)) == 0.0
 
     def test_rejects_unknown_region(self):
         with pytest.raises(DomainError):

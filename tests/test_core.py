@@ -5,8 +5,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from canardctl.core import (
+    EXP_GUARD,
     ControllerGains,
     PhasePoint,
     ScaledLevel,
@@ -224,3 +227,76 @@ def test_eval_H2_rejects_nonfinite_arguments(arg, bad):
     args = {"x2": 0.5, "y2": 1.0, arg: bad}
     with pytest.raises(DomainError, match=_finite_message(arg, bad)):
         eval_H2(**args)
+
+
+_PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=300)
+
+
+@_PROPERTY
+@given(x=st.floats(min_value=-2.0, max_value=2.0),
+       eps=st.floats(min_value=0.005, max_value=0.5),
+       c2=st.floats(min_value=0.5, max_value=4.0),
+       h0=st.floats(min_value=-1.0, max_value=0.25),
+       big_e=st.floats(min_value=0.0, max_value=2000.0),
+       offset=st.floats(min_value=-30.0, max_value=30.0),
+       weight_side=st.booleans())
+@example(x=0.1, eps=0.01, c2=2.5, h0=0.25, big_e=0.0, offset=-1e-9,
+         weight_side=True)
+@example(x=0.1, eps=0.01, c2=2.5, h0=0.25, big_e=0.0, offset=1e-9,
+         weight_side=True)
+@example(x=0.1, eps=0.01, c2=1.97, h0=0.25, big_e=400.0, offset=-1e-9,
+         weight_side=False)
+@example(x=0.1, eps=0.01, c2=1.97, h0=0.25, big_e=400.0, offset=1e-9,
+         weight_side=False)
+def test_eval_level_term_against_mpmath_around_the_guard(
+        x, eps, c2, h0, big_e, offset, weight_side):
+    mpmath = pytest.importorskip("mpmath")
+    # y puts one combined exponent within 30 of EXP_GUARD, on either side:
+    # (c2 - 2)*y/eps for the weight, c2*y/eps - E for the level
+    if weight_side:
+        assume(c2 > 2.05)
+        y = (EXP_GUARD + offset) * eps / (c2 - 2.0)
+    else:
+        y = (EXP_GUARD + offset + big_e) * eps / c2
+    level = ScaledLevel(h0, big_e)
+    exponents = [(c2 - 2.0) * y / eps]
+    if h0 != 0.0:
+        exponents.append(c2 * y / eps - big_e)
+    if max(exponents) > EXP_GUARD:
+        with pytest.raises(ExponentOverflowError):
+            eval_level_term((x, y), eps, c2, level)
+        return
+    got = eval_level_term((x, y), eps, c2, level)
+    with mpmath.workdps(50):
+        X, Y, EPS, C2, H0, E = map(mpmath.mpf, (x, y, eps, c2, h0, big_e))
+        weight = mpmath.exp(C2 * Y / EPS)
+        h_part = weight * H0 * mpmath.exp(-E)
+        H_part = weight * mpmath.mpf(0.5) * mpmath.exp(-2 * Y / EPS) * (
+            (Y - X ** 2) / EPS + mpmath.mpf(0.5))
+        ref = H_part - h_part
+        # the two parts are rounded apart, so they bound the error
+        scale = abs(H_part) + abs(h_part)
+    # a part near the largest double can overflow the float product even
+    # below the guard; such results have no float to compare with
+    assume(scale < 1e307)
+    assert abs(got - ref) <= 1e-12 * scale + 1e-300
+
+
+@_PROPERTY
+@given(big_e=st.floats(min_value=0.0, max_value=700.0),
+       rel=st.one_of(st.floats(min_value=-1e-9, max_value=1e-9),
+                     st.sampled_from([0.0, -1e-15, 1e-15, 2e-12, -2e-12])))
+def test_scaled_level_cap_at_one_quarter(big_e, rel):
+    mpmath = pytest.importorskip("mpmath")
+    # h0 = 1/4 exp(E)(1 + rel) puts h = h0 exp(-E) just around the cap
+    h0 = 0.25 * math.exp(big_e) * (1.0 + rel)
+    with mpmath.workdps(50):
+        excess = mpmath.mpf(h0) * mpmath.exp(-mpmath.mpf(big_e)) * 4 - 1
+    # the cap compares logs with a 1e-12 allowance, so a level less than
+    # 2e-12 above 1/4 may go either way
+    if excess <= 0:
+        assert ScaledLevel(h0, big_e).h0 == h0
+    elif excess >= 2e-12:
+        with pytest.raises(DomainError, match="exceeds 1/4"):
+            ScaledLevel(h0, big_e)

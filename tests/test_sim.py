@@ -241,6 +241,58 @@ def test_field_of_another_length_is_rejected(start, slope):
         integrate(lambda p, u: slope, _no_u, start, (0.0, 1.0))
 
 
+@pytest.mark.parametrize("step", [_step_planar, _step_any])
+@pytest.mark.parametrize("stage", range(2, 8))
+@pytest.mark.parametrize("length", [1, 3])
+def test_step_kernels_reject_a_stage_of_another_length(step, stage, length):
+    points = []
+
+    def rhs(p, u):
+        points.append(p)
+        return (1.0,) * length if len(points) == stage - 1 else (1.0, 0.0)
+
+    with pytest.raises(DomainError,
+                       match=f"returned {length} components for a state of 2"):
+        step(rhs, _no_u, (0.0, 1.0), (1.0, 0.0), 0.1, 1e-10, 1e-8, tuple)
+    # no stage ran on a state cut down or padded by the bad result
+    assert [len(p) for p in points] == [2] * (stage - 1)
+
+
+@pytest.mark.parametrize("start, later",
+                         [((1.0, 1.0, 1.0), 2), ((0.0, 1.0), 1)],
+                         ids=["3-to-2", "2-to-1"])
+def test_field_whose_length_changes_mid_run_is_rejected(start, later):
+    # the fifth call is a stage of the first step, past the start checks
+    calls = []
+
+    def rhs(p, u):
+        calls.append(p)
+        n = len(start) if len(calls) < 5 else later
+        return (1.0,) + (0.0,) * (n - 1)
+
+    msg = f"returned {later} components for a state of {len(start)}"
+    with pytest.raises(DomainError, match=msg):
+        integrate(rhs, _no_u, start, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("start", [(0.0, 1.0), (0.0, 1.0, 1.0)],
+                         ids=["planar", "any"])
+@pytest.mark.parametrize("source", ["field", "controller"])
+def test_value_error_of_the_field_or_controller_passes_through(start, source):
+    # sqrt(0.5 - x) fails once a stage steps past x = 0.5 under x' = 1
+    def rhs(p, u):
+        if source == "field":
+            math.sqrt(0.5 - p[0])
+        return (1.0,) + (0.0,) * (len(p) - 1)
+
+    def u(p):
+        return math.sqrt(0.5 - p[0]) if source == "controller" else 0.0
+
+    with pytest.raises(ValueError, match="^math domain error$") as exc:
+        integrate(rhs, u, start, (0.0, 1.0))
+    assert type(exc.value) is ValueError
+
+
 @pytest.mark.parametrize("start", [PhasePoint(-1.0, 0.5), (-1.0, 0.5)],
                          ids=["PhasePoint", "tuple"])
 def test_states_keep_the_type_of_start(start):
@@ -295,7 +347,7 @@ def test_convergence_metrics_relative_threshold():
     states = tuple(PhasePoint(0.0, y) for y in ys)
     times = tuple(float(i) for i in range(len(ys)))
     traj = Trajectory(times, states, tuple(0.0 for _ in ys))
-    rep = convergence_metrics(traj, eps, level, threshold=1e-3, relative=True)
+    rep = convergence_metrics(traj, eps, level)
     assert isinstance(rep, ConvergenceReport)
     assert rep.initial == pytest.approx((0.4 + 0.005) / 0.02)
     # cut is 1e-3 * 20.25; first satisfied at t = 4 where the residual is 1e-3

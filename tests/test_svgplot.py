@@ -17,7 +17,6 @@ from canardctl.svgplot import (
     NeighborhoodShading,
     ReferenceCycle,
     emit_phase_svg,
-    emit_svg,
     emit_timeseries_svg,
 )
 
@@ -39,7 +38,7 @@ def _classes(path, tag):
 class TestPhasePortrait:
     def test_fold_overlay_single_dashed_parabola(self, tmp_path):
         out = tmp_path / "fold.svg"
-        emit_svg(_parabola_traj(), [CriticalManifold("fold")], out)
+        emit_phase_svg([_parabola_traj()], [CriticalManifold("fold")], out)
         root = ET.parse(out).getroot()
         assert root.tag == f"{_NS}svg"
         assert root.get("version") == "1.1"
@@ -59,7 +58,7 @@ class TestPhasePortrait:
 
     def test_empty_overlays_trajectory_only(self, tmp_path):
         out = tmp_path / "bare.svg"
-        emit_svg(_parabola_traj(), [], out)
+        emit_phase_svg([_parabola_traj()], [], out)
         polys = _classes(out, "polyline")
         assert polys == ["traj"]
         assert _classes(out, "polygon") == []
@@ -81,8 +80,6 @@ class TestPhasePortrait:
 
     def test_empty_trajectory_rejected(self, tmp_path):
         empty = Trajectory((), (), ())
-        with pytest.raises(ValueError):
-            emit_svg(empty, [], tmp_path / "x.svg")
         with pytest.raises(ValueError):
             emit_timeseries_svg(empty, tmp_path / "x.svg")
 
@@ -119,7 +116,7 @@ class TestDeterminism:
 
     def test_no_timestamp_like_content(self, tmp_path):
         out = tmp_path / "c.svg"
-        emit_svg(_parabola_traj(), [CriticalManifold("fold")], out)
+        emit_phase_svg([_parabola_traj()], [CriticalManifold("fold")], out)
         text = out.read_text()
         assert "date" not in text.lower()
         assert text.endswith("</svg>\n")
