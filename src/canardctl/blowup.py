@@ -60,7 +60,8 @@ class ChartPointK2(NamedTuple):
 class GermReport:
     """Extrapolated fold-germ data of a layer equation at the origin.
 
-    ``passes`` is true iff |f0| < tol, |fx| < tol, |fxx| > tol and |fy| > tol.
+    ``passes`` is true iff |f0| < tol, |fx| < tol, |fxx| > tol and |fy| > tol,
+    with tol = 1e-6.
     """
 
     f0: float
@@ -173,14 +174,12 @@ def _aitken_limit(values: Sequence[float], what: str) -> float:
 def germ_check(
     layer_field: Callable[[float, float, float], float],
     eps_sequence: Sequence[float],
-    step: float = _FD_STEP,
-    tol: float = _GERM_TOL,
 ) -> GermReport:
     """Quadratic-fold germ test for a layer equation f(x, y, eps) at the origin.
 
     For each eps in the strictly decreasing positive sequence (length >= 3),
     f, f_x, f_xx and f_y are estimated at (0, 0) with five-point central
-    differences of width ``step``; the per-eps estimates are then extrapolated
+    differences of width 1e-4; the per-eps estimates are then extrapolated
     to the singular limit eps -> 0.  Controller contributions that vanish like
     powers of sqrt(eps) are removed by the extrapolation, so the tolerance can
     sit at 1e-6 even though single-eps estimates carry O(sqrt(eps)) terms.
@@ -193,7 +192,7 @@ def germ_check(
     ):
         raise DomainError("eps_sequence must be positive and strictly decreasing")
 
-    d = step
+    d = _FD_STEP
     f0s, fxs, fxxs, fys = [], [], [], []
     for eps in seq:
         def F(x: float, y: float) -> float:
@@ -212,5 +211,6 @@ def germ_check(
     fx = _aitken_limit(fxs, "f_x(0,0)")
     fxx = _aitken_limit(fxxs, "f_xx(0,0)")
     fy = _aitken_limit(fys, "f_y(0,0)")
+    tol = _GERM_TOL
     passes = abs(f0) < tol and abs(fx) < tol and abs(fxx) > tol and abs(fy) > tol
     return GermReport(f0, fx, fxx, fy, passes)

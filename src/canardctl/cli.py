@@ -638,8 +638,9 @@ def _run_vdp_pattern(cfg: ExperimentConfig, eff: Dict[str, object],
     # composite_u never reads c2; ControllerGains requires one
     gains = ControllerGains(c2=2.0, **_picked(ControllerGains, eff))
     integ = IntegratorConfig(**_picked(IntegratorConfig, eff))
-    start = (cfg.initial_conditions or (PhasePoint(-1.0, 0.6),))[0]
-    traj, loops = run_pattern(pattern, eps, gains, nbhd, integ, start)
+    # the first initial condition, if any, else run_pattern's default start
+    traj, loops = run_pattern(pattern, eps, gains, nbhd, integ,
+                              *cfg.initial_conditions[:1])
 
     labels = "".join(lb.label[0] for lb in loops)
     results = {
@@ -799,7 +800,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # imported here: a run without a pool need not pay for the import
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a pool forks all its workers at once: never more than there are configs
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             outcomes = list(pool.map(_run_one, jobs))
     else:
         outcomes = [_run_one(j) for j in jobs]

@@ -194,9 +194,10 @@ def eval_level_term(p: Sequence[float], eps: float, c2: float,
 
         exp((c2-2)*y/eps) * (y - x^2 + eps/2)/(2*eps)  -  h0 * exp(c2*y/eps - E),
 
-    which stays in normal floating-point range exactly when both combined
-    exponents do.  Either exponent above 700 raises ExponentOverflowError
-    naming the offender; exponents below the underflow floor contribute 0.
+    which keeps every exponential in range while both combined exponents do.
+    Either exponent above 700 raises ExponentOverflowError naming the
+    offender, as does a term left non-finite below the guard (by a large
+    bracket); exponents below the underflow floor contribute 0.
     For c2 = 2 and h = 0 the result is (y - x^2 + eps/2)/(2*eps) with no
     exponential factor at all.
     """
@@ -209,9 +210,13 @@ def eval_level_term(p: Sequence[float], eps: float, c2: float,
     if e1 > EXP_GUARD:
         raise ExponentOverflowError("(c2-2)*y/eps", e1)
     term = math.exp(e1) * (y - x * x + 0.5 * eps) / (2.0 * eps)
+    if not math.isfinite(term):
+        raise ExponentOverflowError("(c2-2)*y/eps", e1)
     if level.h0 != 0.0:
         e2 = c2 * y / eps - level.E
         if e2 > EXP_GUARD:
             raise ExponentOverflowError("c2*y/eps - E", e2)
         term -= level.h0 * math.exp(e2)
+        if not math.isfinite(term):
+            raise ExponentOverflowError("c2*y/eps - E", e2)
     return term

@@ -25,7 +25,8 @@ class DomainError(ValueError):
 
 
 class ExponentOverflowError(ArithmeticError):
-    """An exponent left the safe range for exp() before exponentiation.
+    """An exponent left the safe range for exp() before exponentiation, or
+    the term it weights left floating-point range below that guard.
 
     Carries the symbolic name of the offending exponent and its value; the
     guard trips at |exponent| > 700, below the IEEE double limit of ~709.
@@ -34,9 +35,9 @@ class ExponentOverflowError(ArithmeticError):
     def __init__(self, name: str, value: float):
         self.name = name
         self.value = value
-        super().__init__(
-            f"exponent {name} = {value:.6g} exceeds the safe range (700)"
-        )
+        what = ("exceeds the safe range (700)" if value > 700.0
+                else "takes its term out of floating-point range")
+        super().__init__(f"exponent {name} = {value:.6g} {what}")
 
 
 class SingularConfigurationError(ValueError):

@@ -86,13 +86,12 @@ class MmoPattern:
 
     Each segment demands `count` loops of one kind at one canard height;
     the sign of x_star enforces the kind (negative steers left of the
-    repelling branch, so the canard has no head).  repeat=None means the
-    pattern recurs indefinitely and only makes sense for a caller that
-    imposes its own loop budget.
+    repelling branch, so the canard has no head).  The whole sequence runs
+    ``repeat`` times, an int >= 1.
     """
 
     segments: Tuple[MmoSegment, ...]
-    repeat: Optional[int] = 1
+    repeat: int = 1
 
     def __post_init__(self):
         if not self.segments:
@@ -117,11 +116,11 @@ class MmoPattern:
             if seg.label == "SAO" and seg.y_h >= _UPPER_FOLD_Y:
                 raise ConfigError(
                     f"SAO segments need y_h < 4/3, got {seg.y_h!r}")
-        if self.repeat is not None and self.repeat < 1:
-            raise ConfigError(f"repeat must be >= 1 or None, got {self.repeat!r}")
+        if type(self.repeat) is not int or self.repeat < 1:
+            raise ConfigError(f"repeat must be an int >= 1, got {self.repeat!r}")
 
     @classmethod
-    def parse(cls, text: str, repeat: Optional[int] = 1) -> "MmoPattern":
+    def parse(cls, text: str, repeat: int = 1) -> "MmoPattern":
         """Parse the compact form "3L:0.75:0.01,4S:1.25:-0.01"."""
         segments = []
         for chunk in text.split(","):
@@ -198,8 +197,6 @@ def run_pattern(
     completed loop contradicts its segment's label, carrying the labels
     achieved so far and the stitched trajectory.
     """
-    if pattern.repeat is None:
-        raise ConfigError("run_pattern needs a finite repeat count")
     cfg = cfg or IntegratorConfig()
     schedule: List[MmoSegment] = []
     for _ in range(pattern.repeat):

@@ -1,17 +1,17 @@
-"""Vector fields: fold normal form with higher-order terms, and van der Pol.
+"""Vector fields: fold normal form with a slow remainder, and van der Pol.
 
 Both systems are written in the fast time scale,
 
-    fold:  x' = -y + x^2 + f~(x, y, eps, alpha) + u_fast
+    fold:  x' = -y + x^2 + u_fast
            y' = eps (x - alpha + g~(x, y, eps, alpha) + u_slow)
 
     vdp:   x' = -y + x^2 - x^3/3 + u
            y' = eps x
 
 with exactly one of u_fast/u_slow active, selected by the actuation channel.
-The higher-order closures carry whatever smooth remainder the application
-needs; the fold control laws additionally require the shifted slow remainder
-to factor as g^(x^, y, eps, alpha) = x^ * phi^, and callers supplying
+The closure g~ carries whatever smooth slow remainder the application needs;
+the fold control laws additionally require the shifted slow remainder to
+factor as g^(x^, y, eps, alpha) = x^ * phi^, and callers supplying
 ``phi_hat`` assert that factorization themselves.
 
 Each field takes its point as an (x, y) sequence, a :class:`PhasePoint` or
@@ -41,17 +41,16 @@ HotFn = Callable[[float, float, float, float], float]
 
 @dataclass(frozen=True)
 class HigherOrderTerms:
-    """Smooth remainders of the fold normal form.
+    """Smooth slow remainder of the fold normal form.
 
-    ``f_tilde`` and ``g_tilde`` take (x, y, eps, alpha) and perturb the fast
-    and slow equations.  ``phi_hat``, when present, takes (x^, y, eps, alpha)
-    with x^ = x - alpha and must satisfy g~(x, y, .) = x^ * phi_hat(x^, y, .);
-    the compensating controllers consume it directly.
+    ``g_tilde`` takes (x, y, eps, alpha) and perturbs the slow equation.
+    ``phi_hat``, when present, takes (x^, y, eps, alpha) with x^ = x - alpha
+    and must satisfy g~(x, y, .) = x^ * phi_hat(x^, y, .); the compensating
+    controllers consume it directly.
     """
 
-    f_tilde: HotFn
     g_tilde: HotFn
-    phi_hat: Callable[[float, float, float, float], float] | None = None
+    phi_hat: HotFn | None = None
 
 
 def _zero(x: float, y: float, eps: float, alpha: float) -> float:
@@ -59,12 +58,12 @@ def _zero(x: float, y: float, eps: float, alpha: float) -> float:
 
 
 def zero_terms() -> HigherOrderTerms:
-    """The plain normal form: no higher-order remainders."""
-    return HigherOrderTerms(_zero, _zero)
+    """The plain normal form: no slow remainder."""
+    return HigherOrderTerms(_zero)
 
 
 def parabolic_shear_terms(gain: float = 100.0) -> HigherOrderTerms:
-    """Slow-equation coupling g~ = gain * x * (y - x^2), f~ = 0.
+    """Slow-equation coupling g~ = gain * x * (y - x^2).
 
     The factorization g~ = x * phi_hat with phi_hat = gain * (y - x^2)
     holds at alpha = 0 only, which is the configuration this preset is
@@ -77,7 +76,7 @@ def parabolic_shear_terms(gain: float = 100.0) -> HigherOrderTerms:
     def phi_hat(xh: float, y: float, eps: float, alpha: float) -> float:
         return gain * (y - xh * xh)
 
-    return HigherOrderTerms(_zero, g_tilde, phi_hat)
+    return HigherOrderTerms(g_tilde, phi_hat)
 
 
 def quadratic_gap_phi2(r2: float, x2: float, y2: float, alpha2: float) -> float:
@@ -97,12 +96,11 @@ def fold_rhs(
         raise IntegrationError(f"non-finite control value {u!r}")
     x, y = p
     eps, alpha = params.eps, params.alpha
-    ft = hot.f_tilde(x, y, eps, alpha)
     gt = hot.g_tilde(x, y, eps, alpha)
     if channel == "fast":
-        return (-y + x * x + ft + u, eps * (x - alpha + gt))
+        return (-y + x * x + u, eps * (x - alpha + gt))
     if channel == "slow":
-        return (-y + x * x + ft, eps * (x - alpha + gt + u))
+        return (-y + x * x, eps * (x - alpha + gt + u))
     raise DomainError(f"unknown actuation channel {channel!r}")
 
 

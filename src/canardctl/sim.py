@@ -148,13 +148,20 @@ class Watcher:
     inside-positive indicator and fire on entering / leaving; a
     ``level-convergence`` watcher expects (threshold - |residual|) and fires
     when it becomes nonnegative.  Terminal watchers truncate the trajectory
-    at the event.
+    at the event.  An unknown kind or direction raises DomainError here.
     """
 
     kind: str
     fn: Callable
     direction: str = "any"
     terminal: bool = False
+
+    def __post_init__(self):
+        if self.kind not in ("section-crossing", "set-entry", "set-exit",
+                             "level-convergence"):
+            raise DomainError(f"unknown watcher kind {self.kind!r}")
+        if self.direction not in ("up", "down", "any"):
+            raise DomainError(f"unknown watcher direction {self.direction!r}")
 
 
 @dataclass(frozen=True)
@@ -353,7 +360,7 @@ def _interpolant(h, y, y_new, ks, pack):
 
 
 def _crossing(kind: str, direction: str, g_old: float, g_new: float):
-    """Return the event direction string if (g_old, g_new) is a crossing."""
+    """Event direction string if (g_old, g_new) crosses, for a built Watcher's kind."""
     up = g_old < 0.0 <= g_new
     down = g_old > 0.0 >= g_new
     if kind == "section-crossing":
@@ -366,9 +373,7 @@ def _crossing(kind: str, direction: str, g_old: float, g_new: float):
         return "enter" if up else None
     if kind == "set-exit":
         return "exit" if down else None
-    if kind == "level-convergence":
-        return "converged" if up else None
-    raise DomainError(f"unknown watcher kind {kind!r}")
+    return "converged" if up else None  # level-convergence
 
 
 def _locate(crossed, h, t_old):

@@ -457,6 +457,36 @@ class TestMain:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_jobs_beyond_the_batch_start_one_worker_per_config(
+            self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        # a real pool of the requested size would fork that many processes
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        configs = [_write_cfg(tmp_path / "a.json", "k2", t_end=120.0),
+                   _write_cfg(tmp_path / "b.json", "k2", t_end=150.0)]
+        base = tmp_path / "o"
+        assert main(["run", *map(str, configs), "--jobs", "100000",
+                     "--out", str(base)]) == 0
+        assert sizes == [2]
+        assert (base / "a" / "metrics.json").exists()
+        assert (base / "b" / "metrics.json").exists()
+
     def test_flag_for_ignored_key_exits_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "a.json", "fold-fast", t_end=50.0)
         out = tmp_path / "o"

@@ -1,8 +1,9 @@
-"""The lower layers of the package import only the layers beneath them.
+"""Every module of the package imports only the layers beneath it.
 
 The control laws are closed-form functions of the state: they build on the
 conserved quantity and the error types alone, never on the charts, the
-models or the integrator.
+models or the integrator.  The package namespace re-exports nothing, and
+``cli`` sits at the top, where no other module imports it.
 """
 
 import ast
@@ -14,14 +15,21 @@ import canardctl
 
 _PACKAGE = Path(canardctl.__file__).parent
 
-# each lower module and the package modules it may import
+# each module and the package modules it may import
 _ALLOWED = {
+    "__init__": set(),
     "errors": set(),
     "core": {"errors"},
     "models": {"core", "errors"},
     "blowup": {"core", "errors"},
     "controllers": {"core", "errors"},
+    "sim": {"core", "errors"},
+    "svgplot": {"controllers", "sim"},
+    "mmo": {"controllers", "core", "errors", "models", "sim"},
+    "verify": {"blowup", "controllers", "core", "errors", "mmo", "models",
+               "sim"},
 }
+_ALLOWED["cli"] = set(_ALLOWED) - {"__init__"}
 
 
 def _package_imports(module):
@@ -50,3 +58,8 @@ def _package_imports(module):
 @pytest.mark.parametrize("module", sorted(_ALLOWED))
 def test_module_imports_only_lower_layers(module):
     assert _package_imports(module) <= _ALLOWED[module]
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in _PACKAGE.glob("*.py")} == set(_ALLOWED)
+

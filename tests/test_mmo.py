@@ -61,9 +61,9 @@ class TestPattern:
                 MmoPattern.parse(bad)
 
     def test_repeat_validation(self):
-        with pytest.raises(ConfigError):
-            MmoPattern.parse("1L:0.75:0.01", repeat=0)
-        assert MmoPattern.parse("1L:0.75:0.01", repeat=None).repeat is None
+        for repeat in (0, -1, None, 1.0, 2.5, "2", True):
+            with pytest.raises(ConfigError, match="repeat must be an int >= 1"):
+                MmoPattern.parse("1L:0.75:0.01", repeat=repeat)
 
     def test_loop_label_validation(self):
         with pytest.raises(ConfigError):
@@ -159,9 +159,10 @@ class TestSupervisor:
         assert err.trajectory is not None and len(err.trajectory) > 2
 
     def test_infinite_pattern_rejected(self):
-        pat = MmoPattern.parse("1L:0.75:0.01", repeat=None)
+        # a pattern without a finite repeat count is never built, so the
+        # supervisor cannot be handed one
         with pytest.raises(ConfigError):
-            run_pattern(pat, EPS, GAINS, default_neighborhoods(EPS))
+            MmoPattern((MmoSegment(1, "LAO", 0.75, 0.01),), None)
 
     def test_determinism(self):
         pat = MmoPattern.parse("1S:1.25:-0.01")

@@ -54,7 +54,6 @@ def test_fold_rhs_nonfinite_control_message(u, channel):
 def test_parabolic_shear_preset():
     hot = parabolic_shear_terms()
     assert hot.g_tilde(0.5, 0.5, 0.01, 0.0) == pytest.approx(100 * 0.5 * (0.5 - 0.25))
-    assert hot.f_tilde(0.5, 0.5, 0.01, 0.0) == 0.0
     # factorization g~ = x * phi_hat at alpha = 0
     assert hot.g_tilde(0.5, 0.5, 0.01, 0.0) == pytest.approx(
         0.5 * hot.phi_hat(0.5, 0.5, 0.01, 0.0)

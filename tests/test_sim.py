@@ -559,9 +559,12 @@ def test_crossing_fires_exactly_on_allowed_sign_changes(kind_direction, g_old, g
     assert _crossing(kind, direction, g_old, g_new) == _FIRES[kind_direction].get(change)
 
 
-def test_crossing_rejects_unknown_kind():
-    with pytest.raises(DomainError):
-        _crossing("tangency", "any", -1.0, 1.0)
+def test_watcher_rejects_unknown_kind_and_direction():
+    # both fail when the watcher is built, not at the run's first step
+    with pytest.raises(DomainError, match="unknown watcher kind 'tangency'"):
+        Watcher("tangency", lambda p: p[0])
+    with pytest.raises(DomainError, match="unknown watcher direction 'upward'"):
+        Watcher("section-crossing", lambda p: p[0], direction="upward")
 
 
 @_PROPERTY
