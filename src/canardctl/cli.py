@@ -283,11 +283,12 @@ class _Outcome:
 
 
 def _write_trajectory_csv(path, traj: Trajectory) -> None:
+    # "%.17g" never writes a comma, quote or line break, so no field needs
+    # the quoting csv.writer would apply; rows stream from a generator
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "x", "y", "u"])
-        for t, p, u in zip(traj.times, traj.states, traj.controls):
-            w.writerow([f"{t:.17g}", f"{p[0]:.17g}", f"{p[1]:.17g}", f"{u:.17g}"])
+        fh.write("t,x,y,u\n")
+        fh.writelines("%.17g,%.17g,%.17g,%.17g\n" % (t, p[0], p[1], u)
+                      for t, p, u in zip(traj.times, traj.states, traj.controls))
 
 
 def read_trajectory_csv(path) -> Tuple[Tuple[float, float, float, float], ...]:
@@ -424,12 +425,21 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
     results["max_return_gap"] = max(
         (math.hypot(b.state[0] - a.state[0], b.state[1] - a.state[1])
          for a, b in zip(hits, hits[1:])), default=None)
-    results["overflow_events"] = len(primary.events_of("overflow-fault"))
-    cycle = _cycle_curve(level, params.eps, center)
-    return _Outcome(
-        trajs, [CriticalManifold("fold"), ReferenceCycle(cycle)], results,
-        f"{cfg.experiment}: terminal residual {results['residual_terminal']:.3g}, "
-        f"{len(hits)} section returns")
+    faults = primary.events_of("overflow-fault")
+    results["overflow_events"] = len(faults)
+    overlays = [CriticalManifold("fold"),
+                ReferenceCycle(_cycle_curve(level, params.eps, center))]
+    summary = (f"{cfg.experiment}: terminal residual "
+               f"{results['residual_terminal']:.3g}, {len(hits)} section returns")
+    if not faults:
+        return _Outcome(trajs, overlays, results, summary)
+    # the primary run stopped at a controller overflow: a fault, reported as
+    # a raised one is, with the fold results of the partial run kept
+    results.update(
+        message=f"the control overflowed at t = {faults[0].time:.6g}",
+        last_time=primary.final_time, last_state=list(primary.final_state))
+    return _Outcome(trajs, overlays, results, f"{summary}; overflow fault",
+                    status="overflow-fault", code=3)
 
 
 def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:

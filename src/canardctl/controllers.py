@@ -20,7 +20,7 @@ point and a plain tuple give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Tuple
 
 from .core import (
@@ -81,6 +81,13 @@ class NeighborhoodParams:
     y_min: float = 0.02
     y_h: float = 1.25
     inner_margin: float = 0.5
+    # each window's transition band, fixed by the fields above; set once here
+    # so that a bump evaluation does not recompute it
+    _band_n1_y: float = field(init=False, repr=False, compare=False)
+    _band_n1_g: float = field(init=False, repr=False, compare=False)
+    _band_n1_x: float = field(init=False, repr=False, compare=False)
+    _band_n2_x: float = field(init=False, repr=False, compare=False)
+    _band_n2_g: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_finite(beta1=self.beta1, beta2=self.beta2, x_min=self.x_min,
@@ -98,6 +105,13 @@ class NeighborhoodParams:
         if not 0.0 < self.inner_margin < 1.0:
             raise DomainError(
                 f"inner_margin must lie in (0, 1), got {self.inner_margin!r}")
+        m = self.inner_margin
+        for name, lo, hi in (("_band_n1_y", self.y_min, self.y_h),
+                             ("_band_n1_g", -self.beta1, self.beta1),
+                             ("_band_n1_x", 0.0, 2.0),
+                             ("_band_n2_x", -self.x_min, self.x_max),
+                             ("_band_n2_g", -self.beta2, self.beta2)):
+            object.__setattr__(self, name, _band(lo, hi, m))
 
 
 def default_neighborhoods(eps: float, y_h: float = 1.25) -> NeighborhoodParams:
@@ -321,11 +335,18 @@ def _smoothstep(t: float) -> float:
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def _window(v: float, lo: float, hi: float, margin: float) -> float:
-    """C2 plateau window for the scalar constraint lo < v < hi; 0 for nan."""
+def _band(lo: float, hi: float, margin: float) -> float:
+    """Width of the easing band at either end of the window on (lo, hi)."""
+    return (1.0 - margin) * min(0.5 * (hi - lo), _MAX_BAND)
+
+
+def _window(v: float, lo: float, hi: float, band: float) -> float:
+    """C2 plateau window for the scalar constraint lo < v < hi; 0 for nan.
+
+    ``band`` is ``_band(lo, hi, margin)``, which NeighborhoodParams keeps.
+    """
     if not lo < v < hi:
         return 0.0
-    band = (1.0 - margin) * min(0.5 * (hi - lo), _MAX_BAND)
     s = 1.0
     if v < lo + band:
         s = _smoothstep((v - lo) / band)
@@ -338,20 +359,19 @@ def _window(v: float, lo: float, hi: float, margin: float) -> float:
 # 0.0: each bump tests its cheapest rejecting window first
 
 def _psi_n1(x: float, y: float, nbhd: NeighborhoodParams) -> float:
-    m = nbhd.inner_margin
-    w_y = _window(y, nbhd.y_min, nbhd.y_h, m)
+    w_y = _window(y, nbhd.y_min, nbhd.y_h, nbhd._band_n1_y)
     if w_y == 0.0:
         return 0.0
     g = -y + x * x - x ** 3 / 3.0
-    return _window(g, -nbhd.beta1, nbhd.beta1, m) * _window(x, 0.0, 2.0, m) * w_y
+    return (_window(g, -nbhd.beta1, nbhd.beta1, nbhd._band_n1_g)
+            * _window(x, 0.0, 2.0, nbhd._band_n1_x) * w_y)
 
 
 def _psi_n2(x: float, y: float, nbhd: NeighborhoodParams) -> float:
-    m = nbhd.inner_margin
-    w_x = _window(x, -nbhd.x_min, nbhd.x_max, m)
+    w_x = _window(x, -nbhd.x_min, nbhd.x_max, nbhd._band_n2_x)
     if w_x == 0.0:
         return 0.0
-    return _window(-y + x * x, -nbhd.beta2, nbhd.beta2, m) * w_x
+    return _window(-y + x * x, -nbhd.beta2, nbhd.beta2, nbhd._band_n2_g) * w_x
 
 
 def bump_psi(p: Sequence[float], region: str, nbhd: NeighborhoodParams) -> float:

@@ -568,7 +568,9 @@ def convergence_metrics(traj: Trajectory, eps: float,
     safe along any finite trajectory; overflowing points (possible after a
     fault) report an infinite residual.  ``time_below`` is the first
     accepted time where |residual| falls to or below 1e-3 times the initial
-    residual, the cut reported as ``threshold``.
+    residual, the cut reported as ``threshold``; it is None when the run
+    never gets there, and when the cut is not finite (an initial residual
+    that overflowed or is nan), since no residual can fall below such a cut.
     """
     res = []
     for p in traj.states:
@@ -579,8 +581,9 @@ def convergence_metrics(traj: Trajectory, eps: float,
     initial = res[0]
     cut = 1e-3 * abs(initial)
     t_below = None
-    for t, r in zip(traj.times, res):
-        if abs(r) <= cut:
-            t_below = t
-            break
+    if math.isfinite(cut):
+        for t, r in zip(traj.times, res):
+            if abs(r) <= cut:
+                t_below = t
+                break
     return ConvergenceReport(initial, res[-1], t_below, cut)

@@ -92,19 +92,50 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return out
 
 
+def _finite(*columns: Sequence[float]) -> bool:
+    """True when every value of every column is finite, in one C pass each.
+
+    A non-finite value makes its column's sum inf or nan; a finite column
+    whose sum overflows reads as non-finite, which only sends the caller to
+    its per-pair path.
+    """
+    return all(math.isfinite(sum(c)) for c in columns)
+
+
+def _columns(points: Sequence[Sequence[float]]) -> Tuple[list, list]:
+    """The first two coordinates of the points, as two lists."""
+    return [p[0] for p in points], [p[1] for p in points]
+
+
 class _Bounds:
+    """Box around the pairs whose two coordinates are both finite."""
+
     def __init__(self):
         self.x_lo = math.inf
         self.x_hi = -math.inf
         self.y_lo = math.inf
         self.y_hi = -math.inf
 
-    def add(self, x: float, y: float) -> None:
-        if math.isfinite(x) and math.isfinite(y):
-            self.x_lo = min(self.x_lo, x)
-            self.x_hi = max(self.x_hi, x)
-            self.y_lo = min(self.y_lo, y)
-            self.y_hi = max(self.y_hi, y)
+    def add(self, xs: Sequence[float], ys: Sequence[float]) -> None:
+        """Widen the box over the pairs (xs[i], ys[i]).
+
+        min() and max() keep the first of equal values, as the running
+        comparison does, so a -0.0/0.0 tie gives the same bits either way.
+        """
+        if not xs:
+            return
+        if _finite(xs, ys):
+            self.x_lo = min(self.x_lo, min(xs))
+            self.x_hi = max(self.x_hi, max(xs))
+            self.y_lo = min(self.y_lo, min(ys))
+            self.y_hi = max(self.y_hi, max(ys))
+            return
+        for x, y in zip(xs, ys):
+            if math.isfinite(x) and math.isfinite(y):
+                self.x_lo = min(self.x_lo, x)
+                self.x_hi = max(self.x_hi, x)
+                self.y_lo = min(self.y_lo, y)
+                self.y_hi = max(self.y_hi, y)
 
     def padded(self, frac: float = 0.06) -> Tuple[float, float, float, float]:
         if not math.isfinite(self.x_lo):
@@ -127,39 +158,59 @@ class _Mapper:
     def py(self, y: float) -> float:
         return _H - _MB - (y - self.y_lo) * self.sy
 
-    def pt(self, x: float, y: float) -> str:
-        return f"{_fmt(self.px(x))},{_fmt(self.py(y))}"
+
+def _mapped(m: _Mapper, xs: Sequence[float], ys: Sequence[float]) -> str:
+    """Space-separated "px,py" strings of the points, as _fmt writes them.
+
+    The arithmetic is that of px() and py(), inlined.  "%.2f" gives at most
+    one "-0.00" per coordinate and only as the whole coordinate, so one
+    replace over the joined string does what _fmt does per value.
+    """
+    x_lo, sx, y_lo, sy = m.x_lo, m.sx, m.y_lo, m.sy
+    bottom = _H - _MB
+    s = " ".join(["%.2f,%.2f" % (_ML + (x - x_lo) * sx, bottom - (y - y_lo) * sy)
+                  for x, y in zip(xs, ys)])
+    return s.replace("-0.00", "0.00")
 
 
-def _polyline_points(m: _Mapper, pts: Iterable[Tuple[float, float]]) -> list[str]:
+def _polyline_points(m: _Mapper, xs: Sequence[float],
+                     ys: Sequence[float]) -> list[str]:
     """Point strings split into runs at non-finite samples."""
+    if _finite(xs, ys):
+        return [_mapped(m, xs, ys)] if xs else []
     runs: list[str] = []
-    cur: list[str] = []
-    for x, y in pts:
-        if math.isfinite(x) and math.isfinite(y):
-            cur.append(m.pt(x, y))
-        elif cur:
-            runs.append(" ".join(cur))
-            cur = []
-    if cur:
-        runs.append(" ".join(cur))
+    start = 0
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            if i > start:
+                runs.append(_mapped(m, xs[start:i], ys[start:i]))
+            start = i + 1
+    if len(xs) > start:
+        runs.append(_mapped(m, xs[start:], ys[start:]))
     return runs
 
 
-def _thin(seq: Sequence, cap: int = 4000) -> list:
-    if len(seq) <= cap:
-        return list(seq)
-    stride = -(-len(seq) // cap)
+def _thin(seq: Sequence, cap: int = 4000) -> Sequence:
+    """Every stride-th item, at most cap of them, and the last item.
+
+    Which items are kept depends on the length only, so thinning the
+    columns of a table one by one keeps whole rows.
+    """
+    n = len(seq)
+    if n <= cap:
+        return seq
+    stride = -(-n // cap)
     out = list(seq[::stride])
-    if out[-1] is not seq[-1]:
+    if (n - 1) % stride:
         out.append(seq[-1])
     return out
 
 
-def _emit_polyline(out: list[str], m: _Mapper, pts, cls: str, color: str,
+def _emit_polyline(out: list[str], m: _Mapper, xs: Sequence[float],
+                   ys: Sequence[float], cls: str, color: str,
                    dashed: bool = False, width: float = 1.3) -> None:
     dash = ' stroke-dasharray="6 4"' if dashed else ""
-    for run in _polyline_points(m, pts):
+    for run in _polyline_points(m, xs, ys):
         out.append(
             f'<polyline class="{cls}" fill="none" stroke="{color}" '
             f'stroke-width="{width:g}"{dash} points="{run}"/>'
@@ -250,15 +301,12 @@ def emit_phase_svg(trajs: Sequence[Trajectory], overlays: Iterable, path,
     overlays = list(overlays)
     bounds = _Bounds()
     for traj in trajs:
-        for p in traj.states:
-            bounds.add(p[0], p[1])
+        bounds.add(*_columns(traj.states))
     for ov in overlays:
         if isinstance(ov, ReferenceCycle):
-            for x, y in ov.points:
-                bounds.add(x, y)
+            bounds.add(*_columns(ov.points))
         elif isinstance(ov, NeighborhoodShading):
-            bounds.add(-ov.nbhd.x_min, 0.0)
-            bounds.add(2.0, ov.nbhd.y_h + ov.nbhd.beta1)
+            bounds.add((-ov.nbhd.x_min, 2.0), (0.0, ov.nbhd.y_h + ov.nbhd.beta1))
     m = _Mapper(bounds.padded())
 
     out: list[str] = []
@@ -267,10 +315,10 @@ def emit_phase_svg(trajs: Sequence[Trajectory], overlays: Iterable, path,
     for ov in overlays:
         if isinstance(ov, NeighborhoodShading):
             for poly in _n1_polygons(ov.nbhd):
-                pts = " ".join(m.pt(x, y) for x, y in poly)
+                pts = _mapped(m, *_columns(poly))
                 out.append(f'<polygon class="region-n1" fill="#2ca02c" '
                            f'fill-opacity="0.18" stroke="none" points="{pts}"/>')
-            pts = " ".join(m.pt(x, y) for x, y in _n2_polygon(ov.nbhd))
+            pts = _mapped(m, *_columns(_n2_polygon(ov.nbhd)))
             out.append(f'<polygon class="region-n2" fill="#d62728" '
                        f'fill-opacity="0.18" stroke="none" points="{pts}"/>')
     out.append("</g>")
@@ -279,14 +327,13 @@ def emit_phase_svg(trajs: Sequence[Trajectory], overlays: Iterable, path,
     for ov in overlays:
         if isinstance(ov, CriticalManifold):
             xs = [m.x_lo + i * (m.x_hi - m.x_lo) / 256 for i in range(257)]
-            _emit_polyline(out, m, [(x, ov.curve(x)) for x in xs],
+            _emit_polyline(out, m, xs, [ov.curve(x) for x in xs],
                            "overlay-critical-manifold", "#808080", dashed=True)
         elif isinstance(ov, ReferenceCycle):
-            _emit_polyline(out, m, ov.points,
+            _emit_polyline(out, m, *_columns(ov.points),
                            "overlay-reference-cycle", "#808080", dashed=True)
     for i, traj in enumerate(trajs):
-        pts = [(p[0], p[1]) for p in _thin(traj.states)]
-        _emit_polyline(out, m, pts, "traj",
+        _emit_polyline(out, m, *_columns(_thin(traj.states)), "traj",
                        _TRAJ_COLORS[i % len(_TRAJ_COLORS)])
     out.append("</g>")
     out.append("</svg>")
@@ -303,15 +350,15 @@ def emit_timeseries_svg(traj: Trajectory, path, label: str = "u") -> None:
     if len(traj) == 0:
         raise ValueError("cannot plot an empty trajectory")
     bounds = _Bounds()
-    for t, u in zip(traj.times, traj.controls):
-        bounds.add(t, u)
+    bounds.add(traj.times, traj.controls)
     m = _Mapper(bounds.padded())
     out: list[str] = []
     _svg_head(out)
     _axes(out, m, "t", label)
     out.append('<g clip-path="url(#plot-area)">')
-    pairs = _thin(list(zip(traj.times, traj.controls)))
-    _emit_polyline(out, m, pairs, "series", "#1f77b4")
+    # both columns keep the same indices, so the kept pairs are whole samples
+    _emit_polyline(out, m, _thin(traj.times), _thin(traj.controls),
+                   "series", "#1f77b4")
     out.append("</g>")
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

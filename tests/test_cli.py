@@ -5,7 +5,9 @@ fast; the physics itself is covered by the module tests and the acceptance
 suite.
 """
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -170,6 +172,36 @@ class TestTrajectoryCsv:
         rows = read_trajectory_csv(path)
         assert rows == tuple(
             (t, p.x, p.y, u) for t, p, u in zip(ts, pts, us))
+
+    def test_bytes_match_a_csv_writer(self, tmp_path):
+        # the writer formats rows itself; csv.writer over the same four
+        # "%.17g" fields is the reference, on every kind of float a run writes
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                    1e308, -1.7976931348623157e308, 2.0, -3.0, 1e16, 123456789.0,
+                    1.0 / 3.0, 1e-300, 0.1 + 0.2]
+        n = len(specials)
+        ts = tuple(specials[i] for i in range(n))
+        pts = tuple(PhasePoint(specials[(i + 3) % n], specials[(i + 7) % n])
+                    for i in range(n))
+        plain = tuple((specials[(i + 5) % n], specials[(i + 11) % n])
+                      for i in range(n))
+        us = tuple(specials[(i + 13) % n] for i in range(n))
+        for states in (pts, plain):
+            traj = Trajectory(ts, states, us)
+            path = tmp_path / "trajectory.csv"
+            _write_trajectory_csv(path, traj)
+            buf = io.StringIO()
+            w = csv.writer(buf, lineterminator="\n")
+            w.writerow(["t", "x", "y", "u"])
+            for t, p, u in zip(ts, states, us):
+                w.writerow([f"{t:.17g}", f"{p[0]:.17g}", f"{p[1]:.17g}",
+                            f"{u:.17g}"])
+            assert path.read_bytes() == buf.getvalue().encode("utf-8")
+
+    def test_empty_trajectory_writes_the_header(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        _write_trajectory_csv(path, Trajectory((), (), ()))
+        assert path.read_bytes() == b"t,x,y,u\n"
 
     def test_header_validated(self, tmp_path):
         p = tmp_path / "x.csv"
@@ -369,6 +401,39 @@ def test_vdp_plant_artifact_bytes_pinned(tmp_path, capsys):
     assert run_experiment(cfg, tmp_path) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in _VDP_PLANT_ARTIFACTS} == _VDP_PLANT_ARTIFACTS
+
+
+# fold-fast at eps = 1e-4 overflows its level term at the start: the run is
+# one sample with a nan control and no finite (t, u) pair, which pins the
+# writers' non-finite paths end to end
+_OVERFLOW_RUN_ARTIFACTS = {
+    "controller.svg": "881ed5925e1dfcb23334ddd4644c32ba76bf359f954c585a66372c1fa23147e9",
+    "phase.svg": "784ae7d10b4439438b7056b8af8a5c16513944dc05d1bb7de037801a934c681b",
+    "trajectory.csv": "3373207a4bc03b0a8f05b41f461ea387e6701235e12ccf2206421eacb7732c97",
+}
+
+
+@pytest.mark.parametrize("experiment", ["fold-fast", "fold-slow"])
+def test_fold_overflow_exits_3_and_keeps_the_fold_results(tmp_path, capsys,
+                                                          experiment):
+    cfg = ExperimentConfig(experiment, {"eps": 1e-4})
+    assert run_experiment(cfg, tmp_path) == 3
+    m = json.loads((tmp_path / "metrics.json").read_text())
+    assert m["status"] == "overflow-fault"
+    res = m["results"]
+    assert res["overflow_events"] == 1
+    assert res["time_below"] is None
+    assert res["residual_initial"] == math.inf
+    assert res["section_return_times"] == []
+    assert res["message"].startswith("the control overflowed at t = ")
+    rows = read_trajectory_csv(tmp_path / "trajectory.csv")
+    assert res["last_time"] == rows[-1][0]
+    assert res["last_state"] == [rows[-1][1], rows[-1][2]]
+    if experiment == "fold-fast":
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in _OVERFLOW_RUN_ARTIFACTS} == _OVERFLOW_RUN_ARTIFACTS
+        assert res["last_time"] == 0.0 and res["last_state"] == [0.2, 0.3]
+        assert math.isnan(rows[0][3]) and len(rows) == 1
 
 
 def _write_cfg(path, experiment, **params):

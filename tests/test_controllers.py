@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,8 +15,8 @@ from canardctl.controllers import (
     K1Domain,
     NeighborhoodParams,
     _phi0,
+    _smoothstep,
     _vdp_u2,
-    _window,
     bump_psi,
     composite_u,
     default_neighborhoods,
@@ -363,6 +364,25 @@ class TestParamBlocks:
         assert nb.y_min == 0.04
         assert nb.y_h == 0.75
 
+    def test_window_bands_follow_the_fields(self):
+        def band(lo, hi, m):
+            return (1.0 - m) * min(0.5 * (hi - lo), 0.15)
+
+        nb = NeighborhoodParams(beta1=0.1, beta2=0.4, x_min=0.05, x_max=0.3,
+                                y_min=0.02, y_h=0.12, inner_margin=0.3)
+        assert (nb._band_n1_y, nb._band_n1_g, nb._band_n1_x,
+                nb._band_n2_x, nb._band_n2_g) == (
+            band(0.02, 0.12, 0.3), band(-0.1, 0.1, 0.3), band(0.0, 2.0, 0.3),
+            band(-0.05, 0.3, 0.3), band(-0.4, 0.4, 0.3))
+        # replace() builds a new block, whose bands follow its own fields
+        moved = replace(nb, y_h=1.25)
+        assert moved._band_n1_y == band(0.02, 1.25, 0.3)
+        # the bands are derived, so equality, hashing and repr ignore them
+        assert nb == NeighborhoodParams(beta1=0.1, beta2=0.4, x_min=0.05,
+                                        x_max=0.3, y_min=0.02, y_h=0.12,
+                                        inner_margin=0.3)
+        assert "_band" not in repr(nb)
+
     def test_k1_domain_validation(self):
         with pytest.raises(DomainError):
             K1Domain(rho1=1.2)
@@ -479,16 +499,30 @@ def test_law_gives_the_same_bits_for_a_plain_tuple_point(law, point, rest):
     assert _bits(law(plain, *rest)) == _bits(law(point, *rest))
 
 
+def _margin_window(v, lo, hi, margin):
+    # the window with its band worked out on every call, from the margin
+    if not lo < v < hi:
+        return 0.0
+    band = (1.0 - margin) * min(0.5 * (hi - lo), 0.15)
+    s = 1.0
+    if v < lo + band:
+        s = _smoothstep((v - lo) / band)
+    elif v > hi - band:
+        s = _smoothstep((hi - v) / band)
+    return s
+
+
 def _parent_composite_u(p, eps, gains, nbhd):
-    # reference blend with no short cut: every window multiplied in full and
-    # the branch root found twice per graph value (for phi0 and its correction)
+    # reference blend with no short cut: every window multiplied in full, its
+    # band recomputed per call, and the branch root found twice per graph
+    # value (for phi0 and its correction)
     x, y = p
     m = nbhd.inner_margin
-    psi1 = (_window(-y + x * x - x ** 3 / 3.0, -nbhd.beta1, nbhd.beta1, m)
-            * _window(x, 0.0, 2.0, m)
-            * _window(y, nbhd.y_min, nbhd.y_h, m))
-    psi2 = (_window(-y + x * x, -nbhd.beta2, nbhd.beta2, m)
-            * _window(x, -nbhd.x_min, nbhd.x_max, m))
+    psi1 = (_margin_window(-y + x * x - x ** 3 / 3.0, -nbhd.beta1, nbhd.beta1, m)
+            * _margin_window(x, 0.0, 2.0, m)
+            * _margin_window(y, nbhd.y_min, nbhd.y_h, m))
+    psi2 = (_margin_window(-y + x * x, -nbhd.beta2, nbhd.beta2, m)
+            * _margin_window(x, -nbhd.x_min, nbhd.x_max, m))
     if psi1 == 0.0 and psi2 == 0.0:
         return 0.0
     u1 = u2 = 0.0

@@ -355,6 +355,20 @@ def test_convergence_metrics_relative_threshold():
     assert rep.terminal == pytest.approx((-0.0051 + 0.005) / 0.02)
 
 
+def test_convergence_metrics_no_time_below_an_infinite_cut():
+    # fold-fast's level h = e^-400/4 at eps = 1e-4: at y = 0.3 the level
+    # term's exponent 2y/eps - 400 overflows, so the initial residual is inf
+    # and so is the cut; inf <= inf must not count as converged at t = 0
+    ys = [0.3, 0.3, 0.04]
+    traj = Trajectory((0.0, 1.0, 2.0), tuple(PhasePoint(0.2, y) for y in ys),
+                      (0.0, 0.0, 0.0))
+    rep = convergence_metrics(traj, 1e-4, ScaledLevel(0.25, 400.0))
+    assert rep.initial == math.inf
+    assert rep.threshold == math.inf
+    assert rep.terminal < 0.0
+    assert rep.time_below is None
+
+
 # -- bit-level pins ----------------------------------------------------------
 # SHA-256 of repr((times, states, controls, events)) for runs that exercise
 # every engine path: a watcher run, a terminal-event stop, a mid-run fault

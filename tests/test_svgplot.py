@@ -8,6 +8,8 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canardctl.controllers import default_neighborhoods
 from canardctl.core import PhasePoint
@@ -16,6 +18,10 @@ from canardctl.svgplot import (
     CriticalManifold,
     NeighborhoodShading,
     ReferenceCycle,
+    _Bounds,
+    _Mapper,
+    _polyline_points,
+    _thin,
     emit_phase_svg,
     emit_timeseries_svg,
 )
@@ -132,3 +138,206 @@ class TestDeterminism:
         counts = [len(el.get("points").split()) for el in root.iter(f"{_NS}polyline")
                   if el.get("class") == "traj"]
         assert sum(counts) <= 4001
+
+
+# -- the column writers against the per-point code they replaced ----------
+# The references below are the per-pair bounds loop, the per-point mapping
+# through _fmt, and thinning of zipped (t, u) pairs, kept here as they were.
+
+def _ref_fmt(v):
+    s = f"{v:.2f}"
+    return "0.00" if s == "-0.00" else s
+
+
+class _RefBounds:
+    def __init__(self):
+        self.x_lo = math.inf
+        self.x_hi = -math.inf
+        self.y_lo = math.inf
+        self.y_hi = -math.inf
+
+    def add(self, x, y):
+        if math.isfinite(x) and math.isfinite(y):
+            self.x_lo = min(self.x_lo, x)
+            self.x_hi = max(self.x_hi, x)
+            self.y_lo = min(self.y_lo, y)
+            self.y_hi = max(self.y_hi, y)
+
+
+def _ref_pt(m, x, y):
+    return f"{_ref_fmt(m.px(x))},{_ref_fmt(m.py(y))}"
+
+
+def _ref_polyline_points(m, pts):
+    runs, cur = [], []
+    for x, y in pts:
+        if math.isfinite(x) and math.isfinite(y):
+            cur.append(_ref_pt(m, x, y))
+        elif cur:
+            runs.append(" ".join(cur))
+            cur = []
+    if cur:
+        runs.append(" ".join(cur))
+    return runs
+
+
+def _ref_thin(seq, cap=4000):
+    if len(seq) <= cap:
+        return list(seq)
+    stride = -(-len(seq) // cap)
+    out = list(seq[::stride])
+    if out[-1] is not seq[-1]:
+        out.append(seq[-1])
+    return out
+
+
+def _bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _box_bits(b):
+    return _bits(b.x_lo, b.x_hi, b.y_lo, b.y_hi)
+
+
+def _ref_box(pairs):
+    ref = _RefBounds()
+    for x, y in pairs:
+        ref.add(x, y)
+    return ref
+
+
+_NAN, _INF = math.nan, math.inf
+
+# (xs, ys) columns: each names a path the column code must take like the
+# per-pair loop
+_COLUMN_CASES = {
+    "all-finite": ([0.5, -1.25, 3.0, 2.0], [1.0, 0.25, -4.0, 8.0]),
+    "nan-splits-a-run": ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, _NAN, 1.0, 0.0]),
+    "inf-in-x": ([-_INF, 1.0, 2.0, _INF, 0.5], [3.0, 2.0, 1.0, 0.0, -1.0]),
+    "zero-tie-plus-first": ([0.0, -0.0, 1.0, 0.0], [-0.0, 0.0, 2.0, -0.0]),
+    "zero-tie-minus-first": ([-0.0, 0.0, -1.0, -1.0], [0.0, -0.0, 0.0, 1.0]),
+    "zero-tie-behind-a-nan": ([_NAN, 0.0, -0.0], [0.0, -0.0, 0.0]),
+    "sum-overflows": ([1e308, 1e308, -1e308, 5.0], [-1e308, -1e308, 1.0, 2.0]),
+    "subnormal": ([5e-324, -5e-324, 0.0], [5e-324, 1.0, -5e-324]),
+    "no-finite-pair": ([_NAN, 1.0, _INF], [0.0, -_INF, 2.0]),
+    "empty": ([], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COLUMN_CASES))
+def test_bounds_of_columns_match_the_per_pair_loop(case):
+    xs, ys = _COLUMN_CASES[case]
+    got = _Bounds()
+    got.add(xs, ys)
+    assert _box_bits(got) == _box_bits(_ref_box(zip(xs, ys)))
+
+
+@pytest.mark.parametrize("calls", [
+    # a zero of one sign sets a bound, a zero of the other sign ties with it
+    # in a later call: the value seen first stays, on every side of the box
+    [([-0.0, 1.0], [0.0, 2.0]), ([0.0, 3.0], [-0.0, 1.0])],
+    [([-1.0, 0.0], [-2.0, -0.0]), ([-0.0, -2.0], [0.0, -1.0])],
+    [([0.0, 1.0], [-0.0, 2.0]), ([_NAN, -0.0], [0.0, 0.0]), ([-0.0], [0.0])],
+    [_COLUMN_CASES["sum-overflows"], _COLUMN_CASES["zero-tie-plus-first"],
+     _COLUMN_CASES["nan-splits-a-run"], _COLUMN_CASES["no-finite-pair"]],
+], ids=["low-ties", "high-ties", "ties-after-a-nan", "mixed"])
+def test_bounds_accumulate_over_calls_like_one_loop(calls):
+    # phase portraits add every trajectory, then the overlays, in order
+    got, ref = _Bounds(), _RefBounds()
+    for xs, ys in calls:
+        got.add(xs, ys)
+        for x, y in zip(xs, ys):
+            ref.add(x, y)
+        assert _box_bits(got) == _box_bits(ref)
+
+
+@pytest.mark.parametrize("case", sorted(_COLUMN_CASES))
+def test_polyline_points_match_the_per_point_mapping(case):
+    xs, ys = _COLUMN_CASES[case]
+    m = _Mapper((-2.0, 5.0, -4.0, 8.0))
+    assert _polyline_points(m, xs, ys) == _ref_polyline_points(m, zip(xs, ys))
+
+
+def test_points_that_round_to_minus_zero_are_written_as_zero():
+    # px = 62 + (x + 1) * 321 and py = 494 - (y + 1) * 239 on this box
+    m = _Mapper((-1.0, 1.0, -1.0, 1.0))
+    xs = [-1.0 - 62.004 / 321.0, 0.0, -1.0 - 62.001 / 321.0]
+    ys = [0.0, -1.0 + 494.003 / 239.0, -1.0 + 494.0049 / 239.0]
+    assert ["%.2f" % m.px(x) for x in xs] == ["-0.00", "383.00", "-0.00"]
+    assert ["%.2f" % m.py(y) for y in ys] == ["255.00", "-0.00", "-0.00"]
+    assert _polyline_points(m, xs, ys) == ["0.00,255.00 383.00,0.00 0.00,0.00"]
+    assert _ref_polyline_points(m, zip(xs, ys)) == ["0.00,255.00 383.00,0.00 0.00,0.00"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.floats(width=64), st.floats(width=64)),
+                max_size=40))
+def test_column_writers_match_the_references_on_any_floats(pairs):
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    got = _Bounds()
+    got.add(xs, ys)
+    ref = _ref_box(pairs)
+    assert _box_bits(got) == _box_bits(ref)
+    m = _Mapper((-3.0, 7.0, -1e3, 2.5))
+    assert _polyline_points(m, xs, ys) == _ref_polyline_points(m, pairs)
+
+
+def _series_with_nan_controls(n):
+    # every 5th control, and the last, is the shared math.nan object
+    ts = tuple(0.01 * i for i in range(n))
+    us = tuple(math.nan if i % 5 == 0 or i == n - 1 else math.sin(0.01 * i)
+               for i in range(n))
+    return ts, us
+
+
+@pytest.mark.parametrize("n", [4000, 4001, 9001, 9002, 12007])
+def test_index_thinning_keeps_the_zipped_pairs(n):
+    ts, us = _series_with_nan_controls(n)
+    kept = list(zip(_thin(ts), _thin(us)))
+    assert [_bits(*p) for p in kept] == [
+        _bits(*p) for p in _ref_thin(list(zip(ts, us)))]
+    assert kept[-1][0] == ts[-1]
+
+
+@pytest.mark.parametrize("n", [60, 9001, 9002])
+def test_controller_svg_matches_the_per_point_writer(tmp_path, n):
+    ts, us = _series_with_nan_controls(n)
+    traj = Trajectory(ts, tuple(PhasePoint(t, t) for t in ts), us)
+    out = tmp_path / "u.svg"
+    emit_timeseries_svg(traj, out)
+    ref = _ref_box(zip(ts, us))
+    box = _Bounds()
+    box.x_lo, box.x_hi, box.y_lo, box.y_hi = ref.x_lo, ref.x_hi, ref.y_lo, ref.y_hi
+    want = _ref_polyline_points(_Mapper(box.padded()),
+                                _ref_thin(list(zip(ts, us))))
+    got = [el.get("points") for el in ET.parse(out).getroot().iter(f"{_NS}polyline")
+           if el.get("class") == "series"]
+    assert len(got) > 1
+    assert got == want
+
+
+def test_phase_svg_matches_the_per_point_writer(tmp_path):
+    # two trajectories, the second with a nan state, and a reference cycle
+    # that reaches past both
+    a = _parabola_traj(9001)
+    states = list(_parabola_traj(300, -0.5, 0.5).states)
+    states[100] = PhasePoint(math.nan, 0.2)
+    b = Trajectory(tuple(range(300)), tuple(states), tuple([0.0] * 300))
+    ring = tuple((1.5 * math.cos(0.1 * i), 1.5 * math.sin(0.1 * i))
+                 for i in range(64))
+    out = tmp_path / "phase.svg"
+    emit_phase_svg([a, b], [ReferenceCycle(ring)], out)
+    ref = _ref_box((p[0], p[1]) for traj in (a, b) for p in traj.states)
+    for x, y in ring:
+        ref.add(x, y)
+    box = _Bounds()
+    box.x_lo, box.x_hi, box.y_lo, box.y_hi = ref.x_lo, ref.x_hi, ref.y_lo, ref.y_hi
+    m = _Mapper(box.padded())
+    want = [run for traj in (a, b)
+            for run in _ref_polyline_points(
+                m, [(p[0], p[1]) for p in _ref_thin(traj.states)])]
+    got = [el.get("points") for el in ET.parse(out).getroot().iter(f"{_NS}polyline")
+           if el.get("class") == "traj"]
+    assert len(got) == 3
+    assert got == want
