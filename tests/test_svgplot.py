@@ -149,13 +149,8 @@ def _ref_fmt(v):
     return "0.00" if s == "-0.00" else s
 
 
-class _RefBounds:
-    def __init__(self):
-        self.x_lo = math.inf
-        self.x_hi = -math.inf
-        self.y_lo = math.inf
-        self.y_hi = -math.inf
-
+class _RefBounds(_Bounds):
+    # padded() is unchanged; add() is the per-pair loop
     def add(self, x, y):
         if math.isfinite(x) and math.isfinite(y):
             self.x_lo = min(self.x_lo, x)
@@ -306,10 +301,7 @@ def test_controller_svg_matches_the_per_point_writer(tmp_path, n):
     traj = Trajectory(ts, tuple(PhasePoint(t, t) for t in ts), us)
     out = tmp_path / "u.svg"
     emit_timeseries_svg(traj, out)
-    ref = _ref_box(zip(ts, us))
-    box = _Bounds()
-    box.x_lo, box.x_hi, box.y_lo, box.y_hi = ref.x_lo, ref.x_hi, ref.y_lo, ref.y_hi
-    want = _ref_polyline_points(_Mapper(box.padded()),
+    want = _ref_polyline_points(_Mapper(_ref_box(zip(ts, us)).padded()),
                                 _ref_thin(list(zip(ts, us))))
     got = [el.get("points") for el in ET.parse(out).getroot().iter(f"{_NS}polyline")
            if el.get("class") == "series"]
@@ -331,9 +323,7 @@ def test_phase_svg_matches_the_per_point_writer(tmp_path):
     ref = _ref_box((p[0], p[1]) for traj in (a, b) for p in traj.states)
     for x, y in ring:
         ref.add(x, y)
-    box = _Bounds()
-    box.x_lo, box.x_hi, box.y_lo, box.y_hi = ref.x_lo, ref.x_hi, ref.y_lo, ref.y_hi
-    m = _Mapper(box.padded())
+    m = _Mapper(ref.padded())
     want = [run for traj in (a, b)
             for run in _ref_polyline_points(
                 m, [(p[0], p[1]) for p in _ref_thin(traj.states)])]
