@@ -8,10 +8,11 @@ re-parseable to the bit), metrics.json (the fully resolved configuration
 plus the numbers the run was made for, or the fault it stopped at), and
 phase.svg / controller.svg.
 
-Exit codes: 0 success, 2 validation error or unwritable output, 3
-integration fault, 4 pattern deviation, 5 internal error (an exception no
-other code covers, reported with its traceback; a batch goes on with its
-next config).
+Exit codes: 0 success, 1 failed verify checks, 2 validation error or
+unwritable output, 3 integration fault, 4 pattern deviation, 5 internal
+error (an exception no other code covers, reported with its traceback; a
+batch goes on with its next config).  The exception that ended a run, if
+any, decides its status and exit code through _FAULT_STATUS.
 """
 
 from __future__ import annotations
@@ -52,12 +53,13 @@ from .errors import (
     DomainError,
     ExponentOverflowError,
     IntegrationError,
+    OverflowFaultError,
     PatternDeviationError,
     SingularConfigurationError,
     StepLimitError,
     StepUnderflowError,
 )
-from .mmo import MmoPattern, classify_loops, run_pattern
+from .mmo import MmoPattern, MmoSegment, classify_loops, run_pattern
 from .models import (
     fold_rhs,
     parabolic_shear_terms,
@@ -222,13 +224,17 @@ def _bisect(g: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _cycle_curve(level: ScaledLevel, eps: float, alpha: float = 0.0,
-                 y_top_cap: float = 2.5, n: int = 240) -> Tuple[Tuple[float, float], ...]:
+_Y_TOP_CAP = 2.5  # highest y of a traced reference cycle
+_CYCLE_RUNGS = 240  # y levels a reference cycle is traced at
+
+
+def _cycle_curve(level: ScaledLevel, eps: float,
+                 alpha: float = 0.0) -> Tuple[Tuple[float, float], ...]:
     """Points tracing {H = h}: xhat^2 = y + eps/2 - 2 eps h0 exp(2y/eps - E).
 
     The same formula serves the central chart with eps = 1.  For the
     maximal canard (h = 0) the curve is the unbounded parabola, truncated
-    at the cap.
+    at _Y_TOP_CAP.
     """
 
     def sq(y: float) -> float:
@@ -243,14 +249,14 @@ def _cycle_curve(level: ScaledLevel, eps: float, alpha: float = 0.0,
     y_bot = _bisect(sq, -0.5 * eps, 0.0) if sq(0.0) > 0.0 else -0.5 * eps
     if level.h0 > 0.0:
         hi = y_bot + eps
-        while sq(hi) > 0.0 and hi < y_top_cap:
-            hi = min(2.0 * hi + eps, y_top_cap + 1.0)
-        y_top = _bisect(sq, y_bot + 0.25 * eps, hi) if sq(hi) <= 0.0 else y_top_cap
+        while sq(hi) > 0.0 and hi < _Y_TOP_CAP:
+            hi = min(2.0 * hi + eps, _Y_TOP_CAP + 1.0)
+        y_top = _bisect(sq, y_bot + 0.25 * eps, hi) if sq(hi) <= 0.0 else _Y_TOP_CAP
     else:
-        y_top = y_top_cap
+        y_top = _Y_TOP_CAP
     right, left = [], []
-    for i in range(n + 1):
-        y = y_bot + (y_top - y_bot) * i / n
+    for i in range(_CYCLE_RUNGS + 1):
+        y = y_bot + (y_top - y_bot) * i / _CYCLE_RUNGS
         s = sq(y)
         if s < 0.0:
             continue
@@ -266,9 +272,8 @@ def _cycle_curve(level: ScaledLevel, eps: float, alpha: float = 0.0,
 class _Outcome:
     """What a run hands the artifact writer.
 
-    ``trajs`` are drawn in phase.svg; the first also goes to trajectory.csv
-    and controller.svg.  A run without trajectories writes metrics.json
-    only.  ``labels`` name the phase axes and the control.
+    ``trajs`` are drawn in phase.svg.  ``fault`` is the exception that
+    ended the run, or None.  ``labels`` name the phase axes and the control.
     """
 
     trajs: Sequence[Trajectory]
@@ -278,8 +283,7 @@ class _Outcome:
     labels: Tuple[str, str, str] = ("x", "y", "u")
     extra_csv: Dict[str, Trajectory] = field(default_factory=dict)
     extra_phase: Dict[str, Sequence[Trajectory]] = field(default_factory=dict)
-    status: str = "ok"
-    code: int = 0
+    fault: Optional[Exception] = None
 
 
 def _write_trajectory_csv(path, traj: Trajectory) -> None:
@@ -319,48 +323,60 @@ def _write_metrics(path, cfg: ExperimentConfig, eff: Dict[str, object],
 
 
 def _write_outcome(cfg: ExperimentConfig, eff: Dict[str, object],
-                   out: _Outcome, outdir: Path) -> None:
+                   out: _Outcome, outdir: Path) -> int:
+    """Write an outcome's artifacts and return its exit code.  The fault's
+    trajectory, else the first run, goes to trajectory.csv and
+    controller.svg; a fault is reported on stderr and in metrics.json."""
     path = {slot: outdir / name
             for slot, name in {**_DEFAULT_OUTPUTS, **cfg.outputs}.items()}
     x_label, y_label, u_label = out.labels
-    if out.trajs:
-        _write_trajectory_csv(path["trajectory"], out.trajs[0])
-        emit_phase_svg(out.trajs, out.overlays, path["phase"],
+    primary = getattr(out.fault, "trajectory", None)
+    if primary is None and out.trajs:
+        primary = out.trajs[0]
+    status = "failed" if out.results.get("failures") else _status(out.fault)
+    code = _EXIT_CODES.get(status, 3)
+    if out.fault is not None:
+        print(f"{'pattern deviation' if code == 4 else 'integration fault'}: "
+              f"{out.fault}", file=sys.stderr)
+        out.results.update(
+            message=str(out.fault),
+            last_time=primary.final_time if primary is not None else None,
+            last_state=list(primary.final_state) if primary is not None else None)
+        if isinstance(out.fault, PatternDeviationError):
+            out.results.update(achieved=list(out.fault.achieved),
+                               expected=out.fault.expected, got=out.fault.got)
+    if primary is not None:
+        _write_trajectory_csv(path["trajectory"], primary)
+        emit_phase_svg(out.trajs or [primary], out.overlays, path["phase"],
                        x_label=x_label, y_label=y_label)
-        emit_timeseries_svg(out.trajs[0], path["controller"], label=u_label)
+        emit_timeseries_svg(primary, path["controller"], label=u_label)
     for name, traj in out.extra_csv.items():
         _write_trajectory_csv(outdir / name, traj)
     for name, trajs in out.extra_phase.items():
         emit_phase_svg(trajs, out.overlays, outdir / name,
                        x_label=x_label, y_label=y_label)
-    _write_metrics(path["metrics"], cfg, eff, out.results, out.status)
+    _write_metrics(path["metrics"], cfg, eff, out.results, status)
+    return code
 
 
-# status a fault leaves in metrics.json, most specific exception type first
+# status a fault leaves in metrics.json, most specific exception type first;
+# OverflowError covers ExponentOverflowError and float arithmetic overflow
 _FAULT_STATUS = (
     (PatternDeviationError, "pattern-deviation"),
     (StepLimitError, "step-limit"),
     (StepUnderflowError, "step-underflow"),
-    (ExponentOverflowError, "overflow-fault"),
+    (OverflowFaultError, "overflow-fault"),
+    (OverflowError, "overflow-fault"),
     (IntegrationError, "integration-fault"),
     (SingularConfigurationError, "integration-fault"),
 )
+# exit code of each status that is not an integration fault (exit 3)
+_EXIT_CODES = {"ok": 0, "failed": 1, "pattern-deviation": 4}
 
 
-def _fault_outcome(exc: Exception) -> _Outcome:
-    status = next(s for kind, s in _FAULT_STATUS if isinstance(exc, kind))
-    traj = getattr(exc, "trajectory", None)
-    trajs = [traj] if traj is not None else []
-    results: Dict[str, object] = {
-        "message": str(exc),
-        "last_time": trajs[0].final_time if trajs else None,
-        "last_state": list(trajs[0].final_state) if trajs else None,
-    }
-    if isinstance(exc, PatternDeviationError):
-        results.update(achieved=list(exc.achieved), expected=exc.expected,
-                       got=exc.got)
-    return _Outcome(trajs, (), results, status=status,
-                    code=4 if status == "pattern-deviation" else 3)
+def _status(fault: Optional[Exception]) -> str:
+    return "ok" if fault is None else next(
+        s for kind, s in _FAULT_STATUS if isinstance(fault, kind))
 
 
 # experiment runs ----------------------------------------------------------
@@ -375,16 +391,14 @@ def _convergence_results(traj: Trajectory, eps: float, level: ScaledLevel) -> Di
     }
 
 
-def _guarded(underflow: str, *args, **kwargs) -> Tuple[Trajectory, str]:
-    """integrate() with a fault reported as a status next to the trajectory;
-    ``underflow`` names the status of a step-size collapse."""
+def _guarded(*args, **kwargs) -> Tuple[Trajectory, Optional[IntegrationError]]:
+    """integrate() with the fault that ended the run, or None, next to the
+    trajectory; a run that ends on an overflow-fault event is a fault."""
     try:
         traj = integrate(*args, **kwargs)
-        return traj, "overflow-fault" if traj.events_of("overflow-fault") else "ok"
-    except StepUnderflowError as exc:
-        return exc.trajectory, underflow
-    except IntegrationError as exc:
-        return exc.trajectory, "step-limit"
+    except IntegrationError as exc:  # step limit or step underflow
+        return exc.trajectory, exc
+    return traj, OverflowFaultError(traj) if traj.events_of("overflow-fault") else None
 
 
 def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _Outcome:
@@ -409,9 +423,10 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
     # on its lower arc
     section = Watcher("section-crossing", lambda p: p[0] - center,
                       direction="up")
-    trajs = [integrate(rhs, u, tuple(ic), (0.0, float(eff["t_end"])), integ,
-                       watchers=[section])
-             for ic in ics]
+    runs = [_guarded(rhs, u, tuple(ic), (0.0, float(eff["t_end"])), integ,
+                     watchers=[section])
+            for ic in ics]
+    trajs = [traj for traj, _ in runs]
 
     primary = trajs[0]
     framed = Trajectory(
@@ -425,21 +440,15 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
     results["max_return_gap"] = max(
         (math.hypot(b.state[0] - a.state[0], b.state[1] - a.state[1])
          for a, b in zip(hits, hits[1:])), default=None)
-    faults = primary.events_of("overflow-fault")
-    results["overflow_events"] = len(faults)
-    overlays = [CriticalManifold("fold"),
-                ReferenceCycle(_cycle_curve(level, params.eps, center))]
-    summary = (f"{cfg.experiment}: terminal residual "
-               f"{results['residual_terminal']:.3g}, {len(hits)} section returns")
-    if not faults:
-        return _Outcome(trajs, overlays, results, summary)
-    # the primary run stopped at a controller overflow: a fault, reported as
-    # a raised one is, with the fold results of the partial run kept
-    results.update(
-        message=f"the control overflowed at t = {faults[0].time:.6g}",
-        last_time=primary.final_time, last_state=list(primary.final_state))
-    return _Outcome(trajs, overlays, results, f"{summary}; overflow fault",
-                    status="overflow-fault", code=3)
+    results["overflow_events"] = sum(
+        len(traj.events_of("overflow-fault")) for traj in trajs)
+    return _Outcome(
+        trajs, [CriticalManifold("fold"),
+                ReferenceCycle(_cycle_curve(level, params.eps, center))],
+        results,
+        f"{cfg.experiment}: terminal residual "
+        f"{results['residual_terminal']:.3g}, {len(hits)} section returns",
+        fault=next((fault for _, fault in runs if fault is not None), None))
 
 
 def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
@@ -447,8 +456,8 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcom
 
     At these gains both runs converge; the correction's job shows in the
     controller trace and in the chart-level necessity demo (k2-hot), where
-    the cancellation is exact.  At c1 <= 3 the plain loop loses the cycle
-    outright and the run records the fault.
+    the cancellation is exact.  At c1 = 0.5 the plain loop loses the cycle
+    and only its status records it; a compensated run's fault is the run's.
     """
     params, gains, level, integ = _blocks(
         eff, SystemParams, ControllerGains, ScaledLevel, IntegratorConfig)
@@ -463,22 +472,18 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcom
         def u(p) -> float:
             return fast_u(p, params, gains, level, phi_hat)
 
-        return _guarded("step-underflow", rhs, u, tuple(ic), span, integ)
+        return _guarded(rhs, u, tuple(ic), span, integ)
 
-    comp, comp_status = run(hot.phi_hat)
-    plain, plain_status = run(None)
-    if comp_status != "ok":
-        raise IntegrationError(
-            f"compensated run faulted ({comp_status}); nothing to demonstrate",
-            comp)
-
+    comp, fault = run(hot.phi_hat)
+    plain, plain_fault = run(None)
+    plain_status = _status(plain_fault)
     plain_block: Dict[str, object] = {"status": plain_status,
                                       "final_time": plain.final_time}
     if plain_status == "ok":
         plain_block.update(_convergence_results(plain, params.eps, level))
     results = {
         "compensated": {**_convergence_results(comp, params.eps, level),
-                        "status": comp_status},
+                        "status": _status(fault)},
         "plain": plain_block,
     }
     cycle = _cycle_curve(level, params.eps, params.alpha)
@@ -488,7 +493,7 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcom
         f"fold-fast-hot: compensated terminal residual "
         f"{results['compensated']['residual_terminal']:.3g}; "
         f"plain run {plain_status}",
-        extra_csv={"plain.csv": plain})
+        extra_csv={"plain.csv": plain}, fault=fault)
 
 
 def _chart_ics(count: int) -> Tuple[PhasePoint, ...]:
@@ -532,31 +537,29 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
         def mu(p) -> float:
             return k2_mu((r2, p[0], p[1], alpha2), gains, h, phi2)
 
-        traj, status = _guarded("diverged", rhs, mu, tuple(ic), span, integ,
-                                watchers=[stop] if watched else [])
+        traj, fault = _guarded(rhs, mu, tuple(ic), span, integ,
+                               watchers=[stop] if watched else [])
         p = traj.final_state
         try:
             gap = abs(eval_H2(p[0], p[1]) - h)
         except ExponentOverflowError:
             gap = math.inf
-        return traj, status, gap
+        return traj, fault, gap
 
     phi2 = quadratic_gap_phi2 if with_shear else None
+    runs = [run_ic(ic, phi2, watched=True) for ic in ics]
     per_ic = []
-    trajs = []
-    for ic in ics:
-        traj, status, gap = run_ic(ic, phi2, watched=True)
+    for ic, (traj, fault, gap) in zip(ics, runs):
         hits = traj.events_of("level-convergence")
         l2 = [lyapunov_L2((r2, p[0], p[1], alpha2), gains, h)[0]
               for p in traj.states]
         per_ic.append({
             "ic": [ic.x, ic.y],
-            "status": status,
+            "status": _status(fault),
             "terminal_h_gap": gap,
             "converged_at": hits[0].time if hits else None,
             "max_l2_increase": max([0.0] + [b - a for a, b in zip(l2, l2[1:])]),
         })
-        trajs.append(traj)
     results: Dict[str, object] = {
         "per_ic": per_ic,
         "max_terminal_h_gap": max(r["terminal_h_gap"] for r in per_ic),
@@ -565,16 +568,18 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
     if with_shear:
         plain = [run_ic(ic, None, watched=False) for ic in ics]
         results["plain_per_ic"] = [
-            {"ic": [ic.x, ic.y], "status": status, "terminal_h_gap": gap}
-            for ic, (_, status, gap) in zip(ics, plain)]
+            {"ic": [ic.x, ic.y], "status": _status(fault), "terminal_h_gap": gap}
+            for ic, (_, fault, gap) in zip(ics, plain)]
         results["plain_worst_h_gap"] = max(gap for _, _, gap in plain)
         extra_phase["phase-plain.svg"] = [traj for traj, _, _ in plain]
 
     return _Outcome(
-        trajs, [ReferenceCycle(_cycle_curve(level, 1.0))], results,
+        [traj for traj, _, _ in runs], [ReferenceCycle(_cycle_curve(level, 1.0))],
+        results,
         f"{cfg.experiment}: worst terminal |H2 - h| = "
         f"{results['max_terminal_h_gap']:.3g} over {len(ics)} starts",
-        labels=("x2", "y2", "mu2"), extra_phase=extra_phase)
+        labels=("x2", "y2", "mu2"), extra_phase=extra_phase,
+        fault=next((fault for _, fault, _ in runs if fault is not None), None))
 
 
 def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
@@ -610,17 +615,16 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
         for j in range(5):
             x1 = center - dom.sigma1 + j * dom.sigma1 / 2
             x1_initial.append(x1)
-            try:
-                traj = integrate(rhs, mu, (r1, x1, dom.delta1),
-                                 (0.0, float(eff["t_end"])), integ,
-                                 watchers=[exit_section])
-            except IntegrationError as exc:  # step limit or step underflow
-                raise type(exc)(str(exc), blown_down(exc.trajectory)) from exc
+            traj, fault = _guarded(rhs, mu, (r1, x1, dom.delta1),
+                                   (0.0, float(eff["t_end"])), integ,
+                                   watchers=[exit_section])
             hits = traj.events_of("section-crossing")
             if not hits:
-                raise IntegrationError(
+                fault = fault or IntegrationError(
                     f"grid point (r1={r1:.3g}, x1={x1:.3g}) never reached "
-                    f"the exit section r1 = {dom.rho1}", blown_down(traj))
+                    f"the exit section r1 = {dom.rho1}")
+                fault.trajectory = blown_down(traj)  # written as on success
+                return _Outcome((), (), {}, fault=fault)
             exit_x1.append(hits[0].state[1])
             exit_t.append(hits[0].time)
             if len(blown) < 5:
@@ -641,8 +645,16 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
         f"({100 * results['contraction_ratio']:.2f}% of initial)")
 
 
-def _run_vdp_pattern(cfg: ExperimentConfig, eff: Dict[str, object],
-                     pattern: MmoPattern) -> _Outcome:
+def _run_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
+    """vdp-mmo runs its pattern; vdp-canard repeats three loops of the kind
+    the sign of x_star selects, at the configured canard height."""
+    if cfg.experiment == "vdp-mmo":
+        pattern = MmoPattern.parse(str(eff["pattern"]), repeat=int(eff["repeat"]))
+    else:
+        x_star = float(eff["x_star"])
+        pattern = MmoPattern(
+            (MmoSegment(3, "SAO" if x_star < 0 else "LAO", float(eff["y_h"]),
+                        x_star),), repeat=int(eff["repeat"]))
     eps = float(eff["eps"])
     nbhd = replace(default_neighborhoods(eps), **_picked(NeighborhoodParams, eff))
     # composite_u never reads c2; ControllerGains requires one
@@ -666,19 +678,6 @@ def _run_vdp_pattern(cfg: ExperimentConfig, eff: Dict[str, object],
         f"{cfg.experiment}: loops {labels}")
 
 
-def _run_vdp_canard(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
-    x_star = float(eff["x_star"])
-    label = "S" if x_star < 0 else "L"
-    pattern = MmoPattern.parse(f"3{label}:{eff['y_h']:g}:{x_star:g}",
-                               repeat=int(eff["repeat"]))
-    return _run_vdp_pattern(cfg, eff, pattern)
-
-
-def _run_vdp_mmo(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
-    pattern = MmoPattern.parse(str(eff["pattern"]), repeat=int(eff["repeat"]))
-    return _run_vdp_pattern(cfg, eff, pattern)
-
-
 def _run_verify(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     buf = io.StringIO()
     failures = run_verification(buf)
@@ -686,9 +685,7 @@ def _run_verify(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     sys.stdout.write(text)
     checks = [{"ok": line.startswith("PASS"), "line": line}
               for line in text.splitlines() if line.startswith(("PASS", "FAIL"))]
-    return _Outcome((), (), {"failures": failures, "checks": checks},
-                    status="ok" if failures == 0 else "failed",
-                    code=0 if failures == 0 else 1)
+    return _Outcome((), (), {"failures": failures, "checks": checks})
 
 
 class _Spec(NamedTuple):
@@ -728,11 +725,11 @@ _SPECS: Dict[str, _Spec] = {
     "vdp-canard": _Spec(
         {"eps": 0.01, "c1": 1.0, "k1": 1.0, "x_star": -0.01, "y_h": 1.25,
          "repeat": 1},
-        _INTEG_KEYS + _NBHD_KEYS, _run_vdp_canard),
+        _INTEG_KEYS + _NBHD_KEYS, _run_vdp),
     "vdp-mmo": _Spec(
         {"eps": 0.01, "c1": 1.0, "k1": 1.0,
          "pattern": "3L:0.75:0.01,4S:1.25:-0.01", "repeat": 1},
-        _INTEG_KEYS + _NBHD_KEYS, _run_vdp_mmo),
+        _INTEG_KEYS + _NBHD_KEYS, _run_vdp),
     "verify": _Spec({}, (), _run_verify),
 }
 
@@ -754,14 +751,9 @@ def run_experiment(cfg: ExperimentConfig, outdir) -> int:
     try:
         try:
             out = spec.run(cfg, eff)
-        except PatternDeviationError as exc:
-            print(f"pattern deviation: {exc}", file=sys.stderr)
-            out = _fault_outcome(exc)
-        except (IntegrationError, ExponentOverflowError,
-                SingularConfigurationError) as exc:
-            print(f"integration fault: {exc}", file=sys.stderr)
-            out = _fault_outcome(exc)
-        _write_outcome(cfg, eff, out, outdir)
+        except tuple(kind for kind, _ in _FAULT_STATUS) as exc:
+            out = _Outcome((), (), {}, fault=exc)
+        code = _write_outcome(cfg, eff, out, outdir)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -770,7 +762,7 @@ def run_experiment(cfg: ExperimentConfig, outdir) -> int:
         return 2
     if out.summary:
         print(out.summary)
-    return out.code
+    return code
 
 
 # command line -------------------------------------------------------------

@@ -125,9 +125,8 @@ def default_neighborhoods(eps: float, y_h: float = 1.25) -> NeighborhoodParams:
 
 
 # rho1 ceiling: the repelling equilibrium curve in the entry chart exists
-# only up to r1 = 2/sqrt(3); the tighter ceiling is where it stays attracting
+# only up to r1 = 2/sqrt(3)
 _RHO1_MAX = 2.0 / math.sqrt(3.0)
-_RHO1_STABLE = (3.0 - math.sqrt(3.0)) / math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -157,11 +156,6 @@ class K1Domain:
         if not 0.0 < self.rho1_tilde < self.rho1:
             raise DomainError(
                 f"rho1_tilde must lie in (0, rho1), got {self.rho1_tilde!r}")
-
-    @property
-    def exit_branch_attracting(self) -> bool:
-        """Whether the exit section sits on the attracting part of the branch."""
-        return self.rho1 < _RHO1_STABLE
 
 
 def fast_u(p: Sequence[float], params: SystemParams, gains: ControllerGains,

@@ -140,10 +140,6 @@ class ScaledLevel:
             return 0.0
         return self.h0 * math.exp(-min(self.E, 745.0))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.h0 == 0.0
-
 
 def eval_H(p: PhasePoint, eps: float) -> float:
     """Conserved quantity H(x, y; eps) of the uncontrolled fold layer flow.

@@ -13,6 +13,7 @@ __all__ = [
     "SingularConfigurationError",
     "ExtrapolationError",
     "IntegrationError",
+    "OverflowFaultError",
     "StepUnderflowError",
     "StepLimitError",
     "PatternDeviationError",
@@ -24,7 +25,7 @@ class DomainError(ValueError):
     """Input lies outside the mathematical domain of an operation."""
 
 
-class ExponentOverflowError(ArithmeticError):
+class ExponentOverflowError(OverflowError):
     """An exponent left the safe range for exp() before exponentiation, or
     the term it weights left floating-point range below that guard.
 
@@ -58,6 +59,14 @@ class IntegrationError(RuntimeError):
     def __init__(self, message: str, trajectory=None):
         self.trajectory = trajectory
         super().__init__(message)
+
+
+class OverflowFaultError(IntegrationError):
+    """The run ended on an ``overflow-fault`` event, at its last state."""
+
+    def __init__(self, trajectory):
+        super().__init__("the control overflowed at t = "
+                         f"{trajectory.final_time:.6g}", trajectory)
 
 
 class StepUnderflowError(IntegrationError):

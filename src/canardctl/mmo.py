@@ -23,7 +23,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .controllers import NeighborhoodParams, composite_u
 from .core import ControllerGains, PhasePoint
-from .errors import ConfigError, IntegrationError, PatternDeviationError
+from .errors import (ConfigError, IntegrationError, OverflowFaultError,
+                     PatternDeviationError)
 from .models import vdp_rhs
 from .sim import IntegratorConfig, Trajectory, Watcher, integrate
 
@@ -195,7 +196,8 @@ def run_pattern(
     event; the parameters for the next loop are installed at that state,
     strictly inside the disc.  Raises PatternDeviationError the moment a
     completed loop contradicts its segment's label, carrying the labels
-    achieved so far and the stitched trajectory.
+    achieved so far and the stitched trajectory, which the faults of a loop
+    that overflows (OverflowFaultError) or does not close also carry.
     """
     cfg = cfg or IntegratorConfig()
     schedule: List[MmoSegment] = []
@@ -220,10 +222,13 @@ def run_pattern(
             u, p0, (t0, t0 + _LOOP_TIME_BUDGET), cfg,
             watchers=[_disc_watcher()],
         )
+        append_chunk(traj)
+        if traj.events_of("overflow-fault"):
+            raise OverflowFaultError(stitched())
         if not traj.events_of("set-entry"):
             raise IntegrationError(
                 f"loop did not close within {_LOOP_TIME_BUDGET} time units",
-                traj)
+                stitched())
         return traj
 
     def append_chunk(traj: Trajectory) -> None:
@@ -238,13 +243,11 @@ def run_pattern(
                           tuple(events))
 
     # preamble: reach the section once under the first loop's parameters
-    chunk = run_chunk(schedule[0], 0.0, start)
-    append_chunk(chunk)
+    run_chunk(schedule[0], 0.0, start)
 
     for seg in schedule:
         t0, p0 = times[-1], states[-1]
         chunk = run_chunk(seg, t0, p0)
-        append_chunk(chunk)
         max_x = max(p[0] for p in chunk.states)
         max_y = max(p[1] for p in chunk.states)
         got = "LAO" if max_x > LAO_THRESHOLD else "SAO"

@@ -30,8 +30,8 @@ The controller is evaluated once per field evaluation, and the engine keeps
 the values it needs.  The controls a trajectory records are the values from
 the first field call and from each accepted step's last stage, which FSAL
 places at the new state; only a state the run ends on at a terminal event
-is evaluated again.  A typed exponent overflow raised by a controller, or a
-non-finite control value, terminates the run with a terminal
+is evaluated again.  An OverflowError raised by the controller or the field,
+or a non-finite control value, terminates the run with a terminal
 ``overflow-fault`` event at the last accepted state.  Events requested
 through watchers are localized on the dense output by bisection to
 1e-10 * max(1, |t|) in time; each watcher is evaluated once per accepted
@@ -427,7 +427,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
         if len(f_now) != len(y):
             raise _length_error(f_now, y)
         h = _initial_step(rhs, u, y, f_now, t1 - t, cfg, pack)
-    except (ExponentOverflowError, IntegrationError):
+    except (OverflowError, IntegrationError):
         events.append(Event("overflow-fault", t, y, "fault"))
         return times, states, controls, events, "overflow-fault"
     g_now = [w.fn(y) for w in watchers]
@@ -448,7 +448,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
             # the last stage is the 5th-order solution at t + h, and the
             # control found there is the one the new point records
             y_new, u_new, ks, err = step(rhs, u, y, f_now, h, atol, rtol, pack)
-        except (ExponentOverflowError, IntegrationError):
+        except (OverflowError, IntegrationError):
             events.append(Event("overflow-fault", t, y, "fault"))
             status = "overflow-fault"
             break
@@ -486,7 +486,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
                     states.append(y)
                     try:
                         controls.append(u(y))
-                    except (ExponentOverflowError, IntegrationError):
+                    except (OverflowError, IntegrationError):
                         controls.append(math.nan)
                     break
 
@@ -528,12 +528,12 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     recorded controls are the values those calls returned: at the start
     state and, at each accepted step, from the last (FSAL) stage, which runs
     at the new state.  Only a state the run ends on at a terminal event is
-    evaluated again.  A typed exponent overflow or non-finite control value
-    ends the run with a terminal ``overflow-fault`` event; a fault at the
-    start state records the control ``u`` returned there, or nan if it
-    raised.  Step-size collapse raises :class:`StepUnderflowError` and an
-    exhausted step budget raises :class:`StepLimitError`, both carrying the
-    partial trajectory.
+    evaluated again.  An ``OverflowError`` (typed, or from float arithmetic
+    such as ``x ** 3``) or a non-finite control value ends the run with a
+    terminal ``overflow-fault`` event; a fault at the start state records
+    the control ``u`` returned there, or nan if it raised.  Step-size
+    collapse raises :class:`StepUnderflowError` and an exhausted step budget
+    raises :class:`StepLimitError`, both carrying the partial trajectory.
     """
     cfg = cfg or IntegratorConfig()
     times, states, controls, events, status = _run(

@@ -27,6 +27,8 @@ __all__ = [
 # canvas geometry, pixels
 _W, _H = 720, 540
 _ML, _MR, _MT, _MB = 62, 16, 16, 46
+_PAD = 0.06  # margin around the data box, per unit of its width
+_THIN_CAP = 4000  # most points a thinned polyline keeps
 
 _TRAJ_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b",
                 "#e377c2", "#17becf", "#bcbd22")
@@ -137,13 +139,14 @@ class _Bounds:
                 self.y_lo = min(self.y_lo, y)
                 self.y_hi = max(self.y_hi, y)
 
-    def padded(self, frac: float = 0.06) -> Tuple[float, float, float, float]:
+    def padded(self) -> Tuple[float, float, float, float]:
         if not math.isfinite(self.x_lo):
             return (-1.0, 1.0, -1.0, 1.0)
-        dx = (self.x_hi - self.x_lo) or 1.0
-        dy = (self.y_hi - self.y_lo) or 1.0
-        return (self.x_lo - frac * dx, self.x_hi + frac * dx,
-                self.y_lo - frac * dy, self.y_hi + frac * dy)
+        # a zero-width side scales with its place, lest the margin round away
+        dx = (self.x_hi - self.x_lo) or max(1.0, abs(self.x_lo))
+        dy = (self.y_hi - self.y_lo) or max(1.0, abs(self.y_lo))
+        return (self.x_lo - _PAD * dx, self.x_hi + _PAD * dx,
+                self.y_lo - _PAD * dy, self.y_hi + _PAD * dy)
 
 
 class _Mapper:
@@ -190,16 +193,16 @@ def _polyline_points(m: _Mapper, xs: Sequence[float],
     return runs
 
 
-def _thin(seq: Sequence, cap: int = 4000) -> Sequence:
-    """Every stride-th item, at most cap of them, and the last item.
+def _thin(seq: Sequence) -> Sequence:
+    """Every stride-th item, at most _THIN_CAP of them, and the last item.
 
     Which items are kept depends on the length only, so thinning the
     columns of a table one by one keeps whole rows.
     """
     n = len(seq)
-    if n <= cap:
+    if n <= _THIN_CAP:
         return seq
-    stride = -(-n // cap)
+    stride = -(-n // _THIN_CAP)
     out = list(seq[::stride])
     if (n - 1) % stride:
         out.append(seq[-1])
@@ -208,12 +211,12 @@ def _thin(seq: Sequence, cap: int = 4000) -> Sequence:
 
 def _emit_polyline(out: list[str], m: _Mapper, xs: Sequence[float],
                    ys: Sequence[float], cls: str, color: str,
-                   dashed: bool = False, width: float = 1.3) -> None:
+                   dashed: bool = False) -> None:
     dash = ' stroke-dasharray="6 4"' if dashed else ""
     for run in _polyline_points(m, xs, ys):
         out.append(
             f'<polyline class="{cls}" fill="none" stroke="{color}" '
-            f'stroke-width="{width:g}"{dash} points="{run}"/>'
+            f'stroke-width="1.3"{dash} points="{run}"/>'
         )
 
 

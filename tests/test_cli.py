@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -434,6 +435,90 @@ def test_fold_overflow_exits_3_and_keeps_the_fold_results(tmp_path, capsys,
                 for name in _OVERFLOW_RUN_ARTIFACTS} == _OVERFLOW_RUN_ARTIFACTS
         assert res["last_time"] == 0.0 and res["last_state"] == [0.2, 0.3]
         assert math.isnan(rows[0][3]) and len(rows) == 1
+
+
+# each config stops at the fault named; the first start of the fold-fast
+# case runs to t_end and its second stops at once, as does vdp-canard at
+# x = 1e120, whose x**3 overflows in the controller and the field
+_FAULTING_RUNS = {
+    "fold-fast-later-start": (
+        {"experiment": "fold-fast", "params": {"t_end": 50.0},
+         "initial_conditions": [[0.2, 0.3], [0.2, 30.0]]}, "overflow-fault"),
+    "fold-fast-hot-step-limit": (
+        {"experiment": "fold-fast-hot", "params": {"max_steps": 10}},
+        "step-limit"),
+    "k2-step-limit": (
+        {"experiment": "k2", "params": {"max_steps": 10}}, "step-limit"),
+    "k2-step-underflow": (
+        {"experiment": "k2", "params": {"min_step": 0.05, "max_step": 1.0}},
+        "step-underflow"),
+    "vdp-canard-float-overflow": (
+        {"experiment": "vdp-canard", "initial_conditions": [[1e120, 0.5]]},
+        "overflow-fault"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAULTING_RUNS))
+def test_fault_of_any_run_decides_exit_status_and_trajectory(tmp_path, capsys,
+                                                             name):
+    doc, status = _FAULTING_RUNS[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    assert "integration fault: " in capsys.readouterr().err
+    for artifact in ("trajectory.csv", "metrics.json", "phase.svg",
+                     "controller.svg"):
+        assert (out / artifact).exists()
+    m = json.loads((out / "metrics.json").read_text())
+    assert m["status"] == status
+    res = m["results"]
+    # the faulted run is the one written: it ends where the fault happened
+    rows = read_trajectory_csv(out / "trajectory.csv")
+    assert res["last_time"] == rows[-1][0]
+    assert res["last_state"] == [rows[-1][1], rows[-1][2]]
+    assert f"at t = {res['last_time']:.6g}" in res["message"]
+
+
+# at these gains the compensated runs converge within the step budget and
+# the plain ones do not
+@pytest.mark.parametrize("experiment,params,plain_statuses", [
+    ("fold-fast-hot", {"c1": 0.5, "max_steps": 2000},
+     lambda res: [res["plain"]["status"]]),
+    ("k2-hot", {"c1": 3.0, "max_steps": 2000},
+     lambda res: [r["status"] for r in res["plain_per_ic"]]),
+], ids=["fold-fast-hot", "k2-hot"])
+def test_fault_of_a_plain_comparison_run_is_only_recorded(
+        tmp_path, capsys, experiment, params, plain_statuses):
+    assert run_experiment(ExperimentConfig(experiment, params), tmp_path) == 0
+    m = json.loads((tmp_path / "metrics.json").read_text())
+    assert m["status"] == "ok"
+    assert "step-limit" in plain_statuses(m["results"])
+
+
+def test_readme_lists_every_status_a_run_can_leave():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("The `status` in `metrics.json` is `ok` or one of:")[1]
+    listed = re.findall(r"^- `([a-z-]+)`:", block.split("\n\n")[1], re.M)
+    assert sorted(listed) == sorted(
+        {status for _, status in cli._FAULT_STATUS} | {"failed"})
+
+
+def test_vdp_canard_hands_the_exact_segment_to_run_pattern(tmp_path, monkeypatch):
+    patterns = []
+    run_pattern = cli.run_pattern
+
+    def recording(pattern, *args):
+        patterns.append(pattern)
+        return run_pattern(pattern, *args)
+
+    monkeypatch.setattr(cli, "run_pattern", recording)
+    cfg = ExperimentConfig("vdp-canard", {"x_star": -0.0123456789,
+                                          "y_h": 1.23456789, "repeat": 2})
+    assert run_experiment(cfg, tmp_path) == 0
+    [pattern] = patterns
+    assert pattern.segments == ((3, "SAO", 1.23456789, -0.0123456789),)
+    assert pattern.repeat == 2
 
 
 def _write_cfg(path, experiment, **params):

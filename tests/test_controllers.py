@@ -388,8 +388,6 @@ class TestParamBlocks:
             K1Domain(rho1=1.2)
         with pytest.raises(DomainError):
             K1Domain(rho1=0.5, rho1_tilde=0.6)
-        assert K1Domain(rho1=0.6).exit_branch_attracting
-        assert not K1Domain(rho1=0.8).exit_branch_attracting
 
 
 _NONFINITE = [math.nan, math.inf, -math.inf]

@@ -173,7 +173,6 @@ def test_scaled_level_validation():
     with pytest.raises(DomainError):
         ScaledLevel(math.nan, 0.0)
     assert ScaledLevel(0.25, 400.0).value == pytest.approx(0.25 * math.exp(-400.0))
-    assert ScaledLevel(0.0, 0.0).is_zero
 
 
 def test_system_params_validation():

@@ -7,7 +7,8 @@ import pytest
 
 from canardctl.controllers import NeighborhoodParams, default_neighborhoods
 from canardctl.core import ControllerGains, PhasePoint
-from canardctl.errors import ConfigError, PatternDeviationError
+from canardctl import mmo
+from canardctl.errors import ConfigError, OverflowFaultError, PatternDeviationError
 from canardctl.mmo import (
     DISC_RADIUS,
     LAO_THRESHOLD,
@@ -157,6 +158,31 @@ class TestSupervisor:
         assert err.got == "SAO"
         assert err.achieved == ()
         assert err.trajectory is not None and len(err.trajectory) > 2
+
+    def test_overflow_in_a_later_loop_carries_the_stitched_run(self, monkeypatch):
+        nb = default_neighborhoods(EPS)
+        calls = [0]
+        composite_u = mmo.composite_u
+
+        def counting(*args):
+            calls[0] += 1
+            if calls[0] == limit:
+                raise OverflowError("math range error")
+            return composite_u(*args)
+
+        # the preamble and the first loop of "2S" are the whole of "1S"
+        limit = None
+        monkeypatch.setattr(mmo, "composite_u", counting)
+        first, _ = run_pattern(MmoPattern.parse("1S:1.25:-0.01"), EPS, GAINS, nb)
+        limit = calls[0] + 50
+        calls[0] = 0
+        with pytest.raises(OverflowFaultError) as exc:
+            run_pattern(MmoPattern.parse("2S:1.25:-0.01"), EPS, GAINS, nb)
+        traj = exc.value.trajectory
+        assert traj.times[:len(first)] == first.times
+        assert len(traj) > len(first)
+        assert traj.events[-1].kind == "overflow-fault"
+        assert str(exc.value) == f"the control overflowed at t = {traj.final_time:.6g}"
 
     def test_infinite_pattern_rejected(self):
         # a pattern without a finite repeat count is never built, so the

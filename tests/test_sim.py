@@ -126,6 +126,21 @@ def test_controller_overflow_becomes_fault_event():
     assert all(math.isfinite(p.x) for p in traj.states)
 
 
+@pytest.mark.parametrize("in_field", [False, True], ids=["controller", "field"])
+def test_float_overflow_becomes_fault_event(in_field):
+    # x ** 3 raises OverflowError past x ~ 5.6e102, as vdp_rhs would
+    def u(p):
+        return 0.0 if in_field else p.x ** 3
+
+    def rhs(p, uval):
+        return (p.x * p.x, p.x ** 3 if in_field else 0.0)
+
+    traj = integrate(rhs, u, PhasePoint(1e120, 0.0), (0.0, 10.0))
+    assert traj.events[-1].kind == "overflow-fault"
+    assert len(traj) == 1
+    assert math.isnan(traj.controls[0]) != in_field
+
+
 def test_finite_time_blowup_raises_stiffness_fault():
     with pytest.raises(StepUnderflowError) as exc:
         integrate(

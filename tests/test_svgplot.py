@@ -246,6 +246,18 @@ def test_bounds_accumulate_over_calls_like_one_loop(calls):
         assert _box_bits(got) == _box_bits(ref)
 
 
+@pytest.mark.parametrize("x", [0.0, -0.0, 0.5, -1.0, 1e120, -1e300])
+def test_zero_width_box_keeps_a_margin_wherever_it_lies(x):
+    # one point: each side falls back to max(1, |coordinate|) before padding,
+    # which is the unit width of old within [-1, 1]
+    b = _Bounds()
+    b.add([x], [x])
+    x_lo, x_hi, y_lo, y_hi = b.padded()
+    width = max(1.0, abs(x))
+    assert (x_lo, x_hi) == (y_lo, y_hi) == (x - 0.06 * width, x + 0.06 * width)
+    assert x_lo < x < x_hi
+
+
 @pytest.mark.parametrize("case", sorted(_COLUMN_CASES))
 def test_polyline_points_match_the_per_point_mapping(case):
     xs, ys = _COLUMN_CASES[case]
