@@ -251,7 +251,8 @@ def _phi0(y: float) -> float:
 
     Closed-form trigonometric root of the depressed cubic, polished by two
     Newton steps; near y = 0 the arccos argument loses precision, so a
-    square-root series seeds Newton instead.
+    square-root series seeds Newton instead.  Written out without a loop or
+    min/max calls, since every evaluation of the slow-manifold graph runs it.
     """
     if not 0.0 <= y <= _UPPER_FOLD_Y:
         raise DomainError(
@@ -262,13 +263,18 @@ def _phi0(y: float) -> float:
         x = math.sqrt(y) + y / 6.0
     else:
         q = 3.0 * y - 2.0
-        a = max(-1.0, min(1.0, -0.5 * q))
+        a = -0.5 * q
+        if a > 1.0:
+            a = 1.0
+        elif a < -1.0:
+            a = -1.0
         x = 1.0 + 2.0 * math.cos(math.acos(a) / 3.0 - 2.0 * math.pi / 3.0)
-    for _ in range(2):
-        fx = 2.0 * x - x * x
-        if fx == 0.0:
-            break
+    fx = 2.0 * x - x * x
+    if fx != 0.0:
         x -= (x * x - x ** 3 / 3.0 - y) / fx
+        fx = 2.0 * x - x * x
+        if fx != 0.0:
+            x -= (x * x - x ** 3 / 3.0 - y) / fx
     return x
 
 
@@ -334,38 +340,52 @@ def _band(lo: float, hi: float, margin: float) -> float:
     return (1.0 - margin) * min(0.5 * (hi - lo), _MAX_BAND)
 
 
-def _window(v: float, lo: float, hi: float, band: float) -> float:
-    """C2 plateau window for the scalar constraint lo < v < hi; 0 for nan.
-
-    ``band`` is ``_band(lo, hi, margin)``, which NeighborhoodParams keeps.
-    """
-    if not lo < v < hi:
-        return 0.0
-    s = 1.0
-    if v < lo + band:
-        s = _smoothstep((v - lo) / band)
-    elif v > hi - band:
-        s = _smoothstep((hi - v) / band)
-    return s
-
-
-# every window lies in [0, 1], so a zero window makes the product exactly
-# 0.0: each bump tests its cheapest rejecting window first
+# Each bump rejects on its cheapest window first, then multiplies the
+# windows in a fixed order, skipping the factor 1.0 of a window on its
+# plateau; _smoothstep runs only inside a transition band.  A window is
+# zero outside lo < v < hi (so a nan gives a zero bump), 1 on its plateau
+# [lo + band, hi - band], and eases in and out on the bands between, whose
+# widths NeighborhoodParams keeps.
 
 def _psi_n1(x: float, y: float, nbhd: NeighborhoodParams) -> float:
-    w_y = _window(y, nbhd.y_min, nbhd.y_h, nbhd._band_n1_y)
-    if w_y == 0.0:
+    y_lo, y_hi = nbhd.y_min, nbhd.y_h
+    if not y_lo < y < y_hi:
         return 0.0
     g = -y + x * x - x ** 3 / 3.0
-    return (_window(g, -nbhd.beta1, nbhd.beta1, nbhd._band_n1_g)
-            * _window(x, 0.0, 2.0, nbhd._band_n1_x) * w_y)
+    lo, hi = -nbhd.beta1, nbhd.beta1
+    if not (lo < g < hi and 0.0 < x < 2.0):
+        return 0.0
+    psi = 1.0
+    band = nbhd._band_n1_g
+    if not lo + band <= g <= hi - band:
+        psi = _smoothstep((g - lo) / band if g < lo + band else (hi - g) / band)
+    band = nbhd._band_n1_x
+    if not band <= x <= 2.0 - band:  # the window on 0 < x < 2
+        psi *= _smoothstep(x / band if x < band else (2.0 - x) / band)
+    band = nbhd._band_n1_y
+    if not y_lo + band <= y <= y_hi - band:
+        psi *= _smoothstep((y - y_lo) / band if y < y_lo + band
+                           else (y_hi - y) / band)
+    return psi
 
 
 def _psi_n2(x: float, y: float, nbhd: NeighborhoodParams) -> float:
-    w_x = _window(x, -nbhd.x_min, nbhd.x_max, nbhd._band_n2_x)
-    if w_x == 0.0:
+    x_lo, x_hi = -nbhd.x_min, nbhd.x_max
+    if not x_lo < x < x_hi:
         return 0.0
-    return _window(-y + x * x, -nbhd.beta2, nbhd.beta2, nbhd._band_n2_g) * w_x
+    g = -y + x * x
+    lo, hi = -nbhd.beta2, nbhd.beta2
+    if not lo < g < hi:
+        return 0.0
+    psi = 1.0
+    band = nbhd._band_n2_g
+    if not lo + band <= g <= hi - band:
+        psi = _smoothstep((g - lo) / band if g < lo + band else (hi - g) / band)
+    band = nbhd._band_n2_x
+    if not x_lo + band <= x <= x_hi - band:
+        psi *= _smoothstep((x - x_lo) / band if x < x_lo + band
+                           else (x_hi - x) / band)
+    return psi
 
 
 def bump_psi(p: Sequence[float], region: str, nbhd: NeighborhoodParams) -> float:

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .controllers import NeighborhoodParams, composite_u
-from .core import ControllerGains, PhasePoint
+from .core import ControllerGains
 from .errors import (ConfigError, IntegrationError, OverflowFaultError,
                      PatternDeviationError)
 from .models import vdp_rhs
@@ -52,7 +53,7 @@ _LOOP_TIME_BUDGET = 2000.0
 _UPPER_FOLD_Y = 4.0 / 3.0
 
 # default entry point: on the attracting left branch, above the disc
-_DEFAULT_START = PhasePoint(-1.0, 0.6)
+_DEFAULT_START = (-1.0, 0.6)
 
 
 @dataclass(frozen=True)
@@ -140,9 +141,11 @@ class MmoPattern:
         return cls(tuple(segments), repeat)
 
     def compact(self) -> str:
-        """Inverse of parse (repeat is carried separately)."""
+        """Inverse of parse (repeat is carried separately); the numbers are
+        written as the repr of their float, so parse gives back the exact
+        segments."""
         return ",".join(
-            f"{s.count}{s.label[0]}:{s.y_h:g}:{s.x_star:g}"
+            f"{s.count}{s.label[0]}:{float(s.y_h)!r}:{float(s.x_star)!r}"
             for s in self.segments)
 
     def loop_schedule(self) -> List[MmoSegment]:
@@ -188,41 +191,53 @@ def run_pattern(
     gains: ControllerGains,
     nbhd: NeighborhoodParams,
     cfg: Optional[IntegratorConfig] = None,
-    start: PhasePoint = _DEFAULT_START,
+    start: Sequence[float] = _DEFAULT_START,
 ) -> Tuple[Trajectory, List[LoopLabel]]:
     """Drive the composite controller through a requested loop sequence.
 
     One integrate() call per loop, each ending at the terminal disc-entry
     event; the parameters for the next loop are installed at that state,
-    strictly inside the disc.  Raises PatternDeviationError the moment a
-    completed loop contradicts its segment's label, carrying the labels
-    achieved so far and the stitched trajectory, which the faults of a loop
-    that overflows (OverflowFaultError) or does not close also carry.
+    strictly inside the disc.  Every state it returns, event states
+    included, is a plain (x, y) tuple, whatever the type of ``start``.
+
+    Raises PatternDeviationError the moment a completed loop contradicts its
+    segment's label, carrying the labels achieved so far and the stitched
+    trajectory.  Every fault of a loop carries the stitched run from t = 0
+    up to the fault as well: an overflow (OverflowFaultError), a loop that
+    does not close (IntegrationError), and the StepLimitError or
+    StepUnderflowError of its integration, re-raised with that trajectory.
     """
     cfg = cfg or IntegratorConfig()
     schedule: List[MmoSegment] = []
     for _ in range(pattern.repeat):
         schedule.extend(pattern.loop_schedule())
 
-    times: List[float] = []
-    states: List[PhasePoint] = []
-    controls: List[float] = []
-    events = []
+    # one Trajectory per integrate() call; each after the first starts at
+    # its predecessor's last state, which the stitched run keeps once
+    chunks: List[Trajectory] = []
     labels: List[LoopLabel] = []
 
-    def run_chunk(seg: MmoSegment, t0: float, p0: PhasePoint) -> Trajectory:
+    def run_chunk(seg: MmoSegment, t0: float,
+                  p0: Tuple[float, float]) -> Trajectory:
         seg_gains = replace(gains, x_star=seg.x_star)
         seg_nbhd = replace(nbhd, y_h=seg.y_h)
 
-        def u(p: PhasePoint) -> float:
+        # the closures look composite_u and vdp_rhs up at call time, so a
+        # wrapper installed on this module sees every evaluation
+        def u(p):
             return composite_u(p, eps, seg_gains, seg_nbhd)
 
-        traj = integrate(
-            lambda p, uval: vdp_rhs(p, eps, uval),
-            u, p0, (t0, t0 + _LOOP_TIME_BUDGET), cfg,
-            watchers=[_disc_watcher()],
-        )
-        append_chunk(traj)
+        def rhs(p, uval):
+            return vdp_rhs(p, eps, uval)
+
+        try:
+            traj = integrate(rhs, u, p0, (t0, t0 + _LOOP_TIME_BUDGET), cfg,
+                             watchers=[_disc_watcher()])
+        except IntegrationError as exc:  # step limit or step underflow
+            chunks.append(exc.trajectory)
+            exc.trajectory = stitched()
+            raise
+        chunks.append(traj)
         if traj.events_of("overflow-fault"):
             raise OverflowFaultError(stitched())
         if not traj.events_of("set-entry"):
@@ -231,27 +246,26 @@ def run_pattern(
                 stitched())
         return traj
 
-    def append_chunk(traj: Trajectory) -> None:
-        skip = 1 if times else 0  # junction state equals the previous tail
-        times.extend(traj.times[skip:])
-        states.extend(traj.states[skip:])
-        controls.extend(traj.controls[skip:])
-        events.extend(traj.events)
-
     def stitched() -> Trajectory:
-        return Trajectory(tuple(times), tuple(states), tuple(controls),
-                          tuple(events))
+        # one pass per column into a tuple: no list is grown and copied
+        def joined(name):
+            first, *rest = (getattr(c, name) for c in chunks)
+            return tuple(chain(first, *(islice(col, 1, None) for col in rest)))
 
-    # preamble: reach the section once under the first loop's parameters
-    run_chunk(schedule[0], 0.0, start)
+        return Trajectory(joined("times"), joined("states"), joined("controls"),
+                          tuple(chain.from_iterable(c.events for c in chunks)))
+
+    # preamble: reach the section once under the first loop's parameters;
+    # a plain tuple start makes every state the integrator builds one too
+    run_chunk(schedule[0], 0.0, (start[0], start[1]))
 
     for seg in schedule:
-        t0, p0 = times[-1], states[-1]
+        t0, p0 = chunks[-1].final_time, chunks[-1].final_state
         chunk = run_chunk(seg, t0, p0)
         max_x = max(p[0] for p in chunk.states)
         max_y = max(p[1] for p in chunk.states)
         got = "LAO" if max_x > LAO_THRESHOLD else "SAO"
-        loop = LoopLabel(got, t0, times[-1], max_x, max_y)
+        loop = LoopLabel(got, t0, chunk.final_time, max_x, max_y)
         if got != seg.label:
             raise PatternDeviationError(seg.label, got,
                                         [lb.label for lb in labels],

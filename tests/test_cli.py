@@ -28,6 +28,7 @@ from canardctl.cli import (
 )
 from canardctl.core import PhasePoint
 from canardctl.errors import ConfigError, StepLimitError
+from canardctl.mmo import MmoPattern
 from canardctl.sim import Trajectory, integrate
 
 
@@ -519,6 +520,32 @@ def test_vdp_canard_hands_the_exact_segment_to_run_pattern(tmp_path, monkeypatch
     [pattern] = patterns
     assert pattern.segments == ((3, "SAO", 1.23456789, -0.0123456789),)
     assert pattern.repeat == 2
+
+
+def test_results_pattern_parses_back_to_the_exact_segment(tmp_path):
+    cfg = ExperimentConfig("vdp-canard", {"x_star": -0.0123456789,
+                                          "y_h": 1.23456789, "repeat": 1})
+    assert run_experiment(cfg, tmp_path) == 0
+    res = json.loads((tmp_path / "metrics.json").read_text())["results"]
+    assert res["pattern"] == "3S:1.23456789:-0.0123456789"
+    assert MmoPattern.parse(res["pattern"]).segments == (
+        (3, "SAO", 1.23456789, -0.0123456789),)
+
+
+def test_vdp_mmo_step_limit_in_a_later_loop_writes_the_whole_run(tmp_path,
+                                                                  capsys):
+    # 800 steps take the run through the preamble into the first loop
+    cfg = ExperimentConfig("vdp-mmo", {"pattern": "3S:1.25:-0.01",
+                                       "max_steps": 800})
+    assert run_experiment(cfg, tmp_path) == 3
+    m = json.loads((tmp_path / "metrics.json").read_text())
+    assert m["status"] == "step-limit"
+    rows = read_trajectory_csv(tmp_path / "trajectory.csv")
+    assert rows[0][:3] == (0.0, -1.0, 0.6)
+    assert rows[-1][0] > 114.0  # past the preamble's disc entry
+    res = m["results"]
+    assert res["last_time"] == rows[-1][0]
+    assert res["last_state"] == [rows[-1][1], rows[-1][2]]
 
 
 def _write_cfg(path, experiment, **params):

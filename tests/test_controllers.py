@@ -15,6 +15,8 @@ from canardctl.controllers import (
     K1Domain,
     NeighborhoodParams,
     _phi0,
+    _psi_n1,
+    _psi_n2,
     _smoothstep,
     _vdp_u2,
     bump_psi,
@@ -510,10 +512,42 @@ def _margin_window(v, lo, hi, margin):
     return s
 
 
+def _loop_phi0(y):
+    # reference form of the branch root, with a Newton loop and a min/max
+    # clamp: the loop-free _phi0 must match it bit for bit
+    if not 0.0 <= y <= 4.0 / 3.0:
+        raise DomainError(f"height {y!r} outside [0, 4/3]")
+    if y == 0.0:
+        return 0.0
+    if y < 1e-3:
+        x = math.sqrt(y) + y / 6.0
+    else:
+        q = 3.0 * y - 2.0
+        a = max(-1.0, min(1.0, -0.5 * q))
+        x = 1.0 + 2.0 * math.cos(math.acos(a) / 3.0 - 2.0 * math.pi / 3.0)
+    for _ in range(2):
+        fx = 2.0 * x - x * x
+        if fx == 0.0:
+            break
+        x -= (x * x - x ** 3 / 3.0 - y) / fx
+    return x
+
+
+def test_loop_free_phi0_gives_the_loop_bits():
+    rng = np.random.default_rng(1403)
+    heights = ([0.0, 5e-324, math.nextafter(1e-3, 0.0), 1e-3, 2.0 / 3.0,
+                math.nextafter(4.0 / 3.0, 0.0), 4.0 / 3.0]
+               + [float(y) for y in rng.uniform(0.0, 4.0 / 3.0, 20000)]
+               + [float(y) for y in rng.uniform(0.0, 2e-3, 2000)]
+               + [float(y) for y in np.linspace(0.0, 4.0 / 3.0, 4001)])
+    for y in heights:
+        assert _bits(_phi0(y)) == _bits(_loop_phi0(y)), y
+
+
 def _parent_composite_u(p, eps, gains, nbhd):
     # reference blend with no short cut: every window multiplied in full, its
     # band recomputed per call, and the branch root found twice per graph
-    # value (for phi0 and its correction)
+    # value (for phi0 and its correction), by the loop form of the root
     x, y = p
     m = nbhd.inner_margin
     psi1 = (_margin_window(-y + x * x - x ** 3 / 3.0, -nbhd.beta1, nbhd.beta1, m)
@@ -525,9 +559,9 @@ def _parent_composite_u(p, eps, gains, nbhd):
         return 0.0
     u1 = u2 = 0.0
     if psi1 > 0.0:
-        p0 = _phi0(y)
+        p0 = _loop_phi0(y)
         fx = 2.0 * p0 - p0 * p0
-        phi = _phi0(y) + eps * (p0 / (fx * fx))
+        phi = _loop_phi0(y) + eps * (p0 / (fx * fx))
         sy = math.sqrt(y)
         xs = gains.x_star * sy
 
@@ -550,6 +584,37 @@ def _parent_composite_u(p, eps, gains, nbhd):
 _X_EDGES = [-0.3, -0.225, 0.0, 0.075, 0.225, 0.3, 1.925, 2.0]
 _Y_EDGES = [0.02, 0.095, 0.675, 0.75, 1.175, 1.25]
 _G_EDGES = [-0.15, -0.075, 0.075, 0.15]
+
+
+@pytest.mark.parametrize("y_h", [0.75, 1.25])
+def test_bumps_equal_the_product_of_their_windows(y_h):
+    # every band, plateau and rejecting side of each window, with the
+    # other coordinate on that window's plateau or in its own band
+    nbhd = default_neighborhoods(0.01, y_h)
+    m = nbhd.inner_margin
+    xs = _X_EDGES + [-0.29, -0.26, -0.1, 0.03, 0.05, 0.26, 0.29, 0.6, 1.0,
+                     1.5, 1.95, 1.99, 2.5, math.nan]
+    points = [(x, y) for x in xs
+              for y in _Y_EDGES + [0.05, 0.4, 1.2, 1.24, -0.1, 1.4, math.nan]]
+    for x in xs:
+        if math.isnan(x):
+            continue
+        # g = -0.08 and -0.09 near x = 0 put all three N1 windows in a band
+        for g in _G_EDGES + [-0.14, -0.1, -0.09, -0.08, -0.05, 0.0, 0.05,
+                             0.1, 0.14]:
+            points += [(x, x * x - x ** 3 / 3.0 - g), (x, x * x - g)]
+    for x, y in points:
+        n1 = (_margin_window(-y + x * x - x ** 3 / 3.0, -nbhd.beta1,
+                             nbhd.beta1, m)
+              * _margin_window(x, 0.0, 2.0, m)
+              * _margin_window(y, nbhd.y_min, nbhd.y_h, m))
+        n2 = (_margin_window(-y + x * x, -nbhd.beta2, nbhd.beta2, m)
+              * _margin_window(x, -nbhd.x_min, nbhd.x_max, m))
+        assert _bits(_psi_n1(x, y, nbhd)) == _bits(n1), (x, y)
+        assert _bits(_psi_n2(x, y, nbhd)) == _bits(n2), (x, y)
+    # the grid reaches the inside of every band, not only the plateaus
+    assert len({_psi_n1(x, y, nbhd) for x, y in points}) > 50
+    assert len({_psi_n2(x, y, nbhd) for x, y in points}) > 50
 
 
 # boxes where the windows sit inside their bands, so few product factors

@@ -8,7 +8,8 @@ import pytest
 from canardctl.controllers import NeighborhoodParams, default_neighborhoods
 from canardctl.core import ControllerGains, PhasePoint
 from canardctl import mmo
-from canardctl.errors import ConfigError, OverflowFaultError, PatternDeviationError
+from canardctl.errors import (ConfigError, OverflowFaultError,
+                              PatternDeviationError, StepUnderflowError)
 from canardctl.mmo import (
     DISC_RADIUS,
     LAO_THRESHOLD,
@@ -40,6 +41,19 @@ class TestPattern:
         assert pat.repeat == 2
         assert pat.compact() == "3L:0.75:0.01,4S:1.25:-0.01"
         assert MmoPattern.parse(pat.compact(), 2) == pat
+
+    @pytest.mark.parametrize("y_h,x_star", [
+        (1.23456789, -0.0123456789), (0.1 + 0.2, 1e-17), (1.0, 5e-324),
+        (4.0 / 3.0, 0.1), (0.7500000000000001, 0.01)])
+    def test_compact_keeps_every_digit(self, y_h, x_star):
+        label = "SAO" if x_star < 0.0 else "LAO"
+        pat = MmoPattern((MmoSegment(2, label, y_h, x_star),))
+        assert MmoPattern.parse(pat.compact()) == pat
+        assert pat.compact() == f"2{label[0]}:{y_h!r}:{x_star!r}"
+        # a numpy scalar or an int is written as the float it stands for
+        wide = MmoPattern((MmoSegment(2, label, np.float64(y_h), x_star),))
+        assert wide.compact() == pat.compact()
+        assert MmoPattern((MmoSegment(1, "LAO", 1, 1),)).compact() == "1L:1.0:1.0"
 
     def test_loop_schedule_expansion(self):
         pat = MmoPattern.parse("2L:0.75:0.01,1S:1.25:-0.01")
@@ -143,7 +157,19 @@ class TestSupervisor:
         entries = traj.events_of("set-entry")
         assert len(entries) >= 3
         for ev in entries:
-            assert ev.state.x ** 2 + ev.state.y ** 2 <= DISC_RADIUS ** 2 * 1.0001
+            assert ev.state[0] ** 2 + ev.state[1] ** 2 <= DISC_RADIUS ** 2 * 1.0001
+
+    def test_states_are_plain_float_tuples(self):
+        # a PhasePoint start is unpacked once; the integrator then builds
+        # plain tuples, and the event states follow the trajectory's type
+        pat = MmoPattern.parse("1S:1.25:-0.01")
+        traj, _ = run_pattern(pat, EPS, GAINS, default_neighborhoods(EPS),
+                              start=PhasePoint(-1.0, 0.6))
+        assert traj.states[0] == (-1.0, 0.6)
+        assert traj.events_of("set-entry")
+        for p in traj.states + tuple(ev.state for ev in traj.events):
+            assert type(p) is tuple and len(p) == 2
+            assert type(p[0]) is float and type(p[1]) is float
 
     def test_deviation_reported_with_prefix(self):
         # strangle both activation tubes: the orbit passes the fold
@@ -183,6 +209,31 @@ class TestSupervisor:
         assert len(traj) > len(first)
         assert traj.events[-1].kind == "overflow-fault"
         assert str(exc.value) == f"the control overflowed at t = {traj.final_time:.6g}"
+
+    def test_step_underflow_in_a_later_loop_carries_the_stitched_run(
+            self, monkeypatch):
+        # the preamble runs at the default step bounds, the first loop at a
+        # min_step its canard descent cannot keep
+        integrate = mmo.integrate
+        calls = []
+
+        def coarse_first_loop(rhs, u, p0, span, cfg, watchers):
+            calls.append(span)
+            if len(calls) == 2:
+                cfg = IntegratorConfig(min_step=0.1, max_step=1.0)
+            return integrate(rhs, u, p0, span, cfg, watchers=watchers)
+
+        monkeypatch.setattr(mmo, "integrate", coarse_first_loop)
+        with pytest.raises(StepUnderflowError) as exc:
+            run_pattern(MmoPattern.parse("3S:1.25:-0.01"), EPS, GAINS,
+                        default_neighborhoods(EPS))
+        assert len(calls) == 2
+        traj = exc.value.trajectory
+        # the run from t = 0: the preamble's disc entry precedes the fault
+        assert traj.times[0] == 0.0 and traj.states[0] == (-1.0, 0.6)
+        assert len(traj.events_of("set-entry")) == 1
+        assert all(a < b for a, b in zip(traj.times, traj.times[1:]))
+        assert f"at t = {traj.final_time:.6g}" in str(exc.value)
 
     def test_infinite_pattern_rejected(self):
         # a pattern without a finite repeat count is never built, so the
