@@ -103,6 +103,9 @@ _DEFAULT_OUTPUTS = {
     "phase": "phase.svg",
     "controller": "controller.svg",
 }
+# files a run writes next to its slots, which no slot may take
+_PLAIN_CSV = "plain.csv"  # fold-fast-hot's uncompensated run
+_PLAIN_PHASE = "phase-plain.svg"  # k2-hot's uncompensated runs
 
 
 def _as_float(value: float) -> float:
@@ -168,6 +171,19 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown output slot {key!r}")
             if not isinstance(value, str) or not value:
                 raise ConfigError(f"output {key!r} must name a file")
+            if Path(value).name != value or value in (".", ".."):
+                raise ConfigError(
+                    f"output {key!r} must be a bare file name, got {value!r}")
+            if value in (_PLAIN_CSV, _PLAIN_PHASE):
+                raise ConfigError(
+                    f"output {key!r} may not be {value!r}: a run writes that "
+                    f"file itself")
+        named: Dict[str, str] = {}
+        for key, value in {**_DEFAULT_OUTPUTS, **self.outputs}.items():
+            if value in named:
+                raise ConfigError(
+                    f"outputs {named[value]!r} and {key!r} both name {value!r}")
+            named[value] = key
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -214,6 +230,11 @@ def _bisect(g: Callable[[float], float], lo: float, hi: float) -> float:
     glo = g(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if (mid == lo or mid == hi) and mid != 0.0:
+            # the bracket can no longer move, so every halving left would
+            # end on this mid; a zero mid runs on, since halving between
+            # -0.0 and 0.0 can still flip the sign of the zero it returns
+            return mid
         gm = g(mid)
         if gm == 0.0:
             return mid
@@ -493,7 +514,7 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcom
         f"fold-fast-hot: compensated terminal residual "
         f"{results['compensated']['residual_terminal']:.3g}; "
         f"plain run {plain_status}",
-        extra_csv={"plain.csv": plain}, fault=fault)
+        extra_csv={_PLAIN_CSV: plain}, fault=fault)
 
 
 def _chart_ics(count: int) -> Tuple[PhasePoint, ...]:
@@ -571,7 +592,7 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
             {"ic": [ic.x, ic.y], "status": _status(fault), "terminal_h_gap": gap}
             for ic, (_, fault, gap) in zip(ics, plain)]
         results["plain_worst_h_gap"] = max(gap for _, _, gap in plain)
-        extra_phase["phase-plain.svg"] = [traj for traj, _, _ in plain]
+        extra_phase[_PLAIN_PHASE] = [traj for traj, _, _ in plain]
 
     return _Outcome(
         [traj for traj, _, _ in runs], [ReferenceCycle(_cycle_curve(level, 1.0))],

@@ -169,7 +169,7 @@ def fast_u(p: Sequence[float], params: SystemParams, gains: ControllerGains,
     """
     x, y = p
     eps = params.eps
-    if not (math.isfinite(eps) and eps > 0.0):
+    if not (0.0 * eps == 0.0 and eps > 0.0):  # see core._require_finite
         _require_eps(eps)
     xh = x - params.alpha
     term = eval_level_term((xh, y), eps, gains.c2, level)
@@ -189,7 +189,7 @@ def slow_u(p: Sequence[float], params: SystemParams, gains: ControllerGains,
     """
     x, y = p
     eps = params.eps
-    if not (math.isfinite(eps) and eps > 0.0):
+    if not (0.0 * eps == 0.0 and eps > 0.0):  # see core._require_finite
         _require_eps(eps)
     term = eval_level_term(p, eps, gains.c2, level)
     return params.alpha + gains.c1 * (y - x * x) / math.sqrt(eps) * term
@@ -207,13 +207,16 @@ def k2_mu(cp: Sequence[float], gains: ControllerGains, level_h: float,
     (r2, x2, y2, alpha2) tuple.
     """
     r2, x2, y2, alpha2 = cp[0], cp[1], cp[2], cp[3]
-    if not (math.isfinite(r2) and math.isfinite(x2) and math.isfinite(y2)
-            and math.isfinite(alpha2) and math.isfinite(level_h)):
+    if not 0.0 * r2 * x2 * y2 * alpha2 * level_h == 0.0:
         _require_finite(r2=r2, x2=x2, y2=y2, alpha2=alpha2, level_h=level_h)
-    e1 = (gains.c2 - 2.0) * y2
-    if e1 > EXP_GUARD:
-        raise ExponentOverflowError("(c2-2)*y2", e1)
-    level_term = math.exp(e1) * 0.5 * (y2 - x2 * x2 + 0.5)
+    if gains.c2 == 2.0:
+        # the weight is exp(+-0.0) = 1.0, and 1.0 * 0.5 is 0.5
+        level_term = 0.5 * (y2 - x2 * x2 + 0.5)
+    else:
+        e1 = (gains.c2 - 2.0) * y2
+        if e1 > EXP_GUARD:
+            raise ExponentOverflowError("(c2-2)*y2", e1)
+        level_term = math.exp(e1) * 0.5 * (y2 - x2 * x2 + 0.5)
     if level_h != 0.0:
         e2 = gains.c2 * y2
         if e2 > EXP_GUARD:
@@ -313,7 +316,7 @@ def k1_chart_phi1(r1: float, eps1: float) -> float:
     eps = r1**2*eps1, so phi1 = phi(r1**2, r1**2*eps1)/r1 away from r1 = 0
     and extends to the centre-branch root sqrt(1 + eps1/2) on {r1 = 0}.
     """
-    if not (math.isfinite(r1) and math.isfinite(eps1)):
+    if not 0.0 * r1 * eps1 == 0.0:  # see core._require_finite
         _require_finite(r1=r1, eps1=eps1)
     if r1 < 0.0 or eps1 < 0.0:
         raise DomainError(f"chart coordinates must be >= 0, got r1={r1!r}, "
@@ -417,7 +420,7 @@ def k1_vdp_mu(p: Sequence[float], gains: ControllerGains,
     or a plain (r1, x1, eps1) tuple.
     """
     r1, x1, eps1 = p[0], p[1], p[2]
-    if not (math.isfinite(r1) and math.isfinite(x1) and math.isfinite(eps1)):
+    if not 0.0 * r1 * x1 * eps1 == 0.0:  # see core._require_finite
         _require_finite(r1=r1, x1=x1, eps1=eps1)
     ph = phi1(r1, eps1)
     if abs(ph) < 1e-12:
@@ -462,7 +465,7 @@ def composite_u(p: Sequence[float], eps: float, gains: ControllerGains,
     The envelope factor (s - psi1*psi2)/s with s = psi1 + psi2 keeps the
     blend C2 where a support boundary is crossed.
     """
-    if not (math.isfinite(eps) and eps > 0.0):
+    if not (0.0 * eps == 0.0 and eps > 0.0):  # see core._require_finite
         _require_eps(eps)
     x, y = p
     psi1 = _psi_n1(x, y, nbhd)

@@ -50,6 +50,11 @@ EXP_GUARD = 700.0
 H_ZERO_EXPONENT = 1490.0
 
 
+# The laws run once per field evaluation, so they test their inputs without
+# a call: 0.0 * v is +-0.0 for a finite v and nan for an infinite or nan v,
+# so ``0.0 * a * b == 0.0`` holds exactly when a and b are both finite.  A
+# failed test calls the helpers below, which raise naming the first offender.
+
 def _require_finite(**named: float) -> None:
     for name, value in named.items():
         if not math.isfinite(value):
@@ -161,7 +166,7 @@ def eval_H(p: PhasePoint, eps: float) -> float:
 
 def eval_H2(x2: float, y2: float) -> float:
     """H in self-similar variables: 1/2 exp(-2 y2)(y2 - x2^2 + 1/2)."""
-    if not (math.isfinite(x2) and math.isfinite(y2)):
+    if not 0.0 * x2 * y2 == 0.0:
         _require_finite(x2=x2, y2=y2)
     w = 2.0 * y2
     if w > H_ZERO_EXPONENT:
@@ -198,21 +203,26 @@ def eval_level_term(p: Sequence[float], eps: float, c2: float,
     exponential factor at all.
     """
     x, y = p
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(c2)):
+    if not (0.0 * x * y * c2 * eps == 0.0 and eps > 0.0):
         _require_finite(x=x, y=y, c2=c2)
-    if not (math.isfinite(eps) and eps > 0.0):
         _require_eps(eps)
-    e1 = (c2 - 2.0) * y / eps
-    if e1 > EXP_GUARD:
-        raise ExponentOverflowError("(c2-2)*y/eps", e1)
-    term = math.exp(e1) * (y - x * x + 0.5 * eps) / (2.0 * eps)
-    if not math.isfinite(term):
-        raise ExponentOverflowError("(c2-2)*y/eps", e1)
+    if c2 == 2.0:
+        # the weight is exp(+-0.0) = 1.0, and 1.0 * v is v to the bit
+        term = (y - x * x + 0.5 * eps) / (2.0 * eps)
+        if not 0.0 * term == 0.0:
+            raise ExponentOverflowError("(c2-2)*y/eps", (c2 - 2.0) * y / eps)
+    else:
+        e1 = (c2 - 2.0) * y / eps
+        if e1 > EXP_GUARD:
+            raise ExponentOverflowError("(c2-2)*y/eps", e1)
+        term = math.exp(e1) * (y - x * x + 0.5 * eps) / (2.0 * eps)
+        if not 0.0 * term == 0.0:
+            raise ExponentOverflowError("(c2-2)*y/eps", e1)
     if level.h0 != 0.0:
         e2 = c2 * y / eps - level.E
         if e2 > EXP_GUARD:
             raise ExponentOverflowError("c2*y/eps - E", e2)
         term -= level.h0 * math.exp(e2)
-        if not math.isfinite(term):
+        if not 0.0 * term == 0.0:
             raise ExponentOverflowError("c2*y/eps - E", e2)
     return term

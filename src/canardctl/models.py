@@ -92,7 +92,7 @@ def fold_rhs(
     channel: str = "fast",
 ) -> tuple[float, float]:
     """Fold normal form velocity (dx, dy) with the control injected on one channel."""
-    if not math.isfinite(u):
+    if not 0.0 * u == 0.0:  # u is not finite
         raise IntegrationError(f"non-finite control value {u!r}")
     x, y = p
     eps, alpha = params.eps, params.alpha
@@ -106,7 +106,7 @@ def fold_rhs(
 
 def vdp_rhs(p: Sequence[float], eps: float, u: float) -> tuple[float, float]:
     """Van der Pol velocity (dx, dy) in Lienard form with fast-channel control."""
-    if not math.isfinite(u):
+    if not 0.0 * u == 0.0:  # u is not finite
         raise IntegrationError(f"non-finite control value {u!r}")
     x, y = p
     return (-y + x * x - x ** 3 / 3.0 + u, eps * x)

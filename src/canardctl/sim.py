@@ -34,9 +34,14 @@ is evaluated again.  An OverflowError raised by the controller or the field,
 or a non-finite control value, terminates the run with a terminal
 ``overflow-fault`` event at the last accepted state.  Events requested
 through watchers are localized on the dense output by bisection to
-1e-10 * max(1, |t|) in time; each watcher is evaluated once per accepted
-state plus the bisection probes.  Integration is deterministic: identical
-inputs produce bitwise-identical trajectories.
+1e-10 * max(1, |t|) in time.  After each accepted step one plain loop
+sweeps the watchers in order: it calls each watcher's ``fn`` once at the
+new state, keeps that value as the next step's starting value, and calls
+``_crossing`` only when the pair of values changed sign
+(g0 < 0 <= g1 or g0 > 0 >= g1), so a nan value never fires.  Apart from
+the start state and the bisection probes, no watcher is evaluated
+anywhere else.  Integration is deterministic: identical inputs produce
+bitwise-identical trajectories.
 """
 
 from __future__ import annotations
@@ -418,6 +423,8 @@ def _run(rhs, u, start, t_span, cfg, watchers):
     pack = getattr(type(start), "_make", tuple)
     step = _step_planar if len(start) == 2 else _step_any
     atol, rtol = cfg.abs_tol, cfg.rel_tol
+    max_step, min_step, max_steps = cfg.max_step, cfg.min_step, cfg.max_steps
+    inf = math.inf
     y = pack(start)
     times, states, controls, events = [t], [y], [math.nan], []
 
@@ -435,11 +442,15 @@ def _run(rhs, u, start, t_span, cfg, watchers):
     nsteps = 0
     status = "ok"
 
+    # The clamps below are min()/max() written as comparisons, which keep
+    # their results bit for bit: min(a, b) is b only if b < a, and
+    # max(a, b) is b only if b > a.
     while t < t1:
-        if nsteps >= cfg.max_steps:
+        if nsteps >= max_steps:
             status = "step-limit"
             break
-        h = min(h, cfg.max_step)
+        if max_step < h:
+            h = max_step
         clamped = h > t1 - t
         if clamped:
             h = t1 - t
@@ -454,25 +465,30 @@ def _run(rhs, u, start, t_span, cfg, watchers):
             break
         nsteps += 1
 
-        if not math.isfinite(err):
-            err = 10.0
-
-        if err > 1.0:
-            h *= max(_FAC_MIN, _SAFE / err ** _EXPO1)
-            if h < cfg.min_step:
+        if not err <= 1.0:
+            if not err < inf:  # inf or nan counts as err = 10
+                err = 10.0
+            shrink = _SAFE / err ** _EXPO1
+            h *= shrink if shrink > _FAC_MIN else _FAC_MIN
+            if h < min_step:
                 status = "step-underflow"
                 break
             just_rejected = True
             continue
 
-        # accepted: the watchers' values at y_new serve this step's sweep and
-        # the next one's start
+        # accepted: each watcher's value at y_new serves this step's sweep
+        # and the next one's start
         if watchers:
-            g_new = [w.fn(y_new) for w in watchers]
-            crossings = [
-                (w, direction) for w, g0, g1 in zip(watchers, g_now, g_new)
-                if (direction := _crossing(w.kind, w.direction, g0, g1))]
-            g_now = g_new
+            crossings = None
+            for i, w in enumerate(watchers):
+                g0 = g_now[i]
+                g_now[i] = g1 = w.fn(y_new)
+                if g0 < 0.0 <= g1 or g0 > 0.0 >= g1:
+                    direction = _crossing(w.kind, w.direction, g0, g1)
+                    if direction:
+                        if crossings is None:
+                            crossings = []
+                        crossings.append((w, direction))
             if crossings:
                 dense = _interpolant(h, y, y_new, ks, pack)
                 fired = _located(crossings, dense, t, h)
@@ -497,16 +513,20 @@ def _run(rhs, u, start, t_span, cfg, watchers):
         controls.append(u_new)
         f_now = ks[6]
 
-        facold = max(err, 1e-4)
+        facold = 1e-4 if 1e-4 > err else err
         fac = err ** _EXPO1 / facold ** _BETA
         scale = _SAFE / fac if fac > 0.0 else _FAC_MAX
-        scale = min(_FAC_MAX, max(_FAC_MIN, scale))
+        if not scale > _FAC_MIN:
+            scale = _FAC_MIN
+        elif not scale < _FAC_MAX:
+            scale = _FAC_MAX
         if just_rejected:
-            scale = min(1.0, scale)
+            if not scale < 1.0:
+                scale = 1.0
             just_rejected = False
         if not clamped:
             h *= scale
-            if h < cfg.min_step and t < t1:
+            if h < min_step and t < t1:
                 status = "step-underflow"
                 break
     return times, states, controls, events, status

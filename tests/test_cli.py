@@ -11,7 +11,9 @@ import io
 import json
 import math
 import os
+import random
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +91,27 @@ class TestConfigValidation:
             ExperimentConfig("k2", outputs={"video": "x.mp4"})
         with pytest.raises(ConfigError, match="name a file"):
             ExperimentConfig("k2", outputs={"metrics": ""})
+        # a name with a directory part would write outside --out
+        for name in ("../escaped.csv", "sub/t.csv", "/tmp/t.csv", "t.csv/",
+                     ".", ".."):
+            with pytest.raises(ConfigError, match="bare file name"):
+                ExperimentConfig("k2", outputs={"trajectory": name})
+        # two slots on one file, also through a default the config keeps
+        with pytest.raises(ConfigError, match="both name 'same.out'"):
+            ExperimentConfig("k2", outputs={"trajectory": "same.out",
+                                            "phase": "same.out"})
+        with pytest.raises(ConfigError, match="both name 'phase.svg'"):
+            ExperimentConfig("k2", outputs={"trajectory": "phase.svg"})
+        # files a run writes next to the slots
+        for experiment, name in (("fold-fast-hot", "plain.csv"),
+                                 ("k2-hot", "phase-plain.svg"),
+                                 ("k2", "plain.csv")):
+            with pytest.raises(ConfigError, match="writes that file itself"):
+                ExperimentConfig(experiment, outputs={"trajectory": name})
+        # swapping two default names is one file per slot
+        cfg = ExperimentConfig("k2", outputs={"phase": "controller.svg",
+                                              "controller": "phase.svg"})
+        assert cfg.outputs["phase"] == "controller.svg"
 
     def test_initial_conditions_coerced_and_checked(self):
         cfg = ExperimentConfig("k2", initial_conditions=[[1, 2], (0.5, -1)])
@@ -378,6 +401,48 @@ _PINNED_ARTIFACTS = {
         "metrics.json": "5f79c8946c15c072c40844a04c2a243b3ce5c9c6eb89160839898ef19ba96c61",
     },
 }
+
+
+def _bisect_all_halvings(g, lo, hi):
+    # the reference-cycle bisection as it was before it stopped at its
+    # fixed point: it always runs its 200 halvings unless g(mid) == 0
+    glo = g(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if (gm > 0.0) == (glo > 0.0):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_bisect_stops_on_the_bits_of_every_halving():
+    rng = random.Random(20261018)
+    brackets = [
+        (0.0, 1.0, 0.25),  # g(mid) is an exact zero on the second halving
+        (-0.005, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (2.0, 2.0, 2.0),
+        # halving toward a zero end can flip the sign of the zero returned
+        (-5e-324, 0.0, -5e-324), (0.0, -5e-324, 0.0), (-5e-324, 5e-324, 0.0),
+        (1.0, math.nextafter(1.0, 2.0), 1.0), (0.3, -2.0, -1.0),
+    ]
+    for _ in range(400):
+        lo = rng.choice([rng.uniform(-3.0, 3.0), 0.0, -0.0, 5e-324, -5e-324])
+        hi = rng.choice([lo, math.nextafter(lo, math.inf),
+                         lo + rng.uniform(-4.0, 4.0), lo + 1e-300])
+        brackets.append((lo, hi, rng.choice(
+            [lo, hi, 0.0, 0.5 * (lo + hi), rng.uniform(-3.0, 3.0)])))
+
+    def bits(v):
+        return struct.pack("<d", v)
+
+    for lo, hi, root in brackets:
+        for g in (lambda y: y - root, lambda y: root - y,
+                  lambda y: 1.0 if y >= root else -1.0, lambda y: y + 9.0):
+            assert bits(cli._bisect(g, lo, hi)) == \
+                bits(_bisect_all_halvings(g, lo, hi)), (lo, hi, root)
 
 
 @pytest.mark.parametrize("experiment", sorted(_PINNED_ARTIFACTS))

@@ -475,6 +475,24 @@ def _inf_past_one(calls=None):
     return integrate(rhs, _no_u, (0.0, 1.0), (0.0, 40.0))
 
 
+def _many_watchers_run(terminal=True):
+    # x climbs through 0.19, 0.22, 0.25 and 0.27 inside one accepted step:
+    # the up-crossing and the set entry fire there, the terminal set exit
+    # ends the run and drops the later section crossing; the nan watcher
+    # never fires, and the down-only watcher ignores its up-crossing
+    watchers = [
+        Watcher("section-crossing", lambda p: p[0] - 0.27),
+        Watcher("level-convergence", lambda p: math.nan),
+        Watcher("set-exit", lambda p: 0.25 - p[0], terminal=terminal),
+        Watcher("set-entry", lambda p: p[0] - 0.22),
+        Watcher("section-crossing", lambda p: p[0] - 0.1, "down"),
+        Watcher("section-crossing", lambda p: p[0] - 0.19, "up"),
+    ]
+    return integrate(lambda p, u: (1.0 + 0.2 * p[1], -p[0] + u),
+                     lambda p: -0.1 * p[0], (-1.0, 0.0), (0.0, 6.0),
+                     IntegratorConfig(max_step=0.5), watchers=watchers)
+
+
 GOLDEN = {
     "fold-fast-watcher": (
         lambda: _traj_digest(_fold_fast_run()),
@@ -500,6 +518,9 @@ GOLDEN = {
     "non-finite-stage-rejected": (
         lambda: _traj_digest(_inf_past_one()),
         "c8c3b5afc888eb5d29a6a4c0bc2c9ec289149bf07f0a36ef921b3ba48d2aebef"),
+    "many-watchers-one-step": (
+        lambda: _traj_digest(_many_watchers_run()),
+        "4745641ffcc6fa477bb50087746869f3effd49abe9fc1e7657ac19b10fc4aff7"),
 }
 
 
@@ -529,6 +550,20 @@ def test_pinned_runs_take_the_paths_they_pin():
     accepted = len(_inf_past_one(calls)) - 1
     assert calls["inf"] > 0
     assert calls["rhs"] > 6 * accepted + 2
+    # three events in one step, in time order; the run ends at the last
+    many = _many_watchers_run()
+    assert [(ev.kind, ev.direction) for ev in many.events] == [
+        ("section-crossing", "up"), ("set-entry", "enter"), ("set-exit", "exit")]
+    step_start = many.times[-2]
+    assert all(step_start < ev.time for ev in many.events)
+    assert many.final_time == many.events[-1].time
+    # without the stop the same step goes on to the crossing at x = 0.27
+    free = _many_watchers_run(terminal=False)
+    step_end = free.times[free.times.index(step_start) + 1]
+    assert [(ev.kind, ev.direction) for ev in free.events
+            if step_start < ev.time <= step_end] == [
+        ("section-crossing", "up"), ("set-entry", "enter"), ("set-exit", "exit"),
+        ("section-crossing", "up")]
 
 
 @pytest.mark.parametrize("run, terminal_states", [
