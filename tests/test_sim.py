@@ -476,21 +476,43 @@ def _inf_past_one(calls=None):
 
 
 def _many_watchers_run(terminal=True):
-    # x climbs through 0.19, 0.22, 0.25 and 0.27 inside one accepted step:
-    # the up-crossing and the set entry fire there, the terminal set exit
-    # ends the run and drops the later section crossing; the nan watcher
-    # never fires, and the down-only watcher ignores its up-crossing
+    # x climbs through 0.19, 0.2, 0.22, 0.25 and 0.27 inside one accepted
+    # step: the up-crossing, the exit onto an exact 0.0 and the set entry
+    # fire there, the terminal set exit ends the run and drops the later
+    # section crossing; the nan watcher never fires, and the down-only
+    # watcher ignores its up-crossing
     watchers = [
         Watcher("section-crossing", lambda p: p[0] - 0.27),
         Watcher("level-convergence", lambda p: math.nan),
         Watcher("set-exit", lambda p: 0.25 - p[0], terminal=terminal),
         Watcher("set-entry", lambda p: p[0] - 0.22),
         Watcher("section-crossing", lambda p: p[0] - 0.1, "down"),
+        Watcher("set-exit", lambda p: max(0.2 - p[0], 0.0)),
         Watcher("section-crossing", lambda p: p[0] - 0.19, "up"),
     ]
     return integrate(lambda p, u: (1.0 + 0.2 * p[1], -p[0] + u),
                      lambda p: -0.1 * p[0], (-1.0, 0.0), (0.0, 6.0),
                      IntegratorConfig(max_step=0.5), watchers=watchers)
+
+
+def _huge_slope_past_half():
+    # x' = y carries x = sin t up to 0.5, where the slope jumps to 1e300:
+    # an attempt whose last stage lands past it has an error estimate that
+    # overflows to inf, which counts as err = 10, so the steps shrink toward
+    # x = 0.5 until they fall below min_step
+    def rhs(p, u):
+        return (1e300 if p[0] > 0.5 else p[1], -p[0])
+
+    with pytest.raises(StepUnderflowError) as exc:
+        integrate(rhs, _no_u, (0.0, 1.0), (0.0, 3.0))
+    return exc.value.trajectory
+
+
+def _ratio_clamped_run():
+    # at these tolerances some accepted step's growth ratio comes out
+    # between 10 and 11 and is clamped to 10
+    return integrate(lambda p, u: (p[1], -p[0]), _no_u, (1.0, 0.0), (0.0, 10.0),
+                     IntegratorConfig(rel_tol=1.3e-5, abs_tol=1e-7))
 
 
 GOLDEN = {
@@ -520,7 +542,13 @@ GOLDEN = {
         "c8c3b5afc888eb5d29a6a4c0bc2c9ec289149bf07f0a36ef921b3ba48d2aebef"),
     "many-watchers-one-step": (
         lambda: _traj_digest(_many_watchers_run()),
-        "4745641ffcc6fa477bb50087746869f3effd49abe9fc1e7657ac19b10fc4aff7"),
+        "40321b7c8b12cf0e0d03928ae53bc5a5bc0fb3200c832fdaf598d93b527f7f04"),
+    "error-estimate-overflows": (
+        lambda: _traj_digest(_huge_slope_past_half()),
+        "08fe998ddf709c6720d45d13ccaada32b03cef377767feee8bc3fc2614eeb1f2"),
+    "step-ratio-clamped": (
+        lambda: _traj_digest(_ratio_clamped_run()),
+        "5c25e412323fc1d7d999b41011cf9b73c28d53fbbe44ca04fdd9ad638241c65c"),
 }
 
 
@@ -553,7 +581,8 @@ def test_pinned_runs_take_the_paths_they_pin():
     # three events in one step, in time order; the run ends at the last
     many = _many_watchers_run()
     assert [(ev.kind, ev.direction) for ev in many.events] == [
-        ("section-crossing", "up"), ("set-entry", "enter"), ("set-exit", "exit")]
+        ("section-crossing", "up"), ("set-exit", "exit"), ("set-entry", "enter"),
+        ("set-exit", "exit")]
     step_start = many.times[-2]
     assert all(step_start < ev.time for ev in many.events)
     assert many.final_time == many.events[-1].time
@@ -562,8 +591,8 @@ def test_pinned_runs_take_the_paths_they_pin():
     step_end = free.times[free.times.index(step_start) + 1]
     assert [(ev.kind, ev.direction) for ev in free.events
             if step_start < ev.time <= step_end] == [
-        ("section-crossing", "up"), ("set-entry", "enter"), ("set-exit", "exit"),
-        ("section-crossing", "up")]
+        ("section-crossing", "up"), ("set-exit", "exit"), ("set-entry", "enter"),
+        ("set-exit", "exit"), ("section-crossing", "up")]
 
 
 @pytest.mark.parametrize("run, terminal_states", [
