@@ -169,9 +169,8 @@ def fast_u(p: Sequence[float], params: SystemParams, gains: ControllerGains,
     """
     x, y = p
     eps = params.eps
-    if not (0.0 * eps == 0.0 and eps > 0.0):  # see core._require_finite
-        _require_eps(eps)
     xh = x - params.alpha
+    # eval_level_term checks the point and eps before sqrt(eps) runs
     term = eval_level_term((xh, y), eps, gains.c2, level)
     u = -2.0 * params.alpha * xh - params.alpha ** 2 \
         + gains.c1 * xh * math.sqrt(eps) * term
@@ -189,8 +188,7 @@ def slow_u(p: Sequence[float], params: SystemParams, gains: ControllerGains,
     """
     x, y = p
     eps = params.eps
-    if not (0.0 * eps == 0.0 and eps > 0.0):  # see core._require_finite
-        _require_eps(eps)
+    # eval_level_term checks the point and eps before sqrt(eps) runs
     term = eval_level_term(p, eps, gains.c2, level)
     return params.alpha + gains.c1 * (y - x * x) / math.sqrt(eps) * term
 
@@ -405,10 +403,6 @@ def bump_psi(p: Sequence[float], region: str, nbhd: NeighborhoodParams) -> float
     raise DomainError(f"region must be 'N1' or 'N2', got {region!r}")
 
 
-def _f1(r1: float, eps1: float, x1: float) -> float:
-    return -1.0 + x1 * x1 - 0.5 * x1 * x1 * eps1 - r1 * x1 ** 3 / 3.0
-
-
 def k1_vdp_mu(p: Sequence[float], gains: ControllerGains,
               phi1: Callable[[float, float], float]) -> float:
     """Centre-manifold controller in the entry chart.
@@ -427,9 +421,13 @@ def k1_vdp_mu(p: Sequence[float], gains: ControllerGains,
         raise SingularConfigurationError(
             "phi1 vanishes at the fold; the invariance correction divides by it")
     xs = gains.x_star
-    v = ((2.0 * ph + xs) / ph * _f1(r1, eps1, ph)
-         - (eps1 * ph + r1 * ph * ph + gains.k1) * (x1 - xs - ph))
-    return -_f1(r1, eps1, x1) - _f1(r1, eps1, x1 - xs) + v
+    d = x1 - xs
+    # f1(x) = -1 + x**2 - x**2*eps1/2 - r1*x**3/3, written out at ph, x1, d
+    v = ((2.0 * ph + xs) / ph
+         * (-1.0 + ph * ph - 0.5 * ph * ph * eps1 - r1 * ph ** 3 / 3.0)
+         - (eps1 * ph + r1 * ph * ph + gains.k1) * (d - ph))
+    return (-(-1.0 + x1 * x1 - 0.5 * x1 * x1 * eps1 - r1 * x1 ** 3 / 3.0)
+            - (-1.0 + d * d - 0.5 * d * d * eps1 - r1 * d ** 3 / 3.0) + v)
 
 
 def _vdp_u1(p: Sequence[float], eps: float, gains: ControllerGains) -> float:

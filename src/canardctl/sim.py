@@ -17,14 +17,17 @@ deliberate: trajectories either stay on controller-tamed slow manifolds,
 where moderate steps are accurate, or jump along fast fibers, where small
 steps are wanted anyway; a step-size collapse below ``min_step`` is
 reported as a stiffness fault carrying the partial trajectory instead of
-being hidden by an implicit solver.
+being hidden by an implicit solver.  ``min_step`` binds the first step too:
+the starting-step estimate, which the field alone picks, is raised to
+``min_step`` when it falls below it, but never past the end of the span.
 
-Each step runs in one of two kernels with the same contract.
-``_step_planar`` spells every stage sum, the 5th-order update and the error
-norm out for a two-component state; ``_step_any`` runs the same sums as
-comprehensions over a state of any other length.  A run picks its kernel
-once, from the length of the start.  Both add the same terms in the same
-order, so a planar state gives the same bits through either.
+Each step runs in one of three kernels with the same contract, which a run
+picks once, from the length of the start: ``_step_planar`` for two
+components, ``_step_3`` for three and ``_step_any`` for any other length.
+The first two spell every stage sum, the 5th-order update and the error
+norm out term by term; ``_step_any`` runs the same sums as comprehensions.
+All three add the same terms in the same order, so a state of two or three
+components gives the same bits through the generic kernel.
 
 The controller is evaluated once per field evaluation, and the engine keeps
 the values it needs.  The controls a trajectory records are the values from
@@ -232,10 +235,10 @@ def _length_error(k, y):
 # (k1, ..., k7), err), where err is the RMS of the scaled error estimate and
 # may be inf or nan.  Each stage evaluates the controller, then the field, at
 # the stage state, and a field result of another length than the state
-# raises DomainError before any sum could cut the state down.  The planar
-# kernel learns the length from its unpacking, whose try costs nothing
-# until it raises; only the unpacking sits inside it, so a ValueError from
-# the field or the controller passes through unchanged.
+# raises DomainError before any sum could cut the state down.  The
+# written-out kernels learn the length from their unpacking, whose try costs
+# nothing until it raises; only the unpacking sits inside it, so a
+# ValueError from the field or the controller passes through unchanged.
 
 def _step_planar(rhs, u, y, k1, h, atol, rtol, pack):
     y0, y1 = y
@@ -295,6 +298,78 @@ def _step_planar(rhs, u, y, k1, h, atol, rtol, pack):
                + _E6 * f1 + _E7 * g1)
           / (atol + rtol * max(abs(y1), abs(n1))))
     err = math.sqrt((0.0 + q0 * q0 + q1 * q1) / 2)
+    return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
+
+
+def _step_3(rhs, u, y, k1, h, atol, rtol, pack):
+    y0, y1, y2 = y
+    a0, a1, a2 = k1
+    p = pack((y0 + h * (0.0 + _A21 * a0),
+              y1 + h * (0.0 + _A21 * a1),
+              y2 + h * (0.0 + _A21 * a2)))
+    k2 = rhs(p, u(p))
+    try:
+        b0, b1, b2 = k2
+    except ValueError:
+        raise _length_error(k2, y) from None
+    p = pack((y0 + h * (0.0 + _A31 * a0 + _A32 * b0),
+              y1 + h * (0.0 + _A31 * a1 + _A32 * b1),
+              y2 + h * (0.0 + _A31 * a2 + _A32 * b2)))
+    k3 = rhs(p, u(p))
+    try:
+        c0, c1, c2 = k3
+    except ValueError:
+        raise _length_error(k3, y) from None
+    p = pack((y0 + h * (0.0 + _A41 * a0 + _A42 * b0 + _A43 * c0),
+              y1 + h * (0.0 + _A41 * a1 + _A42 * b1 + _A43 * c1),
+              y2 + h * (0.0 + _A41 * a2 + _A42 * b2 + _A43 * c2)))
+    k4 = rhs(p, u(p))
+    try:
+        d0, d1, d2 = k4
+    except ValueError:
+        raise _length_error(k4, y) from None
+    p = pack((y0 + h * (0.0 + _A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
+              y1 + h * (0.0 + _A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
+              y2 + h * (0.0 + _A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2)))
+    k5 = rhs(p, u(p))
+    try:
+        e0, e1, e2 = k5
+    except ValueError:
+        raise _length_error(k5, y) from None
+    p = pack((y0 + h * (0.0 + _A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
+                        + _A65 * e0),
+              y1 + h * (0.0 + _A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
+                        + _A65 * e1),
+              y2 + h * (0.0 + _A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2
+                        + _A65 * e2)))
+    k6 = rhs(p, u(p))
+    try:
+        f0, f1, f2 = k6
+    except ValueError:
+        raise _length_error(k6, y) from None
+    n0 = y0 + h * (0.0 + _A71 * a0 + _A72 * b0 + _A73 * c0 + _A74 * d0
+                   + _A75 * e0 + _A76 * f0)
+    n1 = y1 + h * (0.0 + _A71 * a1 + _A72 * b1 + _A73 * c1 + _A74 * d1
+                   + _A75 * e1 + _A76 * f1)
+    n2 = y2 + h * (0.0 + _A71 * a2 + _A72 * b2 + _A73 * c2 + _A74 * d2
+                   + _A75 * e2 + _A76 * f2)
+    y_new = pack((n0, n1, n2))
+    u_new = u(y_new)
+    k7 = rhs(y_new, u_new)
+    try:
+        g0, g1, g2 = k7
+    except ValueError:
+        raise _length_error(k7, y) from None
+    q0 = (h * (0.0 + _E1 * a0 + _E2 * b0 + _E3 * c0 + _E4 * d0 + _E5 * e0
+               + _E6 * f0 + _E7 * g0)
+          / (atol + rtol * max(abs(y0), abs(n0))))
+    q1 = (h * (0.0 + _E1 * a1 + _E2 * b1 + _E3 * c1 + _E4 * d1 + _E5 * e1
+               + _E6 * f1 + _E7 * g1)
+          / (atol + rtol * max(abs(y1), abs(n1))))
+    q2 = (h * (0.0 + _E1 * a2 + _E2 * b2 + _E3 * c2 + _E4 * d2 + _E5 * e2
+               + _E6 * f2 + _E7 * g2)
+          / (atol + rtol * max(abs(y2), abs(n2))))
+    err = math.sqrt((0.0 + q0 * q0 + q1 * q1 + q2 * q2) / 3)
     return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
 
 
@@ -421,7 +496,8 @@ def _run(rhs, u, start, t_span, cfg, watchers):
         if not math.isfinite(v):
             raise DomainError(f"non-finite initial state {tuple(start)!r}")
     pack = getattr(type(start), "_make", tuple)
-    step = _step_planar if len(start) == 2 else _step_any
+    n = len(start)
+    step = _step_planar if n == 2 else _step_3 if n == 3 else _step_any
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     max_step, min_step, max_steps = cfg.max_step, cfg.min_step, cfg.max_steps
     inf = math.inf
@@ -437,6 +513,9 @@ def _run(rhs, u, start, t_span, cfg, watchers):
     except (OverflowError, IntegrationError):
         events.append(Event("overflow-fault", t, y, "fault"))
         return times, states, controls, events, "overflow-fault"
+    if not h > min_step:
+        # the first step obeys min_step like every later one, within the span
+        h = min(min_step, t1 - t)
     g_now = [w.fn(y) for w in watchers]
     just_rejected = False
     nsteps = 0

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from canardctl import cli
+from canardctl import cli, sim
 from canardctl.cli import (
     ExperimentConfig,
     main,
@@ -544,6 +544,52 @@ def test_fault_of_any_run_decides_exit_status_and_trajectory(tmp_path, capsys,
     assert res["last_time"] == rows[-1][0]
     assert res["last_state"] == [rows[-1][1], rows[-1][2]]
     assert f"at t = {res['last_time']:.6g}" in res["message"]
+
+
+def test_min_step_above_the_first_step_estimate_binds_the_first_step(
+        tmp_path, capsys):
+    # the field alone picks a first step near 0.009 here; a smooth run at
+    # min_step 0.03 used to stop there as a step underflow
+    cfg = ExperimentConfig("vdp-mmo", {"pattern": "3S:1.25:-0.01",
+                                       "min_step": 0.03, "max_step": 1.0})
+    assert run_experiment(cfg, tmp_path) == 0
+    m = json.loads((tmp_path / "metrics.json").read_text())
+    assert m["status"] == "ok"
+    assert m["results"]["labels"] == "SSS"
+
+
+# every registered experiment, cut short where it takes t_end
+_SHORT_RUNS = {"fold-fast": {"t_end": 5.0}, "fold-fast-hot": {"t_end": 5.0},
+               "fold-slow": {"t_end": 5.0}, "k2": {"t_end": 5.0},
+               "k2-hot": {"t_end": 5.0}, "k1-vdp": {"t_end": 5.0},
+               "vdp-mmo": {"pattern": "1S:1.25:-0.01"}}
+
+
+def test_no_registered_experiment_runs_the_generic_step_kernel(
+        tmp_path, capsys, monkeypatch):
+    # states of two and three components have written-out kernels; the
+    # generic one is for every other length, which no runner integrates
+    def generic(*args):
+        raise AssertionError("a registered run reached sim._step_any")
+
+    used = set()
+
+    def counted(kernel):
+        def step(rhs, u, y, *rest):
+            used.add((name, len(y)))
+            return kernel(rhs, u, y, *rest)
+        return step
+
+    monkeypatch.setattr(sim, "_step_any", generic)
+    monkeypatch.setattr(sim, "_step_planar", counted(sim._step_planar))
+    monkeypatch.setattr(sim, "_step_3", counted(sim._step_3))
+    for name in sorted(cli._SPECS):
+        cfg = ExperimentConfig(name, _SHORT_RUNS.get(name, {}))
+        # k1-vdp ends as a fault when t_end comes before the exit section
+        assert run_experiment(cfg, tmp_path / name) == (
+            3 if name == "k1-vdp" else 0)
+    assert {name for name, _ in used} == set(cli._SPECS)
+    assert ("k1-vdp", 3) in used
 
 
 # at these gains the compensated runs converge within the step budget and

@@ -420,6 +420,20 @@ class TestArgumentChecks:
             law(PhasePoint(args["x"], args["y"]), params, gains,
                 ScaledLevel(0.25, 400.0))
 
+    @pytest.mark.parametrize("x", [0.2, math.nan, math.inf],
+                             ids=["finite", "nan-x", "inf-x"])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("law", [fast_u, slow_u])
+    def test_fold_laws_reject_a_bad_eps_at_any_point(self, law, eps, x):
+        # eval_level_term is the one eps check, and it runs before either
+        # law takes sqrt(eps); a bad point is named first
+        params = SimpleNamespace(eps=eps, alpha=0.0)
+        with pytest.raises(DomainError) as info:
+            law(PhasePoint(x, 0.3), params, ControllerGains(1.0, 2.0),
+                ScaledLevel(0.25, 400.0))
+        if math.isfinite(x):
+            assert re.match(_eps_message(eps), str(info.value))
+
     @pytest.mark.parametrize("bad", _NONFINITE)
     @pytest.mark.parametrize("arg", ["r2", "x2", "y2", "alpha2", "level_h"])
     def test_k2_mu(self, arg, bad):

@@ -3,11 +3,13 @@
 import hashlib
 import math
 import struct
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from canardctl import sim
 from canardctl.controllers import composite_u, default_neighborhoods, fast_u
 from canardctl.core import ControllerGains, PhasePoint, ScaledLevel, SystemParams
 from canardctl.errors import (
@@ -29,6 +31,7 @@ from canardctl.sim import (
     integrate,
     _crossing,
     _locate,
+    _step_3,
     _step_any,
     _step_planar,
 )
@@ -239,6 +242,25 @@ def test_integrate_three_components():
     assert r == pytest.approx(math.sqrt(5.0), rel=1e-7)
 
 
+def test_run_picks_its_kernel_from_the_length_of_the_start(monkeypatch):
+    ran = []
+    for name in ("_step_planar", "_step_3", "_step_any"):
+        def step(*args, kernel=getattr(sim, name), name=name):
+            ran.append(name)
+            return kernel(*args)
+        monkeypatch.setattr(sim, name, step)
+    for n, kernel in ((1, "_step_any"), (2, "_step_planar"), (3, "_step_3"),
+                      (4, "_step_any")):
+        ran.clear()
+        # uncoupled decay: the components of a state keep equal bits
+        traj = integrate(lambda p, u: tuple(-v for v in p), _no_u, (1.0,) * n,
+                         (0.0, 2.0))
+        assert set(ran) == {kernel}
+        x = traj.final_state[0]
+        assert traj.final_state == (x,) * n
+        assert x == pytest.approx(math.exp(-2.0), rel=1e-7)
+
+
 def test_empty_start_is_rejected():
     with pytest.raises(DomainError, match="at least one component"):
         integrate(lambda p, u: (), _no_u, (), (0.0, 1.0))
@@ -256,21 +278,25 @@ def test_field_of_another_length_is_rejected(start, slope):
         integrate(lambda p, u: slope, _no_u, start, (0.0, 1.0))
 
 
-@pytest.mark.parametrize("step", [_step_planar, _step_any])
-@pytest.mark.parametrize("stage", range(2, 8))
-@pytest.mark.parametrize("length", [1, 3])
-def test_step_kernels_reject_a_stage_of_another_length(step, stage, length):
+@pytest.mark.parametrize("length, stage, step, n", [
+    pytest.param(length, stage, step, n, id=f"{length}-{stage}-{step.__name__}")
+    for step, n in ((_step_planar, 2), (_step_any, 2), (_step_3, 3))
+    for stage in range(2, 8)
+    for length in (n - 1, n + 1)])
+def test_step_kernels_reject_a_stage_of_another_length(step, stage, length, n):
     points = []
+    slope = (1.0,) + (0.0,) * (n - 1)
 
     def rhs(p, u):
         points.append(p)
-        return (1.0,) * length if len(points) == stage - 1 else (1.0, 0.0)
+        return (1.0,) * length if len(points) == stage - 1 else slope
 
     with pytest.raises(DomainError,
-                       match=f"returned {length} components for a state of 2"):
-        step(rhs, _no_u, (0.0, 1.0), (1.0, 0.0), 0.1, 1e-10, 1e-8, tuple)
+                       match=f"returned {length} components for a state of {n}"):
+        step(rhs, _no_u, (0.0,) * (n - 1) + (1.0,), slope, 0.1, 1e-10, 1e-8,
+             tuple)
     # no stage ran on a state cut down or padded by the bad result
-    assert [len(p) for p in points] == [2] * (stage - 1)
+    assert [len(p) for p in points] == [n] * (stage - 1)
 
 
 @pytest.mark.parametrize("start, later",
@@ -706,6 +732,32 @@ def _stage_field(kind, c, scale, bad_call, bad_component, bad_value, log):
             fy += c[9] * y * y - c[8] * x * y
         return (_finite_or_one(scale * fx), _finite_or_one(scale * fy))
 
+    return _spoiled(base, bad_call, bad_component, bad_value, log)
+
+
+def _stage_field_3(kind, c, scale, bad_call, bad_component, bad_value, log):
+    """The three-component twin of ``_stage_field``: z couples into both
+    other components and follows x, y and the control."""
+    def base(p, uval):
+        x, y, z = p
+        if kind == "signed-zero":
+            return (-0.0, -0.0, -0.0)
+        fx = c[0] + c[1] * x + c[2] * y + c[3] * uval + c[10] * z
+        fy = c[4] + c[5] * x + c[6] * y - c[3] * uval - c[10] * z
+        fz = c[11] + c[12] * x - c[13] * y * z + c[3] * uval
+        if kind == "quadratic":
+            fx += c[7] * x * x + c[8] * x * y
+            fy += c[9] * y * y - c[8] * x * y
+            fz += c[7] * z * z
+        return (_finite_or_one(scale * fx), _finite_or_one(scale * fy),
+                _finite_or_one(scale * fz))
+
+    return _spoiled(base, bad_call, bad_component, bad_value, log)
+
+
+def _spoiled(base, bad_call, bad_component, bad_value, log):
+    """``base`` with its call number ``bad_call`` returning ``bad_value`` in
+    component ``bad_component``, and every call logged."""
     def rhs(p, uval):
         log.append((_bits(p), _bits(uval)))
         out = base(p, uval)
@@ -760,6 +812,57 @@ def test_planar_step_matches_the_generic_step_bit_for_bit(
 
         def u(p):
             return w[0] * p[0] + w[1] * p[1]
+
+        y = pack(start)
+        k1 = rhs(y, u(y))
+        y_new, u_new, ks, err = step(rhs, u, y, k1, h, atol, rtol, pack)
+        assert len(ks) == 7 and ks[0] is k1
+        results.append((_bits(y_new), _bits(u_new), _bits(ks), _bits(err),
+                        tuple(log)))
+    assert results[0] == results[1]
+
+
+class _Point3(NamedTuple):
+    r: float
+    x: float
+    e: float
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+# all three squares of the scaled error are subnormal, so dividing each by
+# 3 before the sum rounds differently from dividing the sum
+@example(kind="linear",
+         c=[3.0, -2.0, 4.0, 0.0, -3.0, -2.0, 4.0, 2.0, -3.0, 1.0, 1.0, 2.0,
+            -1.0, 0.5],
+         scale=10.0 ** -150, w=(1.0, 0.0, 0.0), start=(2.0, -1.0, 1.0),
+         bad_call=None, bad_component=0, bad_value=math.inf, pack=tuple,
+         h=2.0, tols=(1e-10, 1e-8))
+@given(kind=st.sampled_from(["linear", "quadratic", "signed-zero"]),
+       c=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=14,
+                  max_size=14),
+       scale=_scale,
+       w=st.tuples(st.floats(min_value=-2.0, max_value=2.0),
+                   st.floats(min_value=-2.0, max_value=2.0),
+                   st.floats(min_value=-2.0, max_value=2.0)),
+       start=st.tuples(_component, _component, _component),
+       bad_call=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+       bad_component=st.integers(min_value=0, max_value=2),
+       bad_value=st.sampled_from([math.inf, -math.inf, math.nan]),
+       pack=st.sampled_from([tuple, _Point3._make]),
+       h=st.floats(min_value=1e-12, max_value=10.0),
+       tols=st.sampled_from([(1e-10, 1e-8), (1e-6, 1e-3), (1e-12, 1e-12)]))
+def test_three_component_step_matches_the_generic_step_bit_for_bit(
+        kind, c, scale, w, start, bad_call, bad_component, bad_value, pack, h,
+        tols):
+    atol, rtol = tols
+    results = []
+    for step in (_step_3, _step_any):
+        log = []
+        rhs = _stage_field_3(kind, c, scale, bad_call, bad_component,
+                             bad_value, log)
+
+        def u(p):
+            return w[0] * p[0] + w[1] * p[1] + w[2] * p[2]
 
         y = pack(start)
         k1 = rhs(y, u(y))
