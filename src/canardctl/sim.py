@@ -21,13 +21,13 @@ being hidden by an implicit solver.  ``min_step`` binds the first step too:
 the starting-step estimate, which the field alone picks, is raised to
 ``min_step`` when it falls below it, but never past the end of the span.
 
-Each step runs in one of three kernels with the same contract, which a run
-picks once, from the length of the start: ``_step_planar`` for two
-components, ``_step_3`` for three and ``_step_any`` for any other length.
-The first two spell every stage sum, the 5th-order update and the error
-norm out term by term; ``_step_any`` runs the same sums as comprehensions.
-All three add the same terms in the same order, so a state of two or three
-components gives the same bits through the generic kernel.
+Each step runs in one of three kernels of `dopri` with the same contract,
+which a run picks once, from the length of the start: ``_step_planar`` for
+two components, ``_step_3`` for three and ``_step_any`` for any other
+length.  The first two spell every stage sum, the 5th-order update and the
+error norm out term by term; ``_step_any`` runs the same sums as
+comprehensions.  All three add the same terms in the same order, so a state
+of two or three components gives the same bits through the generic kernel.
 
 The controller is evaluated once per field evaluation, and the engine keeps
 the values it needs.  The controls a trajectory records are the values from
@@ -51,9 +51,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .core import ScaledLevel, eval_level_term
+from .dopri import (
+    _interpolant,
+    _length_error,
+    _rms,
+    _step_3,
+    _step_any,
+    _step_planar,
+)
 from .errors import (
     DomainError,
     ExponentOverflowError,
@@ -71,41 +79,6 @@ __all__ = [
     "integrate",
     "convergence_metrics",
 ]
-
-# Dormand-Prince 5(4) tableau, FSAL form: the 5th-order weights are the last
-# stage row, the 7th stage sits at the step end and seeds the next step.  The
-# field is autonomous, so the stage nodes c_i are not needed.
-_A = (
-    (0.2,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
-_E = (
-    71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
-    -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0,
-)
-_D = (
-    -12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0,
-    -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
-    -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0,
-)
-# The step spells every stage combination out term by term from these names.
-# Each sum starts from 0.0 and adds left to right, as sum() over the rows did
-# before Python 3.12 made it compensated (so a lone -0.0 term gives +0.0),
-# and the zero entries stay in so that inf and nan propagate from every stage.
-(
-    (_A21,),
-    (_A31, _A32),
-    (_A41, _A42, _A43),
-    (_A51, _A52, _A53, _A54),
-    (_A61, _A62, _A63, _A64, _A65),
-    (_A71, _A72, _A73, _A74, _A75, _A76),
-) = _A
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _E
-_D1, _D2, _D3, _D4, _D5, _D6, _D7 = _D
 
 _SAFE = 0.9
 _BETA = 0.04
@@ -200,13 +173,6 @@ class Trajectory:
         return tuple(ev for ev in self.events if ev.kind == kind)
 
 
-def _rms(values: Sequence[float]) -> float:
-    acc = 0.0  # left to right from zero, as sum() adds floats before 3.12
-    for v in values:
-        acc += v * v
-    return math.sqrt(acc / len(values))
-
-
 def _initial_step(rhs, u, y0, f0, span, cfg, pack):
     # standard two-probe starting-step heuristic, fully deterministic
     sc = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0]
@@ -224,219 +190,6 @@ def _initial_step(rhs, u, y0, f0, span, cfg, pack):
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, span, cfg.max_step)
-
-
-def _length_error(k, y):
-    return DomainError(f"the field returned {len(k)} components "
-                       f"for a state of {len(y)}")
-
-
-# The step kernels: (rhs, u, y, k1, h, atol, rtol, pack) -> (y_new, u_new,
-# (k1, ..., k7), err), where err is the RMS of the scaled error estimate and
-# may be inf or nan.  Each stage evaluates the controller, then the field, at
-# the stage state, and a field result of another length than the state
-# raises DomainError before any sum could cut the state down.  The
-# written-out kernels learn the length from their unpacking, whose try costs
-# nothing until it raises; only the unpacking sits inside it, so a
-# ValueError from the field or the controller passes through unchanged.
-
-def _step_planar(rhs, u, y, k1, h, atol, rtol, pack):
-    y0, y1 = y
-    a0, a1 = k1
-    p = pack((y0 + h * (0.0 + _A21 * a0),
-              y1 + h * (0.0 + _A21 * a1)))
-    k2 = rhs(p, u(p))
-    try:
-        b0, b1 = k2
-    except ValueError:
-        raise _length_error(k2, y) from None
-    p = pack((y0 + h * (0.0 + _A31 * a0 + _A32 * b0),
-              y1 + h * (0.0 + _A31 * a1 + _A32 * b1)))
-    k3 = rhs(p, u(p))
-    try:
-        c0, c1 = k3
-    except ValueError:
-        raise _length_error(k3, y) from None
-    p = pack((y0 + h * (0.0 + _A41 * a0 + _A42 * b0 + _A43 * c0),
-              y1 + h * (0.0 + _A41 * a1 + _A42 * b1 + _A43 * c1)))
-    k4 = rhs(p, u(p))
-    try:
-        d0, d1 = k4
-    except ValueError:
-        raise _length_error(k4, y) from None
-    p = pack((y0 + h * (0.0 + _A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
-              y1 + h * (0.0 + _A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1)))
-    k5 = rhs(p, u(p))
-    try:
-        e0, e1 = k5
-    except ValueError:
-        raise _length_error(k5, y) from None
-    p = pack((y0 + h * (0.0 + _A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
-                        + _A65 * e0),
-              y1 + h * (0.0 + _A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
-                        + _A65 * e1)))
-    k6 = rhs(p, u(p))
-    try:
-        f0, f1 = k6
-    except ValueError:
-        raise _length_error(k6, y) from None
-    n0 = y0 + h * (0.0 + _A71 * a0 + _A72 * b0 + _A73 * c0 + _A74 * d0
-                   + _A75 * e0 + _A76 * f0)
-    n1 = y1 + h * (0.0 + _A71 * a1 + _A72 * b1 + _A73 * c1 + _A74 * d1
-                   + _A75 * e1 + _A76 * f1)
-    y_new = pack((n0, n1))
-    u_new = u(y_new)
-    k7 = rhs(y_new, u_new)
-    try:
-        g0, g1 = k7
-    except ValueError:
-        raise _length_error(k7, y) from None
-    q0 = (h * (0.0 + _E1 * a0 + _E2 * b0 + _E3 * c0 + _E4 * d0 + _E5 * e0
-               + _E6 * f0 + _E7 * g0)
-          / (atol + rtol * max(abs(y0), abs(n0))))
-    q1 = (h * (0.0 + _E1 * a1 + _E2 * b1 + _E3 * c1 + _E4 * d1 + _E5 * e1
-               + _E6 * f1 + _E7 * g1)
-          / (atol + rtol * max(abs(y1), abs(n1))))
-    err = math.sqrt((0.0 + q0 * q0 + q1 * q1) / 2)
-    return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
-
-
-def _step_3(rhs, u, y, k1, h, atol, rtol, pack):
-    y0, y1, y2 = y
-    a0, a1, a2 = k1
-    p = pack((y0 + h * (0.0 + _A21 * a0),
-              y1 + h * (0.0 + _A21 * a1),
-              y2 + h * (0.0 + _A21 * a2)))
-    k2 = rhs(p, u(p))
-    try:
-        b0, b1, b2 = k2
-    except ValueError:
-        raise _length_error(k2, y) from None
-    p = pack((y0 + h * (0.0 + _A31 * a0 + _A32 * b0),
-              y1 + h * (0.0 + _A31 * a1 + _A32 * b1),
-              y2 + h * (0.0 + _A31 * a2 + _A32 * b2)))
-    k3 = rhs(p, u(p))
-    try:
-        c0, c1, c2 = k3
-    except ValueError:
-        raise _length_error(k3, y) from None
-    p = pack((y0 + h * (0.0 + _A41 * a0 + _A42 * b0 + _A43 * c0),
-              y1 + h * (0.0 + _A41 * a1 + _A42 * b1 + _A43 * c1),
-              y2 + h * (0.0 + _A41 * a2 + _A42 * b2 + _A43 * c2)))
-    k4 = rhs(p, u(p))
-    try:
-        d0, d1, d2 = k4
-    except ValueError:
-        raise _length_error(k4, y) from None
-    p = pack((y0 + h * (0.0 + _A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
-              y1 + h * (0.0 + _A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
-              y2 + h * (0.0 + _A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2)))
-    k5 = rhs(p, u(p))
-    try:
-        e0, e1, e2 = k5
-    except ValueError:
-        raise _length_error(k5, y) from None
-    p = pack((y0 + h * (0.0 + _A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
-                        + _A65 * e0),
-              y1 + h * (0.0 + _A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
-                        + _A65 * e1),
-              y2 + h * (0.0 + _A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2
-                        + _A65 * e2)))
-    k6 = rhs(p, u(p))
-    try:
-        f0, f1, f2 = k6
-    except ValueError:
-        raise _length_error(k6, y) from None
-    n0 = y0 + h * (0.0 + _A71 * a0 + _A72 * b0 + _A73 * c0 + _A74 * d0
-                   + _A75 * e0 + _A76 * f0)
-    n1 = y1 + h * (0.0 + _A71 * a1 + _A72 * b1 + _A73 * c1 + _A74 * d1
-                   + _A75 * e1 + _A76 * f1)
-    n2 = y2 + h * (0.0 + _A71 * a2 + _A72 * b2 + _A73 * c2 + _A74 * d2
-                   + _A75 * e2 + _A76 * f2)
-    y_new = pack((n0, n1, n2))
-    u_new = u(y_new)
-    k7 = rhs(y_new, u_new)
-    try:
-        g0, g1, g2 = k7
-    except ValueError:
-        raise _length_error(k7, y) from None
-    q0 = (h * (0.0 + _E1 * a0 + _E2 * b0 + _E3 * c0 + _E4 * d0 + _E5 * e0
-               + _E6 * f0 + _E7 * g0)
-          / (atol + rtol * max(abs(y0), abs(n0))))
-    q1 = (h * (0.0 + _E1 * a1 + _E2 * b1 + _E3 * c1 + _E4 * d1 + _E5 * e1
-               + _E6 * f1 + _E7 * g1)
-          / (atol + rtol * max(abs(y1), abs(n1))))
-    q2 = (h * (0.0 + _E1 * a2 + _E2 * b2 + _E3 * c2 + _E4 * d2 + _E5 * e2
-               + _E6 * f2 + _E7 * g2)
-          / (atol + rtol * max(abs(y2), abs(n2))))
-    err = math.sqrt((0.0 + q0 * q0 + q1 * q1 + q2 * q2) / 3)
-    return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
-
-
-def _step_any(rhs, u, y, k1, h, atol, rtol, pack):
-    n = len(y)
-    p = pack([y0 + h * (0.0 + _A21 * a)
-              for y0, a in zip(y, k1)])
-    k2 = rhs(p, u(p))
-    if len(k2) != n:
-        raise _length_error(k2, y)
-    p = pack([y0 + h * (0.0 + _A31 * a + _A32 * b)
-              for y0, a, b in zip(y, k1, k2)])
-    k3 = rhs(p, u(p))
-    if len(k3) != n:
-        raise _length_error(k3, y)
-    p = pack([y0 + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
-              for y0, a, b, c in zip(y, k1, k2, k3)])
-    k4 = rhs(p, u(p))
-    if len(k4) != n:
-        raise _length_error(k4, y)
-    p = pack([y0 + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
-              for y0, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k5 = rhs(p, u(p))
-    if len(k5) != n:
-        raise _length_error(k5, y)
-    p = pack([y0 + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d
-                        + _A65 * e)
-              for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-    k6 = rhs(p, u(p))
-    if len(k6) != n:
-        raise _length_error(k6, y)
-    y_new = pack([y0 + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d
-                            + _A75 * e + _A76 * f)
-                  for y0, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)])
-    u_new = u(y_new)
-    k7 = rhs(y_new, u_new)
-    if len(k7) != n:
-        raise _length_error(k7, y)
-    err = _rms([
-        h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e
-             + _E6 * f + _E7 * g)
-        / (atol + rtol * max(abs(y0), abs(y1)))
-        for y0, y1, a, b, c, d, e, f, g
-        in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)
-    ])
-    return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
-
-
-def _interpolant(h, y, y_new, ks, pack):
-    """Quartic dense output of an accepted step as theta in [0, 1] -> state."""
-    rcont = []
-    for rc1, y1, a, b, c, d, e, f, g in zip(y, y_new, *ks):
-        rc2 = y1 - rc1
-        rc3 = h * a - rc2
-        rc4 = rc2 - h * g - rc3
-        rc5 = h * (0.0 + _D1 * a + _D2 * b + _D3 * c + _D4 * d + _D5 * e
-                   + _D6 * f + _D7 * g)
-        rcont.append((rc1, rc2, rc3, rc4, rc5))
-
-    def at(theta):
-        th1 = 1.0 - theta
-        return pack([
-            rc1 + theta * (rc2 + th1 * (rc3 + theta * (rc4 + th1 * rc5)))
-            for rc1, rc2, rc3, rc4, rc5 in rcont
-        ])
-
-    return at
 
 
 def _crossing(kind: str, direction: str, g_old: float, g_new: float):

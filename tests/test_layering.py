@@ -23,7 +23,8 @@ _ALLOWED = {
     "models": {"core", "errors"},
     "blowup": {"core", "errors"},
     "controllers": {"core", "errors"},
-    "sim": {"core", "errors"},
+    "dopri": {"errors"},
+    "sim": {"core", "dopri", "errors"},
     "svgplot": {"controllers", "sim"},
     "mmo": {"controllers", "core", "errors", "models", "sim"},
     "verify": {"blowup", "controllers", "core", "errors", "mmo", "models",
