@@ -576,7 +576,7 @@ def test_no_registered_experiment_runs_the_generic_step_kernel(
 
     def counted(kernel):
         def step(rhs, u, y, *rest):
-            used.add((name, len(y)))
+            used.add((name, len(y)))  # the experiment running now
             return kernel(rhs, u, y, *rest)
         return step
 
