@@ -206,6 +206,10 @@ class ExperimentConfig:
         )
 
     def with_overrides(self, overrides: Dict[str, object]) -> "ExperimentConfig":
+        """This config with ``overrides`` merged into its params, validated
+        again; with nothing to override, this config itself."""
+        if not overrides:
+            return self
         merged = dict(self.params)
         merged.update(overrides)
         return ExperimentConfig(self.experiment, merged,
@@ -312,8 +316,8 @@ def _write_trajectory_csv(path, traj: Trajectory) -> None:
     # the quoting csv.writer would apply; rows stream from a generator
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,x,y,u\n")
-        fh.writelines("%.17g,%.17g,%.17g,%.17g\n" % (t, p[0], p[1], u)
-                      for t, p, u in zip(traj.times, traj.states, traj.controls))
+        fh.writelines("%.17g,%.17g,%.17g,%.17g\n" % row for row in zip(
+            traj.times, *traj.columns[:2], traj.controls))
 
 
 def read_trajectory_csv(path) -> Tuple[Tuple[float, float, float, float], ...]:
@@ -450,9 +454,9 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
     trajs = [traj for traj, _ in runs]
 
     primary = trajs[0]
-    framed = Trajectory(
-        primary.times,
-        tuple((p[0] - center, p[1]) for p in primary.states),
+    xs, ys = primary.columns
+    framed = Trajectory.from_columns(
+        primary.times, ([x - center for x in xs], ys),
         primary.controls, primary.events)
     results: Dict[str, object] = _convergence_results(framed, params.eps, level)
     hits = primary.events_of("section-crossing")
@@ -572,8 +576,8 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
     per_ic = []
     for ic, (traj, fault, gap) in zip(ics, runs):
         hits = traj.events_of("level-convergence")
-        l2 = [lyapunov_L2((r2, p[0], p[1], alpha2), gains, h)[0]
-              for p in traj.states]
+        l2 = [lyapunov_L2((r2, x2, y2, alpha2), gains, h)[0]
+              for x2, y2 in zip(*traj.columns)]
         per_ic.append({
             "ic": [ic.x, ic.y],
             "status": _status(fault),
@@ -623,10 +627,11 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
 
     def blown_down(traj: Trajectory) -> Trajectory:
         # (x, y, u) = (r1 x1, r1^2, r1^2 mu1)
-        return Trajectory(
+        r1, x1 = traj.columns[:2]
+        return Trajectory.from_columns(
             traj.times,
-            tuple(PhasePoint(s[0] * s[1], s[0] * s[0]) for s in traj.states),
-            tuple(s[0] * s[0] * m for s, m in zip(traj.states, traj.controls)))
+            ([r * x for r, x in zip(r1, x1)], [r * r for r in r1]),
+            [r * r * m for r, m in zip(r1, traj.controls)], (), PhasePoint._make)
 
     r1_grid = [0.05 + i * (dom.rho1_tilde - 0.05) / 4 for i in range(5)]
     exit_x1, exit_t, blown = [], [], []

@@ -18,8 +18,8 @@ parameter step while a bump is live.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass, replace
-from itertools import chain, islice
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .controllers import NeighborhoodParams, composite_u
@@ -157,21 +157,18 @@ class MmoPattern:
         return out
 
 
-def _inside_disc(p: Sequence[float]) -> bool:
-    return p[0] * p[0] + p[1] * p[1] < DISC_RADIUS * DISC_RADIUS
-
-
 def classify_loops(traj: Trajectory) -> List[LoopLabel]:
-    """Split a trajectory at disc entries and label each complete loop."""
-    entries = [
-        i for i in range(1, len(traj.states))
-        if _inside_disc(traj.states[i]) and not _inside_disc(traj.states[i - 1])
-    ]
+    """Split a planar trajectory at disc entries and label each complete
+    loop."""
+    xs, ys = traj.columns
+    r2 = DISC_RADIUS * DISC_RADIUS
+    inside = [x * x + y * y < r2 for x, y in zip(xs, ys)]
+    entries = [i for i in range(1, len(inside))
+               if inside[i] and not inside[i - 1]]
     loops = []
     for a, b in zip(entries, entries[1:]):
-        seg = traj.states[a:b + 1]
-        max_x = max(p[0] for p in seg)
-        max_y = max(p[1] for p in seg)
+        max_x = max(xs[a:b + 1])
+        max_y = max(ys[a:b + 1])
         label = "LAO" if max_x > LAO_THRESHOLD else "SAO"
         loops.append(LoopLabel(label, traj.times[a], traj.times[b], max_x, max_y))
     return loops
@@ -212,10 +209,22 @@ def run_pattern(
     for _ in range(pattern.repeat):
         schedule.extend(pattern.loop_schedule())
 
-    # one Trajectory per integrate() call; each after the first starts at
-    # its predecessor's last state, which the stitched run keeps once
-    chunks: List[Trajectory] = []
+    # the stitched run, column by column: each loop after the first starts
+    # at its predecessor's last point, which the run keeps once
+    times, xs, ys, controls = (array("d") for _ in range(4))
+    events = []
     labels: List[LoopLabel] = []
+
+    def stitch(traj: Trajectory) -> None:
+        skip = 1 if times else 0
+        times.extend(traj.times[skip:])
+        xs.extend(traj.columns[0][skip:])
+        ys.extend(traj.columns[1][skip:])
+        controls.extend(traj.controls[skip:])
+        events.extend(traj.events)
+
+    def stitched() -> Trajectory:
+        return Trajectory.from_columns(times, (xs, ys), controls, events)
 
     def run_chunk(seg: MmoSegment, t0: float,
                   p0: Tuple[float, float]) -> Trajectory:
@@ -234,10 +243,10 @@ def run_pattern(
             traj = integrate(rhs, u, p0, (t0, t0 + _LOOP_TIME_BUDGET), cfg,
                              watchers=[_disc_watcher()])
         except IntegrationError as exc:  # step limit or step underflow
-            chunks.append(exc.trajectory)
+            stitch(exc.trajectory)
             exc.trajectory = stitched()
             raise
-        chunks.append(traj)
+        stitch(traj)
         if traj.events_of("overflow-fault"):
             raise OverflowFaultError(stitched())
         if not traj.events_of("set-entry"):
@@ -246,24 +255,15 @@ def run_pattern(
                 stitched())
         return traj
 
-    def stitched() -> Trajectory:
-        # one pass per column into a tuple: no list is grown and copied
-        def joined(name):
-            first, *rest = (getattr(c, name) for c in chunks)
-            return tuple(chain(first, *(islice(col, 1, None) for col in rest)))
-
-        return Trajectory(joined("times"), joined("states"), joined("controls"),
-                          tuple(chain.from_iterable(c.events for c in chunks)))
-
     # preamble: reach the section once under the first loop's parameters;
     # a plain tuple start makes every state the integrator builds one too
     run_chunk(schedule[0], 0.0, (start[0], start[1]))
 
     for seg in schedule:
-        t0, p0 = chunks[-1].final_time, chunks[-1].final_state
-        chunk = run_chunk(seg, t0, p0)
-        max_x = max(p[0] for p in chunk.states)
-        max_y = max(p[1] for p in chunk.states)
+        t0 = times[-1]
+        chunk = run_chunk(seg, t0, (xs[-1], ys[-1]))
+        max_x = max(chunk.columns[0])
+        max_y = max(chunk.columns[1])
         got = "LAO" if max_x > LAO_THRESHOLD else "SAO"
         loop = LoopLabel(got, t0, chunk.final_time, max_x, max_y)
         if got != seg.label:

@@ -4,7 +4,13 @@
 field y' = rhs(y, u(y)) over a state of any length, and the states it
 returns have the type of the start: a NamedTuple start such as
 ``PhasePoint`` is rebuilt with its ``_make``, any other sequence gives
-plain tuples.
+plain tuples.  The `Trajectory` it returns keeps its points as float
+columns, an ``array('d')`` each for the times, the controls and every state
+component, at 8 bytes a value: no point outlives the step that made it as a
+tuple of float objects.  The run fills the times and controls as it accepts
+steps, and the state components point after point in one more array, which
+it splits into columns once, at its end.  A trajectory's points are rebuilt
+with the start's type only when ``states`` or ``final_state`` asks for them.
 
 The integrator is a Dormand-Prince 5(4) embedded pair with the matching
 quartic dense-output interpolant.  Its step-size control is written in PI
@@ -50,6 +56,7 @@ bitwise-identical trajectories.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -145,18 +152,52 @@ class Watcher:
             raise DomainError(f"unknown watcher direction {self.direction!r}")
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """Accepted integration points, per-point control values, and events."""
+    """Accepted integration points, per-point control values, and events.
 
-    times: tuple
-    states: tuple
-    controls: tuple
-    events: tuple = ()
+    The points are kept as float columns: ``times``, ``controls`` and, in
+    ``columns``, one ``array('d')`` per state component, so a stored point
+    costs 8 bytes a value and no object of its own.  ``Trajectory(times,
+    states, controls, events)`` takes point sequences; `from_columns` takes
+    the columns themselves and keeps the arrays it is given.  ``pack``
+    rebuilds a point from its values: a NamedTuple's ``_make`` when the
+    points are, say, :class:`PhasePoint`, else ``tuple``.  ``states`` and
+    ``final_state`` are read-only views built with it on each call;
+    ``states`` builds one object per point, so the package's own readers
+    use the columns.  A trajectory's attributes cannot be set.
+    """
 
-    def __post_init__(self):
-        if not (len(self.times) == len(self.states) == len(self.controls)):
+    __slots__ = ("times", "columns", "controls", "events", "pack")
+
+    def __init__(self, times, states, controls, events=()):
+        n = len(states[0]) if states else 0
+        if any(len(p) != n for p in states) or (states and not n):
+            raise DomainError("every state needs the same number of "
+                              "components, at least one")
+        self._set(times, [array("d", c) for c in zip(*states)], controls,
+                  events, _pack_of(states[0]) if states else tuple)
+
+    @classmethod
+    def from_columns(cls, times, columns, controls, events=(), pack=tuple):
+        """A trajectory over ``columns``, one sequence of floats per state
+        component; an ``array('d')`` is kept as it is, not copied."""
+        traj = cls.__new__(cls)
+        traj._set(times, columns, controls, events, pack)
+        return traj
+
+    def _set(self, times, columns, controls, events, pack):
+        times, controls, *columns = (
+            v if type(v) is array and v.typecode == "d" else array("d", v)
+            for v in (times, controls, *columns))
+        if not all(len(v) == len(times) for v in (controls, *columns)):
             raise DomainError("times, states and controls must align")
+        for name, value in (("times", times), ("columns", tuple(columns)),
+                            ("controls", controls), ("events", tuple(events)),
+                            ("pack", pack)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a trajectory is read-only")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -166,11 +207,20 @@ class Trajectory:
         return self.times[-1]
 
     @property
+    def states(self) -> tuple:
+        return tuple(map(self.pack, zip(*self.columns)))
+
+    @property
     def final_state(self):
-        return self.states[-1]
+        return self.pack([c[-1] for c in self.columns])
 
     def events_of(self, kind: str) -> tuple:
         return tuple(ev for ev in self.events if ev.kind == kind)
+
+
+def _pack_of(point):
+    """What rebuilds a point of this one's type from its values."""
+    return getattr(type(point), "_make", tuple)
 
 
 def _initial_step(rhs, u, y0, f0, span, cfg, pack):
@@ -239,7 +289,8 @@ def _located(crossings, dense, t, h):
 
 
 def _run(rhs, u, start, t_span, cfg, watchers):
-    """One integration run: (times, states, controls, events, status)."""
+    """One integration run: (times, values, controls, events, status), where
+    ``values`` holds the components of every point, point after point."""
     t, t1 = t_span
     if not (math.isfinite(t) and math.isfinite(t1) and t1 > t):
         raise DomainError(f"bad t_span {t_span!r}")
@@ -248,24 +299,25 @@ def _run(rhs, u, start, t_span, cfg, watchers):
     for v in start:
         if not math.isfinite(v):
             raise DomainError(f"non-finite initial state {tuple(start)!r}")
-    pack = getattr(type(start), "_make", tuple)
+    pack = _pack_of(start)
     n = len(start)
     step = _step_planar if n == 2 else _step_3 if n == 3 else _step_any
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     max_step, min_step, max_steps = cfg.max_step, cfg.min_step, cfg.max_steps
     inf = math.inf
     y = pack(start)
-    times, states, controls, events = [t], [y], [math.nan], []
+    times, controls = array("d", [t]), array("d", [math.nan])
+    values, events = array("d", y), []
 
     try:
-        controls[0] = u(y)
-        f_now = rhs(y, controls[0])
+        controls[0] = u0 = u(y)
+        f_now = rhs(y, u0)
         if len(f_now) != len(y):
             raise _length_error(f_now, y)
         h = _initial_step(rhs, u, y, f_now, t1 - t, cfg, pack)
     except (OverflowError, IntegrationError):
         events.append(Event("overflow-fault", t, y, "fault"))
-        return times, states, controls, events, "overflow-fault"
+        return times, values, controls, events, "overflow-fault"
     if not h > min_step:
         # the first step obeys min_step like every later one, within the span
         h = min(min_step, t1 - t)
@@ -331,7 +383,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
                     # a dense-output state: no stage ran there, so evaluate u
                     y = dense(stop)
                     times.append(t + stop * h)
-                    states.append(y)
+                    values.extend(y)
                     try:
                         controls.append(u(y))
                     except (OverflowError, IntegrationError):
@@ -341,7 +393,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
         t = t1 if clamped else t + h
         y = y_new
         times.append(t)
-        states.append(y)
+        values.extend(y)
         controls.append(u_new)
         f_now = ks[6]
 
@@ -361,14 +413,15 @@ def _run(rhs, u, start, t_span, cfg, watchers):
             if h < min_step and t < t1:
                 status = "step-underflow"
                 break
-    return times, states, controls, events, status
+    return times, values, controls, events, status
 
 
 def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     """Integrate the autonomous controlled field y' = rhs(y, u(y)).
 
     The state may have any number of components, and every state the run
-    returns (trajectory points and event states) has the type of ``start``:
+    returns (trajectory points, rebuilt from its float columns, and event
+    states) has the type of ``start``:
     a NamedTuple such as :class:`PhasePoint` is rebuilt with its ``_make``,
     any other sequence gives plain tuples.  ``u(p) -> float`` is the
     feedback, called once per field evaluation, and ``rhs(p, u_value)``
@@ -388,9 +441,12 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     raises :class:`StepLimitError`, both carrying the partial trajectory.
     """
     cfg = cfg or IntegratorConfig()
-    times, states, controls, events, status = _run(
+    times, values, controls, events, status = _run(
         rhs, u, start, t_span, cfg, tuple(watchers))
-    traj = Trajectory(tuple(times), tuple(states), tuple(controls), tuple(events))
+    n = len(start)
+    traj = Trajectory.from_columns(
+        times, [values[i::n] for i in range(n)], controls, events,
+        _pack_of(start))
     if status == "step-underflow":
         raise StepUnderflowError(
             f"step size collapsed below min_step = {cfg.min_step:g} "
@@ -425,7 +481,7 @@ def convergence_metrics(traj: Trajectory, eps: float,
     that overflowed or is nan), since no residual can fall below such a cut.
     """
     res = []
-    for p in traj.states:
+    for p in zip(*traj.columns):
         try:
             res.append(eval_level_term(p, eps, 2.0, level))
         except ExponentOverflowError:

@@ -105,7 +105,7 @@ def _finite(*columns: Sequence[float]) -> bool:
 
 
 def _columns(points: Sequence[Sequence[float]]) -> Tuple[list, list]:
-    """The first two coordinates of the points, as two lists."""
+    """The first two coordinates of overlay points, as two lists."""
     return [p[0] for p in points], [p[1] for p in points]
 
 
@@ -302,9 +302,11 @@ def emit_phase_svg(trajs: Sequence[Trajectory], overlays: Iterable, path,
     trajectories, so the data always sits on top.
     """
     overlays = list(overlays)
+    # each trajectory's x and y columns; an empty trajectory has none
+    paths = [traj.columns[:2] or ((), ()) for traj in trajs]
     bounds = _Bounds()
-    for traj in trajs:
-        bounds.add(*_columns(traj.states))
+    for xs, ys in paths:
+        bounds.add(xs, ys)
     for ov in overlays:
         if isinstance(ov, ReferenceCycle):
             bounds.add(*_columns(ov.points))
@@ -335,8 +337,8 @@ def emit_phase_svg(trajs: Sequence[Trajectory], overlays: Iterable, path,
         elif isinstance(ov, ReferenceCycle):
             _emit_polyline(out, m, *_columns(ov.points),
                            "overlay-reference-cycle", "#808080", dashed=True)
-    for i, traj in enumerate(trajs):
-        _emit_polyline(out, m, *_columns(_thin(traj.states)), "traj",
+    for i, (xs, ys) in enumerate(paths):
+        _emit_polyline(out, m, _thin(xs), _thin(ys), "traj",
                        _TRAJ_COLORS[i % len(_TRAJ_COLORS)])
     out.append("</g>")
     out.append("</svg>")

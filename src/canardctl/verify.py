@@ -82,7 +82,7 @@ def _check_h_conservation() -> Tuple[bool, str]:
         IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12),
     )
     h0 = eval_H(start, params.eps)
-    drift = max(abs(eval_H(p, params.eps) - h0) for p in traj.states)
+    drift = max(abs(eval_H(p, params.eps) - h0) for p in zip(*traj.columns))
     rel = drift / abs(h0)
     return rel < 1e-6, f"relative H drift {rel:.3g} over {len(traj)} points"
 

@@ -185,6 +185,11 @@ class TestConfigFile:
         assert out.params == {"c1": 7.0, "eps": 0.5, "t_end": 10.0}
         assert cfg.params["c1"] == 1.0
 
+    def test_with_no_overrides_is_the_config_itself(self):
+        # a batch run without override flags validates each config once
+        cfg = ExperimentConfig("k2", {"c1": 1.0})
+        assert cfg.with_overrides({}) is cfg
+
 
 class TestTrajectoryCsv:
     def test_round_trip_full_precision(self, tmp_path):
@@ -590,6 +595,25 @@ def test_no_registered_experiment_runs_the_generic_step_kernel(
             3 if name == "k1-vdp" else 0)
     assert {name for name, _ in used} == set(cli._SPECS)
     assert ("k1-vdp", 3) in used
+
+
+def test_no_registered_experiment_builds_the_states_view(
+        tmp_path, capsys, monkeypatch):
+    # the runners, the supervisor and the writers read a trajectory's
+    # columns; a states view would build one object per point
+    built = []
+    states = sim.Trajectory.states
+
+    def recorded(traj):
+        built.append((name, len(traj)))  # the experiment running now
+        return states.fget(traj)
+
+    monkeypatch.setattr(sim.Trajectory, "states", property(recorded))
+    for name in sorted(cli._SPECS):
+        cfg = ExperimentConfig(name, _SHORT_RUNS.get(name, {}))
+        assert run_experiment(cfg, tmp_path / name) == (
+            3 if name == "k1-vdp" else 0)
+    assert built == []
 
 
 # at these gains the compensated runs converge within the step budget and

@@ -596,7 +596,7 @@ def test_pinned_runs_take_the_paths_they_pin():
         if control is None:
             assert math.isnan(start.controls[0])
         else:
-            assert start.controls == (control,)
+            assert tuple(start.controls) == (control,)
     # one field call at the start and one in the initial-step probe, then six
     # per attempted step: more than that for the accepted steps means some
     # were rejected, and any attempt that met an infinite slope was
@@ -871,3 +871,44 @@ def test_three_component_step_matches_the_generic_step_bit_for_bit(
         results.append((_bits(y_new), _bits(u_new), _bits(ks), _bits(err),
                         tuple(log)))
     assert results[0] == results[1]
+
+
+# -- trajectory columns -------------------------------------------------------
+# A trajectory keeps float columns and rebuilds its points on demand: what it
+# gives back must be what it was given, to the bit and with the point's type.
+
+_stored = st.one_of(st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf,
+                                     -math.inf]),
+                    st.floats())
+_POINTS = {"PhasePoint": (2, PhasePoint._make), "tuple-1": (1, tuple),
+           "tuple-2": (2, tuple), "tuple-3": (3, tuple)}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(kind=st.sampled_from(sorted(_POINTS)), data=st.data())
+def test_trajectory_gives_back_its_points_bit_for_bit(kind, data):
+    n, pack = _POINTS[kind]
+    rows = data.draw(st.lists(
+        st.tuples(_stored, _stored, st.tuples(*[_stored] * n)),
+        min_size=1, max_size=12))
+    times = tuple(t for t, _, _ in rows)
+    controls = tuple(u for _, u, _ in rows)
+    points = tuple(pack(p) for _, _, p in rows)
+    traj = Trajectory(times, points, controls)
+    assert _bits(traj.states) == _bits(points)
+    assert _bits(traj.final_state) == _bits(points[-1])
+    for got, given in ((traj.times, times), (traj.controls, controls)):
+        assert {type(v) for v in got} == {float}
+        assert _bits(tuple(got)) == _bits(given)
+
+
+def test_trajectory_is_read_only_and_rejects_ragged_points():
+    traj = Trajectory((0.0, 1.0), ((1.0, 2.0), (3.0, 4.0)), (0.5, 0.5))
+    with pytest.raises(AttributeError):
+        traj.times = (0.0,)
+    with pytest.raises(AttributeError):
+        traj.states = ()
+    with pytest.raises(DomainError, match="same number of components"):
+        Trajectory((0.0, 1.0), ((1.0, 2.0), (3.0,)), (0.5, 0.5))
+    with pytest.raises(DomainError, match="must align"):
+        Trajectory((0.0,), ((1.0, 2.0), (3.0, 4.0)), (0.5, 0.5))
