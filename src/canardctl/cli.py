@@ -18,7 +18,6 @@ any, decides its status and exit code through _FAULT_STATUS.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -322,6 +321,8 @@ def _write_trajectory_csv(path, traj: Trajectory) -> None:
 
 def read_trajectory_csv(path) -> Tuple[Tuple[float, float, float, float], ...]:
     """Parse a trajectory.csv back into (t, x, y, u) rows at full precision."""
+    import csv  # only readers of the artifacts need it; no run loads it
+
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["t", "x", "y", "u"]:
