@@ -1,9 +1,9 @@
 """Memory budgets, counted with tracemalloc.
 
 perfbench's ``peak_rss_mb`` moves with where a process's allocations land,
-by about as much as its bound; the traced bytes below repeat exactly from
-run to run, so they are the memory gate.  Each budget is the measurement
-when it was set plus a stated margin.
+by about as much as its bound; the traced bytes below move by about 10 KB
+at most from one process to the next, so they are the memory gate.  Each
+budget is the measurement when it was set plus a stated margin.
 """
 
 import sys
@@ -18,7 +18,7 @@ from canardctl.sim import Watcher, integrate
 # 32.3 B per point measured (four 8-byte columns); 25 % margin.  Points kept
 # as tuples of float objects held 174 B each.
 _BYTES_PER_POINT = 40.0
-# 1.06 MB measured for 28,462 points; about 25 % margin.  Tuples of float
+# 1.06-1.07 MB measured for 28,462 points; about 22 % margin.  Tuples of float
 # objects peaked at 5.29 MB.
 _VDP_PLANT_PEAK = 1.3e6
 
