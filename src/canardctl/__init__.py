@@ -12,5 +12,6 @@ Import from the submodules; the package namespace re-exports nothing.
 - :mod:`canardctl.mmo`          loop classification and pattern supervision
 - :mod:`canardctl.svgplot`      deterministic SVG plots
 - :mod:`canardctl.verify`       invariant suite behind `canard-ctl verify`
+- :mod:`canardctl.batch`        forked workers behind `canard-ctl run --jobs`
 - :mod:`canardctl.cli`          `canard-ctl` experiment runner
 """

@@ -18,9 +18,11 @@ any, decides its status and exit code through _FAULT_STATUS.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
+import os
 import random
 import sys
 import traceback
@@ -37,7 +39,6 @@ from .controllers import (
     k1_chart_phi1,
     k1_vdp_mu,
     k2_mu,
-    lyapunov_L2,
     slow_u,
 )
 from .core import (
@@ -290,6 +291,21 @@ def _cycle_curve(level: ScaledLevel, eps: float,
     return tuple(right + left[::-1] + right[:1])
 
 
+@functools.lru_cache(maxsize=32)
+def _cycle_of(key: Tuple[str, str, str, str]) -> ReferenceCycle:
+    h0, E, eps, center = map(float.fromhex, key)
+    return ReferenceCycle(_cycle_curve(ScaledLevel(h0, E), eps, center))
+
+
+def _reference_cycle(level: ScaledLevel, eps: float,
+                     center: float = 0.0) -> ReferenceCycle:
+    """The overlay of {H = h}, traced once per process for each exact
+    (level, eps, center): the key holds the floats' bits, so -0.0 and 0.0
+    stay apart."""
+    return _cycle_of(tuple(float.hex(v)
+                           for v in (level.h0, level.E, eps, center)))
+
+
 # artifacts ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -470,7 +486,7 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
         len(traj.events_of("overflow-fault")) for traj in trajs)
     return _Outcome(
         trajs, [CriticalManifold("fold"),
-                ReferenceCycle(_cycle_curve(level, params.eps, center))],
+                _reference_cycle(level, params.eps, center)],
         results,
         f"{cfg.experiment}: terminal residual "
         f"{results['residual_terminal']:.3g}, {len(hits)} section returns",
@@ -512,9 +528,9 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcom
                         "status": _status(fault)},
         "plain": plain_block,
     }
-    cycle = _cycle_curve(level, params.eps, params.alpha)
     return _Outcome(
-        [comp, plain], [CriticalManifold("fold"), ReferenceCycle(cycle)],
+        [comp, plain], [CriticalManifold("fold"),
+                        _reference_cycle(level, params.eps, params.alpha)],
         results,
         f"fold-fast-hot: compensated terminal residual "
         f"{results['compensated']['residual_terminal']:.3g}; "
@@ -577,8 +593,9 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
     per_ic = []
     for ic, (traj, fault, gap) in zip(ics, runs):
         hits = traj.events_of("level-convergence")
-        l2 = [lyapunov_L2((r2, x2, y2, alpha2), gains, h)[0]
-              for x2, y2 in zip(*traj.columns)]
+        # L2 = (H2 - h)^2 / 2, as lyapunov_L2 computes it, without its rate
+        l2 = [0.5 * ht * ht for ht in (eval_H2(x2, y2) - h
+                                         for x2, y2 in zip(*traj.columns))]
         per_ic.append({
             "ic": [ic.x, ic.y],
             "status": _status(fault),
@@ -600,7 +617,7 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
         extra_phase[_PLAIN_PHASE] = [traj for traj, _, _ in plain]
 
     return _Outcome(
-        [traj for traj, _, _ in runs], [ReferenceCycle(_cycle_curve(level, 1.0))],
+        [traj for traj, _, _ in runs], [_reference_cycle(level, 1.0)],
         results,
         f"{cfg.experiment}: worst terminal |H2 - h| = "
         f"{results['max_terminal_h_gap']:.3g} over {len(ics)} starts",
@@ -825,17 +842,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     jobs = [(c, str(base / s if len(stems) > 1 else base), overrides)
             for c, s in zip(args.config, stems)]
 
-    if args.jobs > 1 and len(jobs) > 1:
-        # imported here: a run without a pool need not pay for the import
-        from concurrent.futures import ProcessPoolExecutor
+    # without os.fork, --jobs runs the batch in this process
+    if args.jobs > 1 and len(jobs) > 1 and hasattr(os, "fork"):
+        from .batch import run_forked  # only a forked batch compiles it
 
-        # a pool forks all its workers at once: never more than there are configs
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
-            outcomes = list(pool.map(_run_one, jobs))
+        # _run_one is looked up when a worker calls it, so a wrapper set on
+        # this module before the fork reaches every worker
+        codes = run_forked([path for path, _, _ in jobs],
+                           min(args.jobs, len(jobs)),
+                           lambda i: _run_one(jobs[i])[1])
     else:
-        outcomes = [_run_one(j) for j in jobs]
+        codes = [_run_one(j)[1] for j in jobs]
     worst = 0
-    for (path, code), (_, outdir, _o) in zip(outcomes, jobs):
+    for (path, outdir, _), code in zip(jobs, codes):
         print(f"{path}: exit {code} ({outdir})")
         worst = max(worst, code)
     return worst

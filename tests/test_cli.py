@@ -450,6 +450,26 @@ def test_bisect_stops_on_the_bits_of_every_halving():
                 bits(_bisect_all_halvings(g, lo, hi)), (lo, hi, root)
 
 
+def test_reference_cycle_traced_once_per_exact_key():
+    from canardctl.core import ScaledLevel
+    from canardctl.svgplot import ReferenceCycle
+
+    level = ScaledLevel(0.25, 400.0)
+    first = cli._reference_cycle(level, 0.01, -0.1)
+    assert first == ReferenceCycle(cli._cycle_curve(level, 0.01, -0.1))
+    # an equal level object is the same key: the overlay is not traced again
+    assert cli._reference_cycle(ScaledLevel(0.25, 400.0), 0.01, -0.1) is first
+    # the key holds the bits, so the sign of a zero center is kept
+    h0 = ScaledLevel(0.0)
+    for center in (0.0, -0.0):
+        points = cli._reference_cycle(h0, 1.0, center).points
+        assert points == ReferenceCycle(cli._cycle_curve(h0, 1.0, center)).points
+        assert [struct.pack("<d", x) for x, _ in points] == \
+            [struct.pack("<d", x) for x, _ in cli._cycle_curve(h0, 1.0, center)]
+    assert cli._reference_cycle(h0, 1.0, 0.0) is not \
+        cli._reference_cycle(h0, 1.0, -0.0)
+
+
 @pytest.mark.parametrize("experiment", sorted(_PINNED_ARTIFACTS))
 def test_artifact_bytes_pinned(tmp_path, capsys, experiment):
     assert run_experiment(ExperimentConfig(experiment), tmp_path) == 0
@@ -739,7 +759,7 @@ class TestMain:
         def broken(cfg, eff):
             raise ValueError("spec bug")
 
-        # a --jobs pool forks after this, so its workers see the patch too
+        # a --jobs batch forks its workers after this, so they see the patch
         monkeypatch.setitem(cli._SPECS, "verify",
                             cli._SPECS["verify"]._replace(run=broken))
         configs = [_write_cfg(tmp_path / "a.json", "verify"),
@@ -753,7 +773,7 @@ class TestMain:
         assert (base / "b" / "metrics.json").exists()
 
     def test_cli_import_leaves_the_process_pool_unloaded(self):
-        # only a --jobs batch of more than one config imports the pool
+        # no run loads a process pool; --jobs forks its own workers
         code = ("import sys, canardctl.cli; "
                 "sys.exit('concurrent.futures.process' in sys.modules)")
         path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
@@ -771,33 +791,92 @@ class TestMain:
 
     def test_jobs_beyond_the_batch_start_one_worker_per_config(
             self, tmp_path, monkeypatch):
-        import concurrent.futures
+        forks = []
+        real_fork = os.fork
 
-        sizes = []
+        def counted_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        # a real pool of the requested size would fork that many processes
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "fork", counted_fork)
         configs = [_write_cfg(tmp_path / "a.json", "k2", t_end=120.0),
                    _write_cfg(tmp_path / "b.json", "k2", t_end=150.0)]
         base = tmp_path / "o"
         assert main(["run", *map(str, configs), "--jobs", "100000",
                      "--out", str(base)]) == 0
-        assert sizes == [2]
+        assert len(forks) == 2
         assert (base / "a" / "metrics.json").exists()
         assert (base / "b" / "metrics.json").exists()
+
+    def test_a_worker_that_dies_fails_only_its_config(
+            self, tmp_path, monkeypatch, capfd):
+        # the process ends inside the run, before its worker can report
+        monkeypatch.setitem(cli._SPECS, "verify",
+                            cli._SPECS["verify"]._replace(
+                                run=lambda cfg, eff: os._exit(9)))
+        configs = [_write_cfg(tmp_path / "a.json", "verify"),
+                   _write_cfg(tmp_path / "b.json", "k2", t_end=120.0),
+                   _write_cfg(tmp_path / "c.json", "k2", t_end=150.0)]
+        base = tmp_path / "o"
+        rc = main(["run", *map(str, configs), "--jobs", "2", "--out", str(base)])
+        out, err = capfd.readouterr()
+        assert rc == 5
+        assert (f"internal error: {configs[0]}: its worker ended before it "
+                f"reported (wait status {9 << 8}, exit status 9)") in err
+        assert f"{configs[0]}: exit 5" in out
+        assert f"{configs[1]}: exit 0" in out and f"{configs[2]}: exit 0" in out
+        assert not (base / "a" / "metrics.json").exists()
+        assert (base / "b" / "metrics.json").exists()
+        assert (base / "c" / "metrics.json").exists()
+
+    def test_configs_left_when_every_worker_died_run_in_a_new_round(
+            self, tmp_path, monkeypatch, capfd):
+        monkeypatch.setitem(cli._SPECS, "verify",
+                            cli._SPECS["verify"]._replace(
+                                run=lambda cfg, eff: os._exit(9)))
+        configs = [_write_cfg(tmp_path / "a.json", "verify"),
+                   _write_cfg(tmp_path / "b.json", "verify"),
+                   _write_cfg(tmp_path / "c.json", "k2", t_end=120.0)]
+        base = tmp_path / "o"
+        rc = main(["run", *map(str, configs), "--jobs", "2", "--out", str(base)])
+        out, err = capfd.readouterr()
+        assert rc == 5
+        assert err.count("its worker ended before it reported") == 2
+        assert f"{configs[0]}: exit 5" in out and f"{configs[1]}: exit 5" in out
+        assert f"{configs[2]}: exit 0" in out
+        assert (base / "c" / "metrics.json").exists()
+
+    def test_jobs_without_fork_run_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        ran = []
+        run_one = cli._run_one
+        monkeypatch.setattr(cli, "_run_one",
+                            lambda job: ran.append(job[0]) or run_one(job))
+        configs = [_write_cfg(tmp_path / "a.json", "k2", t_end=120.0),
+                   _write_cfg(tmp_path / "b.json", "k2", t_end=150.0)]
+        assert main(["run", *map(str, configs), "--jobs", "2",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert ran == [str(c) for c in configs]  # both ran in this process
+
+    def test_a_jobs_batch_loads_no_process_pool(self, tmp_path):
+        configs = [_write_cfg(tmp_path / "a.json", "k2", t_end=120.0),
+                   _write_cfg(tmp_path / "b.json", "k2", t_end=150.0)]
+        code = (
+            "import sys\n"
+            "from canardctl.cli import main\n"
+            f"rc = main(['run', {str(configs[0])!r}, {str(configs[1])!r}, "
+            f"'--jobs', '2', '--out', {str(tmp_path / 'o')!r}])\n"
+            "assert rc == 0, rc\n"
+            "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=120).returncode == 0
+        assert (tmp_path / "o" / "a" / "metrics.json").exists()
+        assert (tmp_path / "o" / "b" / "metrics.json").exists()
 
     def test_flag_for_ignored_key_exits_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "a.json", "fold-fast", t_end=50.0)

@@ -18,6 +18,7 @@ _PACKAGE = Path(canardctl.__file__).parent
 # each module and the package modules it may import
 _ALLOWED = {
     "__init__": set(),
+    "batch": set(),
     "errors": set(),
     "core": {"errors"},
     "models": {"core", "errors"},
