@@ -11,6 +11,7 @@ Import from the submodules; the package namespace re-exports nothing.
 - :mod:`canardctl.sim`          embedded RK45 integrator with event detection
 - :mod:`canardctl.mmo`          loop classification and pattern supervision
 - :mod:`canardctl.svgplot`      deterministic SVG plots
+- :mod:`canardctl.cycles`       reference cycles drawn behind fold and chart runs
 - :mod:`canardctl.verify`       invariant suite behind `canard-ctl verify`
 - :mod:`canardctl.batch`        forked workers behind `canard-ctl run --jobs`
 - :mod:`canardctl.cli`          `canard-ctl` experiment runner

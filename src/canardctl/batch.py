@@ -36,6 +36,7 @@ def _work(run: Callable[[int], int], rfd: int, wfd: int, shared: mmap.mmap,
         status = 0
     except BaseException:
         traceback.print_exc()
+        raise  # only as far as the os._exit below
     finally:
         try:
             sys.stdout.flush()

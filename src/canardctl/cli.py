@@ -18,7 +18,6 @@ any, decides its status and exit code through _FAULT_STATUS.
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import json
 import math
@@ -48,6 +47,7 @@ from .core import (
     SystemParams,
     eval_H2,
 )
+from .cycles import reference_cycle
 from .errors import (
     ConfigError,
     DomainError,
@@ -70,7 +70,6 @@ from .sim import IntegratorConfig, Trajectory, Watcher, convergence_metrics, int
 from .svgplot import (
     CriticalManifold,
     NeighborhoodShading,
-    ReferenceCycle,
     emit_phase_svg,
     emit_timeseries_svg,
 )
@@ -226,84 +225,6 @@ def _blocks(eff: Dict[str, object], *classes) -> tuple:
     """One instance per class from the parameters; each class's own
     defaults fill the fields the parameters leave out."""
     return tuple(cls(**_picked(cls, eff)) for cls in classes)
-
-
-# reference-cycle tracing --------------------------------------------------
-
-def _bisect(g: Callable[[float], float], lo: float, hi: float) -> float:
-    glo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (mid == lo or mid == hi) and mid != 0.0:
-            # the bracket can no longer move, so every halving left would
-            # end on this mid; a zero mid runs on, since halving between
-            # -0.0 and 0.0 can still flip the sign of the zero it returns
-            return mid
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (gm > 0.0) == (glo > 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-_Y_TOP_CAP = 2.5  # highest y of a traced reference cycle
-_CYCLE_RUNGS = 240  # y levels a reference cycle is traced at
-
-
-def _cycle_curve(level: ScaledLevel, eps: float,
-                 alpha: float = 0.0) -> Tuple[Tuple[float, float], ...]:
-    """Points tracing {H = h}: xhat^2 = y + eps/2 - 2 eps h0 exp(2y/eps - E).
-
-    The same formula serves the central chart with eps = 1.  For the
-    maximal canard (h = 0) the curve is the unbounded parabola, truncated
-    at _Y_TOP_CAP.
-    """
-
-    def sq(y: float) -> float:
-        base = y + 0.5 * eps
-        if level.h0 == 0.0:
-            return base
-        e = 2.0 * y / eps - level.E
-        if e > 700.0:
-            return -math.inf
-        return base - 2.0 * eps * level.h0 * math.exp(e)
-
-    y_bot = _bisect(sq, -0.5 * eps, 0.0) if sq(0.0) > 0.0 else -0.5 * eps
-    if level.h0 > 0.0:
-        hi = y_bot + eps
-        while sq(hi) > 0.0 and hi < _Y_TOP_CAP:
-            hi = min(2.0 * hi + eps, _Y_TOP_CAP + 1.0)
-        y_top = _bisect(sq, y_bot + 0.25 * eps, hi) if sq(hi) <= 0.0 else _Y_TOP_CAP
-    else:
-        y_top = _Y_TOP_CAP
-    right, left = [], []
-    for i in range(_CYCLE_RUNGS + 1):
-        y = y_bot + (y_top - y_bot) * i / _CYCLE_RUNGS
-        s = sq(y)
-        if s < 0.0:
-            continue
-        r = math.sqrt(s)
-        right.append((alpha + r, y))
-        left.append((alpha - r, y))
-    return tuple(right + left[::-1] + right[:1])
-
-
-@functools.lru_cache(maxsize=32)
-def _cycle_of(key: Tuple[str, str, str, str]) -> ReferenceCycle:
-    h0, E, eps, center = map(float.fromhex, key)
-    return ReferenceCycle(_cycle_curve(ScaledLevel(h0, E), eps, center))
-
-
-def _reference_cycle(level: ScaledLevel, eps: float,
-                     center: float = 0.0) -> ReferenceCycle:
-    """The overlay of {H = h}, traced once per process for each exact
-    (level, eps, center): the key holds the floats' bits, so -0.0 and 0.0
-    stay apart."""
-    return _cycle_of(tuple(float.hex(v)
-                           for v in (level.h0, level.E, eps, center)))
 
 
 # artifacts ----------------------------------------------------------------
@@ -486,7 +407,7 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
         len(traj.events_of("overflow-fault")) for traj in trajs)
     return _Outcome(
         trajs, [CriticalManifold("fold"),
-                _reference_cycle(level, params.eps, center)],
+                reference_cycle(level, params.eps, center)],
         results,
         f"{cfg.experiment}: terminal residual "
         f"{results['residual_terminal']:.3g}, {len(hits)} section returns",
@@ -530,7 +451,7 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcom
     }
     return _Outcome(
         [comp, plain], [CriticalManifold("fold"),
-                        _reference_cycle(level, params.eps, params.alpha)],
+                        reference_cycle(level, params.eps, params.alpha)],
         results,
         f"fold-fast-hot: compensated terminal residual "
         f"{results['compensated']['residual_terminal']:.3g}; "
@@ -617,7 +538,7 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
         extra_phase[_PLAIN_PHASE] = [traj for traj, _, _ in plain]
 
     return _Outcome(
-        [traj for traj, _, _ in runs], [_reference_cycle(level, 1.0)],
+        [traj for traj, _, _ in runs], [reference_cycle(level, 1.0)],
         results,
         f"{cfg.experiment}: worst terminal |H2 - h| = "
         f"{results['max_terminal_h_gap']:.3g} over {len(ics)} starts",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from canardctl import cli, sim
+from canardctl import cli, cycles, sim
 from canardctl.cli import (
     ExperimentConfig,
     main,
@@ -446,28 +446,8 @@ def test_bisect_stops_on_the_bits_of_every_halving():
     for lo, hi, root in brackets:
         for g in (lambda y: y - root, lambda y: root - y,
                   lambda y: 1.0 if y >= root else -1.0, lambda y: y + 9.0):
-            assert bits(cli._bisect(g, lo, hi)) == \
+            assert bits(cycles._bisect(g, lo, hi)) == \
                 bits(_bisect_all_halvings(g, lo, hi)), (lo, hi, root)
-
-
-def test_reference_cycle_traced_once_per_exact_key():
-    from canardctl.core import ScaledLevel
-    from canardctl.svgplot import ReferenceCycle
-
-    level = ScaledLevel(0.25, 400.0)
-    first = cli._reference_cycle(level, 0.01, -0.1)
-    assert first == ReferenceCycle(cli._cycle_curve(level, 0.01, -0.1))
-    # an equal level object is the same key: the overlay is not traced again
-    assert cli._reference_cycle(ScaledLevel(0.25, 400.0), 0.01, -0.1) is first
-    # the key holds the bits, so the sign of a zero center is kept
-    h0 = ScaledLevel(0.0)
-    for center in (0.0, -0.0):
-        points = cli._reference_cycle(h0, 1.0, center).points
-        assert points == ReferenceCycle(cli._cycle_curve(h0, 1.0, center)).points
-        assert [struct.pack("<d", x) for x, _ in points] == \
-            [struct.pack("<d", x) for x, _ in cli._cycle_curve(h0, 1.0, center)]
-    assert cli._reference_cycle(h0, 1.0, 0.0) is not \
-        cli._reference_cycle(h0, 1.0, -0.0)
 
 
 @pytest.mark.parametrize("experiment", sorted(_PINNED_ARTIFACTS))

@@ -27,6 +27,7 @@ _ALLOWED = {
     "dopri": {"errors"},
     "sim": {"core", "dopri", "errors"},
     "svgplot": {"controllers", "sim"},
+    "cycles": {"svgplot"},
     "mmo": {"controllers", "core", "errors", "models", "sim"},
     "verify": {"blowup", "controllers", "core", "errors", "mmo", "models",
                "sim"},
