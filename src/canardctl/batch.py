@@ -64,40 +64,39 @@ def run_forked(names: Sequence[str], workers: int,
     while todo:
         n = min(workers, len(todo))
         # per job its code + 1 (0: none yet); per worker its last claim + 1
-        shared = mmap.mmap(-1, count + 4 * n)
-        rfd, wfd = os.pipe()
-        sys.stdout.flush()
-        sys.stderr.flush()
-        pids = []
-        for slot in range(n):
-            pid = os.fork()
-            if pid == 0:
-                _work(run, rfd, wfd, shared, count + 4 * slot)
-            pids.append(pid)
-        os.close(rfd)
-        records = b"".join(i.to_bytes(4, "little") for i in todo)
-        try:
-            for k in range(0, len(records), _ATOMIC_WRITE):
-                os.write(wfd, records[k:k + _ATOMIC_WRITE])
-        except BrokenPipeError:  # every worker has ended
-            pass
-        finally:
-            os.close(wfd)
-        for slot, pid in enumerate(pids):
-            status = os.waitpid(pid, 0)[1]
-            at = count + 4 * slot
-            i = int.from_bytes(shared[at:at + 4], "little") - 1
-            if i >= 0 and not shared[i]:
-                code = os.waitstatus_to_exitcode(status)
-                how = f"signal {-code}" if code < 0 else f"exit status {code}"
-                print(f"internal error: {names[i]}: its worker ended before "
-                      f"it reported (wait status {status}, {how})",
-                      file=sys.stderr)
-                codes[i] = 5
-        for i in todo:
-            if shared[i]:
-                codes[i] = shared[i] - 1
-        shared.close()
+        with mmap.mmap(-1, count + 4 * n) as shared:
+            rfd, wfd = os.pipe()
+            sys.stdout.flush()
+            sys.stderr.flush()
+            pids = []
+            for slot in range(n):
+                pid = os.fork()
+                if pid == 0:
+                    _work(run, rfd, wfd, shared, count + 4 * slot)
+                pids.append(pid)
+            os.close(rfd)
+            records = b"".join(i.to_bytes(4, "little") for i in todo)
+            try:
+                for k in range(0, len(records), _ATOMIC_WRITE):
+                    os.write(wfd, records[k:k + _ATOMIC_WRITE])
+            except BrokenPipeError:  # every worker has ended
+                pass
+            finally:
+                os.close(wfd)
+            for slot, pid in enumerate(pids):
+                status = os.waitpid(pid, 0)[1]
+                at = count + 4 * slot
+                i = int.from_bytes(shared[at:at + 4], "little") - 1
+                if i >= 0 and not shared[i]:
+                    code = os.waitstatus_to_exitcode(status)
+                    how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                    print(f"internal error: {names[i]}: its worker ended before "
+                          f"it reported (wait status {status}, {how})",
+                          file=sys.stderr)
+                    codes[i] = 5
+            for i in todo:
+                if shared[i]:
+                    codes[i] = shared[i] - 1
         left = [i for i in todo if codes[i] < 0]
         if len(left) == len(todo):  # no worker claimed a job: stop here
             for i in left:
