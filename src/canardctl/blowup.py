@@ -119,22 +119,22 @@ def k2_field(
 
 
 def k1_vdp_field(cp: Sequence[float], mu1: float | None = None) -> tuple[float, float, float]:
-    """Desingularized entry-chart van der Pol flow (r1', eps1', x1').
+    """Desingularized entry-chart van der Pol flow (r1', x1', eps1').
 
     r1'   =  1/2 r1 eps1 x1
-    eps1' = -eps1^2 x1
     x1'   = -1 + x1^2 - 1/2 x1^2 eps1 - 1/3 r1 x1^3 + mu1
+    eps1' = -eps1^2 x1
 
     The product r1^2 eps1 (the original eps) is invariant.  ``cp`` is a
-    :class:`ChartPointK1` or a plain (r1, x1, eps1[, alpha1, mu1]) tuple;
-    ``mu1`` defaults to the value stored on the chart point.
+    :class:`ChartPointK1` or a plain (r1, x1, eps1[, alpha1, mu1]) tuple,
+    in the order of the derivative; ``mu1`` defaults to the chart point's.
     """
     r1, x1, eps1 = cp[0], cp[1], cp[2]
     m = cp[4] if mu1 is None else mu1
     return (
         0.5 * r1 * eps1 * x1,
-        -eps1 * eps1 * x1,
         -1.0 + x1 * x1 - 0.5 * x1 * x1 * eps1 - r1 * x1 ** 3 / 3.0 + m,
+        -eps1 * eps1 * x1,
     )
 
 

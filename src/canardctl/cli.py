@@ -18,7 +18,6 @@ any, decides its status and exit code through _FAULT_STATUS.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -165,6 +164,9 @@ class ExperimentConfig:
         for p in self.initial_conditions:
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise ConfigError(f"non-finite initial condition {p!r}")
+        if spec.starts is not None and len(self.initial_conditions) > spec.starts:
+            raise ConfigError(f"{self.experiment} reads at most {spec.starts} initial "
+                              f"conditions, got {len(self.initial_conditions)}")
         for key, value in self.outputs.items():
             if key not in _DEFAULT_OUTPUTS:
                 raise ConfigError(f"unknown output slot {key!r}")
@@ -264,7 +266,16 @@ def read_trajectory_csv(path) -> Tuple[Tuple[float, float, float, float], ...]:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["t", "x", "y", "u"]:
         raise ConfigError(f"{path} is not a trajectory file")
-    return tuple(tuple(float(v) for v in row) for row in rows[1:])
+    out = []
+    for line, row in enumerate(rows[1:], 2):
+        try:
+            if len(row) == 4:
+                out.append(tuple(float(v) for v in row))
+                continue
+        except ValueError:
+            pass
+        raise ConfigError(f"{path} line {line}: {row!r} is not four numbers")
+    return tuple(out)
 
 
 def _write_metrics(path, cfg: ExperimentConfig, eff: Dict[str, object],
@@ -355,13 +366,11 @@ def _convergence_results(traj: Trajectory, eps: float, level: ScaledLevel) -> Di
 
 
 def _guarded(*args, **kwargs) -> Tuple[Trajectory, Optional[IntegrationError]]:
-    """integrate() with the fault that ended the run, or None, next to the
-    trajectory; a run that ends on an overflow-fault event is a fault."""
+    """integrate()'s trajectory and the fault that ended it, or None."""
     try:
-        traj = integrate(*args, **kwargs)
-    except IntegrationError as exc:  # step limit or step underflow
+        return integrate(*args, **kwargs), None
+    except IntegrationError as exc:  # overflow, step limit or step underflow
         return exc.trajectory, exc
-    return traj, OverflowFaultError(traj) if traj.events_of("overflow-fault") else None
 
 
 def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _Outcome:
@@ -421,6 +430,7 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcom
     controller trace and in the chart-level necessity demo (k2-hot), where
     the cancellation is exact.  At c1 = 0.5 the plain loop loses the cycle
     and only its status records it; a compensated run's fault is the run's.
+    It reads no alpha: the shear factorizes only at alpha = 0.
     """
     params, gains, level, integ = _blocks(
         eff, SystemParams, ControllerGains, ScaledLevel, IntegratorConfig)
@@ -451,7 +461,7 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcom
     }
     return _Outcome(
         [comp, plain], [CriticalManifold("fold"),
-                        reference_cycle(level, params.eps, params.alpha)],
+                        reference_cycle(level, params.eps)],
         results,
         f"fold-fast-hot: compensated terminal residual "
         f"{results['compensated']['residual_terminal']:.3g}; "
@@ -479,9 +489,9 @@ _SHEAR_ICS = (PhasePoint(0.5, 0.5), PhasePoint(-1.0, 1.0), PhasePoint(2.0, 3.2),
 
 def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
                    with_shear: bool) -> _Outcome:
-    """Central-chart runs; eps enters only through r2 = sqrt(eps)."""
-    params, gains, level, integ = _blocks(
-        eff, SystemParams, ControllerGains, ScaledLevel, IntegratorConfig)
+    """Central-chart runs; r2 = sqrt(eps) weights only the shear, so k2 reads no eps."""
+    params, gains, level, integ = _blocks({"eps": 0.0, **eff}, SystemParams,
+                                          ControllerGains, ScaledLevel, IntegratorConfig)
     r2, alpha2, h = math.sqrt(params.eps), params.alpha, level.value
     ics = cfg.initial_conditions or (_SHEAR_ICS if with_shear else _chart_ics(10))
     span = (0.0, float(eff["t_end"]))
@@ -556,13 +566,9 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     exit_section = Watcher("section-crossing", lambda s: s[0] - dom.rho1,
                            direction="up", terminal=True)
 
-    # the state is (r1, x1, eps1); the field reports (r1', eps1', x1')
+    # the state is (r1, x1, eps1), the order k1_vdp_field reports it in
     def mu(s):
         return k1_vdp_mu(s, gains, k1_chart_phi1)
-
-    def rhs(s, mu_value):
-        d = k1_vdp_field(s, mu_value)
-        return (d[0], d[2], d[1])
 
     def blown_down(traj: Trajectory) -> Trajectory:
         # (x, y, u) = (r1 x1, r1^2, r1^2 mu1)
@@ -570,17 +576,16 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
         return Trajectory.from_columns(
             traj.times,
             ([r * x for r, x in zip(r1, x1)], [r * r for r in r1]),
-            [r * r * m for r, m in zip(r1, traj.controls)], (), PhasePoint._make)
+            [r * r * m for r, m in zip(r1, traj.controls)])
 
     r1_grid = [0.05 + i * (dom.rho1_tilde - 0.05) / 4 for i in range(5)]
-    exit_x1, exit_t, blown = [], [], []
-    x1_initial = []
+    exit_x1, exit_t, blown, x1_initial = [], [], [], []
     for r1 in r1_grid:
         center = gains.x_star + k1_chart_phi1(r1, dom.delta1)
         for j in range(5):
             x1 = center - dom.sigma1 + j * dom.sigma1 / 2
             x1_initial.append(x1)
-            traj, fault = _guarded(rhs, mu, (r1, x1, dom.delta1),
+            traj, fault = _guarded(k1_vdp_field, mu, (r1, x1, dom.delta1),
                                    (0.0, float(eff["t_end"])), integ,
                                    watchers=[exit_section])
             hits = traj.events_of("section-crossing")
@@ -625,9 +630,9 @@ def _run_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     # composite_u never reads c2; ControllerGains requires one
     gains = ControllerGains(c2=2.0, **_picked(ControllerGains, eff))
     integ = IntegratorConfig(**_picked(IntegratorConfig, eff))
-    # the first initial condition, if any, else run_pattern's default start
+    # the initial condition, if any, else run_pattern's default start
     traj, loops = run_pattern(pattern, eps, gains, nbhd, integ,
-                              *cfg.initial_conditions[:1])
+                              *cfg.initial_conditions)
 
     labels = "".join(lb.label[0] for lb in loops)
     results = {
@@ -644,19 +649,16 @@ def _run_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
 
 
 def _run_verify(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
-    buf = io.StringIO()
-    failures = run_verification(buf)
-    text = buf.getvalue()
-    sys.stdout.write(text)
-    checks = [{"ok": line.startswith("PASS"), "line": line}
-              for line in text.splitlines() if line.startswith(("PASS", "FAIL"))]
-    return _Outcome((), (), {"failures": failures, "checks": checks})
+    checks = [{"ok": ok, "line": line} for ok, line in run_verification()]
+    return _Outcome((), (), {"failures": sum(not c["ok"] for c in checks),
+                             "checks": checks})
 
 
 class _Spec(NamedTuple):
     defaults: Dict[str, object]  # every key the run reads, with its default
     extras: Tuple[str, ...]  # optional keys; the library's defaults apply
     run: Callable[[ExperimentConfig, Dict[str, object]], _Outcome]
+    starts: Optional[int] = None  # most initial conditions it reads; None: any
 
 
 _SPECS: Dict[str, _Spec] = {
@@ -665,9 +667,8 @@ _SPECS: Dict[str, _Spec] = {
          "h0": 0.25, "E": 400.0, "t_end": 1400.0},
         _INTEG_KEYS, lambda cfg, eff: _run_fold(cfg, eff, "fast")),
     "fold-fast-hot": _Spec(
-        {"eps": 0.01, "alpha": 0.0, "c1": 5.0, "c2": 2.0,
-         "h0": 0.25, "E": 400.0, "t_end": 700.0},
-        _INTEG_KEYS, _run_fold_fast_hot),
+        {"eps": 0.01, "c1": 5.0, "c2": 2.0, "h0": 0.25, "E": 400.0, "t_end": 700.0},
+        _INTEG_KEYS, _run_fold_fast_hot, 1),
     # slow actuation only brakes or boosts the climb, so its transverse
     # contraction at c2 = 2 is c1*sqrt(eps)/4 and must beat the layer
     # repulsion 2*x along the canard ascent; a low stored cycle keeps that
@@ -677,8 +678,7 @@ _SPECS: Dict[str, _Spec] = {
          "h0": 0.25, "E": 60.0, "t_end": 600.0},
         _INTEG_KEYS, lambda cfg, eff: _run_fold(cfg, eff, "slow")),
     "k2": _Spec(
-        {"eps": 0.0, "alpha": 1.0, "c1": 1.0, "c2": 2.0,
-         "h0": 1e-16, "E": 0.0, "t_end": 500.0},
+        {"alpha": 1.0, "c1": 1.0, "c2": 2.0, "h0": 1e-16, "E": 0.0, "t_end": 500.0},
         _INTEG_KEYS, lambda cfg, eff: _run_k2_family(cfg, eff, False)),
     "k2-hot": _Spec(
         {"eps": 1.0, "alpha": 1.0, "c1": 10.0, "c2": 2.0,
@@ -686,16 +686,16 @@ _SPECS: Dict[str, _Spec] = {
         _INTEG_KEYS, lambda cfg, eff: _run_k2_family(cfg, eff, True)),
     "k1-vdp": _Spec(
         {"k1": 1.0, "x_star": -0.01, "t_end": 6000.0},
-        _INTEG_KEYS, _run_k1_vdp),
+        _INTEG_KEYS, _run_k1_vdp, 0),
     "vdp-canard": _Spec(
         {"eps": 0.01, "c1": 1.0, "k1": 1.0, "x_star": -0.01, "y_h": 1.25,
          "repeat": 1},
-        _INTEG_KEYS + _NBHD_KEYS, _run_vdp),
+        _INTEG_KEYS + _NBHD_KEYS, _run_vdp, 1),
     "vdp-mmo": _Spec(
         {"eps": 0.01, "c1": 1.0, "k1": 1.0,
          "pattern": "3L:0.75:0.01,4S:1.25:-0.01", "repeat": 1},
-        _INTEG_KEYS + _NBHD_KEYS, _run_vdp),
-    "verify": _Spec({}, (), _run_verify),
+        _INTEG_KEYS + _NBHD_KEYS, _run_vdp, 1),
+    "verify": _Spec({}, (), _run_verify, 0),
 }
 
 
@@ -732,20 +732,20 @@ def run_experiment(cfg: ExperimentConfig, outdir) -> int:
 
 # command line -------------------------------------------------------------
 
-def _run_one(job: Tuple[str, str, Dict[str, object]]) -> Tuple[str, int]:
-    """One config of a batch; an exception no exit code covers is reported
-    as an internal error (exit 5) so that the rest of the batch still runs."""
+def _run_one(job: Tuple[str, str, Dict[str, object]]) -> int:
+    """Exit code of one config of a batch; an exception no exit code covers
+    is an internal error (exit 5), so that the rest of the batch still runs."""
     path, outdir, overrides = job
     try:
         cfg = ExperimentConfig.from_file(path).with_overrides(overrides)
-        return path, run_experiment(cfg, outdir)
+        return run_experiment(cfg, outdir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return path, 2
+        return 2
     except Exception as exc:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return path, 5
+        return 5
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -771,9 +771,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # this module before the fork reaches every worker
         codes = run_forked([path for path, _, _ in jobs],
                            min(args.jobs, len(jobs)),
-                           lambda i: _run_one(jobs[i])[1])
+                           lambda i: _run_one(jobs[i]))
     else:
-        codes = [_run_one(j)[1] for j in jobs]
+        codes = [_run_one(j) for j in jobs]
     worst = 0
     for (path, outdir, _), code in zip(jobs, codes):
         print(f"{path}: exit {code} ({outdir})")
@@ -782,7 +782,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    return 0 if run_verification() == 0 else 1
+    return 0 if all(ok for ok, _ in run_verification()) else 1
 
 
 _MMO_FLAGS = ("pattern", "eps", "c1", "k1", "repeat")

@@ -2,8 +2,8 @@
 
 The fold runners draw the closed level curve their law stabilizes, and the
 central-chart runners the chart's level curve; every config of a batch
-traces the same few curves again, so each exact curve is traced once per
-process and kept packed.
+draws the same few curves again, so each exact curve is traced once per
+process and its overlay kept, as two float columns of 8 bytes a value.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ _CYCLE_RUNGS = 240  # y levels a reference cycle is traced at
 
 
 def _cycle_curve(h0: float, E: float, eps: float,
-                 alpha: float = 0.0) -> Tuple[Tuple[float, float], ...]:
-    """Points tracing {H = h}: xhat^2 = y + eps/2 - 2 eps h0 exp(2y/eps - E).
+                 alpha: float = 0.0) -> ReferenceCycle:
+    """The overlay tracing {H = h}: xhat^2 = y + eps/2 - 2 eps h0 exp(2y/eps - E),
+    up its right arc, down its left arc and back to its first point.
 
     The same formula serves the central chart with eps = 1.  For the
     maximal canard (h = 0) the curve is the unbounded parabola, truncated
@@ -67,33 +68,32 @@ def _cycle_curve(h0: float, E: float, eps: float,
         y_top = _bisect(sq, y_bot + 0.25 * eps, hi) if sq(hi) <= 0.0 else _Y_TOP_CAP
     else:
         y_top = _Y_TOP_CAP
-    right, left = [], []
+    ys, rs = [], []
     for i in range(_CYCLE_RUNGS + 1):
         y = y_bot + (y_top - y_bot) * i / _CYCLE_RUNGS
         s = sq(y)
         if s < 0.0:
             continue
-        r = math.sqrt(s)
-        right.append((alpha + r, y))
-        left.append((alpha - r, y))
-    return tuple(right + left[::-1] + right[:1])
+        ys.append(y)
+        rs.append(math.sqrt(s))
+    right = [alpha + r for r in rs]
+    return ReferenceCycle(
+        array("d", right + [alpha - r for r in rs[::-1]] + right[:1]),
+        array("d", ys + ys[::-1] + ys[:1]))
 
 
 @functools.lru_cache(maxsize=32)
-def _packed_cycle(key: Tuple[str, str, str, str]) -> bytes:
-    # 16 bytes a point: a run keeps what its batch has traced, and a
-    # ReferenceCycle costs about 100 bytes a point
-    return array("d", [v for p in _cycle_curve(*map(float.fromhex, key))
-                       for v in p]).tobytes()
+def _cached_cycle(key: Tuple[str, str, str, str]) -> ReferenceCycle:
+    return _cycle_curve(*map(float.fromhex, key))
 
 
 def reference_cycle(level, eps: float, center: float = 0.0) -> ReferenceCycle:
     """The overlay of the level curve {H = h} of the scaled level ``level``
     (its ``h0`` and ``E``), centred on x = ``center``.
 
-    Each exact (h0, E, eps, center) is traced once per process; the cache
-    key holds the floats' bits, so -0.0 and 0.0 stay apart.
+    Each exact (h0, E, eps, center) is traced once per process, and a call
+    with the same key returns the same overlay, which no caller changes;
+    the cache key holds the floats' bits, so -0.0 and 0.0 stay apart.
     """
-    flat = array("d", _packed_cycle(tuple(
-        float.hex(v) for v in (level.h0, level.E, eps, center))))
-    return ReferenceCycle(tuple(zip(flat[0::2], flat[1::2])))
+    return _cached_cycle(tuple(
+        float.hex(v) for v in (level.h0, level.E, eps, center)))

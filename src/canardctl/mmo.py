@@ -24,8 +24,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .controllers import NeighborhoodParams, composite_u
 from .core import ControllerGains
-from .errors import (ConfigError, IntegrationError, OverflowFaultError,
-                     PatternDeviationError)
+from .errors import ConfigError, IntegrationError, PatternDeviationError
 from .models import vdp_rhs
 from .sim import IntegratorConfig, Trajectory, Watcher, integrate
 
@@ -200,14 +199,13 @@ def run_pattern(
     Raises PatternDeviationError the moment a completed loop contradicts its
     segment's label, carrying the labels achieved so far and the stitched
     trajectory.  Every fault of a loop carries the stitched run from t = 0
-    up to the fault as well: an overflow (OverflowFaultError), a loop that
-    does not close (IntegrationError), and the StepLimitError or
-    StepUnderflowError of its integration, re-raised with that trajectory.
+    up to the fault as well: a loop that does not close (IntegrationError),
+    and the OverflowFaultError, StepLimitError or StepUnderflowError of its
+    integration, re-raised with that trajectory.  The loops are walked in
+    place, segment by segment, so a pattern costs no memory per loop it
+    asks for.
     """
     cfg = cfg or IntegratorConfig()
-    schedule: List[MmoSegment] = []
-    for _ in range(pattern.repeat):
-        schedule.extend(pattern.loop_schedule())
 
     # the stitched run, column by column: each loop after the first starts
     # at its predecessor's last point, which the run keeps once
@@ -242,13 +240,11 @@ def run_pattern(
         try:
             traj = integrate(rhs, u, p0, (t0, t0 + _LOOP_TIME_BUDGET), cfg,
                              watchers=[_disc_watcher()])
-        except IntegrationError as exc:  # step limit or step underflow
+        except IntegrationError as exc:  # overflow, step limit or underflow
             stitch(exc.trajectory)
             exc.trajectory = stitched()
             raise
         stitch(traj)
-        if traj.events_of("overflow-fault"):
-            raise OverflowFaultError(stitched())
         if not traj.events_of("set-entry"):
             raise IntegrationError(
                 f"loop did not close within {_LOOP_TIME_BUDGET} time units",
@@ -257,9 +253,10 @@ def run_pattern(
 
     # preamble: reach the section once under the first loop's parameters;
     # a plain tuple start makes every state the integrator builds one too
-    run_chunk(schedule[0], 0.0, (start[0], start[1]))
+    run_chunk(pattern.segments[0], 0.0, (start[0], start[1]))
 
-    for seg in schedule:
+    for seg in (seg for _ in range(pattern.repeat) for seg in pattern.segments
+                for _ in range(seg.count)):
         t0 = times[-1]
         chunk = run_chunk(seg, t0, (xs[-1], ys[-1]))
         max_x = max(chunk.columns[0])

@@ -40,10 +40,10 @@ the values it needs.  The controls a trajectory records are the values from
 the first field call and from each accepted step's last stage, which FSAL
 places at the new state; only a state the run ends on at a terminal event
 is evaluated again.  An OverflowError raised by the controller or the field,
-or a non-finite control value, terminates the run with a terminal
-``overflow-fault`` event at the last accepted state.  Events requested
-through watchers are localized on the dense output by bisection to
-1e-10 * max(1, |t|) in time.  After each accepted step one plain loop
+or a non-finite control value, ends the run on a terminal ``overflow-fault``
+event at the last accepted state and raises ``OverflowFaultError``.  Events
+requested through watchers are localized on the dense output by bisection
+to 1e-10 * max(1, |t|) in time.  After each accepted step one plain loop
 sweeps the watchers in order: it calls each watcher's ``fn`` once at the
 new state, keeps that value as the next step's starting value, and calls
 ``_crossing`` only when the pair of values changed sign
@@ -73,6 +73,7 @@ from .errors import (
     DomainError,
     ExponentOverflowError,
     IntegrationError,
+    OverflowFaultError,
     StepLimitError,
     StepUnderflowError,
 )
@@ -434,11 +435,12 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     state and, at each accepted step, from the last (FSAL) stage, which runs
     at the new state.  Only a state the run ends on at a terminal event is
     evaluated again.  An ``OverflowError`` (typed, or from float arithmetic
-    such as ``x ** 3``) or a non-finite control value ends the run with a
-    terminal ``overflow-fault`` event; a fault at the start state records
-    the control ``u`` returned there, or nan if it raised.  Step-size
-    collapse raises :class:`StepUnderflowError` and an exhausted step budget
-    raises :class:`StepLimitError`, both carrying the partial trajectory.
+    such as ``x ** 3``) or a non-finite control value raises
+    :class:`OverflowFaultError`, its trajectory ending on an ``overflow-fault``
+    event; a fault at the start state records the control ``u`` returned
+    there, or nan if it raised.  Step-size collapse raises
+    :class:`StepUnderflowError` and an exhausted step budget
+    :class:`StepLimitError`; each fault carries the partial trajectory.
     """
     cfg = cfg or IntegratorConfig()
     times, values, controls, events, status = _run(
@@ -447,6 +449,8 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     traj = Trajectory.from_columns(
         times, [values[i::n] for i in range(n)], controls, events,
         _pack_of(start))
+    if status == "overflow-fault":
+        raise OverflowFaultError(traj)
     if status == "step-underflow":
         raise StepUnderflowError(
             f"step size collapsed below min_step = {cfg.min_step:g} "

@@ -50,13 +50,11 @@ class CriticalManifold:
 
 @dataclass(frozen=True)
 class ReferenceCycle:
-    """Dashed overlay tracing a target periodic orbit, given as points."""
+    """Dashed overlay tracing a target periodic orbit, given as its x and y
+    float columns; an ``array('d')`` is kept as it is, not copied."""
 
-    points: Tuple[Tuple[float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points",
-                           tuple((float(p[0]), float(p[1])) for p in self.points))
+    xs: Sequence[float]
+    ys: Sequence[float]
 
 
 @dataclass(frozen=True)
@@ -102,11 +100,6 @@ def _finite(*columns: Sequence[float]) -> bool:
     its per-pair path.
     """
     return all(math.isfinite(sum(c)) for c in columns)
-
-
-def _columns(points: Sequence[Sequence[float]]) -> Tuple[list, list]:
-    """The first two coordinates of overlay points, as two lists."""
-    return [p[0] for p in points], [p[1] for p in points]
 
 
 class _Bounds:
@@ -220,37 +213,40 @@ def _emit_polyline(out: list[str], m: _Mapper, xs: Sequence[float],
         )
 
 
-def _n1_polygons(nbhd: NeighborhoodParams) -> list[list[Tuple[float, float]]]:
-    """Branch-tube region as polygons between the clipped offset curves."""
+def _n1_polygons(nbhd: NeighborhoodParams) -> list[Tuple[list, list]]:
+    """Branch-tube region as polygons between the clipped offset curves,
+    each as its x and y columns."""
     xs = [i * 2.0 / 256 for i in range(257)]
-    polys: list[list[Tuple[float, float]]] = []
-    lower_run: list[Tuple[float, float]] = []
-    upper_run: list[Tuple[float, float]] = []
+    polys: list[Tuple[list, list]] = []
+    run_x: list[float] = []
+    lower: list[float] = []
+    upper: list[float] = []
 
     def flush():
-        if len(lower_run) >= 2:
-            polys.append(lower_run + upper_run[::-1])
-        lower_run.clear()
-        upper_run.clear()
+        if len(run_x) >= 2:
+            polys.append((run_x + run_x[::-1], lower + upper[::-1]))
+        run_x.clear()
+        lower.clear()
+        upper.clear()
 
     for x in xs:
         f = x * x - x ** 3 / 3.0
         lo = max(f - nbhd.beta1, nbhd.y_min)
         hi = min(f + nbhd.beta1, nbhd.y_h)
         if lo < hi:
-            lower_run.append((x, lo))
-            upper_run.append((x, hi))
+            run_x.append(x)
+            lower.append(lo)
+            upper.append(hi)
         else:
             flush()
     flush()
     return polys
 
 
-def _n2_polygon(nbhd: NeighborhoodParams) -> list[Tuple[float, float]]:
+def _n2_polygon(nbhd: NeighborhoodParams) -> Tuple[list, list]:
     xs = [-nbhd.x_min + i * (nbhd.x_max + nbhd.x_min) / 128 for i in range(129)]
-    lower = [(x, x * x - nbhd.beta2) for x in xs]
-    upper = [(x, x * x + nbhd.beta2) for x in xs]
-    return lower + upper[::-1]
+    return (xs + xs[::-1], [x * x - nbhd.beta2 for x in xs]
+            + [x * x + nbhd.beta2 for x in reversed(xs)])
 
 
 def _svg_head(out: list[str]) -> None:
@@ -309,7 +305,7 @@ def emit_phase_svg(trajs: Sequence[Trajectory], overlays: Iterable, path,
         bounds.add(xs, ys)
     for ov in overlays:
         if isinstance(ov, ReferenceCycle):
-            bounds.add(*_columns(ov.points))
+            bounds.add(ov.xs, ov.ys)
         elif isinstance(ov, NeighborhoodShading):
             bounds.add((-ov.nbhd.x_min, 2.0), (0.0, ov.nbhd.y_h + ov.nbhd.beta1))
     m = _Mapper(bounds.padded())
@@ -320,10 +316,10 @@ def emit_phase_svg(trajs: Sequence[Trajectory], overlays: Iterable, path,
     for ov in overlays:
         if isinstance(ov, NeighborhoodShading):
             for poly in _n1_polygons(ov.nbhd):
-                pts = _mapped(m, *_columns(poly))
+                pts = _mapped(m, *poly)
                 out.append(f'<polygon class="region-n1" fill="#2ca02c" '
                            f'fill-opacity="0.18" stroke="none" points="{pts}"/>')
-            pts = _mapped(m, *_columns(_n2_polygon(ov.nbhd)))
+            pts = _mapped(m, *_n2_polygon(ov.nbhd))
             out.append(f'<polygon class="region-n2" fill="#d62728" '
                        f'fill-opacity="0.18" stroke="none" points="{pts}"/>')
     out.append("</g>")
@@ -335,7 +331,7 @@ def emit_phase_svg(trajs: Sequence[Trajectory], overlays: Iterable, path,
             _emit_polyline(out, m, xs, [ov.curve(x) for x in xs],
                            "overlay-critical-manifold", "#808080", dashed=True)
         elif isinstance(ov, ReferenceCycle):
-            _emit_polyline(out, m, *_columns(ov.points),
+            _emit_polyline(out, m, ov.xs, ov.ys,
                            "overlay-reference-cycle", "#808080", dashed=True)
     for i, (xs, ys) in enumerate(paths):
         _emit_polyline(out, m, _thin(xs), _thin(ys), "traj",

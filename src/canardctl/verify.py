@@ -3,7 +3,7 @@
 Every check re-derives a mathematical identity the package relies on and
 must finish in well under a second, so the whole suite is cheap enough to
 run before any long experiment.  Checks return (ok, detail); the runner
-prints one PASS/FAIL line each and reports the failure count.
+prints one PASS/FAIL line each and a tally, and returns (ok, line) rows.
 """
 
 from __future__ import annotations
@@ -231,20 +231,21 @@ CHECKS: List[Check] = [
 ]
 
 
-def run_verification(stream: TextIO | None = None) -> int:
-    """Run every check, print one line each, return the failure count."""
+def run_verification(stream: TextIO | None = None) -> List[Tuple[bool, str]]:
+    """Run every check and print one line each, then the tally; return each
+    check's (ok, line), the line as printed."""
     import sys
 
     stream = stream or sys.stdout
-    failures = 0
+    rows = []
     for name, fn in CHECKS:
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        if not ok:
-            failures += 1
-        print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})", file=stream)
-    total = len(CHECKS)
-    print(f"{total - failures}/{total} checks passed", file=stream)
-    return failures
+        line = f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})"
+        print(line, file=stream)
+        rows.append((bool(ok), line))
+    passed = sum(ok for ok, _ in rows)
+    print(f"{passed}/{len(rows)} checks passed", file=stream)
+    return rows

@@ -62,6 +62,10 @@ class TestConfigValidation:
         ("vdp-mmo", "t_end", 3.0), ("vdp-mmo", "alpha", 4.0),
         ("vdp-mmo", "c2", 7.0),
         ("verify", "c1", 1.0), ("verify", "pattern", "2S:1.25:-0.01"),
+        # r2 = sqrt(eps) multiplies only the shear term, which k2 lacks
+        ("k2", "eps", 0.5),
+        # the shear factorizes only at alpha = 0, where the residuals are taken
+        ("fold-fast-hot", "alpha", -0.1),
     ])
     def test_key_the_run_ignores_is_rejected(self, experiment, key, value):
         with pytest.raises(ConfigError,
@@ -118,6 +122,24 @@ class TestConfigValidation:
         assert cfg.initial_conditions == (PhasePoint(1.0, 2.0), PhasePoint(0.5, -1.0))
         with pytest.raises(ConfigError, match="non-finite"):
             ExperimentConfig("k2", initial_conditions=[(math.inf, 0.0)])
+
+    @pytest.mark.parametrize("experiment,starts", [
+        ("k1-vdp", 0), ("verify", 0), ("fold-fast-hot", 1), ("vdp-canard", 1),
+        ("vdp-mmo", 1)])
+    def test_start_the_run_ignores_is_rejected(self, tmp_path, capsys,
+                                               experiment, starts):
+        ics = [[0.1, 0.2], [0.3, 0.4]]
+        assert ExperimentConfig(experiment, {}, ics[:starts]).initial_conditions \
+            == tuple(PhasePoint(*p) for p in ics[:starts])
+        with pytest.raises(ConfigError, match=f"{experiment} reads at most "
+                                              f"{starts} initial conditions, got"):
+            ExperimentConfig(experiment, {}, ics[:starts + 1])
+        p = tmp_path / "extra.json"
+        p.write_text(json.dumps({"experiment": experiment,
+                                 "initial_conditions": ics}))
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "initial conditions, got 2" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.json").exists()
 
 
 class TestConfigFile:
@@ -180,9 +202,9 @@ class TestConfigFile:
         assert not (tmp_path / "o" / "metrics.json").exists()
 
     def test_with_overrides_wins_and_preserves_original(self):
-        cfg = ExperimentConfig("k2", {"c1": 1.0, "eps": 0.5})
+        cfg = ExperimentConfig("k2", {"c1": 1.0, "alpha": 0.5})
         out = cfg.with_overrides({"c1": 7.0, "t_end": 10.0})
-        assert out.params == {"c1": 7.0, "eps": 0.5, "t_end": 10.0}
+        assert out.params == {"c1": 7.0, "alpha": 0.5, "t_end": 10.0}
         assert cfg.params["c1"] == 1.0
 
     def test_with_no_overrides_is_the_config_itself(self):
@@ -239,6 +261,15 @@ class TestTrajectoryCsv:
         with pytest.raises(ConfigError, match="not a trajectory file"):
             read_trajectory_csv(p)
 
+    @pytest.mark.parametrize("row", ["1,2", "1,2,3,4,5", "1,2,x,4", ""])
+    def test_row_of_other_than_four_numbers_rejected(self, tmp_path, row):
+        p = tmp_path / "trajectory.csv"
+        p.write_text(f"t,x,y,u\n0,1,2,3\n{row}\n5,6,7,8\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{p} line 3: {row.split(',') if row else []!r} "
+                f"is not four numbers")):
+            read_trajectory_csv(p)
+
 
 class TestRunExperiment:
     def test_k2_artifacts_and_config_echo(self, tmp_path):
@@ -254,7 +285,7 @@ class TestRunExperiment:
         # resolved config makes the run reproducible from the metrics alone
         echoed = m["config"]["params"]
         assert echoed["t_end"] == 120.0
-        assert {"eps", "alpha", "c1", "c2", "h0", "E"} <= set(echoed)
+        assert {"alpha", "c1", "c2", "h0", "E"} <= set(echoed)
         assert m["config"]["outputs"]["metrics"] == "renamed.json"
         assert m["results"]["max_terminal_h_gap"] < 1e-6
 
@@ -360,7 +391,7 @@ _PINNED_ARTIFACTS = {
     },
     "fold-fast-hot": {
         "controller.svg": "6bfcb2c421bb929d467b581da9004cd1004c2f0421a73657e947104a4505b230",
-        "metrics.json": "84b1882a7500794acd90a75494ba43072b012d95abf41f3d31495498409b38b8",
+        "metrics.json": "a7458d095079230eab6d6d1cde790397fa7e139afc47cb3bfb3de198a32f01ad",
         "phase.svg": "d9acc989cb97975dabbe09c097cb04c3eb0c44ebade6737f9d908eaf3061eae5",
         "plain.csv": "d579ee830fd80f652ce424e397684f0525d40d592d233f1d48fed3669c9b0c16",
         "trajectory.csv": "3ac218f90659be239afcf35835d41208a4cdcb8c8c47353f8391624f4846c76f",
@@ -373,7 +404,7 @@ _PINNED_ARTIFACTS = {
     },
     "k2": {
         "controller.svg": "2675d6b863b797c7d4f414888f2eb90cc0626fec80e895b36607c9a8e6f0148d",
-        "metrics.json": "12fa6dd8f999a67c8fc751b9346fce6423aaac7d1f16eb34235de4c740afff4a",
+        "metrics.json": "47b24baa11eef3280f145f30171d5950d4c2aea1bea8d999e02bf9b0d8b5331c",
         "phase.svg": "63ab1e3724e1baf35008596762d7d70e58cd8c63444d706df6edb9e5c7a71870",
         "trajectory.csv": "69a7fc8ba33dc0b0cb2d63cdbbd6b409c21e4ff06d54f9f59fd75b67a528bbe8",
     },

@@ -9,8 +9,11 @@ budget is the measurement when it was set plus a stated margin.
 import sys
 import tracemalloc
 
-from canardctl.controllers import default_neighborhoods, fast_u
+import pytest
+
+from canardctl.controllers import NeighborhoodParams, default_neighborhoods, fast_u
 from canardctl.core import ControllerGains, ScaledLevel, SystemParams
+from canardctl.errors import PatternDeviationError
 from canardctl.mmo import MmoPattern, run_pattern
 from canardctl.models import fold_rhs, zero_terms
 from canardctl.sim import Watcher, integrate
@@ -21,6 +24,9 @@ _BYTES_PER_POINT = 40.0
 # 1.06-1.07 MB measured for 28,462 points; about 22 % margin.  Tuples of float
 # objects peaked at 5.29 MB.
 _VDP_PLANT_PEAK = 1.3e6
+# 42 KB measured for a pattern of 10^5 loops that deviates on its first; a
+# list of its 10^5 segments, built before the first loop, peaked at 9.6 MB
+_LONG_PATTERN_PEAK = 2e6
 
 
 def _traced(run):
@@ -72,3 +78,21 @@ def test_the_supervised_benchmark_run_peaks_below_its_budget():
     assert "".join(lb.label[0] for lb in loops) == "LLLSSSS" * 4
     assert len(traj) == 28462
     assert peak <= _VDP_PLANT_PEAK
+
+
+def test_a_long_pattern_costs_nothing_per_loop_it_asks_for():
+    # strangled activation tubes: the first loop closes small against its
+    # LAO request, so the run ends there, whatever the count
+    eps = 0.01
+    starved = NeighborhoodParams(beta1=1e-3, beta2=1e-3, y_min=2 * eps)
+    gains = ControllerGains(c1=1.0, c2=2.0, k1=1.0)
+    pattern = MmoPattern.parse("100000L:0.75:0.01")
+
+    def run():
+        with pytest.raises(PatternDeviationError) as exc:
+            run_pattern(pattern, eps, gains, starved)
+        return exc.value
+
+    err, _, peak = _traced(run)
+    assert err.achieved == () and err.got == "SAO"
+    assert peak <= _LONG_PATTERN_PEAK

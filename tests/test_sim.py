@@ -16,6 +16,7 @@ from canardctl.errors import (
     DomainError,
     ExponentOverflowError,
     IntegrationError,
+    OverflowFaultError,
     StepLimitError,
     StepUnderflowError,
 )
@@ -115,13 +116,22 @@ def test_terminal_level_convergence_truncates():
     assert len(traj.times) == len(traj.states) == len(traj.controls)
 
 
+def _overflowed(*args, **kwargs):
+    """The partial trajectory an integration that overflows raises."""
+    with pytest.raises(OverflowFaultError) as exc:
+        integrate(*args, **kwargs)
+    traj = exc.value.trajectory
+    assert str(exc.value) == f"the control overflowed at t = {traj.final_time:.6g}"
+    return traj
+
+
 def test_controller_overflow_becomes_fault_event():
     def u(p):
         if p.x > 2.0:
             raise ExponentOverflowError("c2*y/eps - E", 900.0)
         return 0.0
 
-    traj = integrate(
+    traj = _overflowed(
         lambda p, uval: (1.0, 0.0), u, PhasePoint(0.0, 0.0), (0.0, 10.0)
     )
     assert traj.events[-1].kind == "overflow-fault"
@@ -138,7 +148,7 @@ def test_float_overflow_becomes_fault_event(in_field):
     def rhs(p, uval):
         return (p.x * p.x, p.x ** 3 if in_field else 0.0)
 
-    traj = integrate(rhs, u, PhasePoint(1e120, 0.0), (0.0, 10.0))
+    traj = _overflowed(rhs, u, PhasePoint(1e120, 0.0), (0.0, 10.0))
     assert traj.events[-1].kind == "overflow-fault"
     assert len(traj) == 1
     assert math.isnan(traj.controls[0]) != in_field
@@ -461,8 +471,8 @@ def _overflow_mid_run():
             raise ExponentOverflowError("c2*y/eps - E", 900.0)
         return -0.3 * p.y
 
-    return integrate(lambda p, uval: (1.0 + 0.1 * p.y, -p.x + uval),
-                     u, PhasePoint(0.0, 0.5), (0.0, 10.0))
+    return _overflowed(lambda p, uval: (1.0 + 0.1 * p.y, -p.x + uval),
+                       u, PhasePoint(0.0, 0.5), (0.0, 10.0))
 
 
 def _raising_u(p):
@@ -472,8 +482,8 @@ def _raising_u(p):
 def _fault_at_start(u, rhs=None):
     params = SystemParams(0.01, -0.1)
     hot = zero_terms()
-    return integrate(rhs or (lambda p, uval: fold_rhs(p, params, hot, uval)),
-                     u, PhasePoint(0.2, 0.3), (0.0, 1.0))
+    return _overflowed(rhs or (lambda p, uval: fold_rhs(p, params, hot, uval)),
+                       u, PhasePoint(0.2, 0.3), (0.0, 1.0))
 
 
 def _raising_rhs(p, uval):

@@ -71,9 +71,10 @@ class TestPhasePortrait:
 
     def test_reference_cycle_overlay(self, tmp_path):
         out = tmp_path / "cycle.svg"
-        ring = [(math.cos(a), math.sin(a))
-                for a in (2 * math.pi * i / 64 for i in range(65))]
-        emit_phase_svg([_parabola_traj()], [ReferenceCycle(tuple(ring))], out)
+        angles = [2 * math.pi * i / 64 for i in range(65)]
+        ring = ReferenceCycle([math.cos(a) for a in angles],
+                              [math.sin(a) for a in angles])
+        emit_phase_svg([_parabola_traj()], [ring], out)
         assert "overlay-reference-cycle" in _classes(out, "polyline")
 
     def test_multiple_trajectories_get_distinct_colors(self, tmp_path):
@@ -114,7 +115,7 @@ class TestDeterminism:
     def test_identical_bytes_across_calls(self, tmp_path):
         nbhd = default_neighborhoods(0.01, y_h=1.25)
         overlays = [CriticalManifold("vdp"), NeighborhoodShading(nbhd),
-                    ReferenceCycle(((0.0, 0.0), (1.0, 1.0), (0.0, 0.0)))]
+                    ReferenceCycle((0.0, 1.0, 0.0), (0.0, 1.0, 0.0))]
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         emit_phase_svg([_parabola_traj()], overlays, a)
         emit_phase_svg([_parabola_traj()], overlays, b)
@@ -331,7 +332,7 @@ def test_phase_svg_matches_the_per_point_writer(tmp_path):
     ring = tuple((1.5 * math.cos(0.1 * i), 1.5 * math.sin(0.1 * i))
                  for i in range(64))
     out = tmp_path / "phase.svg"
-    emit_phase_svg([a, b], [ReferenceCycle(ring)], out)
+    emit_phase_svg([a, b], [ReferenceCycle(*zip(*ring))], out)
     ref = _ref_box((p[0], p[1]) for traj in (a, b) for p in traj.states)
     for x, y in ring:
         ref.add(x, y)
