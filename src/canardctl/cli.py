@@ -384,7 +384,6 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
     center = params.alpha if channel == "fast" else 0.0
     law = fast_u if channel == "fast" else slow_u
 
-    # the state is a plain (x, y) tuple
     def u(p) -> float:
         return law(p, params, gains, level)
 
@@ -395,7 +394,7 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
     # on its lower arc
     section = Watcher("section-crossing", lambda p: p[0] - center,
                       direction="up")
-    runs = [_guarded(rhs, u, tuple(ic), (0.0, float(eff["t_end"])), integ,
+    runs = [_guarded(rhs, u, ic, (0.0, float(eff["t_end"])), integ,
                      watchers=[section])
             for ic in ics]
     trajs = [traj for traj, _ in runs]
@@ -445,7 +444,7 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcom
         def u(p) -> float:
             return fast_u(p, params, gains, level, phi_hat)
 
-        return _guarded(rhs, u, tuple(ic), span, integ)
+        return _guarded(rhs, u, ic, span, integ)
 
     comp, fault = run(hot.phi_hat)
     plain, plain_fault = run(None)
@@ -499,7 +498,6 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
     g2 = (lambda r, x2, y2, a2: x2 * quadratic_gap_phi2(r, x2, y2, a2)) \
         if with_shear else None
 
-    # the state is a plain (x2, y2) tuple
     def rhs(p, mu: float) -> Tuple[float, float]:
         return k2_field((r2, p[0], p[1], alpha2), g2, mu)
 
@@ -510,7 +508,7 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
         def mu(p) -> float:
             return k2_mu((r2, p[0], p[1], alpha2), gains, h, phi2)
 
-        traj, fault = _guarded(rhs, mu, tuple(ic), span, integ,
+        traj, fault = _guarded(rhs, mu, ic, span, integ,
                                watchers=[stop] if watched else [])
         p = traj.final_state
         try:

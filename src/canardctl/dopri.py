@@ -69,50 +69,51 @@ def _length_error(k, y):
                        f"for a state of {len(y)}")
 
 
-# The step kernels: (rhs, u, y, k1, h, atol, rtol, pack) -> (y_new, u_new,
+# The step kernels: (rhs, u, y, k1, h, atol, rtol) -> (y_new, u_new,
 # (k1, ..., k7), err), where err is the RMS of the scaled error estimate and
-# may be inf or nan.  Each stage evaluates the controller, then the field, at
-# the stage state, and a field result of another length than the state
-# raises DomainError before any sum could cut the state down.  The
-# written-out kernels learn the length from their unpacking, whose try costs
-# nothing until it raises; only the unpacking sits inside it, so a
-# ValueError from the field or the controller passes through unchanged.
+# may be inf or nan, and every state built, stage or y_new, is a plain tuple.
+# Each stage evaluates the controller, then the field, at the stage state,
+# and a field result of another length than the state raises DomainError
+# before any sum could cut the state down.  The written-out kernels learn the
+# length from their unpacking, whose try costs nothing until it raises; only
+# the unpacking sits inside it, so a ValueError from the field or the
+# controller passes through unchanged.
 
-def _step_planar(rhs, u, y, k1, h, atol, rtol, pack):
+def _step_planar(rhs, u, y, k1, h, atol, rtol):
     y0, y1 = y
     a0, a1 = k1
-    p = pack((y0 + h * (0.0 + _A21 * a0),
-              y1 + h * (0.0 + _A21 * a1)))
+    p = (y0 + h * (0.0 + _A21 * a0),
+         y1 + h * (0.0 + _A21 * a1))
     k2 = rhs(p, u(p))
     try:
         b0, b1 = k2
     except ValueError:
         raise _length_error(k2, y) from None
-    p = pack((y0 + h * (0.0 + _A31 * a0 + _A32 * b0),
-              y1 + h * (0.0 + _A31 * a1 + _A32 * b1)))
+    p = (y0 + h * (0.0 + _A31 * a0 + _A32 * b0),
+         y1 + h * (0.0 + _A31 * a1 + _A32 * b1))
     k3 = rhs(p, u(p))
     try:
         c0, c1 = k3
     except ValueError:
         raise _length_error(k3, y) from None
-    p = pack((y0 + h * (0.0 + _A41 * a0 + _A42 * b0 + _A43 * c0),
-              y1 + h * (0.0 + _A41 * a1 + _A42 * b1 + _A43 * c1)))
+    p = (y0 + h * (0.0 + _A41 * a0 + _A42 * b0 + _A43 * c0),
+         y1 + h * (0.0 + _A41 * a1 + _A42 * b1 + _A43 * c1))
     k4 = rhs(p, u(p))
     try:
         d0, d1 = k4
     except ValueError:
         raise _length_error(k4, y) from None
-    p = pack((y0 + h * (0.0 + _A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
-              y1 + h * (0.0 + _A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1)))
+    p = (y0 + h * (0.0 + _A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
+         y1 + h * (0.0 + _A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1))
     k5 = rhs(p, u(p))
     try:
         e0, e1 = k5
     except ValueError:
         raise _length_error(k5, y) from None
-    p = pack((y0 + h * (0.0 + _A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
-                        + _A65 * e0),
-              y1 + h * (0.0 + _A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
-                        + _A65 * e1)))
+    p = (y0 + h * (0.0 + _A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
+                   + _A65 * e0),
+         y1 + h * (0.0 + _A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
+                   + _A65 * e1))
     k6 = rhs(p, u(p))
     try:
         f0, f1 = k6
@@ -122,7 +123,7 @@ def _step_planar(rhs, u, y, k1, h, atol, rtol, pack):
                    + _A75 * e0 + _A76 * f0)
     n1 = y1 + h * (0.0 + _A71 * a1 + _A72 * b1 + _A73 * c1 + _A74 * d1
                    + _A75 * e1 + _A76 * f1)
-    y_new = pack((n0, n1))
+    y_new = (n0, n1)
     u_new = u(y_new)
     k7 = rhs(y_new, u_new)
     try:
@@ -139,47 +140,47 @@ def _step_planar(rhs, u, y, k1, h, atol, rtol, pack):
     return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
 
 
-def _step_3(rhs, u, y, k1, h, atol, rtol, pack):
+def _step_3(rhs, u, y, k1, h, atol, rtol):
     y0, y1, y2 = y
     a0, a1, a2 = k1
-    p = pack((y0 + h * (0.0 + _A21 * a0),
-              y1 + h * (0.0 + _A21 * a1),
-              y2 + h * (0.0 + _A21 * a2)))
+    p = (y0 + h * (0.0 + _A21 * a0),
+         y1 + h * (0.0 + _A21 * a1),
+         y2 + h * (0.0 + _A21 * a2))
     k2 = rhs(p, u(p))
     try:
         b0, b1, b2 = k2
     except ValueError:
         raise _length_error(k2, y) from None
-    p = pack((y0 + h * (0.0 + _A31 * a0 + _A32 * b0),
-              y1 + h * (0.0 + _A31 * a1 + _A32 * b1),
-              y2 + h * (0.0 + _A31 * a2 + _A32 * b2)))
+    p = (y0 + h * (0.0 + _A31 * a0 + _A32 * b0),
+         y1 + h * (0.0 + _A31 * a1 + _A32 * b1),
+         y2 + h * (0.0 + _A31 * a2 + _A32 * b2))
     k3 = rhs(p, u(p))
     try:
         c0, c1, c2 = k3
     except ValueError:
         raise _length_error(k3, y) from None
-    p = pack((y0 + h * (0.0 + _A41 * a0 + _A42 * b0 + _A43 * c0),
-              y1 + h * (0.0 + _A41 * a1 + _A42 * b1 + _A43 * c1),
-              y2 + h * (0.0 + _A41 * a2 + _A42 * b2 + _A43 * c2)))
+    p = (y0 + h * (0.0 + _A41 * a0 + _A42 * b0 + _A43 * c0),
+         y1 + h * (0.0 + _A41 * a1 + _A42 * b1 + _A43 * c1),
+         y2 + h * (0.0 + _A41 * a2 + _A42 * b2 + _A43 * c2))
     k4 = rhs(p, u(p))
     try:
         d0, d1, d2 = k4
     except ValueError:
         raise _length_error(k4, y) from None
-    p = pack((y0 + h * (0.0 + _A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
-              y1 + h * (0.0 + _A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
-              y2 + h * (0.0 + _A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2)))
+    p = (y0 + h * (0.0 + _A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
+         y1 + h * (0.0 + _A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
+         y2 + h * (0.0 + _A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2))
     k5 = rhs(p, u(p))
     try:
         e0, e1, e2 = k5
     except ValueError:
         raise _length_error(k5, y) from None
-    p = pack((y0 + h * (0.0 + _A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
-                        + _A65 * e0),
-              y1 + h * (0.0 + _A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
-                        + _A65 * e1),
-              y2 + h * (0.0 + _A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2
-                        + _A65 * e2)))
+    p = (y0 + h * (0.0 + _A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
+                   + _A65 * e0),
+         y1 + h * (0.0 + _A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
+                   + _A65 * e1),
+         y2 + h * (0.0 + _A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2
+                   + _A65 * e2))
     k6 = rhs(p, u(p))
     try:
         f0, f1, f2 = k6
@@ -191,7 +192,7 @@ def _step_3(rhs, u, y, k1, h, atol, rtol, pack):
                    + _A75 * e1 + _A76 * f1)
     n2 = y2 + h * (0.0 + _A71 * a2 + _A72 * b2 + _A73 * c2 + _A74 * d2
                    + _A75 * e2 + _A76 * f2)
-    y_new = pack((n0, n1, n2))
+    y_new = (n0, n1, n2)
     u_new = u(y_new)
     k7 = rhs(y_new, u_new)
     try:
@@ -211,37 +212,37 @@ def _step_3(rhs, u, y, k1, h, atol, rtol, pack):
     return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
 
 
-def _step_any(rhs, u, y, k1, h, atol, rtol, pack):
+def _step_any(rhs, u, y, k1, h, atol, rtol):
     n = len(y)
-    p = pack([y0 + h * (0.0 + _A21 * a)
-              for y0, a in zip(y, k1)])
+    p = tuple([y0 + h * (0.0 + _A21 * a)
+               for y0, a in zip(y, k1)])
     k2 = rhs(p, u(p))
     if len(k2) != n:
         raise _length_error(k2, y)
-    p = pack([y0 + h * (0.0 + _A31 * a + _A32 * b)
-              for y0, a, b in zip(y, k1, k2)])
+    p = tuple([y0 + h * (0.0 + _A31 * a + _A32 * b)
+               for y0, a, b in zip(y, k1, k2)])
     k3 = rhs(p, u(p))
     if len(k3) != n:
         raise _length_error(k3, y)
-    p = pack([y0 + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
-              for y0, a, b, c in zip(y, k1, k2, k3)])
+    p = tuple([y0 + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
+               for y0, a, b, c in zip(y, k1, k2, k3)])
     k4 = rhs(p, u(p))
     if len(k4) != n:
         raise _length_error(k4, y)
-    p = pack([y0 + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
-              for y0, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    p = tuple([y0 + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
+               for y0, a, b, c, d in zip(y, k1, k2, k3, k4)])
     k5 = rhs(p, u(p))
     if len(k5) != n:
         raise _length_error(k5, y)
-    p = pack([y0 + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d
-                        + _A65 * e)
-              for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    p = tuple([y0 + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d
+                         + _A65 * e)
+               for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
     k6 = rhs(p, u(p))
     if len(k6) != n:
         raise _length_error(k6, y)
-    y_new = pack([y0 + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d
-                            + _A75 * e + _A76 * f)
-                  for y0, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)])
+    y_new = tuple([y0 + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d
+                             + _A75 * e + _A76 * f)
+                   for y0, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)])
     u_new = u(y_new)
     k7 = rhs(y_new, u_new)
     if len(k7) != n:
@@ -256,7 +257,7 @@ def _step_any(rhs, u, y, k1, h, atol, rtol, pack):
     return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
 
 
-def _interpolant(h, y, y_new, ks, pack):
+def _interpolant(h, y, y_new, ks):
     """Quartic dense output of an accepted step as theta in [0, 1] -> state."""
     rcont = []
     for rc1, y1, a, b, c, d, e, f, g in zip(y, y_new, *ks):
@@ -269,7 +270,7 @@ def _interpolant(h, y, y_new, ks, pack):
 
     def at(theta):
         th1 = 1.0 - theta
-        return pack([
+        return tuple([
             rc1 + theta * (rc2 + th1 * (rc3 + theta * (rc4 + th1 * rc5)))
             for rc1, rc2, rc3, rc4, rc5 in rcont
         ])

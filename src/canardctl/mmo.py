@@ -251,8 +251,7 @@ def run_pattern(
                 stitched())
         return traj
 
-    # preamble: reach the section once under the first loop's parameters;
-    # a plain tuple start makes every state the integrator builds one too
+    # preamble: reach the section once under the first loop's parameters
     run_chunk(pattern.segments[0], 0.0, (start[0], start[1]))
 
     for seg in (seg for _ in range(pattern.repeat) for seg in pattern.segments

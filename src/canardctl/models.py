@@ -15,7 +15,9 @@ factor as g^(x^, y, eps, alpha) = x^ * phi^, and callers supplying
 ``phi_hat`` assert that factorization themselves.
 
 Each field takes its point as an (x, y) sequence, a :class:`PhasePoint` or
-a plain tuple alike, and returns the velocity as a plain (dx, dy) tuple.
+a plain tuple alike, and returns the velocity as a plain (dx, dy) tuple.  A
+non-finite control value raises OverflowError, which `sim.integrate` turns
+into an ``overflow-fault``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import SystemParams
-from .errors import DomainError, IntegrationError
+from .errors import DomainError
 
 __all__ = [
     "HigherOrderTerms",
@@ -93,7 +95,7 @@ def fold_rhs(
 ) -> tuple[float, float]:
     """Fold normal form velocity (dx, dy) with the control injected on one channel."""
     if not 0.0 * u == 0.0:  # u is not finite
-        raise IntegrationError(f"non-finite control value {u!r}")
+        raise OverflowError(f"non-finite control value {u!r}")
     x, y = p
     eps, alpha = params.eps, params.alpha
     gt = hot.g_tilde(x, y, eps, alpha)
@@ -107,6 +109,6 @@ def fold_rhs(
 def vdp_rhs(p: Sequence[float], eps: float, u: float) -> tuple[float, float]:
     """Van der Pol velocity (dx, dy) in Lienard form with fast-channel control."""
     if not 0.0 * u == 0.0:  # u is not finite
-        raise IntegrationError(f"non-finite control value {u!r}")
+        raise OverflowError(f"non-finite control value {u!r}")
     x, y = p
     return (-y + x * x - x ** 3 / 3.0 + u, eps * x)

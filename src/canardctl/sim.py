@@ -1,16 +1,15 @@
 """Adaptive explicit integration with event detection and fault capture.
 
 `integrate` is the one entry point.  It integrates an autonomous controlled
-field y' = rhs(y, u(y)) over a state of any length, and the states it
-returns have the type of the start: a NamedTuple start such as
-``PhasePoint`` is rebuilt with its ``_make``, any other sequence gives
-plain tuples.  The `Trajectory` it returns keeps its points as float
-columns, an ``array('d')`` each for the times, the controls and every state
-component, at 8 bytes a value: no point outlives the step that made it as a
-tuple of float objects.  The run fills the times and controls as it accepts
-steps, and the state components point after point in one more array, which
-it splits into columns once, at its end.  A trajectory's points are rebuilt
-with the start's type only when ``states`` or ``final_state`` asks for them.
+field y' = rhs(y, u(y)) over a state of any length, and every state it
+builds or returns is a plain tuple of floats, whatever sequence the start
+is.  The `Trajectory` it returns keeps its points as float columns, an
+``array('d')`` each for the times, the controls and every state component,
+at 8 bytes a value: no point outlives the step that made it as a tuple of
+float objects.  The run fills the times and controls as it accepts steps,
+and the state components point after point in one more array, which it
+splits into columns once, at its end.  A trajectory's points are rebuilt as
+tuples only when ``states`` or ``final_state`` asks for them.
 
 The integrator is a Dormand-Prince 5(4) embedded pair with the matching
 quartic dense-output interpolant.  Its step-size control is written in PI
@@ -39,9 +38,10 @@ The controller is evaluated once per field evaluation, and the engine keeps
 the values it needs.  The controls a trajectory records are the values from
 the first field call and from each accepted step's last stage, which FSAL
 places at the new state; only a state the run ends on at a terminal event
-is evaluated again.  An OverflowError raised by the controller or the field,
-or a non-finite control value, ends the run on a terminal ``overflow-fault``
-event at the last accepted state and raises ``OverflowFaultError``.  Events
+is evaluated again.  An OverflowError raised by the controller or the field
+(the package's fields raise one for a non-finite control value) ends the
+run on a terminal ``overflow-fault`` event at the last accepted state and
+raises ``OverflowFaultError``; any other exception passes through.  Events
 requested through watchers are localized on the dense output by bisection
 to 1e-10 * max(1, |t|) in time.  After each accepted step one plain loop
 sweeps the watchers in order: it calls each watcher's ``fn`` once at the
@@ -72,7 +72,6 @@ from .dopri import (
 from .errors import (
     DomainError,
     ExponentOverflowError,
-    IntegrationError,
     OverflowFaultError,
     StepLimitError,
     StepUnderflowError,
@@ -160,15 +159,13 @@ class Trajectory:
     ``columns``, one ``array('d')`` per state component, so a stored point
     costs 8 bytes a value and no object of its own.  ``Trajectory(times,
     states, controls, events)`` takes point sequences; `from_columns` takes
-    the columns themselves and keeps the arrays it is given.  ``pack``
-    rebuilds a point from its values: a NamedTuple's ``_make`` when the
-    points are, say, :class:`PhasePoint`, else ``tuple``.  ``states`` and
-    ``final_state`` are read-only views built with it on each call;
-    ``states`` builds one object per point, so the package's own readers
-    use the columns.  A trajectory's attributes cannot be set.
+    the columns themselves and keeps the arrays it is given.  ``states``
+    and ``final_state`` are read-only views that rebuild plain tuples on
+    each call; ``states`` builds one tuple per point, so the package's own
+    readers use the columns.  A trajectory's attributes cannot be set.
     """
 
-    __slots__ = ("times", "columns", "controls", "events", "pack")
+    __slots__ = ("times", "columns", "controls", "events")
 
     def __init__(self, times, states, controls, events=()):
         n = len(states[0]) if states else 0
@@ -176,25 +173,24 @@ class Trajectory:
             raise DomainError("every state needs the same number of "
                               "components, at least one")
         self._set(times, [array("d", c) for c in zip(*states)], controls,
-                  events, _pack_of(states[0]) if states else tuple)
+                  events)
 
     @classmethod
-    def from_columns(cls, times, columns, controls, events=(), pack=tuple):
+    def from_columns(cls, times, columns, controls, events=()):
         """A trajectory over ``columns``, one sequence of floats per state
         component; an ``array('d')`` is kept as it is, not copied."""
         traj = cls.__new__(cls)
-        traj._set(times, columns, controls, events, pack)
+        traj._set(times, columns, controls, events)
         return traj
 
-    def _set(self, times, columns, controls, events, pack):
+    def _set(self, times, columns, controls, events):
         times, controls, *columns = (
             v if type(v) is array and v.typecode == "d" else array("d", v)
             for v in (times, controls, *columns))
         if not all(len(v) == len(times) for v in (controls, *columns)):
             raise DomainError("times, states and controls must align")
         for name, value in (("times", times), ("columns", tuple(columns)),
-                            ("controls", controls), ("events", tuple(events)),
-                            ("pack", pack)):
+                            ("controls", controls), ("events", tuple(events))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -209,29 +205,24 @@ class Trajectory:
 
     @property
     def states(self) -> tuple:
-        return tuple(map(self.pack, zip(*self.columns)))
+        return tuple(zip(*self.columns))
 
     @property
-    def final_state(self):
-        return self.pack([c[-1] for c in self.columns])
+    def final_state(self) -> tuple:
+        return tuple([c[-1] for c in self.columns])
 
     def events_of(self, kind: str) -> tuple:
         return tuple(ev for ev in self.events if ev.kind == kind)
 
 
-def _pack_of(point):
-    """What rebuilds a point of this one's type from its values."""
-    return getattr(type(point), "_make", tuple)
-
-
-def _initial_step(rhs, u, y0, f0, span, cfg, pack):
+def _initial_step(rhs, u, y0, f0, span, cfg):
     # standard two-probe starting-step heuristic, fully deterministic
     sc = [cfg.abs_tol + cfg.rel_tol * abs(v) for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, sc)])
     d1 = _rms([v / s for v, s in zip(f0, sc)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span, cfg.max_step)
-    p = pack([v + h0 * d for v, d in zip(y0, f0)])
+    p = tuple([v + h0 * d for v, d in zip(y0, f0)])
     f1 = rhs(p, u(p))
     if len(f1) != len(f0):
         raise _length_error(f1, y0)
@@ -300,13 +291,12 @@ def _run(rhs, u, start, t_span, cfg, watchers):
     for v in start:
         if not math.isfinite(v):
             raise DomainError(f"non-finite initial state {tuple(start)!r}")
-    pack = _pack_of(start)
     n = len(start)
     step = _step_planar if n == 2 else _step_3 if n == 3 else _step_any
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     max_step, min_step, max_steps = cfg.max_step, cfg.min_step, cfg.max_steps
     inf = math.inf
-    y = pack(start)
+    y = tuple(start)
     times, controls = array("d", [t]), array("d", [math.nan])
     values, events = array("d", y), []
 
@@ -315,8 +305,8 @@ def _run(rhs, u, start, t_span, cfg, watchers):
         f_now = rhs(y, u0)
         if len(f_now) != len(y):
             raise _length_error(f_now, y)
-        h = _initial_step(rhs, u, y, f_now, t1 - t, cfg, pack)
-    except (OverflowError, IntegrationError):
+        h = _initial_step(rhs, u, y, f_now, t1 - t, cfg)
+    except OverflowError:
         events.append(Event("overflow-fault", t, y, "fault"))
         return times, values, controls, events, "overflow-fault"
     if not h > min_step:
@@ -343,8 +333,8 @@ def _run(rhs, u, start, t_span, cfg, watchers):
         try:
             # the last stage is the 5th-order solution at t + h, and the
             # control found there is the one the new point records
-            y_new, u_new, ks, err = step(rhs, u, y, f_now, h, atol, rtol, pack)
-        except (OverflowError, IntegrationError):
+            y_new, u_new, ks, err = step(rhs, u, y, f_now, h, atol, rtol)
+        except OverflowError:
             events.append(Event("overflow-fault", t, y, "fault"))
             status = "overflow-fault"
             break
@@ -375,7 +365,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
                             crossings = []
                         crossings.append((w, direction))
             if crossings:
-                dense = _interpolant(h, y, y_new, ks, pack)
+                dense = _interpolant(h, y, y_new, ks)
                 fired = _located(crossings, dense, t, h)
                 stop = next((th for th, _, w in fired if w.terminal), None)
                 events.extend(Event(w.kind, t + th * h, dense(th), dr)
@@ -387,7 +377,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
                     values.extend(y)
                     try:
                         controls.append(u(y))
-                    except (OverflowError, IntegrationError):
+                    except OverflowError:
                         controls.append(math.nan)
                     break
 
@@ -420,26 +410,25 @@ def _run(rhs, u, start, t_span, cfg, watchers):
 def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     """Integrate the autonomous controlled field y' = rhs(y, u(y)).
 
-    The state may have any number of components, and every state the run
-    returns (trajectory points, rebuilt from its float columns, and event
-    states) has the type of ``start``:
-    a NamedTuple such as :class:`PhasePoint` is rebuilt with its ``_make``,
-    any other sequence gives plain tuples.  ``u(p) -> float`` is the
-    feedback, called once per field evaluation, and ``rhs(p, u_value)``
-    returns the derivative as a sequence in the order of the state.  An
-    empty start, or a derivative with another number of components than
-    the state, at the start or at any later evaluation, raises
-    :class:`DomainError`; any other exception the field or the controller
-    raises, apart from the faults below, passes through unchanged.  The
-    recorded controls are the values those calls returned: at the start
-    state and, at each accepted step, from the last (FSAL) stage, which runs
-    at the new state.  Only a state the run ends on at a terminal event is
-    evaluated again.  An ``OverflowError`` (typed, or from float arithmetic
-    such as ``x ** 3``) or a non-finite control value raises
-    :class:`OverflowFaultError`, its trajectory ending on an ``overflow-fault``
-    event; a fault at the start state records the control ``u`` returned
-    there, or nan if it raised.  Step-size collapse raises
-    :class:`StepUnderflowError` and an exhausted step budget
+    The state may have any number of components, ``start`` any sequence of
+    floats, and every state the run builds or returns (stage points,
+    trajectory points rebuilt from its float columns, event states) is a
+    plain tuple.  ``u(p) -> float`` is the feedback, called once per field
+    evaluation, and ``rhs(p, u_value)`` returns the derivative as a
+    sequence in the order of the state.  An empty start, or a derivative
+    with another number of components than the state, at the start or at
+    any later evaluation, raises :class:`DomainError`; any other exception
+    the field or the controller raises, an ``IntegrationError`` included,
+    passes through unchanged, apart from the faults below.  The recorded
+    controls are the values those calls returned: at the start state and,
+    at each accepted step, from the last (FSAL) stage, which runs at the
+    new state.  Only a state the run ends on at a terminal event is
+    evaluated again.  An ``OverflowError`` (typed, from float arithmetic
+    such as ``x ** 3``, or a field's for a non-finite control value) raises
+    :class:`OverflowFaultError`, its trajectory ending on an
+    ``overflow-fault`` event; a fault at the start state records the
+    control ``u`` returned there, or nan if it raised.  Step-size collapse
+    raises :class:`StepUnderflowError` and an exhausted step budget
     :class:`StepLimitError`; each fault carries the partial trajectory.
     """
     cfg = cfg or IntegratorConfig()
@@ -447,8 +436,7 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
         rhs, u, start, t_span, cfg, tuple(watchers))
     n = len(start)
     traj = Trajectory.from_columns(
-        times, [values[i::n] for i in range(n)], controls, events,
-        _pack_of(start))
+        times, [values[i::n] for i in range(n)], controls, events)
     if status == "overflow-fault":
         raise OverflowFaultError(traj)
     if status == "step-underflow":

@@ -88,6 +88,8 @@ def _ticks(lo: float, hi: float) -> list[float]:
     t = first
     while t <= hi + 1e-9 * span:
         out.append(0.0 if abs(t) < 1e-12 * span else t)
+        if t + step == t:  # a step below the float spacing at t never moves it
+            break
         t += step
     return out
 

@@ -61,8 +61,8 @@ def _sampled_chart_starts(count):
 
 
 def _chart_rhs(r2, alpha2, g2=None):
-    def rhs(p: PhasePoint, mu: float) -> tuple:
-        return k2_field(ChartPointK2(r2, p.x, p.y, alpha2), g2=g2, mu2=mu)
+    def rhs(p, mu: float) -> tuple:
+        return k2_field(ChartPointK2(r2, p[0], p[1], alpha2), g2=g2, mu2=mu)
     return rhs
 
 
@@ -71,11 +71,11 @@ def chart_runs():
     """Ten singular-chart stabilization runs shared by checks 1 and 2."""
     gains = ControllerGains(c1=1.0, c2=2.0)
 
-    def mu(p: PhasePoint) -> float:
-        return k2_mu(ChartPointK2(0.0, p.x, p.y, 1.0), gains, _H_TINY)
+    def mu(p) -> float:
+        return k2_mu(ChartPointK2(0.0, p[0], p[1], 1.0), gains, _H_TINY)
 
     stop = Watcher("level-convergence",
-                   lambda p: 1e-7 - abs(eval_H2(p.x, p.y) - _H_TINY),
+                   lambda p: 1e-7 - abs(eval_H2(p[0], p[1]) - _H_TINY),
                    terminal=True)
     t0 = time.perf_counter()
     trajs = [integrate(_chart_rhs(0.0, 1.0), mu, ic, (0.0, 500.0),
@@ -128,11 +128,11 @@ def test_a03_shear_compensation_necessity():
         return x2 * quadratic_gap_phi2(r, x2, y2, a2)
 
     def gap_after(ic, phi2, watched):
-        def mu(p: PhasePoint) -> float:
-            return k2_mu(ChartPointK2(1.0, p.x, p.y, 1.0), gains, _H_TINY,
+        def mu(p) -> float:
+            return k2_mu(ChartPointK2(1.0, p[0], p[1], 1.0), gains, _H_TINY,
                          phi2=phi2)
         watchers = [Watcher("level-convergence",
-                            lambda p: 1e-7 - abs(eval_H2(p.x, p.y) - _H_TINY),
+                            lambda p: 1e-7 - abs(eval_H2(p[0], p[1]) - _H_TINY),
                             terminal=True)] if watched else []
         traj = integrate(_chart_rhs(1.0, 1.0, g2), mu, ic, (0.0, 60.0),
                          watchers=watchers)
@@ -146,19 +146,19 @@ def test_a03_shear_compensation_necessity():
 
 
 def _fold_cycle_run(channel, params, gains, level, start, t_end, center):
-    def u(p: PhasePoint) -> float:
+    def u(p) -> float:
         if channel == "fast":
             return fast_u(p, params, gains, level)
         return slow_u(p, params, gains, level)
 
-    section = Watcher("section-crossing", lambda p: p.x - center,
+    section = Watcher("section-crossing", lambda p: p[0] - center,
                       direction="up")
     traj = integrate(
         lambda p, uval: fold_rhs(p, params, zero_terms(), uval, channel=channel),
         u, start, (0.0, t_end), watchers=[section])
     framed = Trajectory(
         traj.times,
-        tuple(PhasePoint(p.x - center, p.y) for p in traj.states),
+        tuple(PhasePoint(p[0] - center, p[1]) for p in traj.states),
         traj.controls, traj.events)
     return traj, convergence_metrics(framed, params.eps, level)
 
@@ -196,10 +196,10 @@ def test_a05_maximal_canard_tracking_bounded_control():
     gains = ControllerGains(c1=1.0, c2=2.0 - math.exp(-15.0))
     level = ScaledLevel(0.0, 0.0)
 
-    def u(p: PhasePoint) -> float:
+    def u(p) -> float:
         return fast_u(p, params, gains, level)
 
-    top = Watcher("section-crossing", lambda p: p.y - 1.2,
+    top = Watcher("section-crossing", lambda p: p[1] - 1.2,
                   direction="up", terminal=True)
     traj = integrate(
         lambda p, uval: fold_rhs(p, params, zero_terms(), uval),

@@ -112,7 +112,7 @@ class TestClassifier:
         # a loop; relaxation-sized loops exist only under control
         traj = _open_loop_vdp(PhasePoint(-1.0, 0.6), 1500.0)
         assert classify_loops(traj) == []
-        assert max(p.x for p in traj.states) < 0.5
+        assert max(p[0] for p in traj.states) < 0.5
 
     def test_headed_canard_loops_are_large(self):
         # the headed closed-loop cycle is the relaxation-like one: it

@@ -4,13 +4,19 @@ The files double as regression fixtures, so beyond well-formedness we pin
 byte determinism and the presence/absence of each overlay element class.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canardctl import svgplot
 from canardctl.controllers import default_neighborhoods
 from canardctl.core import PhasePoint
 from canardctl.sim import Trajectory
@@ -344,3 +350,40 @@ def test_phase_svg_matches_the_per_point_writer(tmp_path):
            if el.get("class") == "traj"]
     assert len(got) == 3
     assert got == want
+
+
+def _bounded_child(code):
+    """Run ``code`` in a child capped at 1 GB of address space and 60 s, so
+    a loop that never ends fails the test instead of hanging it."""
+    cap = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2)\n"
+    path = [str(Path(svgplot.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    try:
+        return subprocess.run([sys.executable, "-c", cap + code], env=env,
+                              capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the child did not finish within 60 s")
+
+
+def test_ticks_end_where_the_step_cannot_move_a_tick():
+    # the floats near -4e16 lie 8 apart, so the tick step 2.0 is absorbed
+    run = _bounded_child(
+        "from canardctl.svgplot import _ticks\n"
+        "print(_ticks(-4.00000000004e+16, -4.000000000039999e+16))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[-4.00000000004e+16]\n"
+
+
+def test_controls_a_few_ulps_apart_still_plot(tmp_path):
+    # k2 at alpha = 2e8 holds its control near -4e16, a few ulps wide
+    cfg = tmp_path / "k2.json"
+    cfg.write_text(json.dumps({"experiment": "k2",
+                               "params": {"alpha": 2e8, "t_end": 2.0},
+                               "initial_conditions": [[0.001, 0.0]]}))
+    out = tmp_path / "out"
+    run = _bounded_child("from canardctl.cli import main\n"
+                         f"raise SystemExit(main(['run', {str(cfg)!r}, "
+                         f"'--out', {str(out)!r}]))")
+    assert run.returncode == 0, run.stderr
+    assert sorted(f.name for f in out.iterdir()) == [
+        "controller.svg", "metrics.json", "phase.svg", "trajectory.csv"]
