@@ -192,15 +192,17 @@ def _thin(seq: Sequence) -> Sequence:
     """Every stride-th item, at most _THIN_CAP of them, and the last item.
 
     Which items are kept depends on the length only, so thinning the
-    columns of a table one by one keeps whole rows.
+    columns of a table one by one keeps whole rows.  The result is a slice
+    of ``seq``, so an ``array('d')`` column stays 8 bytes a value rather
+    than becoming a list of float objects.
     """
     n = len(seq)
     if n <= _THIN_CAP:
         return seq
     stride = -(-n // _THIN_CAP)
-    out = list(seq[::stride])
+    out = seq[::stride]
     if (n - 1) % stride:
-        out.append(seq[-1])
+        out += seq[-1:]
     return out
 
 

@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from array import array
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -307,11 +309,15 @@ def _series_with_nan_controls(n):
 
 @pytest.mark.parametrize("n", [4000, 4001, 9001, 9002, 12007])
 def test_index_thinning_keeps_the_zipped_pairs(n):
-    ts, us = _series_with_nan_controls(n)
-    kept = list(zip(_thin(ts), _thin(us)))
-    assert [_bits(*p) for p in kept] == [
-        _bits(*p) for p in _ref_thin(list(zip(ts, us)))]
-    assert kept[-1][0] == ts[-1]
+    for column in (tuple, partial(array, "d")):
+        ts, us = map(column, _series_with_nan_controls(n))
+        thinned = _thin(ts), _thin(us)
+        # a trajectory's array('d') columns stay arrays, not lists of floats
+        assert {type(c) for c in thinned} == {type(ts)}
+        kept = list(zip(*thinned))
+        assert [_bits(*p) for p in kept] == [
+            _bits(*p) for p in _ref_thin(list(zip(ts, us)))]
+        assert kept[-1][0] == ts[-1]
 
 
 @pytest.mark.parametrize("n", [60, 9001, 9002])
