@@ -343,7 +343,11 @@ def test_value_error_of_the_field_or_controller_passes_through(start, source):
     assert type(exc.value) is ValueError
 
 
-def test_states_are_plain_tuples_whatever_the_start():
+_STARTS = {"PhasePoint": PhasePoint(-1.0, 0.5), "tuple": (-1.0, 0.5)}
+
+
+@pytest.mark.parametrize("kind", sorted(_STARTS))
+def test_states_are_plain_tuples_whatever_the_start(kind):
     # x' = 1 crosses x = 0 at t = 1 and stops at the terminal x = 1 at t = 2
     seen = set()
 
@@ -352,23 +356,23 @@ def test_states_are_plain_tuples_whatever_the_start():
             seen.add(type(p))
             return (1.0, -p[1])
 
-        return integrate(
+        traj = integrate(
             rhs, _no_u, start, (0.0, 5.0),
             watchers=[Watcher("section-crossing", lambda p: p[0], "up"),
                       Watcher("section-crossing", lambda p: p[0] - 1.0, "up",
                               terminal=True)])
-
-    runs = [run(PhasePoint(-1.0, 0.5)), run((-1.0, 0.5))]
-    states = []
-    for traj in runs:
         assert [ev.kind for ev in traj.events] == ["section-crossing"] * 2
         assert traj.final_time == pytest.approx(2.0, abs=1e-8)
-        states.append((traj.states, tuple(ev.state for ev in traj.events),
-                       traj.final_state))
-        for p in traj.states + (traj.final_state,) + states[-1][1]:
-            assert type(p) is tuple and {type(v) for v in p} == {float}
+        return (traj.states, tuple(ev.state for ev in traj.events),
+                traj.final_state)
+
+    states, event_states, final = run(_STARTS[kind])
+    for p in states + event_states + (final,):
+        assert type(p) is tuple and {type(v) for v in p} == {float}
     assert seen == {tuple}
-    assert _bits(states[0]) == _bits(states[1])
+    # the other kind of start gives the same floats, bit for bit
+    other, = (v for k, v in _STARTS.items() if k != kind)
+    assert _bits((states, event_states, final)) == _bits(run(other))
 
 
 def test_watchers_evaluated_once_per_accepted_state():
