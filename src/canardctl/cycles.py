@@ -93,7 +93,8 @@ def reference_cycle(level, eps: float, center: float = 0.0) -> ReferenceCycle:
 
     Each exact (h0, E, eps, center) is traced once per process, and a call
     with the same key returns the same overlay, which no caller changes;
-    the cache key holds the floats' bits, so -0.0 and 0.0 stay apart.
+    the cache key holds the bits of each value as a float, so -0.0 and 0.0
+    stay apart and an int shares the key of its float.
     """
     return _cached_cycle(tuple(
-        float.hex(v) for v in (level.h0, level.E, eps, center)))
+        float.hex(float(v)) for v in (level.h0, level.E, eps, center)))

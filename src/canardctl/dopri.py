@@ -1,12 +1,12 @@
 """The Dormand-Prince 5(4) pair: tableau, step kernels and dense output.
 
-Three step kernels share one contract: ``_step_planar`` for a state of two
-components, ``_step_3`` for three and ``_step_any`` for any length.  The
-first two spell every stage sum, the 5th-order update and the error norm
-out term by term; ``_step_any`` runs the same sums as comprehensions.  All
-three add the same terms in the same order, so a state of two or three
-components gives the same bits through the generic kernel.  `sim` picks the
-kernel once per run and owns the step-size control, events and faults.
+Two step kernels share one contract: ``_step_planar`` for a state of two
+components and ``_step_3`` for three, the only state sizes `sim` integrates.
+Each spells every stage sum, the 5th-order update and the error norm out
+term by term.  The tests keep a generic kernel that runs the same sums as
+comprehensions over a state of any length, and check both kernels against
+it bit for bit.  `sim` picks the kernel once per run and owns the step-size
+control, events and faults.
 
 The pair is a module of its own because a process that writes no bytecode
 cache compiles every module at import, and the heap a large compile frees
@@ -74,8 +74,8 @@ def _length_error(k, y):
 # may be inf or nan, and every state built, stage or y_new, is a plain tuple.
 # Each stage evaluates the controller, then the field, at the stage state,
 # and a field result of another length than the state raises DomainError
-# before any sum could cut the state down.  The written-out kernels learn the
-# length from their unpacking, whose try costs nothing until it raises; only
+# before any sum could cut the state down.  The kernels learn the length
+# from their unpacking, whose try costs nothing until it raises; only
 # the unpacking sits inside it, so a ValueError from the field or the
 # controller passes through unchanged.
 
@@ -209,51 +209,6 @@ def _step_3(rhs, u, y, k1, h, atol, rtol):
                + _E6 * f2 + _E7 * g2)
           / (atol + rtol * max(abs(y2), abs(n2))))
     err = math.sqrt((0.0 + q0 * q0 + q1 * q1 + q2 * q2) / 3)
-    return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
-
-
-def _step_any(rhs, u, y, k1, h, atol, rtol):
-    n = len(y)
-    p = tuple([y0 + h * (0.0 + _A21 * a)
-               for y0, a in zip(y, k1)])
-    k2 = rhs(p, u(p))
-    if len(k2) != n:
-        raise _length_error(k2, y)
-    p = tuple([y0 + h * (0.0 + _A31 * a + _A32 * b)
-               for y0, a, b in zip(y, k1, k2)])
-    k3 = rhs(p, u(p))
-    if len(k3) != n:
-        raise _length_error(k3, y)
-    p = tuple([y0 + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
-               for y0, a, b, c in zip(y, k1, k2, k3)])
-    k4 = rhs(p, u(p))
-    if len(k4) != n:
-        raise _length_error(k4, y)
-    p = tuple([y0 + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
-               for y0, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k5 = rhs(p, u(p))
-    if len(k5) != n:
-        raise _length_error(k5, y)
-    p = tuple([y0 + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d
-                         + _A65 * e)
-               for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-    k6 = rhs(p, u(p))
-    if len(k6) != n:
-        raise _length_error(k6, y)
-    y_new = tuple([y0 + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d
-                             + _A75 * e + _A76 * f)
-                   for y0, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)])
-    u_new = u(y_new)
-    k7 = rhs(y_new, u_new)
-    if len(k7) != n:
-        raise _length_error(k7, y)
-    err = _rms([
-        h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e
-             + _E6 * f + _E7 * g)
-        / (atol + rtol * max(abs(y0), abs(y1)))
-        for y0, y1, a, b, c, d, e, f, g
-        in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)
-    ])
     return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
 
 

@@ -1,15 +1,17 @@
 """Adaptive explicit integration with event detection and fault capture.
 
 `integrate` is the one entry point.  It integrates an autonomous controlled
-field y' = rhs(y, u(y)) over a state of any length, and every state it
-builds or returns is a plain tuple of floats, whatever sequence the start
-is.  The `Trajectory` it returns keeps its points as float columns, an
-``array('d')`` each for the times, the controls and every state component,
-at 8 bytes a value: no point outlives the step that made it as a tuple of
-float objects.  The run fills the times and controls as it accepts steps,
-and the state components point after point in one more array, which it
-splits into columns once, at its end.  A trajectory's points are rebuilt as
-tuples only when ``states`` or ``final_state`` asks for them.
+field y' = rhs(y, u(y)) over a state of two or three components (a planar
+fast-slow system, or the blow-up's entry chart (r1, x1, eps1)), and every
+state it builds or returns is a plain tuple of floats, whatever sequence
+the start is.  The `Trajectory` it returns keeps its points as float
+columns, an ``array('d')`` each for the times, the controls and every state
+component, at 8 bytes a value: no point outlives the step that made it as a
+tuple of float objects.  The run fills the times and controls as it
+accepts steps, and the state components point after point in one more
+array, which it splits into columns once, at its end.  A trajectory's
+points are rebuilt as tuples only when ``states`` or ``final_state`` asks
+for them.
 
 The integrator is a Dormand-Prince 5(4) embedded pair with the matching
 quartic dense-output interpolant.  Its step-size control is written in PI
@@ -26,13 +28,10 @@ being hidden by an implicit solver.  ``min_step`` binds the first step too:
 the starting-step estimate, which the field alone picks, is raised to
 ``min_step`` when it falls below it, but never past the end of the span.
 
-Each step runs in one of three kernels of `dopri` with the same contract,
+Each step runs in one of two kernels of `dopri` with the same contract,
 which a run picks once, from the length of the start: ``_step_planar`` for
-two components, ``_step_3`` for three and ``_step_any`` for any other
-length.  The first two spell every stage sum, the 5th-order update and the
-error norm out term by term; ``_step_any`` runs the same sums as
-comprehensions.  All three add the same terms in the same order, so a state
-of two or three components gives the same bits through the generic kernel.
+two components and ``_step_3`` for three.  A start of any other length
+raises DomainError before the controller or the field is first called.
 
 The controller is evaluated once per field evaluation, and the engine keeps
 the values it needs.  The controls a trajectory records are the values from
@@ -66,7 +65,6 @@ from .dopri import (
     _length_error,
     _rms,
     _step_3,
-    _step_any,
     _step_planar,
 )
 from .errors import (
@@ -286,13 +284,13 @@ def _run(rhs, u, start, t_span, cfg, watchers):
     t, t1 = t_span
     if not (math.isfinite(t) and math.isfinite(t1) and t1 > t):
         raise DomainError(f"bad t_span {t_span!r}")
-    if not start:
-        raise DomainError("the state needs at least one component")
+    n = len(start)
+    if n != 2 and n != 3:
+        raise DomainError(f"the state needs 2 or 3 components, not {n}")
     for v in start:
         if not math.isfinite(v):
             raise DomainError(f"non-finite initial state {tuple(start)!r}")
-    n = len(start)
-    step = _step_planar if n == 2 else _step_3 if n == 3 else _step_any
+    step = _step_planar if n == 2 else _step_3
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     max_step, min_step, max_steps = cfg.max_step, cfg.min_step, cfg.max_steps
     inf = math.inf
@@ -410,14 +408,15 @@ def _run(rhs, u, start, t_span, cfg, watchers):
 def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     """Integrate the autonomous controlled field y' = rhs(y, u(y)).
 
-    The state may have any number of components, ``start`` any sequence of
+    The state has two or three components, ``start`` is any sequence of
     floats, and every state the run builds or returns (stage points,
     trajectory points rebuilt from its float columns, event states) is a
     plain tuple.  ``u(p) -> float`` is the feedback, called once per field
     evaluation, and ``rhs(p, u_value)`` returns the derivative as a
-    sequence in the order of the state.  An empty start, or a derivative
-    with another number of components than the state, at the start or at
-    any later evaluation, raises :class:`DomainError`; any other exception
+    sequence in the order of the state.  A start of any other length,
+    checked before ``u`` or ``rhs`` is first called, or a derivative with
+    another number of components than the state, at the start or at any
+    later evaluation, raises :class:`DomainError`; any other exception
     the field or the controller raises, an ``IntegrationError`` included,
     passes through unchanged, apart from the faults below.  The recorded
     controls are the values those calls returned: at the start state and,

@@ -601,33 +601,6 @@ _SHORT_RUNS = {"fold-fast": {"t_end": 5.0}, "fold-fast-hot": {"t_end": 5.0},
                "vdp-mmo": {"pattern": "1S:1.25:-0.01"}}
 
 
-def test_no_registered_experiment_runs_the_generic_step_kernel(
-        tmp_path, capsys, monkeypatch):
-    # states of two and three components have written-out kernels; the
-    # generic one is for every other length, which no runner integrates
-    def generic(*args):
-        raise AssertionError("a registered run reached sim._step_any")
-
-    used = set()
-
-    def counted(kernel):
-        def step(rhs, u, y, *rest):
-            used.add((name, len(y)))  # the experiment running now
-            return kernel(rhs, u, y, *rest)
-        return step
-
-    monkeypatch.setattr(sim, "_step_any", generic)
-    monkeypatch.setattr(sim, "_step_planar", counted(sim._step_planar))
-    monkeypatch.setattr(sim, "_step_3", counted(sim._step_3))
-    for name in sorted(cli._SPECS):
-        cfg = ExperimentConfig(name, _SHORT_RUNS.get(name, {}))
-        # k1-vdp ends as a fault when t_end comes before the exit section
-        assert run_experiment(cfg, tmp_path / name) == (
-            3 if name == "k1-vdp" else 0)
-    assert {name for name, _ in used} == set(cli._SPECS)
-    assert ("k1-vdp", 3) in used
-
-
 def test_no_registered_experiment_builds_the_states_view(
         tmp_path, capsys, monkeypatch):
     # the runners, the supervisor and the writers read a trajectory's
@@ -663,12 +636,54 @@ def test_fault_of_a_plain_comparison_run_is_only_recorded(
     assert "step-limit" in plain_statuses(m["results"])
 
 
+def _readme():
+    return (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_table(header):
+    """The body rows of the README table whose header row is ``header``,
+    each as its list of stripped cells."""
+    block = _readme().split(f"\n{header}\n", 1)[1].split("\n\n", 1)[0]
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in block.splitlines()[1:]]  # past the | --- | row
+
+
 def test_readme_lists_every_status_a_run_can_leave():
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("The `status` in `metrics.json` is `ok` or one of:")[1]
+    block = _readme().split("The `status` in `metrics.json` is `ok` or one of:")[1]
     listed = re.findall(r"^- `([a-z-]+)`:", block.split("\n\n")[1], re.M)
     assert sorted(listed) == sorted(
         {status for _, status in cli._FAULT_STATUS} | {"failed"})
+
+
+def test_readme_lists_every_registered_experiment():
+    rows = _readme_table("| id | what it shows |")
+    assert [row[0].strip("`") for row in rows] == list(cli._SPECS)
+
+
+def test_readme_keys_table_matches_the_specs():
+    groups = {"integrator": cli._INTEG_KEYS, "neighborhood": cli._NBHD_KEYS}
+    named = re.search(r"The integrator keys are (.*?) \(defaults.*?"
+                      r"the neighborhood keys are (.*?) \(defaults",
+                      " ".join(_readme().split()))
+    for group, text in zip(groups.values(), named.groups()):
+        assert tuple(re.findall(r"`([a-z_0-9]+)`", text)) == group
+    rows = _readme_table("| id | keys read, with defaults | optional keys | starts |")
+    assert [row[0].strip("`") for row in rows] == list(cli._SPECS)
+    for (name, keys, extras, starts), spec in zip(rows, cli._SPECS.values()):
+        defaults = []
+        for item in keys.split(", ") if keys != "none" else ():
+            key, value = item.split(" ", 1)
+            defaults.append((key, cli._KEYS[key][0](value.strip("`"))))
+        assert defaults == list(spec.defaults.items()), name
+        assert sum((groups[g] for g in extras.split(", ") if g != "none"),
+                   ()) == spec.extras, name
+        assert (None if starts == "any" else int(starts)) == spec.starts, name
+
+
+def test_readme_lists_the_override_flags_in_order():
+    flags = re.search(r"The override flags are `([^`]*)`", _readme())[1]
+    assert flags.split() == [
+        f"--{name}" for name, (_, flag) in cli._KEYS.items() if flag]
 
 
 def test_vdp_canard_hands_the_exact_segment_to_run_pattern(tmp_path, monkeypatch):

@@ -3,6 +3,8 @@
 import struct
 from array import array
 
+import pytest
+
 from canardctl.core import ScaledLevel
 from canardctl.cycles import _cycle_curve, reference_cycle
 
@@ -24,3 +26,16 @@ def test_reference_cycle_traced_once_per_exact_key():
         assert bits[-1] == [struct.pack("<2d", *p)
                             for p in zip(traced.xs, traced.ys)]
     assert bits[0] != bits[1]
+
+
+@pytest.mark.parametrize("level, eps, center", [
+    (ScaledLevel(0.25, 400), 0.01, 0.0),
+    (ScaledLevel(0, 0.0), 1.0, 0.0),
+    (ScaledLevel(0.0), 1, 0.0),
+    (ScaledLevel(0.0), 1.0, 0),
+], ids=["E", "h0", "eps", "center"])
+def test_an_int_shares_the_key_of_its_float(level, eps, center):
+    cycle = reference_cycle(level, eps, center)
+    floats = (float(level.h0), float(level.E), float(eps), float(center))
+    assert cycle == _cycle_curve(*floats)
+    assert reference_cycle(ScaledLevel(*floats[:2]), *floats[2:]) is cycle

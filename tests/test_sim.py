@@ -12,6 +12,13 @@ from hypothesis import strategies as st
 from canardctl import sim
 from canardctl.controllers import composite_u, default_neighborhoods, fast_u
 from canardctl.core import ControllerGains, PhasePoint, ScaledLevel, SystemParams
+from canardctl.dopri import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+    _A61, _A62, _A63, _A64, _A65, _A71, _A72, _A73, _A74, _A75, _A76,
+    _E1, _E2, _E3, _E4, _E5, _E6, _E7,
+    _length_error,
+    _rms,
+)
 from canardctl.errors import (
     DomainError,
     ExponentOverflowError,
@@ -33,13 +40,59 @@ from canardctl.sim import (
     _crossing,
     _locate,
     _step_3,
-    _step_any,
     _step_planar,
 )
 
 
 def _no_u(p):
     return 0.0
+
+
+# The reference of the two written-out kernels of `dopri`: the same sums, in
+# the same order, as comprehensions over a state of any length.
+def _step_any(rhs, u, y, k1, h, atol, rtol):
+    n = len(y)
+    p = tuple([y0 + h * (0.0 + _A21 * a)
+               for y0, a in zip(y, k1)])
+    k2 = rhs(p, u(p))
+    if len(k2) != n:
+        raise _length_error(k2, y)
+    p = tuple([y0 + h * (0.0 + _A31 * a + _A32 * b)
+               for y0, a, b in zip(y, k1, k2)])
+    k3 = rhs(p, u(p))
+    if len(k3) != n:
+        raise _length_error(k3, y)
+    p = tuple([y0 + h * (0.0 + _A41 * a + _A42 * b + _A43 * c)
+               for y0, a, b, c in zip(y, k1, k2, k3)])
+    k4 = rhs(p, u(p))
+    if len(k4) != n:
+        raise _length_error(k4, y)
+    p = tuple([y0 + h * (0.0 + _A51 * a + _A52 * b + _A53 * c + _A54 * d)
+               for y0, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k5 = rhs(p, u(p))
+    if len(k5) != n:
+        raise _length_error(k5, y)
+    p = tuple([y0 + h * (0.0 + _A61 * a + _A62 * b + _A63 * c + _A64 * d
+                         + _A65 * e)
+               for y0, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    k6 = rhs(p, u(p))
+    if len(k6) != n:
+        raise _length_error(k6, y)
+    y_new = tuple([y0 + h * (0.0 + _A71 * a + _A72 * b + _A73 * c + _A74 * d
+                             + _A75 * e + _A76 * f)
+                   for y0, a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5, k6)])
+    u_new = u(y_new)
+    k7 = rhs(y_new, u_new)
+    if len(k7) != n:
+        raise _length_error(k7, y)
+    err = _rms([
+        h * (0.0 + _E1 * a + _E2 * b + _E3 * c + _E4 * d + _E5 * e
+             + _E6 * f + _E7 * g)
+        / (atol + rtol * max(abs(y0), abs(y1)))
+        for y0, y1, a, b, c, d, e, f, g
+        in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7)
+    ])
+    return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
 
 
 def test_exponential_decay_accuracy():
@@ -252,28 +305,50 @@ def test_integrate_three_components():
     assert r == pytest.approx(math.sqrt(5.0), rel=1e-7)
 
 
+def _counted_decay(calls):
+    """Uncoupled decay, whose components keep equal bits, and a zero control,
+    both noting each call in ``calls``."""
+    def rhs(p, u):
+        calls.append("rhs")
+        return tuple(-v for v in p)
+
+    def u(p):
+        calls.append("u")
+        return 0.0
+    return rhs, u
+
+
 def test_run_picks_its_kernel_from_the_length_of_the_start(monkeypatch):
-    ran = []
-    for name in ("_step_planar", "_step_3", "_step_any"):
+    ran, calls = [], []
+    for name in ("_step_planar", "_step_3"):
         def step(*args, kernel=getattr(sim, name), name=name):
             ran.append(name)
             return kernel(*args)
         monkeypatch.setattr(sim, name, step)
-    for n, kernel in ((1, "_step_any"), (2, "_step_planar"), (3, "_step_3"),
-                      (4, "_step_any")):
+    rhs, u = _counted_decay(calls)
+    for n, kernel in ((2, "_step_planar"), (3, "_step_3")):
         ran.clear()
-        # uncoupled decay: the components of a state keep equal bits
-        traj = integrate(lambda p, u: tuple(-v for v in p), _no_u, (1.0,) * n,
-                         (0.0, 2.0))
+        traj = integrate(rhs, u, (1.0,) * n, (0.0, 2.0))
         assert set(ran) == {kernel}
         x = traj.final_state[0]
         assert traj.final_state == (x,) * n
         assert x == pytest.approx(math.exp(-2.0), rel=1e-7)
+    # no kernel takes another length: the run is refused before any call
+    ran.clear()
+    calls.clear()
+    for n in (1, 4):
+        with pytest.raises(DomainError,
+                           match=f"needs 2 or 3 components, not {n}$"):
+            integrate(rhs, u, (1.0,) * n, (0.0, 2.0))
+    assert ran == calls == []
 
 
 def test_empty_start_is_rejected():
-    with pytest.raises(DomainError, match="at least one component"):
-        integrate(lambda p, u: (), _no_u, (), (0.0, 1.0))
+    calls = []
+    rhs, u = _counted_decay(calls)
+    with pytest.raises(DomainError, match="needs 2 or 3 components, not 0$"):
+        integrate(rhs, u, (), (0.0, 1.0))
+    assert calls == []
 
 
 @pytest.mark.parametrize("start, slope", [
@@ -288,6 +363,7 @@ def test_field_of_another_length_is_rejected(start, slope):
         integrate(lambda p, u: slope, _no_u, start, (0.0, 1.0))
 
 
+# the reference kernel is held to the same rejection as the two it checks
 @pytest.mark.parametrize("length, stage, step, n", [
     pytest.param(length, stage, step, n, id=f"{length}-{stage}-{step.__name__}")
     for step, n in ((_step_planar, 2), (_step_any, 2), (_step_3, 3))
@@ -749,8 +825,8 @@ def test_locate_returns_first_point_past_a_monotone_crossing(theta_star, h, t_ol
 
 
 # -- step kernel agreement ---------------------------------------------------
-# The written-out planar step and the generic one must agree to the bit on
-# every two-component input, with non-finite slopes and signed zeros included.
+# The written-out kernels and ``_step_any`` must agree to the bit on every
+# input of their length, with non-finite slopes and signed zeros included.
 
 def _bits(value):
     """A value's exact bits: floats by their IEEE-754 encoding, sequences
