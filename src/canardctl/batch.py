@@ -11,7 +11,6 @@ from __future__ import annotations
 import mmap
 import os
 import sys
-import traceback
 from typing import Callable, List, Sequence
 
 # a write of at most 512 bytes into a pipe is atomic on every POSIX system
@@ -35,6 +34,8 @@ def _work(run: Callable[[int], int], rfd: int, wfd: int, shared: mmap.mmap,
             shared[i] = run(i) + 1
         status = 0
     except BaseException:
+        import traceback  # only a failed worker loads it
+
         traceback.print_exc()
         raise  # only as far as the os._exit below
     finally:

@@ -23,7 +23,6 @@ import math
 import os
 import random
 import sys
-import traceback
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
@@ -66,12 +65,7 @@ from .models import (
     zero_terms,
 )
 from .sim import IntegratorConfig, Trajectory, Watcher, convergence_metrics, integrate
-from .svgplot import (
-    CriticalManifold,
-    NeighborhoodShading,
-    emit_phase_svg,
-    emit_timeseries_svg,
-)
+from .svgplot import emit_phase_svg, emit_timeseries_svg
 from .verify import run_verification
 
 __all__ = ["ExperimentConfig", "run_experiment", "main"]
@@ -235,12 +229,14 @@ def _blocks(eff: Dict[str, object], *classes) -> tuple:
 class _Outcome:
     """What a run hands the artifact writer.
 
-    ``trajs`` are drawn in phase.svg.  ``fault`` is the exception that
-    ended the run, or None.  ``labels`` name the phase axes and the control.
+    ``trajs`` are drawn in phase.svg, behind them the ``overlays``: the
+    keywords of emit_phase_svg that draw the critical manifold, reference
+    cycle and neighbourhoods.  ``fault`` is the exception that ended the
+    run, or None.  ``labels`` name the phase axes and the control.
     """
 
     trajs: Sequence[Trajectory]
-    overlays: Sequence[object]
+    overlays: Dict[str, object]
     results: Dict[str, object]
     summary: str = ""
     labels: Tuple[str, str, str] = ("x", "y", "u")
@@ -321,14 +317,13 @@ def _write_outcome(cfg: ExperimentConfig, eff: Dict[str, object],
                                expected=out.fault.expected, got=out.fault.got)
     if primary is not None:
         _write_trajectory_csv(path["trajectory"], primary)
-        emit_phase_svg(out.trajs or [primary], out.overlays, path["phase"],
-                       x_label=x_label, y_label=y_label)
+        emit_phase_svg(out.trajs or [primary], path["phase"], x_label, y_label,
+                       **out.overlays)
         emit_timeseries_svg(primary, path["controller"], label=u_label)
     for name, traj in out.extra_csv.items():
         _write_trajectory_csv(outdir / name, traj)
     for name, trajs in out.extra_phase.items():
-        emit_phase_svg(trajs, out.overlays, outdir / name,
-                       x_label=x_label, y_label=y_label)
+        emit_phase_svg(trajs, outdir / name, x_label, y_label, **out.overlays)
     _write_metrics(path["metrics"], cfg, eff, out.results, status)
     return code
 
@@ -414,8 +409,8 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
     results["overflow_events"] = sum(
         len(traj.events_of("overflow-fault")) for traj in trajs)
     return _Outcome(
-        trajs, [CriticalManifold("fold"),
-                reference_cycle(level, params.eps, center)],
+        trajs, {"critical": "fold",
+                "cycle": reference_cycle(level, params.eps, center)},
         results,
         f"{cfg.experiment}: terminal residual "
         f"{results['residual_terminal']:.3g}, {len(hits)} section returns",
@@ -459,8 +454,8 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcom
         "plain": plain_block,
     }
     return _Outcome(
-        [comp, plain], [CriticalManifold("fold"),
-                        reference_cycle(level, params.eps)],
+        [comp, plain], {"critical": "fold",
+                        "cycle": reference_cycle(level, params.eps)},
         results,
         f"fold-fast-hot: compensated terminal residual "
         f"{results['compensated']['residual_terminal']:.3g}; "
@@ -546,7 +541,7 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
         extra_phase[_PLAIN_PHASE] = [traj for traj, _, _ in plain]
 
     return _Outcome(
-        [traj for traj, _, _ in runs], [reference_cycle(level, 1.0)],
+        [traj for traj, _, _ in runs], {"cycle": reference_cycle(level, 1.0)},
         results,
         f"{cfg.experiment}: worst terminal |H2 - h| = "
         f"{results['max_terminal_h_gap']:.3g} over {len(ics)} starts",
@@ -592,7 +587,7 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
                     f"grid point (r1={r1:.3g}, x1={x1:.3g}) never reached "
                     f"the exit section r1 = {dom.rho1}")
                 fault.trajectory = blown_down(traj)  # written as on success
-                return _Outcome((), (), {}, fault=fault)
+                return _Outcome((), {}, {}, fault=fault)
             exit_x1.append(hits[0].state[1])
             exit_t.append(hits[0].time)
             if len(blown) < 5:
@@ -608,7 +603,7 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
         "exit_times": exit_t,
     }
     return _Outcome(
-        blown, [CriticalManifold("vdp")], results,
+        blown, {"critical": "vdp"}, results,
         f"k1-vdp: exit x1 spread {spread1:.3g} "
         f"({100 * results['contraction_ratio']:.2f}% of initial)")
 
@@ -642,13 +637,13 @@ def _run_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
         "repeat": pattern.repeat,
     }
     return _Outcome(
-        [traj], [CriticalManifold("vdp"), NeighborhoodShading(nbhd)], results,
+        [traj], {"critical": "vdp", "nbhd": nbhd}, results,
         f"{cfg.experiment}: loops {labels}")
 
 
 def _run_verify(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     checks = [{"ok": ok, "line": line} for ok, line in run_verification()]
-    return _Outcome((), (), {"failures": sum(not c["ok"] for c in checks),
+    return _Outcome((), {}, {"failures": sum(not c["ok"] for c in checks),
                              "checks": checks})
 
 
@@ -715,7 +710,7 @@ def run_experiment(cfg: ExperimentConfig, outdir) -> int:
         try:
             out = spec.run(cfg, eff)
         except tuple(kind for kind, _ in _FAULT_STATUS) as exc:
-            out = _Outcome((), (), {}, fault=exc)
+            out = _Outcome((), {}, {}, fault=exc)
         code = _write_outcome(cfg, eff, out, outdir)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -741,6 +736,8 @@ def _run_one(job: Tuple[str, str, Dict[str, object]]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback  # only an internal error loads it
+
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5

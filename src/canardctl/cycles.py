@@ -3,7 +3,7 @@
 The fold runners draw the closed level curve their law stabilizes, and the
 central-chart runners the chart's level curve; every config of a batch
 draws the same few curves again, so each exact curve is traced once per
-process and its overlay kept, as two float columns of 8 bytes a value.
+process and kept as its x and y float columns, at 8 bytes a value.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import functools
 import math
 from array import array
 from typing import Callable, Tuple
-
-from .svgplot import ReferenceCycle
 
 __all__ = ["reference_cycle"]
 
@@ -42,9 +40,10 @@ _CYCLE_RUNGS = 240  # y levels a reference cycle is traced at
 
 
 def _cycle_curve(h0: float, E: float, eps: float,
-                 alpha: float = 0.0) -> ReferenceCycle:
-    """The overlay tracing {H = h}: xhat^2 = y + eps/2 - 2 eps h0 exp(2y/eps - E),
-    up its right arc, down its left arc and back to its first point.
+                 alpha: float = 0.0) -> Tuple[array, array]:
+    """The x and y columns tracing {H = h}:
+    xhat^2 = y + eps/2 - 2 eps h0 exp(2y/eps - E), up its right arc, down
+    its left arc and back to its first point.
 
     The same formula serves the central chart with eps = 1.  For the
     maximal canard (h = 0) the curve is the unbounded parabola, truncated
@@ -60,7 +59,18 @@ def _cycle_curve(h0: float, E: float, eps: float,
             return -math.inf
         return base - 2.0 * eps * h0 * math.exp(e)
 
-    y_bot = _bisect(sq, -0.5 * eps, 0.0) if sq(0.0) > 0.0 else -0.5 * eps
+    if h0 < 0.0:
+        # sq rises through 0 below -eps/2: step down until it is not positive
+        hi = lo = -0.5 * eps
+        while sq(lo) > 0.0:
+            hi, lo = lo, 2.0 * lo
+        y_bot = _bisect(sq, lo, hi)
+        while sq(y_bot) < 0.0:  # the lowest rung must lie on the curve
+            y_bot = math.nextafter(y_bot, 0.0)
+    elif sq(0.0) > 0.0:
+        y_bot = _bisect(sq, -0.5 * eps, 0.0)
+    else:
+        y_bot = -0.5 * eps
     if h0 > 0.0:
         hi = y_bot + eps
         while sq(hi) > 0.0 and hi < _Y_TOP_CAP:
@@ -77,22 +87,22 @@ def _cycle_curve(h0: float, E: float, eps: float,
         ys.append(y)
         rs.append(math.sqrt(s))
     right = [alpha + r for r in rs]
-    return ReferenceCycle(
-        array("d", right + [alpha - r for r in rs[::-1]] + right[:1]),
-        array("d", ys + ys[::-1] + ys[:1]))
+    return (array("d", right + [alpha - r for r in rs[::-1]] + right[:1]),
+            array("d", ys + ys[::-1] + ys[:1]))
 
 
 @functools.lru_cache(maxsize=32)
-def _cached_cycle(key: Tuple[str, str, str, str]) -> ReferenceCycle:
+def _cached_cycle(key: Tuple[str, str, str, str]) -> Tuple[array, array]:
     return _cycle_curve(*map(float.fromhex, key))
 
 
-def reference_cycle(level, eps: float, center: float = 0.0) -> ReferenceCycle:
-    """The overlay of the level curve {H = h} of the scaled level ``level``
-    (its ``h0`` and ``E``), centred on x = ``center``.
+def reference_cycle(level, eps: float,
+                    center: float = 0.0) -> Tuple[array, array]:
+    """The (xs, ys) columns of the level curve {H = h} of the scaled level
+    ``level`` (its ``h0`` and ``E``), centred on x = ``center``.
 
     Each exact (h0, E, eps, center) is traced once per process, and a call
-    with the same key returns the same overlay, which no caller changes;
+    with the same key returns the same tuple, which no caller changes;
     the cache key holds the bits of each value as a float, so -0.0 and 0.0
     stay apart and an int shares the key of its float.
     """

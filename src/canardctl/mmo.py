@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass, replace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .controllers import NeighborhoodParams, composite_u
+from .controllers import _UPPER_FOLD_Y, NeighborhoodParams, composite_u
 from .core import ControllerGains
 from .errors import ConfigError, IntegrationError, PatternDeviationError
 from .models import vdp_rhs
@@ -48,8 +48,6 @@ LAO_THRESHOLD = 2.2
 # generous wall-clock-free ceiling on one loop's duration at eps ~ 0.01;
 # a loop that has not closed within this horizon is reported, not awaited
 _LOOP_TIME_BUDGET = 2000.0
-
-_UPPER_FOLD_Y = 4.0 / 3.0
 
 # default entry point: on the attracting left branch, above the disc
 _DEFAULT_START = (-1.0, 0.6)
@@ -146,14 +144,6 @@ class MmoPattern:
         return ",".join(
             f"{s.count}{s.label[0]}:{float(s.y_h)!r}:{float(s.x_star)!r}"
             for s in self.segments)
-
-    def loop_schedule(self) -> List[MmoSegment]:
-        """Per-loop parameter list for one full repetition cycle."""
-        out: List[MmoSegment] = []
-        for seg in self.segments:
-            out.extend(MmoSegment(1, seg.label, seg.y_h, seg.x_star)
-                       for _ in range(seg.count))
-        return out
 
 
 def classify_loops(traj: Trajectory) -> List[LoopLabel]:

@@ -10,19 +10,9 @@ order.  Output is SVG 1.1 with nothing external referenced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .controllers import NeighborhoodParams
-from .sim import Trajectory
-
-__all__ = [
-    "CriticalManifold",
-    "ReferenceCycle",
-    "NeighborhoodShading",
-    "emit_phase_svg",
-    "emit_timeseries_svg",
-]
+__all__ = ["emit_phase_svg", "emit_timeseries_svg"]
 
 # canvas geometry, pixels
 _W, _H = 720, 540
@@ -33,35 +23,11 @@ _THIN_CAP = 4000  # most points a thinned polyline keeps
 _TRAJ_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b",
                 "#e377c2", "#17becf", "#bcbd22")
 
-
-@dataclass(frozen=True)
-class CriticalManifold:
-    """Dashed overlay y = x^2 (fold) or y = x^2 - x^3/3 (vdp)."""
-
-    system: str = "fold"
-
-    def curve(self, x: float) -> float:
-        if self.system == "fold":
-            return x * x
-        if self.system == "vdp":
-            return x * x - x ** 3 / 3.0
-        raise ValueError(f"unknown system {self.system!r}")
-
-
-@dataclass(frozen=True)
-class ReferenceCycle:
-    """Dashed overlay tracing a target periodic orbit, given as its x and y
-    float columns; an ``array('d')`` is kept as it is, not copied."""
-
-    xs: Sequence[float]
-    ys: Sequence[float]
-
-
-@dataclass(frozen=True)
-class NeighborhoodShading:
-    """Shaded controller-activation regions N1 (branch tube) and N2 (fold box)."""
-
-    nbhd: NeighborhoodParams
+# the critical manifold y = f(x) of each system a phase portrait can show
+_CRITICAL = {
+    "fold": lambda x: x * x,
+    "vdp": lambda x: x * x - x ** 3 / 3.0,
+}
 
 
 def _fmt(v: float) -> str:
@@ -217,7 +183,7 @@ def _emit_polyline(out: list[str], m: _Mapper, xs: Sequence[float],
         )
 
 
-def _n1_polygons(nbhd: NeighborhoodParams) -> list[Tuple[list, list]]:
+def _n1_polygons(nbhd) -> list[Tuple[list, list]]:
     """Branch-tube region as polygons between the clipped offset curves,
     each as its x and y columns."""
     xs = [i * 2.0 / 256 for i in range(257)]
@@ -247,7 +213,7 @@ def _n1_polygons(nbhd: NeighborhoodParams) -> list[Tuple[list, list]]:
     return polys
 
 
-def _n2_polygon(nbhd: NeighborhoodParams) -> Tuple[list, list]:
+def _n2_polygon(nbhd) -> Tuple[list, list]:
     xs = [-nbhd.x_min + i * (nbhd.x_max + nbhd.x_min) / 128 for i in range(129)]
     return (xs + xs[::-1], [x * x - nbhd.beta2 for x in xs]
             + [x * x + nbhd.beta2 for x in reversed(xs)])
@@ -294,59 +260,69 @@ def _axes(out: list[str], m: _Mapper, x_label: str, y_label: str) -> None:
                f'{_fmt((_MT + _H - _MB) / 2)})">{y_label}</text>')
 
 
-def emit_phase_svg(trajs: Sequence[Trajectory], overlays: Iterable, path,
-                   x_label: str = "x", y_label: str = "y") -> None:
-    """Write a phase portrait of one or more trajectories plus overlays.
-
-    Draw order is shading, grid/axes backdrop, dashed overlays, then the
-    trajectories, so the data always sits on top.
-    """
-    overlays = list(overlays)
-    # each trajectory's x and y columns; an empty trajectory has none
-    paths = [traj.columns[:2] or ((), ()) for traj in trajs]
-    bounds = _Bounds()
-    for xs, ys in paths:
-        bounds.add(xs, ys)
-    for ov in overlays:
-        if isinstance(ov, ReferenceCycle):
-            bounds.add(ov.xs, ov.ys)
-        elif isinstance(ov, NeighborhoodShading):
-            bounds.add((-ov.nbhd.x_min, 2.0), (0.0, ov.nbhd.y_h + ov.nbhd.beta1))
-    m = _Mapper(bounds.padded())
-
-    out: list[str] = []
-    _svg_head(out)
-    out.append('<g clip-path="url(#plot-area)">')
-    for ov in overlays:
-        if isinstance(ov, NeighborhoodShading):
-            for poly in _n1_polygons(ov.nbhd):
-                pts = _mapped(m, *poly)
-                out.append(f'<polygon class="region-n1" fill="#2ca02c" '
-                           f'fill-opacity="0.18" stroke="none" points="{pts}"/>')
-            pts = _mapped(m, *_n2_polygon(ov.nbhd))
-            out.append(f'<polygon class="region-n2" fill="#d62728" '
-                       f'fill-opacity="0.18" stroke="none" points="{pts}"/>')
-    out.append("</g>")
-    _axes(out, m, x_label, y_label)
-    out.append('<g clip-path="url(#plot-area)">')
-    for ov in overlays:
-        if isinstance(ov, CriticalManifold):
-            xs = [m.x_lo + i * (m.x_hi - m.x_lo) / 256 for i in range(257)]
-            _emit_polyline(out, m, xs, [ov.curve(x) for x in xs],
-                           "overlay-critical-manifold", "#808080", dashed=True)
-        elif isinstance(ov, ReferenceCycle):
-            _emit_polyline(out, m, ov.xs, ov.ys,
-                           "overlay-reference-cycle", "#808080", dashed=True)
-    for i, (xs, ys) in enumerate(paths):
-        _emit_polyline(out, m, _thin(xs), _thin(ys), "traj",
-                       _TRAJ_COLORS[i % len(_TRAJ_COLORS)])
+def _write(out: list[str], path) -> None:
+    """Close the plot area and the document, and write it to ``path``."""
     out.append("</g>")
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
 
 
-def emit_timeseries_svg(traj: Trajectory, path, label: str = "u") -> None:
+def emit_phase_svg(trajs: Sequence, path, x_label: str = "x",
+                   y_label: str = "y", critical: str | None = None,
+                   cycle: Tuple[Sequence[float], Sequence[float]] | None = None,
+                   nbhd=None) -> None:
+    """Write a phase portrait of one or more trajectories.
+
+    Behind them it can draw the critical manifold of ``critical`` ("fold"
+    or "vdp"), the reference cycle given as its ``(xs, ys)`` columns, and
+    the activation regions of the neighbourhoods ``nbhd`` (read for their
+    beta1, beta2, y_min, y_h, x_min and x_max).  Draw order is shading,
+    grid/axes backdrop, dashed overlays, then the trajectories, so the data
+    always sits on top.
+    """
+    if critical is not None and critical not in _CRITICAL:
+        raise ValueError(f"unknown system {critical!r}")
+    # each trajectory's x and y columns; an empty trajectory has none
+    paths = [traj.columns[:2] or ((), ()) for traj in trajs]
+    bounds = _Bounds()
+    for xs, ys in paths:
+        bounds.add(xs, ys)
+    if cycle is not None:
+        bounds.add(*cycle)
+    if nbhd is not None:
+        bounds.add((-nbhd.x_min, 2.0), (0.0, nbhd.y_h + nbhd.beta1))
+    m = _Mapper(bounds.padded())
+
+    out: list[str] = []
+    _svg_head(out)
+    out.append('<g clip-path="url(#plot-area)">')
+    if nbhd is not None:
+        for poly in _n1_polygons(nbhd):
+            pts = _mapped(m, *poly)
+            out.append(f'<polygon class="region-n1" fill="#2ca02c" '
+                       f'fill-opacity="0.18" stroke="none" points="{pts}"/>')
+        pts = _mapped(m, *_n2_polygon(nbhd))
+        out.append(f'<polygon class="region-n2" fill="#d62728" '
+                   f'fill-opacity="0.18" stroke="none" points="{pts}"/>')
+    out.append("</g>")
+    _axes(out, m, x_label, y_label)
+    out.append('<g clip-path="url(#plot-area)">')
+    if critical is not None:
+        f = _CRITICAL[critical]
+        xs = [m.x_lo + i * (m.x_hi - m.x_lo) / 256 for i in range(257)]
+        _emit_polyline(out, m, xs, [f(x) for x in xs],
+                       "overlay-critical-manifold", "#808080", dashed=True)
+    if cycle is not None:
+        _emit_polyline(out, m, *cycle,
+                       "overlay-reference-cycle", "#808080", dashed=True)
+    for i, (xs, ys) in enumerate(paths):
+        _emit_polyline(out, m, _thin(xs), _thin(ys), "traj",
+                       _TRAJ_COLORS[i % len(_TRAJ_COLORS)])
+    _write(out, path)
+
+
+def emit_timeseries_svg(traj, path, label: str = "u") -> None:
     """Write the control signal of a trajectory against time.
 
     Non-finite control samples (fault records) break the polyline instead
@@ -364,7 +340,4 @@ def emit_timeseries_svg(traj: Trajectory, path, label: str = "u") -> None:
     # both columns keep the same indices, so the kept pairs are whole samples
     _emit_polyline(out, m, _thin(traj.times), _thin(traj.controls),
                    "series", "#1f77b4")
-    out.append("</g>")
-    out.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    _write(out, path)

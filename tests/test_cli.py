@@ -895,7 +895,8 @@ class TestMain:
             f"rc = main(['run', {str(configs[0])!r}, {str(configs[1])!r}, "
             f"'--jobs', '2', '--out', {str(tmp_path / 'o')!r}])\n"
             "assert rc == 0, rc\n"
-            "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+            "loaded = {'multiprocessing', 'concurrent.futures', 'traceback'}"
+            " & set(sys.modules)\n"
             "assert not loaded, loaded\n")
         path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}

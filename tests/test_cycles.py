@@ -1,5 +1,6 @@
 """Tests for the reference cycles drawn behind fold and chart runs."""
 
+import math
 import struct
 from array import array
 
@@ -12,19 +13,19 @@ from canardctl.cycles import _cycle_curve, reference_cycle
 def test_reference_cycle_traced_once_per_exact_key():
     first = reference_cycle(ScaledLevel(0.25, 400.0), 0.01, -0.1)
     assert first == _cycle_curve(0.25, 400.0, 0.01, -0.1)
-    # the overlay is its two columns, at 8 bytes a value
-    assert type(first.xs) is array and type(first.ys) is array
-    assert len(first.xs) == len(first.ys) > 2
-    # an equal level is the same key: the cached overlay itself comes back
+    # the cycle is its two columns, at 8 bytes a value
+    xs, ys = first
+    assert type(xs) is array and type(ys) is array
+    assert len(xs) == len(ys) > 2
+    # an equal level is the same key: the cached tuple itself comes back
     assert reference_cycle(ScaledLevel(0.25, 400.0), 0.01, -0.1) is first
     # the key holds the bits, so the sign of a zero center is kept
     bits = []
     for center in (0.0, -0.0):
         cycle = reference_cycle(ScaledLevel(0.0), 1.0, center)
-        bits.append([struct.pack("<2d", *p) for p in zip(cycle.xs, cycle.ys)])
+        bits.append([struct.pack("<2d", *p) for p in zip(*cycle)])
         traced = _cycle_curve(0.0, 0.0, 1.0, center)
-        assert bits[-1] == [struct.pack("<2d", *p)
-                            for p in zip(traced.xs, traced.ys)]
+        assert bits[-1] == [struct.pack("<2d", *p) for p in zip(*traced)]
     assert bits[0] != bits[1]
 
 
@@ -39,3 +40,21 @@ def test_an_int_shares_the_key_of_its_float(level, eps, center):
     floats = (float(level.h0), float(level.E), float(eps), float(center))
     assert cycle == _cycle_curve(*floats)
     assert reference_cycle(ScaledLevel(*floats[:2]), *floats[2:]) is cycle
+
+
+@pytest.mark.parametrize("h0, E, eps, center", [
+    (-0.25, 400.0, 0.01, 0.0),
+    (-0.25, 0.0, 0.01, 0.0),
+    (-3.0, 2.0, 1.0, 0.5),
+    (-1e6, 0.0, 0.01, 0.0),
+], ids=["fold-fast", "E0", "chart", "deep"])
+def test_a_negative_level_closes_at_its_lowest_point(h0, E, eps, center):
+    # below the maximal canard the curve reaches under y = -eps/2, where its
+    # two arcs meet: xhat^2 = y + eps/2 - 2 eps h0 exp(2y/eps - E) is 0 there
+    xs, ys = _cycle_curve(h0, E, eps, center)
+    y_bot = min(ys)
+    assert y_bot <= -0.5 * eps
+    assert ys[0] == ys[-1] == y_bot
+    sq = y_bot + 0.5 * eps - 2.0 * eps * h0 * math.exp(2.0 * y_bot / eps - E)
+    assert abs(sq) < 1e-12 * eps
+    assert abs(xs[0] - center) < 1e-5

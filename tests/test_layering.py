@@ -26,8 +26,8 @@ _ALLOWED = {
     "controllers": {"core", "errors"},
     "dopri": {"errors"},
     "sim": {"core", "dopri", "errors"},
-    "svgplot": {"controllers", "sim"},
-    "cycles": {"svgplot"},
+    "svgplot": set(),
+    "cycles": set(),
     "mmo": {"controllers", "core", "errors", "models", "sim"},
     "verify": {"blowup", "controllers", "core", "errors", "mmo", "models",
                "sim"},

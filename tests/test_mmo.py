@@ -55,11 +55,6 @@ class TestPattern:
         assert wide.compact() == pat.compact()
         assert MmoPattern((MmoSegment(1, "LAO", 1, 1),)).compact() == "1L:1.0:1.0"
 
-    def test_loop_schedule_expansion(self):
-        pat = MmoPattern.parse("2L:0.75:0.01,1S:1.25:-0.01")
-        labels = [s.label for s in pat.loop_schedule()]
-        assert labels == ["LAO", "LAO", "SAO"]
-
     def test_head_rule_enforced(self):
         with pytest.raises(ConfigError):
             MmoPattern((MmoSegment(1, "SAO", 1.25, 0.01),))

@@ -23,9 +23,6 @@ from canardctl.controllers import default_neighborhoods
 from canardctl.core import PhasePoint
 from canardctl.sim import Trajectory
 from canardctl.svgplot import (
-    CriticalManifold,
-    NeighborhoodShading,
-    ReferenceCycle,
     _Bounds,
     _Mapper,
     _polyline_points,
@@ -52,7 +49,7 @@ def _classes(path, tag):
 class TestPhasePortrait:
     def test_fold_overlay_single_dashed_parabola(self, tmp_path):
         out = tmp_path / "fold.svg"
-        emit_phase_svg([_parabola_traj()], [CriticalManifold("fold")], out)
+        emit_phase_svg([_parabola_traj()], out, critical="fold")
         root = ET.parse(out).getroot()
         assert root.tag == f"{_NS}svg"
         assert root.get("version") == "1.1"
@@ -64,15 +61,14 @@ class TestPhasePortrait:
     def test_neighborhoods_shade_two_region_kinds(self, tmp_path):
         out = tmp_path / "vdp.svg"
         nbhd = default_neighborhoods(0.01, y_h=1.25)
-        emit_phase_svg([_parabola_traj()],
-                       [CriticalManifold("vdp"), NeighborhoodShading(nbhd)], out)
+        emit_phase_svg([_parabola_traj()], out, critical="vdp", nbhd=nbhd)
         cls = _classes(out, "polygon")
         assert "region-n1" in cls
         assert "region-n2" in cls
 
     def test_empty_overlays_trajectory_only(self, tmp_path):
         out = tmp_path / "bare.svg"
-        emit_phase_svg([_parabola_traj()], [], out)
+        emit_phase_svg([_parabola_traj()], out)
         polys = _classes(out, "polyline")
         assert polys == ["traj"]
         assert _classes(out, "polygon") == []
@@ -80,18 +76,23 @@ class TestPhasePortrait:
     def test_reference_cycle_overlay(self, tmp_path):
         out = tmp_path / "cycle.svg"
         angles = [2 * math.pi * i / 64 for i in range(65)]
-        ring = ReferenceCycle([math.cos(a) for a in angles],
-                              [math.sin(a) for a in angles])
-        emit_phase_svg([_parabola_traj()], [ring], out)
+        ring = ([math.cos(a) for a in angles], [math.sin(a) for a in angles])
+        emit_phase_svg([_parabola_traj()], out, cycle=ring)
         assert "overlay-reference-cycle" in _classes(out, "polyline")
 
     def test_multiple_trajectories_get_distinct_colors(self, tmp_path):
         out = tmp_path / "multi.svg"
-        emit_phase_svg([_parabola_traj(), _parabola_traj(40, -0.5, 0.5)], [], out)
+        emit_phase_svg([_parabola_traj(), _parabola_traj(40, -0.5, 0.5)], out)
         root = ET.parse(out).getroot()
         strokes = [el.get("stroke") for el in root.iter(f"{_NS}polyline")
                    if el.get("class") == "traj"]
         assert len(strokes) == 2 and strokes[0] != strokes[1]
+
+    def test_unknown_critical_manifold_rejected(self, tmp_path):
+        out = tmp_path / "bogus.svg"
+        with pytest.raises(ValueError, match="bogus"):
+            emit_phase_svg([_parabola_traj()], out, critical="bogus")
+        assert not out.exists()
 
     def test_empty_trajectory_rejected(self, tmp_path):
         empty = Trajectory((), (), ())
@@ -122,16 +123,16 @@ class TestTimeseries:
 class TestDeterminism:
     def test_identical_bytes_across_calls(self, tmp_path):
         nbhd = default_neighborhoods(0.01, y_h=1.25)
-        overlays = [CriticalManifold("vdp"), NeighborhoodShading(nbhd),
-                    ReferenceCycle((0.0, 1.0, 0.0), (0.0, 1.0, 0.0))]
+        overlays = {"critical": "vdp", "nbhd": nbhd,
+                    "cycle": ((0.0, 1.0, 0.0), (0.0, 1.0, 0.0))}
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        emit_phase_svg([_parabola_traj()], overlays, a)
-        emit_phase_svg([_parabola_traj()], overlays, b)
+        emit_phase_svg([_parabola_traj()], a, **overlays)
+        emit_phase_svg([_parabola_traj()], b, **overlays)
         assert a.read_bytes() == b.read_bytes()
 
     def test_no_timestamp_like_content(self, tmp_path):
         out = tmp_path / "c.svg"
-        emit_phase_svg([_parabola_traj()], [CriticalManifold("fold")], out)
+        emit_phase_svg([_parabola_traj()], out, critical="fold")
         text = out.read_text()
         assert "date" not in text.lower()
         assert text.endswith("</svg>\n")
@@ -142,7 +143,7 @@ class TestDeterminism:
         pts = tuple(PhasePoint(math.cos(t), math.sin(t)) for t in ts)
         traj = Trajectory(ts, pts, tuple(0.0 for _ in ts))
         out = tmp_path / "big.svg"
-        emit_phase_svg([traj], [], out)
+        emit_phase_svg([traj], out)
         root = ET.parse(out).getroot()
         counts = [len(el.get("points").split()) for el in root.iter(f"{_NS}polyline")
                   if el.get("class") == "traj"]
@@ -344,7 +345,7 @@ def test_phase_svg_matches_the_per_point_writer(tmp_path):
     ring = tuple((1.5 * math.cos(0.1 * i), 1.5 * math.sin(0.1 * i))
                  for i in range(64))
     out = tmp_path / "phase.svg"
-    emit_phase_svg([a, b], [ReferenceCycle(*zip(*ring))], out)
+    emit_phase_svg([a, b], out, cycle=tuple(zip(*ring)))
     ref = _ref_box((p[0], p[1]) for traj in (a, b) for p in traj.states)
     for x, y in ring:
         ref.add(x, y)
