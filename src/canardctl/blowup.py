@@ -19,9 +19,9 @@ sequence of eps values and extrapolated to eps = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
+from .core import _Record
 from .errors import DomainError, ExtrapolationError
 
 __all__ = [
@@ -56,19 +56,18 @@ class ChartPointK2(NamedTuple):
     mu2: float = 0.0
 
 
-@dataclass(frozen=True)
-class GermReport:
+class GermReport(_Record):
     """Extrapolated fold-germ data of a layer equation at the origin.
 
     ``passes`` is true iff |f0| < tol, |fx| < tol, |fxx| > tol and |fy| > tol,
     with tol = 1e-6.
     """
 
-    f0: float
-    fx: float
-    fxx: float
-    fy: float
-    passes: bool
+    __slots__ = _fields = ("f0", "fx", "fxx", "fy", "passes")
+
+    def __init__(self, f0: float, fx: float, fxx: float, fy: float,
+                 passes: bool):
+        super().__init__(f0, fx, fxx, fy, passes)
 
 
 def kappa12(cp: ChartPointK1) -> ChartPointK2:

@@ -23,7 +23,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -43,6 +42,7 @@ from .core import (
     PhasePoint,
     ScaledLevel,
     SystemParams,
+    _Record,
     eval_H2,
 )
 from .cycles import reference_cycle
@@ -108,34 +108,39 @@ def _as_float(value: float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+# default of a record's dict field: each record gets a new empty dict
+_NEW_DICT = object()
+
+
+class ExperimentConfig(_Record):
     """One experiment with its flattened parameter block."""
 
-    experiment: str
-    params: Dict[str, object] = field(default_factory=dict)
-    initial_conditions: Tuple[PhasePoint, ...] = ()
-    outputs: Dict[str, str] = field(default_factory=dict)
+    __slots__ = _fields = ("experiment", "params", "initial_conditions",
+                           "outputs")
 
-    def __post_init__(self):
-        spec = _SPECS.get(self.experiment) \
-            if isinstance(self.experiment, str) else None
+    def __init__(self, experiment: str,
+                 params: Dict[str, object] = _NEW_DICT,
+                 initial_conditions: Sequence[Sequence[float]] = (),
+                 outputs: Dict[str, str] = _NEW_DICT):
+        params = {} if params is _NEW_DICT else params
+        outputs = {} if outputs is _NEW_DICT else outputs
+        spec = _SPECS.get(experiment) if isinstance(experiment, str) else None
         if spec is None:
             raise ConfigError(
-                f"unknown experiment {self.experiment!r}; "
+                f"unknown experiment {experiment!r}; "
                 f"registered: {', '.join(sorted(_SPECS))}")
-        for section in ("params", "outputs"):
-            if not isinstance(getattr(self, section), dict):
+        for section, value in (("params", params), ("outputs", outputs)):
+            if not isinstance(value, dict):
                 raise ConfigError(f"{section} must be a JSON object")
-        if "h" in self.params:
+        if "h" in params:
             raise ConfigError(
                 "raw 'h' rejected: supply the level as (h0, E) with "
                 "h = h0*exp(-E); a literal h underflows silently")
         accepted = {*spec.defaults, *spec.extras}
-        for key, value in self.params.items():
+        for key, value in params.items():
             if key not in accepted:
                 raise ConfigError(
-                    f"unknown parameter {key!r} for {self.experiment}; "
+                    f"unknown parameter {key!r} for {experiment}; "
                     f"accepted: {', '.join(sorted(accepted)) or 'none'}")
             kind = _KEYS[key][0]
             if isinstance(value, bool) or not isinstance(
@@ -143,25 +148,23 @@ class ExperimentConfig:
                 raise ConfigError(f"parameter {key!r} must be {_KIND_NAMES[kind]}")
             if kind is float and not math.isfinite(_as_float(value)):
                 raise ConfigError(f"parameter {key!r} must be finite")
-        if not isinstance(self.initial_conditions, (list, tuple)):
+        if not isinstance(initial_conditions, (list, tuple)):
             raise ConfigError("initial_conditions must be a list of [x, y] pairs")
-        for p in self.initial_conditions:
+        for p in initial_conditions:
             if not (isinstance(p, (list, tuple)) and len(p) == 2 and all(
                     isinstance(v, (int, float)) and not isinstance(v, bool)
                     for v in p)):
                 raise ConfigError(
                     f"initial_conditions must be [x, y] pairs of numbers, got {p!r}")
-        object.__setattr__(
-            self, "initial_conditions",
-            tuple(PhasePoint(_as_float(p[0]), _as_float(p[1]))
-                  for p in self.initial_conditions))
-        for p in self.initial_conditions:
+        initial_conditions = tuple(PhasePoint(_as_float(p[0]), _as_float(p[1]))
+                                   for p in initial_conditions)
+        for p in initial_conditions:
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise ConfigError(f"non-finite initial condition {p!r}")
-        if spec.starts is not None and len(self.initial_conditions) > spec.starts:
-            raise ConfigError(f"{self.experiment} reads at most {spec.starts} initial "
-                              f"conditions, got {len(self.initial_conditions)}")
-        for key, value in self.outputs.items():
+        if spec.starts is not None and len(initial_conditions) > spec.starts:
+            raise ConfigError(f"{experiment} reads at most {spec.starts} initial "
+                              f"conditions, got {len(initial_conditions)}")
+        for key, value in outputs.items():
             if key not in _DEFAULT_OUTPUTS:
                 raise ConfigError(f"unknown output slot {key!r}")
             if not isinstance(value, str) or not value:
@@ -174,11 +177,12 @@ class ExperimentConfig:
                     f"output {key!r} may not be {value!r}: a run writes that "
                     f"file itself")
         named: Dict[str, str] = {}
-        for key, value in {**_DEFAULT_OUTPUTS, **self.outputs}.items():
+        for key, value in {**_DEFAULT_OUTPUTS, **outputs}.items():
             if value in named:
                 raise ConfigError(
                     f"outputs {named[value]!r} and {key!r} both name {value!r}")
             named[value] = key
+        super().__init__(experiment, params, initial_conditions, outputs)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -212,9 +216,8 @@ class ExperimentConfig:
 
 
 def _picked(cls, eff: Dict[str, object]) -> Dict[str, object]:
-    """The parameters that name fields of the dataclass ``cls``, typed."""
-    names = {f.name for f in fields(cls)}
-    return {k: _KEYS[k][0](v) for k, v in eff.items() if k in names}
+    """The parameters that name fields of the record class ``cls``, typed."""
+    return {k: _KEYS[k][0](v) for k, v in eff.items() if k in cls._fields}
 
 
 def _blocks(eff: Dict[str, object], *classes) -> tuple:
@@ -225,8 +228,7 @@ def _blocks(eff: Dict[str, object], *classes) -> tuple:
 
 # artifacts ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Outcome:
+class _Outcome(_Record):
     """What a run hands the artifact writer.
 
     ``trajs`` are drawn in phase.svg, behind them the ``overlays``: the
@@ -235,14 +237,19 @@ class _Outcome:
     run, or None.  ``labels`` name the phase axes and the control.
     """
 
-    trajs: Sequence[Trajectory]
-    overlays: Dict[str, object]
-    results: Dict[str, object]
-    summary: str = ""
-    labels: Tuple[str, str, str] = ("x", "y", "u")
-    extra_csv: Dict[str, Trajectory] = field(default_factory=dict)
-    extra_phase: Dict[str, Sequence[Trajectory]] = field(default_factory=dict)
-    fault: Optional[Exception] = None
+    __slots__ = _fields = ("trajs", "overlays", "results", "summary",
+                           "labels", "extra_csv", "extra_phase", "fault")
+
+    def __init__(self, trajs: Sequence[Trajectory], overlays: Dict[str, object],
+                 results: Dict[str, object], summary: str = "",
+                 labels: Tuple[str, str, str] = ("x", "y", "u"),
+                 extra_csv: Dict[str, Trajectory] = _NEW_DICT,
+                 extra_phase: Dict[str, Sequence[Trajectory]] = _NEW_DICT,
+                 fault: Optional[Exception] = None):
+        super().__init__(
+            trajs, overlays, results, summary, labels,
+            {} if extra_csv is _NEW_DICT else extra_csv,
+            {} if extra_phase is _NEW_DICT else extra_phase, fault)
 
 
 def _write_trajectory_csv(path, traj: Trajectory) -> None:
@@ -619,7 +626,7 @@ def _run_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
             (MmoSegment(3, "SAO" if x_star < 0 else "LAO", float(eff["y_h"]),
                         x_star),), repeat=int(eff["repeat"]))
     eps = float(eff["eps"])
-    nbhd = replace(default_neighborhoods(eps), **_picked(NeighborhoodParams, eff))
+    nbhd = default_neighborhoods(eps)._replace(**_picked(NeighborhoodParams, eff))
     # composite_u never reads c2; ControllerGains requires one
     gains = ControllerGains(c2=2.0, **_picked(ControllerGains, eff))
     integ = IntegratorConfig(**_picked(IntegratorConfig, eff))

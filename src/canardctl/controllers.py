@@ -20,7 +20,6 @@ point and a plain tuple give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence, Tuple
 
 from .core import (
@@ -28,6 +27,7 @@ from .core import (
     ControllerGains,
     ScaledLevel,
     SystemParams,
+    _Record,
     _require_eps,
     _require_finite,
     eval_H2,
@@ -63,8 +63,7 @@ _UPPER_FOLD_Y = 4.0 / 3.0
 _MAX_BAND = 0.15
 
 
-@dataclass(frozen=True)
-class NeighborhoodParams:
+class NeighborhoodParams(_Record):
     """Geometry of the two controller-activation neighborhoods.
 
     N1 tubes the repelling branch of the critical manifold between heights
@@ -74,43 +73,39 @@ class NeighborhoodParams:
     band on which the bump has already reached its plateau.
     """
 
-    beta1: float = 0.15
-    beta2: float = 0.15
-    x_min: float = 0.3
-    x_max: float = 0.3
-    y_min: float = 0.02
-    y_h: float = 1.25
-    inner_margin: float = 0.5
-    # each window's transition band, fixed by the fields above; set once here
-    # so that a bump evaluation does not recompute it
-    _band_n1_y: float = field(init=False, repr=False, compare=False)
-    _band_n1_g: float = field(init=False, repr=False, compare=False)
-    _band_n1_x: float = field(init=False, repr=False, compare=False)
-    _band_n2_x: float = field(init=False, repr=False, compare=False)
-    _band_n2_g: float = field(init=False, repr=False, compare=False)
+    _fields = ("beta1", "beta2", "x_min", "x_max", "y_min", "y_h",
+               "inner_margin")
+    # each window's transition band, fixed by the fields; set once here so
+    # that a bump evaluation does not recompute it
+    __slots__ = _fields + ("_band_n1_y", "_band_n1_g", "_band_n1_x",
+                           "_band_n2_x", "_band_n2_g")
 
-    def __post_init__(self):
-        _require_finite(beta1=self.beta1, beta2=self.beta2, x_min=self.x_min,
-                        x_max=self.x_max, y_min=self.y_min, y_h=self.y_h,
-                        inner_margin=self.inner_margin)
-        for name in ("beta1", "beta2", "x_min", "x_max", "y_min"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if not self.y_min < self.y_h:
+    def __init__(self, beta1: float = 0.15, beta2: float = 0.15,
+                 x_min: float = 0.3, x_max: float = 0.3, y_min: float = 0.02,
+                 y_h: float = 1.25, inner_margin: float = 0.5):
+        _require_finite(beta1=beta1, beta2=beta2, x_min=x_min, x_max=x_max,
+                        y_min=y_min, y_h=y_h, inner_margin=inner_margin)
+        for name, value in (("beta1", beta1), ("beta2", beta2),
+                            ("x_min", x_min), ("x_max", x_max),
+                            ("y_min", y_min)):
+            if value <= 0.0:
+                raise DomainError(f"{name} must be > 0, got {value!r}")
+        if not y_min < y_h:
             raise DomainError(
-                f"y_min < y_h required, got {self.y_min!r} >= {self.y_h!r}")
-        if self.y_h > _UPPER_FOLD_Y:
+                f"y_min < y_h required, got {y_min!r} >= {y_h!r}")
+        if y_h > _UPPER_FOLD_Y:
             raise DomainError(
-                f"y_h must not exceed {_UPPER_FOLD_Y!r}, got {self.y_h!r}")
-        if not 0.0 < self.inner_margin < 1.0:
+                f"y_h must not exceed {_UPPER_FOLD_Y!r}, got {y_h!r}")
+        if not 0.0 < inner_margin < 1.0:
             raise DomainError(
-                f"inner_margin must lie in (0, 1), got {self.inner_margin!r}")
-        m = self.inner_margin
-        for name, lo, hi in (("_band_n1_y", self.y_min, self.y_h),
-                             ("_band_n1_g", -self.beta1, self.beta1),
+                f"inner_margin must lie in (0, 1), got {inner_margin!r}")
+        super().__init__(beta1, beta2, x_min, x_max, y_min, y_h, inner_margin)
+        m = inner_margin
+        for name, lo, hi in (("_band_n1_y", y_min, y_h),
+                             ("_band_n1_g", -beta1, beta1),
                              ("_band_n1_x", 0.0, 2.0),
-                             ("_band_n2_x", -self.x_min, self.x_max),
-                             ("_band_n2_g", -self.beta2, self.beta2)):
+                             ("_band_n2_x", -x_min, x_max),
+                             ("_band_n2_g", -beta2, beta2)):
             object.__setattr__(self, name, _band(lo, hi, m))
 
 
@@ -129,8 +124,7 @@ def default_neighborhoods(eps: float, y_h: float = 1.25) -> NeighborhoodParams:
 _RHO1_MAX = 2.0 / math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class K1Domain:
+class K1Domain(_Record):
     """Entry-chart box and sections for the centre-manifold controller.
 
     The flow enters through {eps1 = delta1} and exits through {r1 = rho1};
@@ -138,24 +132,23 @@ class K1Domain:
     branch and radial extent rho1_tilde.
     """
 
-    rho1: float = 0.6
-    delta1: float = 0.1
-    sigma1: float = 0.1
-    rho1_tilde: float = 0.25
+    __slots__ = _fields = ("rho1", "delta1", "sigma1", "rho1_tilde")
 
-    def __post_init__(self):
-        _require_finite(rho1=self.rho1, delta1=self.delta1,
-                        sigma1=self.sigma1, rho1_tilde=self.rho1_tilde)
-        if not 0.0 < self.rho1 < _RHO1_MAX:
+    def __init__(self, rho1: float = 0.6, delta1: float = 0.1,
+                 sigma1: float = 0.1, rho1_tilde: float = 0.25):
+        _require_finite(rho1=rho1, delta1=delta1, sigma1=sigma1,
+                        rho1_tilde=rho1_tilde)
+        if not 0.0 < rho1 < _RHO1_MAX:
             raise DomainError(
-                f"rho1 must lie in (0, 2/sqrt(3)), got {self.rho1!r}")
-        if self.delta1 <= 0.0:
-            raise DomainError(f"delta1 must be > 0, got {self.delta1!r}")
-        if self.sigma1 <= 0.0:
-            raise DomainError(f"sigma1 must be > 0, got {self.sigma1!r}")
-        if not 0.0 < self.rho1_tilde < self.rho1:
+                f"rho1 must lie in (0, 2/sqrt(3)), got {rho1!r}")
+        if delta1 <= 0.0:
+            raise DomainError(f"delta1 must be > 0, got {delta1!r}")
+        if sigma1 <= 0.0:
+            raise DomainError(f"sigma1 must be > 0, got {sigma1!r}")
+        if not 0.0 < rho1_tilde < rho1:
             raise DomainError(
-                f"rho1_tilde must lie in (0, rho1), got {self.rho1_tilde!r}")
+                f"rho1_tilde must lie in (0, rho1), got {rho1_tilde!r}")
+        super().__init__(rho1, delta1, sigma1, rho1_tilde)
 
 
 def fast_u(p: Sequence[float], params: SystemParams, gains: ControllerGains,

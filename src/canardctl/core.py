@@ -24,7 +24,6 @@ forming H and h separately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, ExponentOverflowError
@@ -73,26 +72,75 @@ class PhasePoint(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
-class SystemParams:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A record lists its fields in ``_fields`` and holds them in
+    ``__slots__`` (which may add cached values that are not fields); its
+    ``__init__`` validates its arguments and hands the field values, in
+    order, to ``_Record.__init__``.  Equality, hash and repr read the
+    fields alone, as a frozen dataclass's do: a record equals only a
+    record of its own class with equal fields.  ``_replace`` builds a new
+    record through ``__init__``, so the changed fields are validated again.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self._values())),
+                             **changes})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return type(self).__qualname__ + "(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SystemParams(_Record):
     """Timescale separation eps and fold unfolding parameter alpha.
 
     eps = 0 is accepted so layer-problem and germ computations can share the
     container, but every evaluation routine requires eps > 0.
     """
 
-    eps: float
-    alpha: float = 0.0
+    __slots__ = _fields = ("eps", "alpha")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps >= 0.0):
-            raise DomainError(f"eps must be >= 0 and finite, got {self.eps!r}")
-        if not math.isfinite(self.alpha):
-            raise DomainError(f"alpha must be finite, got {self.alpha!r}")
+    def __init__(self, eps: float, alpha: float = 0.0):
+        if not (math.isfinite(eps) and eps >= 0.0):
+            raise DomainError(f"eps must be >= 0 and finite, got {eps!r}")
+        if not math.isfinite(alpha):
+            raise DomainError(f"alpha must be finite, got {alpha!r}")
+        super().__init__(eps, alpha)
 
 
-@dataclass(frozen=True)
-class ControllerGains:
+class ControllerGains(_Record):
     """Gain block shared by all controllers.
 
     c1 scales the level-stabilizing feedback, c2 shifts the exponential
@@ -101,24 +149,21 @@ class ControllerGains:
     signed offset selecting the jump direction.
     """
 
-    c1: float
-    c2: float
-    k1: float = 0.0
-    x_star: float = 0.0
+    __slots__ = _fields = ("c1", "c2", "k1", "x_star")
 
-    def __post_init__(self):
-        _require_finite(c1=self.c1, c2=self.c2, k1=self.k1,
-                        x_star=self.x_star)
-        if self.c1 <= 0.0:
-            raise DomainError(f"c1 must be > 0, got {self.c1!r}")
-        if self.k1 < 0.0:
-            raise DomainError(f"k1 must be >= 0, got {self.k1!r}")
-        if abs(self.x_star) >= 1.0:
-            raise DomainError(f"|x_star| must be < 1, got {self.x_star!r}")
+    def __init__(self, c1: float, c2: float, k1: float = 0.0,
+                 x_star: float = 0.0):
+        _require_finite(c1=c1, c2=c2, k1=k1, x_star=x_star)
+        if c1 <= 0.0:
+            raise DomainError(f"c1 must be > 0, got {c1!r}")
+        if k1 < 0.0:
+            raise DomainError(f"k1 must be >= 0, got {k1!r}")
+        if abs(x_star) >= 1.0:
+            raise DomainError(f"|x_star| must be < 1, got {x_star!r}")
+        super().__init__(c1, c2, k1, x_star)
 
 
-@dataclass(frozen=True)
-class ScaledLevel:
+class ScaledLevel(_Record):
     """Target level h = h0 * exp(-E), stored in log domain.
 
     E >= 0; the represented value must satisfy h <= 1/4 (the family of closed
@@ -126,17 +171,17 @@ class ScaledLevel:
     exactly as (0, 0).  Negative h0 (head-side levels) is admitted.
     """
 
-    h0: float
-    E: float = 0.0
+    __slots__ = _fields = ("h0", "E")
 
-    def __post_init__(self):
-        _require_finite(h0=self.h0, E=self.E)
-        if self.E < 0.0:
-            raise DomainError(f"E must be >= 0, got {self.E!r}")
-        if self.h0 > 0.0 and math.log(self.h0) - self.E > math.log(0.25) + 1e-12:
+    def __init__(self, h0: float, E: float = 0.0):
+        _require_finite(h0=h0, E=E)
+        if E < 0.0:
+            raise DomainError(f"E must be >= 0, got {E!r}")
+        if h0 > 0.0 and math.log(h0) - E > math.log(0.25) + 1e-12:
             raise DomainError(
-                f"level h0*exp(-E) = {self.h0!r}*exp(-{self.E!r}) exceeds 1/4"
+                f"level h0*exp(-E) = {h0!r}*exp(-{E!r}) exceeds 1/4"
             )
+        super().__init__(h0, E)
 
     @property
     def value(self) -> float:

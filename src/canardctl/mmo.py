@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass, replace
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .controllers import _UPPER_FOLD_Y, NeighborhoodParams, composite_u
-from .core import ControllerGains
+from .core import ControllerGains, _Record
 from .errors import ConfigError, IntegrationError, PatternDeviationError
 from .models import vdp_rhs
 from .sim import IntegratorConfig, Trajectory, Watcher, integrate
@@ -53,23 +52,20 @@ _LOOP_TIME_BUDGET = 2000.0
 _DEFAULT_START = (-1.0, 0.6)
 
 
-@dataclass(frozen=True)
-class LoopLabel:
+class LoopLabel(_Record):
     """Classification record for one completed loop."""
 
-    label: str
-    t_start: float
-    t_end: float
-    max_x: float
-    max_y: float
+    __slots__ = _fields = ("label", "t_start", "t_end", "max_x", "max_y")
 
-    def __post_init__(self):
-        if self.label not in ("SAO", "LAO"):
-            raise ConfigError(f"label must be 'SAO' or 'LAO', got {self.label!r}")
-        if not self.t_start < self.t_end:
+    def __init__(self, label: str, t_start: float, t_end: float,
+                 max_x: float, max_y: float):
+        if label not in ("SAO", "LAO"):
+            raise ConfigError(f"label must be 'SAO' or 'LAO', got {label!r}")
+        if not t_start < t_end:
             raise ConfigError(
                 f"loop interval must be increasing, got "
-                f"[{self.t_start!r}, {self.t_end!r}]")
+                f"[{t_start!r}, {t_end!r}]")
+        super().__init__(label, t_start, t_end, max_x, max_y)
 
 
 class MmoSegment(NamedTuple):
@@ -79,8 +75,7 @@ class MmoSegment(NamedTuple):
     x_star: float
 
 
-@dataclass(frozen=True)
-class MmoPattern:
+class MmoPattern(_Record):
     """Requested loop sequence, segment by segment.
 
     Each segment demands `count` loops of one kind at one canard height;
@@ -89,15 +84,13 @@ class MmoPattern:
     ``repeat`` times, an int >= 1.
     """
 
-    segments: Tuple[MmoSegment, ...]
-    repeat: int = 1
+    __slots__ = _fields = ("segments", "repeat")
 
-    def __post_init__(self):
-        if not self.segments:
+    def __init__(self, segments: Sequence[Sequence], repeat: int = 1):
+        if not segments:
             raise ConfigError("pattern needs at least one segment")
-        object.__setattr__(self, "segments", tuple(
-            MmoSegment(*s) for s in self.segments))
-        for seg in self.segments:
+        segments = tuple(MmoSegment(*s) for s in segments)
+        for seg in segments:
             if seg.count < 1:
                 raise ConfigError(f"segment count must be >= 1, got {seg.count!r}")
             if seg.label not in ("SAO", "LAO"):
@@ -115,8 +108,9 @@ class MmoPattern:
             if seg.label == "SAO" and seg.y_h >= _UPPER_FOLD_Y:
                 raise ConfigError(
                     f"SAO segments need y_h < 4/3, got {seg.y_h!r}")
-        if type(self.repeat) is not int or self.repeat < 1:
-            raise ConfigError(f"repeat must be an int >= 1, got {self.repeat!r}")
+        if type(repeat) is not int or repeat < 1:
+            raise ConfigError(f"repeat must be an int >= 1, got {repeat!r}")
+        super().__init__(segments, repeat)
 
     @classmethod
     def parse(cls, text: str, repeat: int = 1) -> "MmoPattern":
@@ -216,8 +210,8 @@ def run_pattern(
 
     def run_chunk(seg: MmoSegment, t0: float,
                   p0: Tuple[float, float]) -> Trajectory:
-        seg_gains = replace(gains, x_star=seg.x_star)
-        seg_nbhd = replace(nbhd, y_h=seg.y_h)
+        seg_gains = gains._replace(x_star=seg.x_star)
+        seg_nbhd = nbhd._replace(y_h=seg.y_h)
 
         # the closures look composite_u and vdp_rhs up at call time, so a
         # wrapper installed on this module sees every evaluation

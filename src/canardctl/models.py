@@ -23,10 +23,9 @@ into an ``overflow-fault``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import SystemParams
+from .core import SystemParams, _Record
 from .errors import DomainError
 
 __all__ = [
@@ -41,8 +40,7 @@ __all__ = [
 HotFn = Callable[[float, float, float, float], float]
 
 
-@dataclass(frozen=True)
-class HigherOrderTerms:
+class HigherOrderTerms(_Record):
     """Smooth slow remainder of the fold normal form.
 
     ``g_tilde`` takes (x, y, eps, alpha) and perturbs the slow equation.
@@ -51,8 +49,10 @@ class HigherOrderTerms:
     controllers consume it directly.
     """
 
-    g_tilde: HotFn
-    phi_hat: HotFn | None = None
+    __slots__ = _fields = ("g_tilde", "phi_hat")
+
+    def __init__(self, g_tilde: HotFn, phi_hat: HotFn | None = None):
+        super().__init__(g_tilde, phi_hat)
 
 
 def _zero(x: float, y: float, eps: float, alpha: float) -> float:
@@ -98,7 +98,10 @@ def fold_rhs(
         raise OverflowError(f"non-finite control value {u!r}")
     x, y = p
     eps, alpha = params.eps, params.alpha
-    gt = hot.g_tilde(x, y, eps, alpha)
+    g = hot.g_tilde
+    # zero_terms() adds the 0.0 _zero would return without calling it;
+    # adding it still turns a -0.0 into +0.0
+    gt = 0.0 if g is _zero else g(x, y, eps, alpha)
     if channel == "fast":
         return (-y + x * x + u, eps * (x - alpha + gt))
     if channel == "slow":

@@ -59,7 +59,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import ScaledLevel, eval_level_term
+from .core import ScaledLevel, _Record, eval_level_term
 from .dopri import (
     _interpolant,
     _length_error,
@@ -94,37 +94,38 @@ _FAC_MAX = 10.0  # largest allowed step growth ratio per step
 _EVENT_TIME_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(_Record):
     """Tolerances and step bounds of the embedded pair."""
 
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    max_step: float = 10.0
-    min_step: float = 1e-12
-    max_steps: int = 1_000_000
+    __slots__ = _fields = ("rel_tol", "abs_tol", "max_step", "min_step",
+                           "max_steps")
 
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_step", "min_step"):
-            v = getattr(self, name)
+    def __init__(self, rel_tol: float = 1e-8, abs_tol: float = 1e-10,
+                 max_step: float = 10.0, min_step: float = 1e-12,
+                 max_steps: int = 1_000_000):
+        for name, v in (("rel_tol", rel_tol), ("abs_tol", abs_tol),
+                        ("max_step", max_step), ("min_step", min_step)):
             if not (math.isfinite(v) and v > 0.0):
                 raise DomainError(f"{name} must be positive and finite, got {v!r}")
-        if self.min_step >= self.max_step:
+        if min_step >= max_step:
             raise DomainError("min_step must be smaller than max_step")
-        if self.max_steps <= 0:
+        if max_steps <= 0:
             raise DomainError("max_steps must be positive")
+        super().__init__(rel_tol, abs_tol, max_step, min_step, max_steps)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(_Record):
     """A localized occurrence along a trajectory."""
 
-    kind: str
-    time: float
-    state: tuple
-    direction: str
+    __slots__ = _fields = ("kind", "time", "state", "direction")
+
+    def __init__(self, kind: str, time: float, state: tuple, direction: str):
+        super().__init__(kind, time, state, direction)
 
 
+# the package's one dataclass, not a _Record: the benchmark's tracer
+# (perfbench/inproc.py) rebuilds each watcher with dataclasses.replace to
+# count the calls of its fn
 @dataclass(frozen=True)
 class Watcher:
     """Scalar event function watched for crossings at accepted steps.
@@ -449,14 +450,14 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     return traj
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(_Record):
     """Scaled-level residual along a trajectory and its convergence moment."""
 
-    initial: float
-    terminal: float
-    time_below: float | None
-    threshold: float
+    __slots__ = _fields = ("initial", "terminal", "time_below", "threshold")
+
+    def __init__(self, initial: float, terminal: float,
+                 time_below: float | None, threshold: float):
+        super().__init__(initial, terminal, time_below, threshold)
 
 
 def convergence_metrics(traj: Trajectory, eps: float,

@@ -29,7 +29,13 @@ from canardctl.cli import (
     _write_trajectory_csv,
 )
 from canardctl.core import PhasePoint
-from canardctl.errors import ConfigError, StepLimitError
+from canardctl.errors import (
+    ConfigError,
+    IntegrationError,
+    OverflowFaultError,
+    PatternDeviationError,
+    StepLimitError,
+)
 from canardctl.mmo import MmoPattern
 from canardctl.sim import Trajectory, integrate
 
@@ -386,20 +392,20 @@ _PINNED_ARTIFACTS = {
     "fold-fast": {
         "controller.svg": "cb552f3928f141bb1caabe97bae3d2ab2e320c53a516024c87362eb4600e2782",
         "metrics.json": "2c193ff4b1bf177365d8cc5e05b5978972704ce0a326cca6b6ba87ac06d6ae5d",
-        "phase.svg": "8f1f6ee6f1549e071236f3b9d90e1753db9c5114a28eff2f180ac827a6225093",
+        "phase.svg": "598da1b136676347a420eb0d40b42f8c1d952a3191df07ba549ddf937189fb5f",
         "trajectory.csv": "8fd0f69113d9c1e70732fea2ecc91fd0a186087b61b527b2edf938e666733837",
     },
     "fold-fast-hot": {
         "controller.svg": "6bfcb2c421bb929d467b581da9004cd1004c2f0421a73657e947104a4505b230",
         "metrics.json": "a7458d095079230eab6d6d1cde790397fa7e139afc47cb3bfb3de198a32f01ad",
-        "phase.svg": "d9acc989cb97975dabbe09c097cb04c3eb0c44ebade6737f9d908eaf3061eae5",
+        "phase.svg": "0b0c0296e238c3829eba08c625edba5a17e720e1268d129d4b35ed671913a11d",
         "plain.csv": "d579ee830fd80f652ce424e397684f0525d40d592d233f1d48fed3669c9b0c16",
         "trajectory.csv": "3ac218f90659be239afcf35835d41208a4cdcb8c8c47353f8391624f4846c76f",
     },
     "fold-slow": {
         "controller.svg": "a78c51883bb400defec33e5e6822776c461dd4a0557a874c42a347e32e3b2e04",
         "metrics.json": "b5f12ab88f6ecdb7acbd8855d4fb5c19046390d8273eb2039d255a3b698ca27a",
-        "phase.svg": "8ce053323515989da5d017af71d478fb312004cdbb04164c4aea1ced14ae95df",
+        "phase.svg": "65ddd98e80fcdf883c492502b8fd280ca66e34a829bb7866c94b63580faa1d3d",
         "trajectory.csv": "e557feafa10db5c15c9604137c5369e8f823fa25fb1cfb0c4992e58c13ff8a13",
     },
     "k2": {
@@ -684,6 +690,68 @@ def test_readme_lists_the_override_flags_in_order():
     flags = re.search(r"The override flags are `([^`]*)`", _readme())[1]
     assert flags.split() == [
         f"--{name}" for name, (_, flag) in cli._KEYS.items() if flag]
+
+
+def _readme_exit_codes(text):
+    """{code: meaning} from README's "Exit codes:" sentence."""
+    sentence = " ".join(text.split()).split("Exit codes: ", 1)[1]
+    sentence = sentence.split(". ", 1)[0]
+    return {int(code): meaning.strip() for code, meaning in
+            re.findall(r"(?:^|, )(\d+) ([^,(]+)", sentence)}
+
+
+def _program_exit_codes(tmp_path, monkeypatch):
+    """{meaning: code} as the CLI returns them."""
+    cfg = ExperimentConfig("k2")
+    tiny = Trajectory([0.0], [(0.0, 0.0)], [0.0])
+
+    def written(results=None, fault=None):
+        outdir = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+        outdir.mkdir()
+        return cli._write_outcome(
+            cfg, {}, cli._Outcome((), {}, results or {}, fault=fault), outdir)
+
+    def fault_of(kind):
+        if kind is PatternDeviationError:
+            return kind("LAO", "SAO", ())
+        if kind is OverflowFaultError:
+            return kind(tiny)
+        if issubclass(kind, IntegrationError):
+            return kind("fault", tiny)
+        return kind("fault")
+
+    codes = {status: written(fault=fault_of(kind))
+             for kind, status in cli._FAULT_STATUS}
+    integration = {c for s, c in codes.items() if s != "pattern-deviation"}
+    assert len(integration) == 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"experiment": "no-such-experiment"}))
+    good = _write_cfg(tmp_path / "good.json", "k2", t_end=1.0)
+
+    def broken(cfg, outdir):
+        raise RuntimeError("not a fault any exit code covers")
+
+    validation = cli._run_one((str(bad), str(tmp_path / "bad"), {}))
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    internal = cli._run_one((str(good), str(tmp_path / "good"), {}))
+    return {
+        "success": written(),
+        "failed `verify` checks": written(results={"failures": 1}),
+        "validation error": validation,
+        "integration fault": integration.pop(),
+        "pattern deviation": codes["pattern-deviation"],
+        "internal error": internal,
+    }
+
+
+def test_readme_exit_codes_match_the_program(tmp_path, capsys, monkeypatch):
+    listed = _readme_exit_codes(_readme())
+    program = _program_exit_codes(tmp_path, monkeypatch)
+    assert sorted(listed) == sorted(program.values()) == list(range(6))
+    for meaning, code in program.items():
+        assert listed[code].startswith(meaning), (code, listed[code])
+    assert program["success"] == cli._EXIT_CODES["ok"]
+    assert program["failed `verify` checks"] == cli._EXIT_CODES["failed"]
 
 
 def test_vdp_canard_hands_the_exact_segment_to_run_pattern(tmp_path, monkeypatch):

@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -376,8 +375,8 @@ class TestParamBlocks:
                 nb._band_n2_x, nb._band_n2_g) == (
             band(0.02, 0.12, 0.3), band(-0.1, 0.1, 0.3), band(0.0, 2.0, 0.3),
             band(-0.05, 0.3, 0.3), band(-0.4, 0.4, 0.3))
-        # replace() builds a new block, whose bands follow its own fields
-        moved = replace(nb, y_h=1.25)
+        # _replace() builds a new block, whose bands follow its own fields
+        moved = nb._replace(y_h=1.25)
         assert moved._band_n1_y == band(0.02, 1.25, 0.3)
         # the bands are derived, so equality, hashing and repr ignore them
         assert nb == NeighborhoodParams(beta1=0.1, beta2=0.4, x_min=0.05,

@@ -7,7 +7,7 @@ from array import array
 import pytest
 
 from canardctl.core import ScaledLevel
-from canardctl.cycles import _cycle_curve, reference_cycle
+from canardctl.cycles import _CYCLE_RUNGS, _cycle_curve, reference_cycle
 
 
 def test_reference_cycle_traced_once_per_exact_key():
@@ -58,3 +58,26 @@ def test_a_negative_level_closes_at_its_lowest_point(h0, E, eps, center):
     sq = y_bot + 0.5 * eps - 2.0 * eps * h0 * math.exp(2.0 * y_bot / eps - E)
     assert abs(sq) < 1e-12 * eps
     assert abs(xs[0] - center) < 1e-5
+
+
+@pytest.mark.parametrize("h0, E, eps, center", [
+    (0.05, 0.0, 1.0, 0.0),
+    (0.2, 3.0, 0.02, 0.0),
+    (0.1, 0.0, 0.01, -0.1),
+    (0.25, 400.0, 0.01, -0.1),
+    (0.25, 60.0, 0.01, -0.1),
+    (0.25, 400.0, 0.01, 0.0),
+], ids=["chart", "shallow", "E0", "fold-fast", "fold-slow", "fold-fast-hot"])
+def test_a_positive_level_keeps_every_rung_and_closes_at_both_ends(
+        h0, E, eps, center):
+    # a closed level meets its two arcs at its lowest and its highest point,
+    # where xhat^2 = y + eps/2 - 2 eps h0 exp(2y/eps - E) is 0; the rung at
+    # each end must lie on the curve, not just outside it
+    xs, ys = _cycle_curve(h0, E, eps, center)
+    rungs = _CYCLE_RUNGS + 1
+    assert len(xs) == len(ys) == 2 * rungs + 1
+    bottom, top = 0, rungs - 1
+    assert ys[bottom] == min(ys) and ys[top] == max(ys)
+    for i in (bottom, top, 2 * rungs - 1 - top, 2 * rungs - 1):
+        assert abs(xs[i] - center) < 1e-6
+    assert (xs[-1], ys[-1]) == (xs[0], ys[0])

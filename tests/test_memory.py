@@ -6,8 +6,12 @@ at most from one process to the next, so they are the memory gate.  Each
 budget is the measurement when it was set plus a stated margin.
 """
 
+import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,16 @@ _VDP_PLANT_PEAK = 1.3e6
 # 42 KB measured for a pattern of 10^5 loops that deviates on its first; a
 # list of its 10^5 segments, built before the first loop, peaked at 9.6 MB
 _LONG_PATTERN_PEAK = 2e6
+# ``import canardctl.cli`` in a fresh interpreter without the site module
+# (-S), so that the modules a site hook happens to load first do not hide
+# their cost; the package compiles from source unless a bytecode cache is
+# there, which only lowers the reading.  3,686,954-3,687,077 B held and
+# 4,653,714-4,653,837 B peak measured on Python 3.11.7, 50 KB margin each.
+# With frozen dataclasses for the package's records the import held
+# 3,798,254 B and peaked at 4,762,003 B.  With the site hook loaded first it
+# holds 1.82 MB and peaks at 2.80 MB (1.93 and 2.90 MB with the dataclasses).
+_CLI_IMPORT_HELD = 3.737e6
+_CLI_IMPORT_PEAK = 4.704e6
 
 
 def _traced(run):
@@ -96,3 +110,17 @@ def test_a_long_pattern_costs_nothing_per_loop_it_asks_for():
     err, _, peak = _traced(run)
     assert err.achieved == () and err.got == "SAO"
     assert peak <= _LONG_PATTERN_PEAK
+
+
+def test_importing_the_cli_stays_within_its_budget():
+    # -B: the run writes no bytecode cache that a later run would read
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = ("import json, tracemalloc\n"
+            "tracemalloc.start()\n"
+            "import canardctl.cli\n"
+            "print(json.dumps(tracemalloc.get_traced_memory()))\n")
+    out = subprocess.run([sys.executable, "-S", "-B", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    held, peak = json.loads(out)
+    assert held <= _CLI_IMPORT_HELD
+    assert peak <= _CLI_IMPORT_PEAK

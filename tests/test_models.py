@@ -1,6 +1,8 @@
 """Tests for the fold and van der Pol vector fields."""
 
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from canardctl.core import PhasePoint, SystemParams, eval_H
 from canardctl.errors import DomainError
 from canardctl.models import (
+    HigherOrderTerms,
+    _zero,
     fold_rhs,
     parabolic_shear_terms,
     quadratic_gap_phi2,
@@ -19,6 +23,34 @@ from canardctl.models import (
 def test_fold_rhs_plain():
     d = fold_rhs(PhasePoint(1.0, 0.0), SystemParams(0.1, 0.0), zero_terms(), 0.0)
     assert d == (1.0, 0.1)
+
+
+def test_zero_terms_give_the_bits_of_a_zero_remainder_call():
+    # fold_rhs adds zero_terms' 0.0 without calling _zero; a remainder that
+    # is another function object goes through the call and must agree to
+    # the bit, signed zeros included: -0.0 - 0.0 + 0.0 is +0.0
+    called = HigherOrderTerms(lambda x, y, eps, alpha: _zero(x, y, eps, alpha))
+    rng = random.Random(20261019)
+    cases = [(-0.0, 0.0, 0.0, -0.0), (-0.0, -0.0, 0.0, 0.0),
+             (0.0, 0.0, 0.0, -0.0), (0.25, 1.0, 0.25, -0.0),
+             (-0.0, 0.5, -0.0, 0.0), (1e-300, 0.0, 1e-300, 1e-300)]
+    cases += [(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 2.0),
+               rng.choice([0.0, -0.0, rng.uniform(-0.5, 0.5)]),
+               rng.choice([0.0, -0.0, rng.uniform(-3.0, 3.0)]))
+              for _ in range(500)]
+
+    def bits(v):
+        return struct.pack("<2d", *v)
+
+    for x, y, alpha, u in cases:
+        params = SystemParams(0.01, alpha)
+        for channel in ("fast", "slow"):
+            assert bits(fold_rhs((x, y), params, zero_terms(), u, channel)) == \
+                bits(fold_rhs((x, y), params, called, u, channel)), \
+                (x, y, alpha, u, channel)
+    # the -0.0 case comes out +0.0 on the slow component
+    d = fold_rhs((-0.0, 0.0), SystemParams(0.01, 0.0), zero_terms(), 0.0)
+    assert math.copysign(1.0, d[1]) == 1.0
 
 
 def test_fold_rhs_channels():

@@ -3,7 +3,6 @@
 import hashlib
 import math
 import struct
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -526,7 +525,7 @@ def _digest(times, states, controls, events):
 
 def _traj_digest(traj, point=tuple):
     return _digest(traj.times, map(point, traj.states), traj.controls,
-                   [replace(ev, state=point(ev.state)) for ev in traj.events])
+                   [ev._replace(state=point(ev.state)) for ev in traj.events])
 
 
 def _phase_digest(traj):
