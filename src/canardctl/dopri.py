@@ -6,12 +6,7 @@ Each spells every stage sum, the 5th-order update and the error norm out
 term by term.  The tests keep a generic kernel that runs the same sums as
 comprehensions over a state of any length, and check both kernels against
 it bit for bit.  `sim` picks the kernel once per run and owns the step-size
-control, events and faults.
-
-The pair is a module of its own because a process that writes no bytecode
-cache compiles every module at import, and the heap a large compile frees
-stays resident for the whole run.  Apart, neither this module nor `sim`
-needs more heap to compile than the CLI's own compile leaves free.
+control, events and faults; this module imports only `errors`.
 """
 
 from __future__ import annotations

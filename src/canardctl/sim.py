@@ -6,8 +6,7 @@ fast-slow system, or the blow-up's entry chart (r1, x1, eps1)), and every
 state it builds or returns is a plain tuple of floats, whatever sequence
 the start is.  The `Trajectory` it returns keeps its points as float
 columns, an ``array('d')`` each for the times, the controls and every state
-component, at 8 bytes a value: no point outlives the step that made it as a
-tuple of float objects.  The run fills the times and controls as it
+component, at 8 bytes a value.  The run fills the times and controls as it
 accepts steps, and the state components point after point in one more
 array, which it splits into columns once, at its end.  A trajectory's
 points are rebuilt as tuples only when ``states`` or ``final_state`` asks
