@@ -59,28 +59,35 @@ def _cycle_curve(h0: float, E: float, eps: float,
             return -math.inf
         return base - 2.0 * eps * h0 * math.exp(e)
 
-    # the bisections may return the float just outside the curve, where
-    # sq < 0 and the rung loop below would skip the end rung; each end
-    # steps inwards to the first float on the curve, so the two arcs meet
+    def inward(y: float, to: float) -> float:
+        # a bisection may return the float just outside the curve, where
+        # sq < 0 and the rung loop below would skip an end rung: step
+        # towards ``to``, a point inside, to the first float on the curve
+        while sq(y) < 0.0:
+            y = math.nextafter(y, to)
+        return y
+
     if h0 < 0.0:
         # sq rises through 0 below -eps/2: step down until it is not positive
         hi = lo = -0.5 * eps
         while sq(lo) > 0.0:
             hi, lo = lo, 2.0 * lo
-        y_bot = _bisect(sq, lo, hi)
+        y_bot = inward(_bisect(sq, lo, hi), hi)
     elif sq(0.0) > 0.0:
-        y_bot = _bisect(sq, -0.5 * eps, 0.0)
-    else:
+        y_bot = inward(_bisect(sq, -0.5 * eps, 0.0), 0.0)
+    else:  # h = 1/4: the cycle has shrunk to the point (0, 0)
         y_bot = -0.5 * eps
-    while sq(y_bot) < 0.0:
-        y_bot = math.nextafter(y_bot, math.inf)
     if h0 > 0.0:
         hi = y_bot + eps
         while sq(hi) > 0.0 and hi < _Y_TOP_CAP:
             hi = min(2.0 * hi + eps, _Y_TOP_CAP + 1.0)
-        y_top = _bisect(sq, y_bot + 0.25 * eps, hi) if sq(hi) <= 0.0 else _Y_TOP_CAP
-        while sq(y_top) < 0.0:
-            y_top = math.nextafter(y_top, -math.inf)
+        lo = y_bot + 0.25 * eps
+        if sq(hi) > 0.0:
+            y_top = _Y_TOP_CAP
+        elif sq(lo) > 0.0:
+            y_top = inward(_bisect(sq, lo, hi), lo)
+        else:  # a cycle under eps/4 high tops out below lo
+            y_top = _bisect(sq, lo, hi)
     else:
         y_top = _Y_TOP_CAP
     ys, rs = [], []

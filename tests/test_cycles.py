@@ -81,3 +81,13 @@ def test_a_positive_level_keeps_every_rung_and_closes_at_both_ends(
     for i in (bottom, top, 2 * rungs - 1 - top, 2 * rungs - 1):
         assert abs(xs[i] - center) < 1e-6
     assert (xs[-1], ys[-1]) == (xs[0], ys[0])
+
+
+@pytest.mark.parametrize("h0, E", [(0.25, 0.0), (0.25, 1e-13), (0.2499, 0.0)],
+                         ids=["cap", "cap-tolerance", "near-cap"])
+def test_a_level_at_the_cap_traces_a_closed_curve_at_the_fold(h0, E):
+    # at h = 1/4 the cycle has shrunk to the point (0, 0), where sq < 0
+    # almost everywhere: the end rungs must not walk in search of sq >= 0
+    xs, ys = _cycle_curve(h0, E, 0.01)
+    assert (xs[-1], ys[-1]) == (xs[0], ys[0])
+    assert max(map(abs, xs)) < 0.01 and max(map(abs, ys)) < 0.001

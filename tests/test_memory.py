@@ -34,8 +34,8 @@ _LONG_PATTERN_PEAK = 2e6
 # ``import canardctl.cli`` in a fresh interpreter without the site module
 # (-S), so that the modules a site hook happens to load first do not hide
 # their cost; the package compiles from source unless a bytecode cache is
-# there, which only lowers the reading.  3,686,954-3,687,077 B held and
-# 4,653,714-4,653,837 B peak measured on Python 3.11.7, 50 KB margin each.
+# there, which only lowers the reading.  3,687,353-3,687,836 B held and
+# 4,654,113-4,654,659 B peak measured on Python 3.11.7, 50 KB margin each.
 # With frozen dataclasses for the package's records the import held
 # 3,798,254 B and peaked at 4,762,003 B.  With the site hook loaded first it
 # holds 1.82 MB and peaks at 2.80 MB (1.93 and 2.90 MB with the dataclasses).
