@@ -394,8 +394,7 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
 
     # once per revolution: the cycle crosses the frame center moving right
     # on its lower arc
-    section = Watcher("section-crossing", lambda p: p[0] - center,
-                      direction="up")
+    section = Watcher("section-crossing", lambda p: p[0] - center)
     runs = [_guarded(rhs, u, ic, (0.0, float(eff["t_end"])), integ,
                      watchers=[section])
             for ic in ics]
@@ -403,9 +402,8 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
 
     primary = trajs[0]
     xs, ys = primary.columns
-    framed = Trajectory.from_columns(
-        primary.times, ([x - center for x in xs], ys),
-        primary.controls, primary.events)
+    framed = Trajectory(primary.times, ([x - center for x in xs], ys),
+                        primary.controls, primary.events)
     results: Dict[str, object] = _convergence_results(framed, params.eps, level)
     hits = primary.events_of("section-crossing")
     results["section_return_times"] = [ev.time for ev in hits]
@@ -564,7 +562,7 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     integ = IntegratorConfig(**_picked(IntegratorConfig, eff))
     dom = K1Domain()
     exit_section = Watcher("section-crossing", lambda s: s[0] - dom.rho1,
-                           direction="up", terminal=True)
+                           terminal=True)
 
     # the state is (r1, x1, eps1), the order k1_vdp_field reports it in
     def mu(s):
@@ -573,10 +571,9 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     def blown_down(traj: Trajectory) -> Trajectory:
         # (x, y, u) = (r1 x1, r1^2, r1^2 mu1)
         r1, x1 = traj.columns[:2]
-        return Trajectory.from_columns(
-            traj.times,
-            ([r * x for r, x in zip(r1, x1)], [r * r for r in r1]),
-            [r * r * m for r, m in zip(r1, traj.controls)])
+        return Trajectory(traj.times,
+                          ([r * x for r, x in zip(r1, x1)], [r * r for r in r1]),
+                          [r * r * m for r, m in zip(r1, traj.controls)])
 
     r1_grid = [0.05 + i * (dom.rho1_tilde - 0.05) / 4 for i in range(5)]
     exit_x1, exit_t, blown, x1_initial = [], [], [], []

@@ -56,7 +56,8 @@ def _cycle_curve(h0: float, E: float, eps: float,
             return base
         e = 2.0 * y / eps - E
         if e > 700.0:
-            return -math.inf
+            # the term left out, -2 eps h0 exp(e), has the sign of -h0
+            return math.inf if h0 < 0.0 else -math.inf
         return base - 2.0 * eps * h0 * math.exp(e)
 
     def inward(y: float, to: float) -> float:
@@ -82,12 +83,21 @@ def _cycle_curve(h0: float, E: float, eps: float,
         while sq(hi) > 0.0 and hi < _Y_TOP_CAP:
             hi = min(2.0 * hi + eps, _Y_TOP_CAP + 1.0)
         lo = y_bot + 0.25 * eps
+        # the widest rung, where sq(y_peak) = y_peak
+        y_peak = 0.5 * eps * (E - math.log(4.0 * h0))
         if sq(hi) > 0.0:
             y_top = _Y_TOP_CAP
         elif sq(lo) > 0.0:
             y_top = inward(_bisect(sq, lo, hi), lo)
-        else:  # a cycle under eps/4 high tops out below lo
+        elif sq(y_peak) > 0.0:  # a cycle under eps/4 high tops out below lo
+            y_top = inward(_bisect(sq, y_peak, lo), y_peak)
+        else:  # h = 1/4: no point inside to step towards
             y_top = _bisect(sq, lo, hi)
+    elif h0 < 0.0:
+        # the curve widens without bound: stop where it is as wide as the
+        # maximal canard at the cap
+        wide = _Y_TOP_CAP + 0.5 * eps
+        y_top = _bisect(lambda y: sq(y) - wide, y_bot, _Y_TOP_CAP)
     else:
         y_top = _Y_TOP_CAP
     ys, rs = [], []

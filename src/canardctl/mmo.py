@@ -206,7 +206,7 @@ def run_pattern(
         events.extend(traj.events)
 
     def stitched() -> Trajectory:
-        return Trajectory.from_columns(times, (xs, ys), controls, events)
+        return Trajectory(times, (xs, ys), controls, events)
 
     def run_chunk(seg: MmoSegment, t0: float,
                   p0: Tuple[float, float]) -> Trajectory:

@@ -22,7 +22,6 @@ into an ``overflow-fault``.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 from .core import SystemParams, _Record

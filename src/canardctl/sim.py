@@ -41,14 +41,14 @@ is evaluated again.  An OverflowError raised by the controller or the field
 run on a terminal ``overflow-fault`` event at the last accepted state and
 raises ``OverflowFaultError``; any other exception passes through.  Events
 requested through watchers are localized on the dense output by bisection
-to 1e-10 * max(1, |t|) in time.  After each accepted step one plain loop
-sweeps the watchers in order: it calls each watcher's ``fn`` once at the
-new state, keeps that value as the next step's starting value, and calls
-``_crossing`` only when the pair of values changed sign
-(g0 < 0 <= g1 or g0 > 0 >= g1), so a nan value never fires.  Apart from
-the start state and the bisection probes, no watcher is evaluated
-anywhere else.  Integration is deterministic: identical inputs produce
-bitwise-identical trajectories.
+to 1e-10 * max(1, |t|) in time.  Every watcher fires by one rule: where
+its ``fn`` rises through zero, from g0 < 0 to g1 >= 0, so a nan value
+never fires.  After each accepted step one plain loop sweeps the watchers
+in order: it calls each watcher's ``fn`` once at the new state and keeps
+that value as the next step's starting value.  Apart from the start state
+and the bisection probes, no watcher is evaluated anywhere else.
+Integration is deterministic: identical inputs produce bitwise-identical
+trajectories.
 """
 
 from __future__ import annotations
@@ -116,10 +116,10 @@ class IntegratorConfig(_Record):
 class Event(_Record):
     """A localized occurrence along a trajectory."""
 
-    __slots__ = _fields = ("kind", "time", "state", "direction")
+    __slots__ = _fields = ("kind", "time", "state")
 
-    def __init__(self, kind: str, time: float, state: tuple, direction: str):
-        super().__init__(kind, time, state, direction)
+    def __init__(self, kind: str, time: float, state: tuple):
+        super().__init__(kind, time, state)
 
 
 # the package's one dataclass, not a _Record: the benchmark's tracer
@@ -129,59 +129,40 @@ class Event(_Record):
 class Watcher:
     """Scalar event function watched for crossings at accepted steps.
 
-    kinds: ``section-crossing`` fires on sign changes of ``fn`` filtered by
-    ``direction`` (up / down / any); ``set-entry`` and ``set-exit`` expect an
-    inside-positive indicator and fire on entering / leaving; a
-    ``level-convergence`` watcher expects (threshold - |residual|) and fires
-    when it becomes nonnegative.  Terminal watchers truncate the trajectory
-    at the event.  An unknown kind or direction raises DomainError here.
+    A watcher of any kind fires where ``fn`` rises through zero, from below
+    zero to zero or above.  The kind names what the crossing means: a
+    ``section-crossing`` of a section function, a ``set-entry`` of an
+    inside-positive indicator, or a ``level-convergence`` of
+    (threshold - |residual|).  Terminal watchers truncate the trajectory at
+    the event.  An unknown kind raises DomainError here.
     """
 
     kind: str
     fn: Callable
-    direction: str = "any"
     terminal: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("section-crossing", "set-entry", "set-exit",
+        if self.kind not in ("section-crossing", "set-entry",
                              "level-convergence"):
             raise DomainError(f"unknown watcher kind {self.kind!r}")
-        if self.direction not in ("up", "down", "any"):
-            raise DomainError(f"unknown watcher direction {self.direction!r}")
 
 
 class Trajectory:
     """Accepted integration points, per-point control values, and events.
 
     The points are kept as float columns: ``times``, ``controls`` and, in
-    ``columns``, one ``array('d')`` per state component, so a stored point
-    costs 8 bytes a value and no object of its own.  ``Trajectory(times,
-    states, controls, events)`` takes point sequences; `from_columns` takes
-    the columns themselves and keeps the arrays it is given.  ``states``
-    and ``final_state`` are read-only views that rebuild plain tuples on
-    each call; ``states`` builds one tuple per point, so the package's own
-    readers use the columns.  A trajectory's attributes cannot be set.
+    ``columns``, one sequence of floats per state component, each stored as
+    an ``array('d')`` (an ``array('d')`` given is kept, not copied), so a
+    stored point costs 8 bytes a value and no object of its own.
+    ``states`` and ``final_state`` are read-only views that rebuild plain
+    tuples on each call; ``states`` builds one tuple per point, so the
+    package's own readers use the columns.  A trajectory's attributes
+    cannot be set.
     """
 
     __slots__ = ("times", "columns", "controls", "events")
 
-    def __init__(self, times, states, controls, events=()):
-        n = len(states[0]) if states else 0
-        if any(len(p) != n for p in states) or (states and not n):
-            raise DomainError("every state needs the same number of "
-                              "components, at least one")
-        self._set(times, [array("d", c) for c in zip(*states)], controls,
-                  events)
-
-    @classmethod
-    def from_columns(cls, times, columns, controls, events=()):
-        """A trajectory over ``columns``, one sequence of floats per state
-        component; an ``array('d')`` is kept as it is, not copied."""
-        traj = cls.__new__(cls)
-        traj._set(times, columns, controls, events)
-        return traj
-
-    def _set(self, times, columns, controls, events):
+    def __init__(self, times, columns, controls, events=()):
         times, controls, *columns = (
             v if type(v) is array and v.typecode == "d" else array("d", v)
             for v in (times, controls, *columns))
@@ -232,23 +213,6 @@ def _initial_step(rhs, u, y0, f0, span, cfg):
     return min(100.0 * h0, h1, span, cfg.max_step)
 
 
-def _crossing(kind: str, direction: str, g_old: float, g_new: float):
-    """Event direction string if (g_old, g_new) crosses, for a built Watcher's kind."""
-    up = g_old < 0.0 <= g_new
-    down = g_old > 0.0 >= g_new
-    if kind == "section-crossing":
-        if up and direction in ("up", "any"):
-            return "up"
-        if down and direction in ("down", "any"):
-            return "down"
-        return None
-    if kind == "set-entry":
-        return "enter" if up else None
-    if kind == "set-exit":
-        return "exit" if down else None
-    return "converged" if up else None  # level-convergence
-
-
 def _locate(crossed, h, t_old):
     """Bisect theta in (0, 1] for the first point past a dense-output crossing."""
     lo, hi = 0.0, 1.0
@@ -260,22 +224,6 @@ def _locate(crossed, h, t_old):
         else:
             lo = mid
     return hi
-
-
-def _located(crossings, dense, t, h):
-    """(theta, direction, watcher) for each crossing of an accepted step,
-    ordered by theta on the step's dense output."""
-    fired = []
-    for w, direction in crossings:
-        upward = direction in ("up", "enter", "converged")
-
-        def crossed(theta, w=w, upward=upward):
-            g = w.fn(dense(theta))
-            return g >= 0.0 if upward else g <= 0.0
-
-        fired.append((_locate(crossed, h, t), direction, w))
-    fired.sort(key=lambda f: f[0])
-    return fired
 
 
 def _run(rhs, u, start, t_span, cfg, watchers):
@@ -305,7 +253,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
             raise _length_error(f_now, y)
         h = _initial_step(rhs, u, y, f_now, t1 - t, cfg)
     except OverflowError:
-        events.append(Event("overflow-fault", t, y, "fault"))
+        events.append(Event("overflow-fault", t, y))
         return times, values, controls, events, "overflow-fault"
     if not h > min_step:
         # the first step obeys min_step like every later one, within the span
@@ -333,7 +281,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
             # control found there is the one the new point records
             y_new, u_new, ks, err = step(rhs, u, y, f_now, h, atol, rtol)
         except OverflowError:
-            events.append(Event("overflow-fault", t, y, "fault"))
+            events.append(Event("overflow-fault", t, y))
             status = "overflow-fault"
             break
         nsteps += 1
@@ -352,22 +300,24 @@ def _run(rhs, u, start, t_span, cfg, watchers):
         # accepted: each watcher's value at y_new serves this step's sweep
         # and the next one's start
         if watchers:
-            crossings = None
+            crossed = None
             for i, w in enumerate(watchers):
                 g0 = g_now[i]
                 g_now[i] = g1 = w.fn(y_new)
-                if g0 < 0.0 <= g1 or g0 > 0.0 >= g1:
-                    direction = _crossing(w.kind, w.direction, g0, g1)
-                    if direction:
-                        if crossings is None:
-                            crossings = []
-                        crossings.append((w, direction))
-            if crossings:
+                if g0 < 0.0 <= g1:
+                    if crossed is None:
+                        crossed = []
+                    crossed.append(w)
+            if crossed:
                 dense = _interpolant(h, y, y_new, ks)
-                fired = _located(crossings, dense, t, h)
-                stop = next((th for th, _, w in fired if w.terminal), None)
-                events.extend(Event(w.kind, t + th * h, dense(th), dr)
-                              for th, dr, w in fired if stop is None or th <= stop)
+                # theta of each crossing on the dense output, in time order;
+                # the sort is stable, so ties keep the watchers' order
+                fired = sorted(
+                    ((_locate(lambda th: w.fn(dense(th)) >= 0.0, h, t), w)
+                     for w in crossed), key=lambda f: f[0])
+                stop = next((th for th, w in fired if w.terminal), None)
+                events.extend(Event(w.kind, t + th * h, dense(th))
+                              for th, w in fired if stop is None or th <= stop)
                 if stop is not None:
                     # a dense-output state: no stage ran there, so evaluate u
                     y = dense(stop)
@@ -434,8 +384,8 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     times, values, controls, events, status = _run(
         rhs, u, start, t_span, cfg, tuple(watchers))
     n = len(start)
-    traj = Trajectory.from_columns(
-        times, [values[i::n] for i in range(n)], controls, events)
+    traj = Trajectory(times, [values[i::n] for i in range(n)], controls,
+                      events)
     if status == "overflow-fault":
         raise OverflowFaultError(traj)
     if status == "step-underflow":

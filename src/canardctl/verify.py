@@ -20,7 +20,6 @@ from .blowup import (
     kappa21,
 )
 from .controllers import (
-    NeighborhoodParams,
     bump_psi,
     composite_u,
     default_neighborhoods,

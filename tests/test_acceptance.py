@@ -151,15 +151,13 @@ def _fold_cycle_run(channel, params, gains, level, start, t_end, center):
             return fast_u(p, params, gains, level)
         return slow_u(p, params, gains, level)
 
-    section = Watcher("section-crossing", lambda p: p[0] - center,
-                      direction="up")
+    section = Watcher("section-crossing", lambda p: p[0] - center)
     traj = integrate(
         lambda p, uval: fold_rhs(p, params, zero_terms(), uval, channel=channel),
         u, start, (0.0, t_end), watchers=[section])
-    framed = Trajectory(
-        traj.times,
-        tuple(PhasePoint(p[0] - center, p[1]) for p in traj.states),
-        traj.controls, traj.events)
+    xs, ys = traj.columns
+    framed = Trajectory(traj.times, ([x - center for x in xs], ys),
+                        traj.controls, traj.events)
     return traj, convergence_metrics(framed, params.eps, level)
 
 
@@ -199,8 +197,7 @@ def test_a05_maximal_canard_tracking_bounded_control():
     def u(p) -> float:
         return fast_u(p, params, gains, level)
 
-    top = Watcher("section-crossing", lambda p: p[1] - 1.2,
-                  direction="up", terminal=True)
+    top = Watcher("section-crossing", lambda p: p[1] - 1.2, terminal=True)
     traj = integrate(
         lambda p, uval: fold_rhs(p, params, zero_terms(), uval),
         u, PhasePoint(0.2, 0.3), (0.0, 700.0), watchers=[top])

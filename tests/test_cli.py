@@ -226,7 +226,7 @@ class TestTrajectoryCsv:
                PhasePoint(-1.5e208, math.sqrt(2.0)))
         us = (7.0, -1.0 / 7.0, 0.0)
         path = tmp_path / "trajectory.csv"
-        _write_trajectory_csv(path, Trajectory(ts, pts, us))
+        _write_trajectory_csv(path, Trajectory(ts, zip(*pts), us))
         rows = read_trajectory_csv(path)
         assert rows == tuple(
             (t, p.x, p.y, u) for t, p, u in zip(ts, pts, us))
@@ -245,7 +245,7 @@ class TestTrajectoryCsv:
                       for i in range(n))
         us = tuple(specials[(i + 13) % n] for i in range(n))
         for states in (pts, plain):
-            traj = Trajectory(ts, states, us)
+            traj = Trajectory(ts, zip(*states), us)
             path = tmp_path / "trajectory.csv"
             _write_trajectory_csv(path, traj)
             buf = io.StringIO()
@@ -545,6 +545,18 @@ def test_fold_overflow_exits_3_and_keeps_the_fold_results(tmp_path, capsys,
         assert math.isnan(rows[0][3]) and len(rows) == 1
 
 
+def test_fold_below_the_maximal_canard_frames_its_phase_plot(tmp_path, capsys):
+    # the reference cycle of a negative level stops at the width of the
+    # maximal canard, so the plot is framed around the run, not around a
+    # curve 1e20 wide
+    cfg = ExperimentConfig("fold-fast", {"h0": -0.25, "E": 400.0, "t_end": 50.0})
+    assert run_experiment(cfg, tmp_path) == 0
+    svg = (tmp_path / "phase.svg").read_text()
+    x_ticks = [float(t) for t in re.findall(
+        r'text-anchor="middle">(-?[0-9.e+-]+)</text>', svg)]
+    assert x_ticks and max(map(abs, x_ticks)) <= 10.0
+
+
 # each config stops at the fault named; the first start of the fold-fast
 # case runs to t_end and its second stops at once, as does vdp-canard at
 # x = 1e120, whose x**3 overflows in the controller and the field
@@ -703,7 +715,7 @@ def _readme_exit_codes(text):
 def _program_exit_codes(tmp_path, monkeypatch):
     """{meaning: code} as the CLI returns them."""
     cfg = ExperimentConfig("k2")
-    tiny = Trajectory([0.0], [(0.0, 0.0)], [0.0])
+    tiny = Trajectory([0.0], ([0.0], [0.0]), [0.0])
 
     def written(results=None, fault=None):
         outdir = tmp_path / f"out{len(list(tmp_path.iterdir()))}"

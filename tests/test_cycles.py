@@ -60,6 +60,18 @@ def test_a_negative_level_closes_at_its_lowest_point(h0, E, eps, center):
     assert abs(xs[0] - center) < 1e-5
 
 
+@pytest.mark.parametrize("eps", [0.01, 0.001])
+def test_a_negative_level_stops_as_wide_as_the_maximal_canard_at_the_cap(eps):
+    # below the maximal canard the curve widens without bound as y rises:
+    # every rung is kept up to where its half-width reaches the parabola's
+    # at the cap, sqrt(2.5 + eps/2) < 1.59, not where exp(2y/eps - E)
+    # overflows
+    xs, ys = _cycle_curve(-0.25, 400.0, eps)
+    assert len(xs) == len(ys) == 2 * (_CYCLE_RUNGS + 1) + 1
+    assert max(map(abs, xs)) <= 1.59
+    assert max(map(abs, xs)) == pytest.approx(math.sqrt(2.5 + 0.5 * eps))
+
+
 @pytest.mark.parametrize("h0, E, eps, center", [
     (0.05, 0.0, 1.0, 0.0),
     (0.2, 3.0, 0.02, 0.0),
@@ -91,3 +103,6 @@ def test_a_level_at_the_cap_traces_a_closed_curve_at_the_fold(h0, E):
     xs, ys = _cycle_curve(h0, E, 0.01)
     assert (xs[-1], ys[-1]) == (xs[0], ys[0])
     assert max(map(abs, xs)) < 0.01 and max(map(abs, ys)) < 0.001
+    if h0 < 0.25:
+        # a cycle under eps/4 high still keeps every rung
+        assert len(xs) == 2 * (_CYCLE_RUNGS + 1) + 1

@@ -3,7 +3,8 @@
 The control laws are closed-form functions of the state: they build on the
 conserved quantity and the error types alone, never on the charts, the
 models or the integrator.  The package namespace re-exports nothing, and
-``cli`` sits at the top, where no other module imports it.
+``cli`` sits at the top, where no other module imports it.  No module
+imports a name it never reads.
 """
 
 import ast
@@ -66,3 +67,21 @@ def test_module_imports_only_lower_layers(module):
 def test_every_module_has_a_layer():
     assert {p.stem for p in _PACKAGE.glob("*.py")} == set(_ALLOWED)
 
+
+def _unused_imports(module):
+    """Names ``module`` imports that no expression of it reads."""
+    tree = ast.parse((_PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+@pytest.mark.parametrize("module", sorted(_ALLOWED))
+def test_module_uses_every_name_it_imports(module):
+    assert _unused_imports(module) == set()

@@ -60,8 +60,7 @@ def test_a_long_planar_run_holds_few_bytes_per_point():
     gains = ControllerGains(1.0, 2.0)
     level = ScaledLevel(0.25, 400.0)
     hot = zero_terms()
-    section = Watcher("section-crossing", lambda p: p[0] - params.alpha,
-                      direction="up")
+    section = Watcher("section-crossing", lambda p: p[0] - params.alpha)
     traj, held, _ = _traced(lambda: integrate(
         lambda p, u: fold_rhs(p, params, hot, u, "fast"),
         lambda p: fast_u(p, params, gains, level),

@@ -93,7 +93,7 @@ class TestClassifier:
             PhasePoint(cx + r * math.cos(2 * math.pi * t + ang + math.pi),
                        cy + r * math.sin(2 * math.pi * t + ang + math.pi))
             for t in ts)
-        traj = Trajectory(tuple(float(t) for t in ts), states,
+        traj = Trajectory(tuple(float(t) for t in ts), zip(*states),
                           tuple(0.0 for _ in ts))
         loops = classify_loops(traj)
         assert len(loops) == 2

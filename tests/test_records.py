@@ -63,10 +63,9 @@ _CASES = {
         "min_step=1e-12, max_steps=500)",
         {"min_step": 20.0}, DomainError),
     "Event": (
-        Event("section-crossing", 1.5, (0.25, -0.5), "up"),
-        "Event(kind='section-crossing', time=1.5, state=(0.25, -0.5), "
-        "direction='up')",
-        {"terminal": True}, TypeError),
+        Event("section-crossing", 1.5, (0.25, -0.5)),
+        "Event(kind='section-crossing', time=1.5, state=(0.25, -0.5))",
+        {"direction": "up"}, TypeError),
     "ConvergenceReport": (
         ConvergenceReport(1.0, 1e-4, None, 1e-3),
         "ConvergenceReport(initial=1.0, terminal=0.0001, time_below=None, "

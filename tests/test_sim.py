@@ -36,7 +36,6 @@ from canardctl.sim import (
     Watcher,
     convergence_metrics,
     integrate,
-    _crossing,
     _locate,
     _step_3,
     _step_planar,
@@ -107,20 +106,26 @@ def test_exponential_decay_accuracy():
 
 
 def test_harmonic_oscillator_section_events():
-    # x'' = -x from (1, 0): x = cos t, zero down-crossings at pi/2 + 2k pi
-    traj = integrate(
-        lambda p, u: (p[1], -p[0]),
-        _no_u,
-        PhasePoint(1.0, 0.0),
-        (0.0, 10.0),
-        IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12),
-        watchers=[Watcher("section-crossing", lambda p: p[0], "down")],
-    )
-    downs = traj.events_of("section-crossing")
+    # x'' = -x from (1, 0): x = cos t falls through zero at pi/2 + 2k pi and
+    # rises through it at 3 pi/2 + 2k pi; a watcher fires on rises alone, so
+    # the falling crossings of x show up as rises of -x
+    def run(fn):
+        return integrate(
+            lambda p, u: (p[1], -p[0]),
+            _no_u,
+            PhasePoint(1.0, 0.0),
+            (0.0, 10.0),
+            IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12),
+            watchers=[Watcher("section-crossing", fn)],
+        ).events_of("section-crossing")
+
+    downs = run(lambda p: -p[0])
     assert len(downs) == 2
     assert downs[0].time == pytest.approx(math.pi / 2, abs=1e-8)
     assert downs[1].time == pytest.approx(math.pi / 2 + 2 * math.pi, abs=1e-8)
     assert downs[0].state[1] == pytest.approx(-1.0, abs=1e-7)
+    ups = run(lambda p: p[0])
+    assert [ev.time for ev in ups] == pytest.approx([1.5 * math.pi], abs=1e-8)
 
 
 def test_linear_crossing_time_localization():
@@ -129,27 +134,31 @@ def test_linear_crossing_time_localization():
         _no_u,
         PhasePoint(-1.0, 0.0),
         (0.0, 3.0),
-        watchers=[Watcher("section-crossing", lambda p: p[0], "up")],
+        watchers=[Watcher("section-crossing", lambda p: p[0])],
     )
     ev = traj.events_of("section-crossing")[0]
     assert ev.time == pytest.approx(1.0, abs=1e-9)
 
 
 def test_set_entry_exit_disc():
-    # straight line through the unit disc around the origin
+    # straight line through the unit disc around the origin: the indicator
+    # rises through zero on entry at t = 1 and falls on exit at t = 3, which
+    # records nothing; the exit is the negated indicator's entry
     ind = lambda p: 1.0 - (p[0] * p[0] + p[1] * p[1])
-    traj = integrate(
-        lambda p, u: (1.0, 0.0),
-        _no_u,
-        PhasePoint(-2.0, 0.0),
-        (0.0, 4.0),
-        watchers=[Watcher("set-entry", ind), Watcher("set-exit", ind)],
-    )
-    entry = traj.events_of("set-entry")[0]
-    exit_ = traj.events_of("set-exit")[0]
+
+    def entries(fn):
+        return integrate(
+            lambda p, u: (1.0, 0.0),
+            _no_u,
+            PhasePoint(-2.0, 0.0),
+            (0.0, 4.0),
+            watchers=[Watcher("set-entry", fn)],
+        ).events_of("set-entry")
+
+    entry, = entries(ind)
+    exit_, = entries(lambda p: -ind(p))
     assert entry.time == pytest.approx(1.0, abs=1e-8)
     assert exit_.time == pytest.approx(3.0, abs=1e-8)
-    assert entry.direction == "enter" and exit_.direction == "exit"
 
 
 def test_terminal_level_convergence_truncates():
@@ -433,8 +442,8 @@ def test_states_are_plain_tuples_whatever_the_start(kind):
 
         traj = integrate(
             rhs, _no_u, start, (0.0, 5.0),
-            watchers=[Watcher("section-crossing", lambda p: p[0], "up"),
-                      Watcher("section-crossing", lambda p: p[0] - 1.0, "up",
+            watchers=[Watcher("section-crossing", lambda p: p[0]),
+                      Watcher("section-crossing", lambda p: p[0] - 1.0,
                               terminal=True)])
         assert [ev.kind for ev in traj.events] == ["section-crossing"] * 2
         assert traj.final_time == pytest.approx(2.0, abs=1e-8)
@@ -466,7 +475,7 @@ def test_watchers_evaluated_once_per_accepted_state():
         lambda p, u: (p[1], -p[0]), _no_u, PhasePoint(1.0, 0.0),
         (0.0, 20.0),
         watchers=[Watcher("section-crossing", counted("a", lambda p: p[0] + 2.0)),
-                  Watcher("set-exit", counted("b", lambda p: 4.0 - p[1]))])
+                  Watcher("set-entry", counted("b", lambda p: p[1] - 4.0))])
     assert not traj.events
     assert calls == {"a": len(traj.times), "b": len(traj.times)}
 
@@ -485,9 +494,8 @@ def test_convergence_metrics_relative_threshold():
     eps = 0.01
     level = ScaledLevel(0.0)
     ys = [0.4, 0.2, 0.1, 0.01, -0.00498, -0.0051]
-    states = tuple(PhasePoint(0.0, y) for y in ys)
     times = tuple(float(i) for i in range(len(ys)))
-    traj = Trajectory(times, states, tuple(0.0 for _ in ys))
+    traj = Trajectory(times, ([0.0] * len(ys), ys), tuple(0.0 for _ in ys))
     rep = convergence_metrics(traj, eps, level)
     assert isinstance(rep, ConvergenceReport)
     assert rep.initial == pytest.approx((0.4 + 0.005) / 0.02)
@@ -501,8 +509,7 @@ def test_convergence_metrics_no_time_below_an_infinite_cut():
     # term's exponent 2y/eps - 400 overflows, so the initial residual is inf
     # and so is the cut; inf <= inf must not count as converged at t = 0
     ys = [0.3, 0.3, 0.04]
-    traj = Trajectory((0.0, 1.0, 2.0), tuple(PhasePoint(0.2, y) for y in ys),
-                      (0.0, 0.0, 0.0))
+    traj = Trajectory((0.0, 1.0, 2.0), ((0.2,) * 3, ys), (0.0, 0.0, 0.0))
     rep = convergence_metrics(traj, 1e-4, ScaledLevel(0.25, 400.0))
     assert rep.initial == math.inf
     assert rep.threshold == math.inf
@@ -516,7 +523,25 @@ def test_convergence_metrics_no_time_below_an_infinite_cut():
 # and faults at the start state.  A digest that moves means the arithmetic of
 # the step changed, which no refactoring of the engine may do.  The runs from
 # a PhasePoint start were pinned when states took the type of the start, so
-# their digests rebuild each state, event states too, as a PhasePoint.
+# their digests rebuild each state, event states too, as a PhasePoint.  The
+# events were pinned when each one also named a direction, one per kind, so
+# the digests render each event with that direction after its fields.
+
+_DIRECTIONS = {"section-crossing": "up", "set-entry": "enter",
+               "level-convergence": "converged", "overflow-fault": "fault"}
+
+
+class _Shown(str):
+    """Text that repr shows as it is."""
+
+    def __repr__(self):
+        return str(self)
+
+
+def _pinned_event(ev, point=tuple):
+    shown = repr(ev._replace(state=point(ev.state)))[:-1]
+    return _Shown(f"{shown}, direction={_DIRECTIONS[ev.kind]!r})")
+
 
 def _digest(times, states, controls, events):
     text = repr((tuple(times), tuple(states), tuple(controls), tuple(events)))
@@ -525,7 +550,7 @@ def _digest(times, states, controls, events):
 
 def _traj_digest(traj, point=tuple):
     return _digest(traj.times, map(point, traj.states), traj.controls,
-                   [ev._replace(state=point(ev.state)) for ev in traj.events])
+                   [_pinned_event(ev, point) for ev in traj.events])
 
 
 def _phase_digest(traj):
@@ -541,7 +566,7 @@ def _fold_fast_run(wrap=_same, watched=True):
     gains = ControllerGains(1.0, 2.0)
     level = ScaledLevel(0.25, 400.0)
     hot = zero_terms()
-    section = Watcher("section-crossing", lambda p: p[0] + 0.1, "up")
+    section = Watcher("section-crossing", lambda p: p[0] + 0.1)
     return integrate(
         wrap("rhs", lambda p, u: fold_rhs(p, params, hot, u, channel="fast")),
         wrap("u", lambda p: fast_u(p, params, gains, level)),
@@ -585,7 +610,8 @@ def _fault_at_start(u):
 
 def _vector_run():
     traj = integrate(_three_components, _no_u, (1.0, 1.0, 1.0), (0.0, 4.0))
-    return _digest(traj.times, traj.states, (), traj.events)
+    return _digest(traj.times, traj.states, (),
+                   [_pinned_event(ev) for ev in traj.events])
 
 
 def _inf_past_one(calls=None):
@@ -606,18 +632,18 @@ def _inf_past_one(calls=None):
 
 def _many_watchers_run(terminal=True):
     # x climbs through 0.19, 0.2, 0.22, 0.25 and 0.27 inside one accepted
-    # step: the up-crossing, the exit onto an exact 0.0 and the set entry
-    # fire there, the terminal set exit ends the run and drops the later
-    # section crossing; the nan watcher never fires, and the down-only
-    # watcher ignores its up-crossing
+    # step: the crossing at 0.19, the rise onto an exact -0.0 at 0.2 and
+    # the set entry at 0.22 fire there, the terminal entry at 0.25 ends the
+    # run and drops the later section crossing; the nan watcher never
+    # fires, and the watcher of 0.1 - x ignores its fall
     watchers = [
         Watcher("section-crossing", lambda p: p[0] - 0.27),
         Watcher("level-convergence", lambda p: math.nan),
-        Watcher("set-exit", lambda p: 0.25 - p[0], terminal=terminal),
+        Watcher("set-entry", lambda p: p[0] - 0.25, terminal=terminal),
         Watcher("set-entry", lambda p: p[0] - 0.22),
-        Watcher("section-crossing", lambda p: p[0] - 0.1, "down"),
-        Watcher("set-exit", lambda p: max(0.2 - p[0], 0.0)),
-        Watcher("section-crossing", lambda p: p[0] - 0.19, "up"),
+        Watcher("section-crossing", lambda p: 0.1 - p[0]),
+        Watcher("set-entry", lambda p: -max(0.2 - p[0], 0.0)),
+        Watcher("section-crossing", lambda p: p[0] - 0.19),
     ]
     return integrate(lambda p, u: (1.0 + 0.2 * p[1], -p[0] + u),
                      lambda p: -0.1 * p[0], (-1.0, 0.0), (0.0, 6.0),
@@ -668,7 +694,7 @@ GOLDEN = {
         "c8c3b5afc888eb5d29a6a4c0bc2c9ec289149bf07f0a36ef921b3ba48d2aebef"),
     "many-watchers-one-step": (
         lambda: _traj_digest(_many_watchers_run()),
-        "40321b7c8b12cf0e0d03928ae53bc5a5bc0fb3200c832fdaf598d93b527f7f04"),
+        "2d3ed64b5688d890341b32ce4a19010c1912c9514c2e9e2b1d992d89d24fc832"),
     "error-estimate-overflows": (
         lambda: _traj_digest(_huge_slope_past_half()),
         "08fe998ddf709c6720d45d13ccaada32b03cef377767feee8bc3fc2614eeb1f2"),
@@ -700,21 +726,21 @@ def test_pinned_runs_take_the_paths_they_pin():
     accepted = len(_inf_past_one(calls)) - 1
     assert calls["inf"] > 0
     assert calls["rhs"] > 6 * accepted + 2
-    # three events in one step, in time order; the run ends at the last
+    # four events in one step, in time order; the run ends at the last
     many = _many_watchers_run()
-    assert [(ev.kind, ev.direction) for ev in many.events] == [
-        ("section-crossing", "up"), ("set-exit", "exit"), ("set-entry", "enter"),
-        ("set-exit", "exit")]
+    assert [ev.kind for ev in many.events] == [
+        "section-crossing", "set-entry", "set-entry", "set-entry"]
+    assert [ev.state[0] for ev in many.events] == pytest.approx(
+        [0.19, 0.2, 0.22, 0.25], abs=1e-9)
     step_start = many.times[-2]
     assert all(step_start < ev.time for ev in many.events)
     assert many.final_time == many.events[-1].time
     # without the stop the same step goes on to the crossing at x = 0.27
     free = _many_watchers_run(terminal=False)
     step_end = free.times[free.times.index(step_start) + 1]
-    assert [(ev.kind, ev.direction) for ev in free.events
-            if step_start < ev.time <= step_end] == [
-        ("section-crossing", "up"), ("set-exit", "exit"), ("set-entry", "enter"),
-        ("set-exit", "exit"), ("section-crossing", "up")]
+    assert [ev.state[0] for ev in free.events
+            if step_start < ev.time <= step_end] == pytest.approx(
+        [0.19, 0.2, 0.22, 0.25, 0.27], abs=1e-9)
 
 
 @pytest.mark.parametrize("where", ["start", "step", "event"])
@@ -770,42 +796,16 @@ def test_one_controller_call_per_field_call(run, terminal_states):
 
 _PROPERTY = settings(derandomize=True, database=None, deadline=None,
                      max_examples=300)
-_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
-                    st.floats(allow_nan=False))
-# the sign changes each (kind, direction) fires on, and what it reports
-_FIRES = {
-    ("section-crossing", "up"): {"up": "up"},
-    ("section-crossing", "down"): {"down": "down"},
-    ("section-crossing", "any"): {"up": "up", "down": "down"},
-    # the other kinds ignore the watcher's direction
-    **{(kind, direction): fires
-       for kind, fires in (("set-entry", {"up": "enter"}),
-                           ("set-exit", {"down": "exit"}),
-                           ("level-convergence", {"up": "converged"}))
-       for direction in ("up", "down", "any")},
-}
-
-
-@_PROPERTY
-@given(kind_direction=st.sampled_from(sorted(_FIRES)), g_old=_values, g_new=_values)
-def test_crossing_fires_exactly_on_allowed_sign_changes(kind_direction, g_old, g_new):
-    # up: from strictly below zero to zero or above; down: the mirror image
-    if g_old < 0.0 and g_new >= 0.0:
-        change = "up"
-    elif g_old > 0.0 and g_new <= 0.0:
-        change = "down"
-    else:
-        change = None
-    kind, direction = kind_direction
-    assert _crossing(kind, direction, g_old, g_new) == _FIRES[kind_direction].get(change)
 
 
 def test_watcher_rejects_unknown_kind_and_direction():
-    # both fail when the watcher is built, not at the run's first step
-    with pytest.raises(DomainError, match="unknown watcher kind 'tangency'"):
-        Watcher("tangency", lambda p: p[0])
-    with pytest.raises(DomainError, match="unknown watcher direction 'upward'"):
-        Watcher("section-crossing", lambda p: p[0], direction="upward")
+    # an unknown kind fails when the watcher is built, not at the run's
+    # first step; every kind fires on rises alone, so none takes a direction
+    for kind in ("tangency", "set-exit"):
+        with pytest.raises(DomainError, match=f"unknown watcher kind '{kind}'"):
+            Watcher(kind, lambda p: p[0])
+    with pytest.raises(TypeError):
+        Watcher("section-crossing", lambda p: p[0], direction="up")
 
 
 @_PROPERTY
@@ -1003,7 +1003,7 @@ def test_trajectory_gives_back_its_points_bit_for_bit(kind, data):
     times = tuple(t for t, _, _ in rows)
     controls = tuple(u for _, u, _ in rows)
     plain = tuple(p for _, _, p in rows)
-    traj = Trajectory(times, tuple(map(make, plain)), controls)
+    traj = Trajectory(times, zip(*map(make, plain)), controls)
     assert _bits(traj.states) == _bits(plain)
     assert _bits(traj.final_state) == _bits(plain[-1])
     for got, given in ((traj.times, times), (traj.controls, controls)):
@@ -1012,12 +1012,14 @@ def test_trajectory_gives_back_its_points_bit_for_bit(kind, data):
 
 
 def test_trajectory_is_read_only_and_rejects_ragged_points():
-    traj = Trajectory((0.0, 1.0), ((1.0, 2.0), (3.0, 4.0)), (0.5, 0.5))
+    traj = Trajectory((0.0, 1.0), ((1.0, 3.0), (2.0, 4.0)), (0.5, 0.5))
+    assert traj.states == ((1.0, 2.0), (3.0, 4.0))
     with pytest.raises(AttributeError):
         traj.times = (0.0,)
     with pytest.raises(AttributeError):
         traj.states = ()
-    with pytest.raises(DomainError, match="same number of components"):
-        Trajectory((0.0, 1.0), ((1.0, 2.0), (3.0,)), (0.5, 0.5))
+    # a column one value short leaves the second point without its y
     with pytest.raises(DomainError, match="must align"):
-        Trajectory((0.0,), ((1.0, 2.0), (3.0, 4.0)), (0.5, 0.5))
+        Trajectory((0.0, 1.0), ((1.0, 3.0), (2.0,)), (0.5, 0.5))
+    with pytest.raises(DomainError, match="must align"):
+        Trajectory((0.0,), ((1.0, 3.0), (2.0, 4.0)), (0.5, 0.5))

@@ -38,7 +38,7 @@ def _parabola_traj(n=60, lo=-1.0, hi=1.0):
     ts = [i / (n - 1) for i in range(n)]
     xs = [lo + (hi - lo) * t for t in ts]
     pts = [PhasePoint(x, x * x + 0.05 * math.sin(7 * x)) for x in xs]
-    return Trajectory(tuple(ts), tuple(pts), tuple(0.1 * x for x in xs))
+    return Trajectory(ts, zip(*pts), tuple(0.1 * x for x in xs))
 
 
 def _classes(path, tag):
@@ -114,7 +114,7 @@ class TestTimeseries:
         pts = tuple(PhasePoint(t, t) for t in ts)
         us = (0.0, 1.0, float("nan"), 1.0, 0.0)
         out = tmp_path / "gap.svg"
-        emit_timeseries_svg(Trajectory(ts, pts, us), out)
+        emit_timeseries_svg(Trajectory(ts, zip(*pts), us), out)
         runs = [el for el in ET.parse(out).getroot().iter(f"{_NS}polyline")
                 if el.get("class") == "series"]
         assert len(runs) == 2
@@ -141,7 +141,7 @@ class TestDeterminism:
         n = 20000
         ts = tuple(i * 1e-3 for i in range(n))
         pts = tuple(PhasePoint(math.cos(t), math.sin(t)) for t in ts)
-        traj = Trajectory(ts, pts, tuple(0.0 for _ in ts))
+        traj = Trajectory(ts, zip(*pts), tuple(0.0 for _ in ts))
         out = tmp_path / "big.svg"
         emit_phase_svg([traj], out)
         root = ET.parse(out).getroot()
@@ -324,7 +324,7 @@ def test_index_thinning_keeps_the_zipped_pairs(n):
 @pytest.mark.parametrize("n", [60, 9001, 9002])
 def test_controller_svg_matches_the_per_point_writer(tmp_path, n):
     ts, us = _series_with_nan_controls(n)
-    traj = Trajectory(ts, tuple(PhasePoint(t, t) for t in ts), us)
+    traj = Trajectory(ts, (ts, ts), us)
     out = tmp_path / "u.svg"
     emit_timeseries_svg(traj, out)
     want = _ref_polyline_points(_Mapper(_ref_box(zip(ts, us)).padded()),
@@ -341,7 +341,7 @@ def test_phase_svg_matches_the_per_point_writer(tmp_path):
     a = _parabola_traj(9001)
     states = list(_parabola_traj(300, -0.5, 0.5).states)
     states[100] = PhasePoint(math.nan, 0.2)
-    b = Trajectory(tuple(range(300)), tuple(states), tuple([0.0] * 300))
+    b = Trajectory(tuple(range(300)), zip(*states), tuple([0.0] * 300))
     ring = tuple((1.5 * math.cos(0.1 * i), 1.5 * math.sin(0.1 * i))
                  for i in range(64))
     out = tmp_path / "phase.svg"
