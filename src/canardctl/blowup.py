@@ -21,13 +21,14 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .core import _Record
+from .core import _Record, _require_finite
 from .errors import DomainError, ExtrapolationError
 
 __all__ = [
     "ChartPointK1",
     "ChartPointK2",
     "GermReport",
+    "K2Field",
     "kappa12",
     "kappa21",
     "k2_field",
@@ -98,23 +99,31 @@ def kappa21(cp: ChartPointK2) -> ChartPointK1:
     )
 
 
-def k2_field(
-    cp: Sequence[float],
-    g2: Callable[[float, float, float, float], float] | None = None,
-    mu2: float | None = None,
-) -> tuple[float, float]:
+class K2Field(_Record):
+    """The constants of the central-chart flow for one run, bound once:
+    r2 = sqrt(eps), alpha2, and the gain of the O(r2) shear
+    g2 = shear * x2 * (y2 - x2^2), 0.0 for none."""
+
+    __slots__ = _fields = ("r2", "alpha2", "shear")
+
+    def __init__(self, r2: float, alpha2: float, shear: float = 0.0):
+        _require_finite(r2=r2, alpha2=alpha2, shear=shear)
+        super().__init__(r2, alpha2, shear)
+
+
+def k2_field(field: K2Field, p: Sequence[float],
+             mu2: float) -> tuple[float, float]:
     """Desingularized central-chart flow (x2', y2').
 
-    x2' = -y2 + (x2 + alpha2)^2 + mu2,  y2' = x2 + r2 * g2(r2, x2, y2, alpha2).
-    ``cp`` is a :class:`ChartPointK2` or a plain (r2, x2, y2, alpha2[, mu2])
-    tuple; ``mu2`` defaults to the value stored on the chart point.
+    x2' = -y2 + (x2 + alpha2)^2 + mu2,  y2' = x2 + r2 * g2(x2, y2), with r2,
+    alpha2 and the shear gain of g2 bound in ``field``.  ``p`` is the chart
+    state (x2, y2).
     """
-    r2, x2, y2, alpha2 = cp[0], cp[1], cp[2], cp[3]
-    if mu2 is None:
-        mu2 = cp[4]
-    g = g2(r2, x2, y2, alpha2) if g2 is not None else 0.0
-    s = x2 + alpha2
-    return (-y2 + s * s + mu2, x2 + r2 * g)
+    x2, y2 = p
+    shear = field.shear
+    g = 0.0 if shear == 0.0 else shear * x2 * (y2 - x2 * x2)
+    s = x2 + field.alpha2
+    return (-y2 + s * s + mu2, x2 + field.r2 * g)
 
 
 def k1_vdp_field(cp: Sequence[float], mu1: float | None = None) -> tuple[float, float, float]:

@@ -23,12 +23,15 @@ import math
 import os
 import random
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .blowup import k1_vdp_field, k2_field
+from .blowup import K2Field, k1_vdp_field, k2_field
 from .controllers import (
+    FoldLaw,
     K1Domain,
+    K2Law,
     NeighborhoodParams,
     default_neighborhoods,
     fast_u,
@@ -58,12 +61,7 @@ from .errors import (
     StepUnderflowError,
 )
 from .mmo import MmoPattern, MmoSegment, classify_loops, run_pattern
-from .models import (
-    fold_rhs,
-    parabolic_shear_terms,
-    quadratic_gap_phi2,
-    zero_terms,
-)
+from .models import FoldField, fold_rhs
 from .sim import IntegratorConfig, Trajectory, Watcher, convergence_metrics, integrate
 from .svgplot import emit_phase_svg, emit_timeseries_svg
 from .verify import run_verification
@@ -380,17 +378,12 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
         eff, SystemParams, ControllerGains, ScaledLevel, IntegratorConfig)
     default_ic = PhasePoint(0.2, 0.3) if channel == "fast" else PhasePoint(0.45, 0.25)
     ics = cfg.initial_conditions or (default_ic,)
-    hot = zero_terms()
     # fast actuation relocates the fold to x = alpha; slow actuation cancels
     # the detuning instead and leaves the canard point at the origin
     center = params.alpha if channel == "fast" else 0.0
-    law = fast_u if channel == "fast" else slow_u
-
-    def u(p) -> float:
-        return law(p, params, gains, level)
-
-    def rhs(p, uval):
-        return fold_rhs(p, params, hot, uval, channel)
+    u = partial(fast_u if channel == "fast" else slow_u,
+                FoldLaw(params, gains, level))
+    rhs = partial(fold_rhs, FoldField(params, channel=channel))
 
     # once per revolution: the cycle crosses the frame center moving right
     # on its lower arc
@@ -422,6 +415,10 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
         fault=next((fault for _, fault in runs if fault is not None), None))
 
 
+# gain of the slow shear g~ = gain*x*(y - x^2) on fold-fast-hot's plant
+_FOLD_SHEAR = 100.0
+
+
 def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     """Shear-perturbed plant, with and without the compensating term.
 
@@ -434,20 +431,15 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcom
     params, gains, level, integ = _blocks(
         eff, SystemParams, ControllerGains, ScaledLevel, IntegratorConfig)
     ic = (cfg.initial_conditions or (PhasePoint(0.2, 0.3),))[0]
-    hot = parabolic_shear_terms(100.0)
     span = (0.0, float(eff["t_end"]))
+    rhs = partial(fold_rhs, FoldField(params, shear=_FOLD_SHEAR))
 
-    def rhs(p, uval):
-        return fold_rhs(p, params, hot, uval)
+    def run(shear):
+        law = FoldLaw(params, gains, level, shear)
+        return _guarded(rhs, partial(fast_u, law), ic, span, integ)
 
-    def run(phi_hat):
-        def u(p) -> float:
-            return fast_u(p, params, gains, level, phi_hat)
-
-        return _guarded(rhs, u, ic, span, integ)
-
-    comp, fault = run(hot.phi_hat)
-    plain, plain_fault = run(None)
+    comp, fault = run(_FOLD_SHEAR)
+    plain, plain_fault = run(0.0)
     plain_status = _status(plain_fault)
     plain_block: Dict[str, object] = {"status": plain_status,
                                       "final_time": plain.final_time}
@@ -494,21 +486,15 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
     r2, alpha2, h = math.sqrt(params.eps), params.alpha, level.value
     ics = cfg.initial_conditions or (_SHEAR_ICS if with_shear else _chart_ics(10))
     span = (0.0, float(eff["t_end"]))
-
-    g2 = (lambda r, x2, y2, a2: x2 * quadratic_gap_phi2(r, x2, y2, a2)) \
-        if with_shear else None
-
-    def rhs(p, mu: float) -> Tuple[float, float]:
-        return k2_field((r2, p[0], p[1], alpha2), g2, mu)
+    # k2-hot's shear g2 = x2*(y2 - x2^2), at gain 1
+    shear = 1.0 if with_shear else 0.0
+    rhs = partial(k2_field, K2Field(r2, alpha2, shear))
 
     stop = Watcher("level-convergence",
                    lambda p: 1e-7 - abs(eval_H2(p[0], p[1]) - h), terminal=True)
 
-    def run_ic(ic: PhasePoint, phi2, watched: bool):
-        def mu(p) -> float:
-            return k2_mu((r2, p[0], p[1], alpha2), gains, h, phi2)
-
-        traj, fault = _guarded(rhs, mu, ic, span, integ,
+    def run_ic(ic: PhasePoint, law: K2Law, watched: bool):
+        traj, fault = _guarded(rhs, partial(k2_mu, law), ic, span, integ,
                                watchers=[stop] if watched else [])
         p = traj.final_state
         try:
@@ -517,8 +503,8 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
             gap = math.inf
         return traj, fault, gap
 
-    phi2 = quadratic_gap_phi2 if with_shear else None
-    runs = [run_ic(ic, phi2, watched=True) for ic in ics]
+    law = K2Law(gains, h, r2, alpha2, shear)
+    runs = [run_ic(ic, law, watched=True) for ic in ics]
     per_ic = []
     for ic, (traj, fault, gap) in zip(ics, runs):
         hits = traj.events_of("level-convergence")
@@ -538,7 +524,8 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
     }
     extra_phase = {}
     if with_shear:
-        plain = [run_ic(ic, None, watched=False) for ic in ics]
+        plain_law = K2Law(gains, h, r2, alpha2)
+        plain = [run_ic(ic, plain_law, watched=False) for ic in ics]
         results["plain_per_ic"] = [
             {"ic": [ic.x, ic.y], "status": _status(fault), "terminal_h_gap": gap}
             for ic, (_, fault, gap) in zip(ics, plain)]

@@ -11,9 +11,13 @@ by C2 bump functions subordinate to two overlapping neighborhoods.
 
 All evaluations are closed-form pure functions of the state and frozen
 parameter blocks; no law integrates anything, and the module builds on
-`core` and `errors` alone.  The fold laws and `composite_u` take their
-point as an (x, y) sequence, `k2_mu` and `lyapunov_L2` take
-(r2, x2, y2, alpha2) and `k1_vdp_mu` takes (r1, x1, eps1), so a NamedTuple
+`core` and `errors` alone.  The laws a closed loop evaluates at every field
+evaluation, `fast_u`, `slow_u`, `k2_mu` and `composite_u`, take one bound
+record and the state: the record (`FoldLaw`, `K2Law`, `VdpLaw`) checks the
+run's constants and works out what the formula derives from them once,
+and the law reads them.  The fold laws and `composite_u` take their state
+as an (x, y) sequence and `k2_mu` as (x2, y2); `lyapunov_L2` takes
+(r2, x2, y2, alpha2) and `k1_vdp_mu` takes (r1, x1, eps1).  A NamedTuple
 point and a plain tuple give the same bits.
 """
 
@@ -25,6 +29,7 @@ from typing import Callable, Sequence, Tuple
 from .core import (
     EXP_GUARD,
     ControllerGains,
+    LevelTerm,
     ScaledLevel,
     SystemParams,
     _Record,
@@ -43,14 +48,17 @@ __all__ = [
     "NeighborhoodParams",
     "K1Domain",
     "default_neighborhoods",
+    "FoldLaw",
     "fast_u",
     "slow_u",
+    "K2Law",
     "k2_mu",
     "lyapunov_L2",
     "vdp_slow_manifold_phi",
     "k1_chart_phi1",
     "bump_psi",
     "k1_vdp_mu",
+    "VdpLaw",
     "composite_u",
 ]
 
@@ -151,71 +159,121 @@ class K1Domain(_Record):
         super().__init__(rho1, delta1, sigma1, rho1_tilde)
 
 
-def fast_u(p: Sequence[float], params: SystemParams, gains: ControllerGains,
-           level: ScaledLevel, phi_hat=None) -> float:
+class FoldLaw(_Record):
+    """The constants of the fold laws for one run, bound once.
+
+    ``fast_u`` and ``slow_u`` read eps and alpha, the gains c1 and c2 and
+    the stored level, which a run holds fixed.  This record checks them
+    once, keeps the level term's constants in a :class:`LevelTerm`, and
+    works out sqrt(eps), -2*alpha and alpha**2.  ``shear`` is the gain of
+    the plant's slow shear g~ = shear*x*(y - x^2) that ``fast_u`` cancels;
+    0.0, the default, cancels none, and ``slow_u`` does not read it.
+    """
+
+    _fields = ("params", "gains", "level", "shear")
+    __slots__ = _fields + ("_term", "_alpha", "_m2_alpha", "_alpha_sq", "_c1",
+                           "_sqrt_eps")
+
+    def __init__(self, params: SystemParams, gains: ControllerGains,
+                 level: ScaledLevel, shear: float = 0.0):
+        # LevelTerm checks eps before sqrt(eps) runs
+        term = LevelTerm(params.eps, gains.c2, level)
+        _require_finite(shear=shear)
+        super().__init__(params, gains, level, shear)
+        alpha = params.alpha
+        for name, value in (("_term", term), ("_alpha", alpha),
+                            ("_m2_alpha", -2.0 * alpha),
+                            ("_alpha_sq", alpha ** 2), ("_c1", gains.c1),
+                            ("_sqrt_eps", math.sqrt(params.eps))):
+            object.__setattr__(self, name, value)
+
+
+def fast_u(law: FoldLaw, p: Sequence[float]) -> float:
     """Fast-channel canard controller.
 
     Feeds the stored-level error back along the fast direction; the linear
     part -2*alpha*xh - alpha**2 recenters the fold at the bifurcation value.
-    When the plant carries a known shear perturbation g = x*phi_hat, passing
-    phi_hat appends the exact cancellation term.
+    When the plant carries the shear g~ = x*phi_hat with
+    phi_hat = shear*(y - x^2), the law's ``shear`` appends the exact
+    cancellation term.
     """
     x, y = p
-    eps = params.eps
-    xh = x - params.alpha
-    # eval_level_term checks the point and eps before sqrt(eps) runs
-    term = eval_level_term((xh, y), eps, gains.c2, level)
-    u = -2.0 * params.alpha * xh - params.alpha ** 2 \
-        + gains.c1 * xh * math.sqrt(eps) * term
-    if phi_hat is not None:
-        u -= math.sqrt(eps) * (y - xh * xh) * phi_hat(x, y, eps, params.alpha)
+    xh = x - law._alpha
+    # eval_level_term checks the point
+    term = eval_level_term(xh, y, law._term)
+    u = law._m2_alpha * xh - law._alpha_sq \
+        + law._c1 * xh * law._sqrt_eps * term
+    if law.shear != 0.0:
+        u -= law._sqrt_eps * (y - xh * xh) * (law.shear * (y - x * x))
     return u
 
 
-def slow_u(p: Sequence[float], params: SystemParams, gains: ControllerGains,
-           level: ScaledLevel) -> float:
+def slow_u(law: FoldLaw, p: Sequence[float]) -> float:
     """Slow-channel canard controller.
 
     The factor (y - x**2) vanishes on the critical manifold, so the slow
     equation is unchanged where the reduced flow already lives.
     """
     x, y = p
-    eps = params.eps
-    # eval_level_term checks the point and eps before sqrt(eps) runs
-    term = eval_level_term(p, eps, gains.c2, level)
-    return params.alpha + gains.c1 * (y - x * x) / math.sqrt(eps) * term
+    # eval_level_term checks the point
+    term = eval_level_term(x, y, law._term)
+    return law._alpha + law._c1 * (y - x * x) / law._sqrt_eps * term
 
 
-def k2_mu(cp: Sequence[float], gains: ControllerGains, level_h: float,
-          phi2=None) -> float:
+class K2Law(_Record):
+    """The constants of the central-chart law for one run, bound once.
+
+    ``k2_mu`` reads the gains, the stored level h, r2 = sqrt(eps) and
+    alpha2, which a run holds fixed; this record checks them once and works
+    out c2 - 2, -2*alpha2 and alpha2**2.  ``shear`` is the gain of the
+    O(r2) shear g2 = x2*phi2 with phi2 = shear*(y2 - x2^2) that ``k2_mu``
+    cancels; 0.0, the default, cancels none.
+    """
+
+    _fields = ("gains", "level_h", "r2", "alpha2", "shear")
+    __slots__ = _fields + ("_c1", "_c2", "_c2_minus_2", "_m2_alpha2",
+                           "_alpha2_sq")
+
+    def __init__(self, gains: ControllerGains, level_h: float, r2: float,
+                 alpha2: float, shear: float = 0.0):
+        _require_finite(r2=r2, alpha2=alpha2, level_h=level_h, shear=shear)
+        super().__init__(gains, level_h, r2, alpha2, shear)
+        for name, value in (("_c1", gains.c1), ("_c2", gains.c2),
+                            ("_c2_minus_2", gains.c2 - 2.0),
+                            ("_m2_alpha2", -2.0 * alpha2),
+                            ("_alpha2_sq", alpha2 ** 2)):
+            object.__setattr__(self, name, value)
+
+
+def k2_mu(law: K2Law, p: Sequence[float]) -> float:
     """Level-stabilizing controller in the central chart.
 
     Implements -2*a2*x2 - a2**2 + c1*x2*exp(c2*y2)*(H2 - h) with the
     exponentials combined per term: exp(c2*y2)*H2 collapses to
     exp((c2-2)*y2) times a polynomial, so only the h-term ever carries the
-    raw c2*y2 exponent.  An O(r2) shear g2 = x2*phi2 is cancelled by the
-    optional phi2 correction.  ``cp`` is a :class:`ChartPointK2` or a plain
-    (r2, x2, y2, alpha2) tuple.
+    raw c2*y2 exponent.  The law's ``shear`` appends the correction that
+    cancels an O(r2) shear g2 = x2*phi2.  ``p`` is the chart state (x2, y2).
     """
-    r2, x2, y2, alpha2 = cp[0], cp[1], cp[2], cp[3]
-    if not 0.0 * r2 * x2 * y2 * alpha2 * level_h == 0.0:
-        _require_finite(r2=r2, x2=x2, y2=y2, alpha2=alpha2, level_h=level_h)
-    if gains.c2 == 2.0:
+    x2, y2 = p
+    if not 0.0 * x2 * y2 == 0.0:
+        _require_finite(x2=x2, y2=y2)
+    if law._c2 == 2.0:
         # the weight is exp(+-0.0) = 1.0, and 1.0 * 0.5 is 0.5
         level_term = 0.5 * (y2 - x2 * x2 + 0.5)
     else:
-        e1 = (gains.c2 - 2.0) * y2
+        e1 = law._c2_minus_2 * y2
         if e1 > EXP_GUARD:
             raise ExponentOverflowError("(c2-2)*y2", e1)
         level_term = math.exp(e1) * 0.5 * (y2 - x2 * x2 + 0.5)
+    level_h = law.level_h
     if level_h != 0.0:
-        e2 = gains.c2 * y2
+        e2 = law._c2 * y2
         if e2 > EXP_GUARD:
             raise ExponentOverflowError("c2*y2", e2)
         level_term -= level_h * math.exp(e2)
-    mu = -2.0 * alpha2 * x2 - alpha2 ** 2 + gains.c1 * x2 * level_term
-    if phi2 is not None:
-        mu -= (y2 - x2 * x2) * r2 * phi2(r2, x2, y2, alpha2)
+    mu = law._m2_alpha2 * x2 - law._alpha2_sq + law._c1 * x2 * level_term
+    if law.shear != 0.0:
+        mu -= (y2 - x2 * x2) * law.r2 * (law.shear * (y2 - x2 * x2))
     return mu
 
 
@@ -447,8 +505,19 @@ def _vdp_u2(p: Sequence[float], eps: float, gains: ControllerGains) -> float:
     return gains.c1 * x / math.sqrt(eps) * (y - x * x + 0.5 * eps)
 
 
-def composite_u(p: Sequence[float], eps: float, gains: ControllerGains,
-                nbhd: NeighborhoodParams) -> float:
+class VdpLaw(_Record):
+    """The constants of ``composite_u`` for one loop, bound once: eps,
+    checked here, the gains and the activation neighborhoods."""
+
+    __slots__ = _fields = ("eps", "gains", "nbhd")
+
+    def __init__(self, eps: float, gains: ControllerGains,
+                 nbhd: NeighborhoodParams):
+        _require_eps(eps)
+        super().__init__(eps, gains, nbhd)
+
+
+def composite_u(law: VdpLaw, p: Sequence[float]) -> float:
     """Normalized blend of the branch-pinning and fold-local controllers.
 
     Where one bump alone is active its controller acts with full
@@ -456,14 +525,13 @@ def composite_u(p: Sequence[float], eps: float, gains: ControllerGains,
     The envelope factor (s - psi1*psi2)/s with s = psi1 + psi2 keeps the
     blend C2 where a support boundary is crossed.
     """
-    if not (0.0 * eps == 0.0 and eps > 0.0):  # see core._require_finite
-        _require_eps(eps)
     x, y = p
+    nbhd = law.nbhd
     psi1 = _psi_n1(x, y, nbhd)
     psi2 = _psi_n2(x, y, nbhd)
     if psi1 == 0.0 and psi2 == 0.0:
         return 0.0
-    u1 = _vdp_u1(p, eps, gains) if psi1 > 0.0 else 0.0
-    u2 = _vdp_u2(p, eps, gains) if psi2 > 0.0 else 0.0
+    u1 = _vdp_u1(p, law.eps, law.gains) if psi1 > 0.0 else 0.0
+    u2 = _vdp_u2(p, law.eps, law.gains) if psi2 > 0.0 else 0.0
     s = psi1 + psi2
     return (psi1 * u1 + psi2 * u2) * (s - psi1 * psi2) / s

@@ -18,13 +18,14 @@ Interesting levels are exponentially small (h ~ exp(-E) with E of order 1/eps),
 far below the double-precision floor, so levels are stored in mantissa/exponent
 form ``h = h0 * exp(-E)`` and every controller expression that needs exp(c2*y/eps)*(H - h)
 is evaluated with combined exponents by :func:`eval_level_term` rather than by
-forming H and h separately.
+forming H and h separately.  A :class:`LevelTerm` binds the constants of that
+evaluation once for a run.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import DomainError, ExponentOverflowError
 
@@ -38,6 +39,7 @@ __all__ = [
     "eval_H",
     "eval_H2",
     "eval_H1",
+    "LevelTerm",
     "eval_level_term",
 ]
 
@@ -231,43 +233,63 @@ def eval_H1(x1: float, eps1: float) -> float:
     return 0.5 * math.exp(-w) * ((1.0 - x1 * x1) / eps1 + 0.5)
 
 
-def eval_level_term(p: Sequence[float], eps: float, c2: float,
-                    level: ScaledLevel) -> float:
-    """exp(c2*y/eps) * (H(x, y; eps) - h), evaluated with combined exponents.
+class LevelTerm(_Record):
+    """The constants of :func:`eval_level_term` for one eps, c2 and level.
 
-    ``p`` is (x, y) as a :class:`PhasePoint` or a plain tuple.  Expanding H
-    and h = h0*exp(-E) inside the weight gives
+    A closed loop evaluates its level term at every field evaluation with
+    the same eps, c2 and level, so a run binds them once: c2 and eps are
+    checked here, and 0.5*eps, 2*eps, c2 - 2, h0 and E are kept, for the
+    evaluation to read rather than work out again.
+    """
+
+    _fields = ("eps", "c2", "level")
+    __slots__ = _fields + ("_half_eps", "_two_eps", "_c2_minus_2", "_h0", "_E")
+
+    def __init__(self, eps: float, c2: float, level: ScaledLevel):
+        _require_finite(c2=c2)
+        _require_eps(eps)
+        super().__init__(eps, c2, level)
+        for name, value in (("_half_eps", 0.5 * eps), ("_two_eps", 2.0 * eps),
+                            ("_c2_minus_2", c2 - 2.0), ("_h0", level.h0),
+                            ("_E", level.E)):
+            _set(self, name, value)
+
+
+def eval_level_term(x: float, y: float, lt: LevelTerm) -> float:
+    """exp(c2*y/eps) * (H(x, y; eps) - h) at (x, y), evaluated with combined
+    exponents, for the eps, c2 and level h = h0*exp(-E) bound in ``lt``.
+
+    Expanding H and h inside the weight gives
 
         exp((c2-2)*y/eps) * (y - x^2 + eps/2)/(2*eps)  -  h0 * exp(c2*y/eps - E),
 
     which keeps every exponential in range while both combined exponents do.
-    Either exponent above 700 raises ExponentOverflowError naming the
-    offender, as does a term left non-finite below the guard (by a large
-    bracket); exponents below the underflow floor contribute 0.
-    For c2 = 2 and h = 0 the result is (y - x^2 + eps/2)/(2*eps) with no
-    exponential factor at all.
+    A non-finite x or y raises DomainError naming it.  Either exponent
+    above 700 raises ExponentOverflowError naming the offender, as does a
+    term left non-finite below the guard (by a large bracket); exponents
+    below the underflow floor contribute 0.  For c2 = 2 and h = 0 the
+    result is (y - x^2 + eps/2)/(2*eps) with no exponential factor at all.
     """
-    x, y = p
-    if not (0.0 * x * y * c2 * eps == 0.0 and eps > 0.0):
-        _require_finite(x=x, y=y, c2=c2)
-        _require_eps(eps)
+    if not 0.0 * x * y == 0.0:
+        _require_finite(x=x, y=y)
+    eps, c2 = lt.eps, lt.c2
     if c2 == 2.0:
         # the weight is exp(+-0.0) = 1.0, and 1.0 * v is v to the bit
-        term = (y - x * x + 0.5 * eps) / (2.0 * eps)
+        term = (y - x * x + lt._half_eps) / lt._two_eps
         if not 0.0 * term == 0.0:
-            raise ExponentOverflowError("(c2-2)*y/eps", (c2 - 2.0) * y / eps)
+            raise ExponentOverflowError("(c2-2)*y/eps", lt._c2_minus_2 * y / eps)
     else:
-        e1 = (c2 - 2.0) * y / eps
+        e1 = lt._c2_minus_2 * y / eps
         if e1 > EXP_GUARD:
             raise ExponentOverflowError("(c2-2)*y/eps", e1)
-        term = math.exp(e1) * (y - x * x + 0.5 * eps) / (2.0 * eps)
+        term = math.exp(e1) * (y - x * x + lt._half_eps) / lt._two_eps
         if not 0.0 * term == 0.0:
             raise ExponentOverflowError("(c2-2)*y/eps", e1)
-    if level.h0 != 0.0:
-        e2 = c2 * y / eps - level.E
+    if lt._h0 != 0.0:
+        e2 = c2 * y / eps - lt._E
         if e2 > EXP_GUARD:
             raise ExponentOverflowError("c2*y/eps - E", e2)
-        term -= level.h0 * math.exp(e2)
+        term -= lt._h0 * math.exp(e2)
         if not 0.0 * term == 0.0:
             raise ExponentOverflowError("c2*y/eps - E", e2)
     return term

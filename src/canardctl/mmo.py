@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import re
 from array import array
+from functools import partial
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .controllers import _UPPER_FOLD_Y, NeighborhoodParams, composite_u
+from .controllers import _UPPER_FOLD_Y, NeighborhoodParams, VdpLaw, composite_u
 from .core import ControllerGains, _Record
 from .errors import ConfigError, IntegrationError, PatternDeviationError
 from .models import vdp_rhs
@@ -213,10 +214,9 @@ def run_pattern(
         seg_gains = gains._replace(x_star=seg.x_star)
         seg_nbhd = nbhd._replace(y_h=seg.y_h)
 
-        # the closures look composite_u and vdp_rhs up at call time, so a
-        # wrapper installed on this module sees every evaluation
-        def u(p):
-            return composite_u(p, eps, seg_gains, seg_nbhd)
+        # composite_u and vdp_rhs are looked up for each loop, so a wrapper
+        # installed on this module before the run sees every evaluation
+        u = partial(composite_u, VdpLaw(eps, seg_gains, seg_nbhd))
 
         def rhs(p, uval):
             return vdp_rhs(p, eps, uval)

@@ -1,111 +1,87 @@
-"""Vector fields: fold normal form with a slow remainder, and van der Pol.
+"""Vector fields: fold normal form with a slow shear, and van der Pol.
 
 Both systems are written in the fast time scale,
 
     fold:  x' = -y + x^2 + u_fast
-           y' = eps (x - alpha + g~(x, y, eps, alpha) + u_slow)
+           y' = eps (x - alpha + shear * x * (y - x^2) + u_slow)
 
     vdp:   x' = -y + x^2 - x^3/3 + u
            y' = eps x
 
 with exactly one of u_fast/u_slow active, selected by the actuation channel.
-The closure g~ carries whatever smooth slow remainder the application needs;
-the fold control laws additionally require the shifted slow remainder to
-factor as g^(x^, y, eps, alpha) = x^ * phi^, and callers supplying
-``phi_hat`` assert that factorization themselves.
+The shear gain is 0.0 for the plain normal form.  At alpha = 0 the shear
+factors as x^ * phi^ with phi^ = shear * (y - x^2) and x^ = x - alpha,
+the form the fold control laws cancel.
 
-Each field takes its point as an (x, y) sequence, a :class:`PhasePoint` or
-a plain tuple alike, and returns the velocity as a plain (dx, dy) tuple.  A
-non-finite control value raises OverflowError, which `sim.integrate` turns
-into an ``overflow-fault``.
+`fold_rhs` takes the run's `FoldField`, which binds eps, alpha, the shear
+gain and the channel once, and its state as an (x, y) sequence; `vdp_rhs`
+takes the state, eps and the control.  Each returns the velocity as a
+plain (dx, dy) tuple, and a :class:`PhasePoint` or a plain tuple give the
+same bits.  A non-finite control value raises OverflowError, which
+`sim.integrate` turns into an ``overflow-fault``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .core import SystemParams, _Record
+from .core import SystemParams, _Record, _require_finite
 from .errors import DomainError
 
 __all__ = [
-    "HigherOrderTerms",
-    "zero_terms",
-    "parabolic_shear_terms",
+    "FoldField",
     "quadratic_gap_phi2",
     "fold_rhs",
     "vdp_rhs",
 ]
 
-HotFn = Callable[[float, float, float, float], float]
 
+class FoldField(_Record):
+    """The constants of the fold normal form for one run, bound once.
 
-class HigherOrderTerms(_Record):
-    """Smooth slow remainder of the fold normal form.
-
-    ``g_tilde`` takes (x, y, eps, alpha) and perturbs the slow equation.
-    ``phi_hat``, when present, takes (x^, y, eps, alpha) with x^ = x - alpha
-    and must satisfy g~(x, y, .) = x^ * phi_hat(x^, y, .); the compensating
-    controllers consume it directly.
+    ``shear`` is the gain of the slow shear g~ = shear*x*(y - x^2), 0.0 for
+    the plain normal form; ``channel`` is the actuation channel, "fast" or
+    "slow", checked here.
     """
 
-    __slots__ = _fields = ("g_tilde", "phi_hat")
+    _fields = ("params", "shear", "channel")
+    __slots__ = _fields + ("_eps", "_alpha", "_fast")
 
-    def __init__(self, g_tilde: HotFn, phi_hat: HotFn | None = None):
-        super().__init__(g_tilde, phi_hat)
-
-
-def _zero(x: float, y: float, eps: float, alpha: float) -> float:
-    return 0.0
-
-
-def zero_terms() -> HigherOrderTerms:
-    """The plain normal form: no slow remainder."""
-    return HigherOrderTerms(_zero)
-
-
-def parabolic_shear_terms(gain: float = 100.0) -> HigherOrderTerms:
-    """Slow-equation coupling g~ = gain * x * (y - x^2).
-
-    The factorization g~ = x * phi_hat with phi_hat = gain * (y - x^2)
-    holds at alpha = 0 only, which is the configuration this preset is
-    meant for.
-    """
-
-    def g_tilde(x: float, y: float, eps: float, alpha: float) -> float:
-        return gain * x * (y - x * x)
-
-    def phi_hat(xh: float, y: float, eps: float, alpha: float) -> float:
-        return gain * (y - xh * xh)
-
-    return HigherOrderTerms(g_tilde, phi_hat)
+    def __init__(self, params: SystemParams, shear: float = 0.0,
+                 channel: str = "fast"):
+        _require_finite(shear=shear)
+        if channel not in ("fast", "slow"):
+            raise DomainError(f"unknown actuation channel {channel!r}")
+        super().__init__(params, shear, channel)
+        for name, value in (("_eps", params.eps), ("_alpha", params.alpha),
+                            ("_fast", channel == "fast")):
+            object.__setattr__(self, name, value)
 
 
 def quadratic_gap_phi2(r2: float, x2: float, y2: float, alpha2: float) -> float:
-    """Chart-level slow remainder factor phi2 = y2 - x2^2."""
+    """Chart-level slow remainder factor phi2 = y2 - x2^2.
+
+    ``blowup.k2_field`` and ``controllers.k2_mu`` work out the shear gain
+    times this factor inline, with the same operations.
+    """
     return y2 - x2 * x2
 
 
-def fold_rhs(
-    p: Sequence[float],
-    params: SystemParams,
-    hot: HigherOrderTerms,
-    u: float,
-    channel: str = "fast",
-) -> tuple[float, float]:
-    """Fold normal form velocity (dx, dy) with the control injected on one channel."""
+def fold_rhs(field: FoldField, p: Sequence[float],
+             u: float) -> tuple[float, float]:
+    """Fold normal form velocity (dx, dy) with the control injected on the
+    field's channel."""
     if not 0.0 * u == 0.0:  # u is not finite
         raise OverflowError(f"non-finite control value {u!r}")
     x, y = p
-    eps, alpha = params.eps, params.alpha
-    g = hot.g_tilde
-    # zero_terms() adds the 0.0 _zero would return without calling it;
-    # adding it still turns a -0.0 into +0.0
-    gt = 0.0 if g is _zero else g(x, y, eps, alpha)
-    if channel == "fast":
+    shear = field.shear
+    # the plain normal form still adds a remainder of 0.0, which turns a
+    # -0.0 into +0.0
+    gt = 0.0 if shear == 0.0 else shear * x * (y - x * x)
+    eps, alpha = field._eps, field._alpha
+    if field._fast:
         return (-y + x * x + u, eps * (x - alpha + gt))
-    if channel == "slow":
-        return (-y + x * x, eps * (x - alpha + gt + u))
-    raise DomainError(f"unknown actuation channel {channel!r}")
+    return (-y + x * x, eps * (x - alpha + gt + u))
 
 
 def vdp_rhs(p: Sequence[float], eps: float, u: float) -> tuple[float, float]:

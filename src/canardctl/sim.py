@@ -58,7 +58,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import ScaledLevel, _Record, eval_level_term
+from .core import LevelTerm, ScaledLevel, _Record, eval_level_term
 from .dopri import (
     _interpolant,
     _length_error,
@@ -421,10 +421,11 @@ def convergence_metrics(traj: Trajectory, eps: float,
     never gets there, and when the cut is not finite (an initial residual
     that overflowed or is nan), since no residual can fall below such a cut.
     """
+    lt = LevelTerm(eps, 2.0, level)
     res = []
-    for p in zip(*traj.columns):
+    for x, y in zip(*traj.columns):
         try:
-            res.append(eval_level_term(p, eps, 2.0, level))
+            res.append(eval_level_term(x, y, lt))
         except ExponentOverflowError:
             res.append(math.inf)
     initial = res[0]

@@ -20,6 +20,8 @@ from .blowup import (
     kappa21,
 )
 from .controllers import (
+    FoldLaw,
+    VdpLaw,
     bump_psi,
     composite_u,
     default_neighborhoods,
@@ -29,6 +31,7 @@ from .controllers import (
 )
 from .core import (
     ControllerGains,
+    LevelTerm,
     PhasePoint,
     ScaledLevel,
     SystemParams,
@@ -39,7 +42,7 @@ from .core import (
 )
 from .errors import DomainError, ExtrapolationError
 from .mmo import MmoPattern
-from .models import fold_rhs, zero_terms
+from .models import FoldField, fold_rhs
 from .sim import IntegratorConfig, integrate
 
 __all__ = ["CHECKS", "run_verification"]
@@ -51,12 +54,12 @@ Check = Tuple[str, Callable[[], Tuple[bool, str]]]
 
 def _check_level_term_identity() -> Tuple[bool, str]:
     # c2 = 2, h = 0 must collapse to the bracket with no exponential factor
-    level = ScaledLevel(0.0, 0.0)
+    lt = LevelTerm(0.01, 2.0, ScaledLevel(0.0, 0.0))
     worst = 0.0
     for i in range(-6, 7):
         for j in range(-6, 7):
             x, y, eps = 0.17 * i, 0.13 * j, 0.01
-            got = eval_level_term(PhasePoint(x, y), eps, 2.0, level)
+            got = eval_level_term(x, y, lt)
             want = (y - x * x + 0.5 * eps) / (2.0 * eps)
             worst = max(worst, abs(got - want))
     return worst == 0.0, f"max deviation {worst:g}"
@@ -73,10 +76,10 @@ def _check_level_cap() -> Tuple[bool, str]:
 def _check_h_conservation() -> Tuple[bool, str]:
     # the plain normal form conserves H exactly; the integrator must track it
     params = SystemParams(0.05, 0.0)
-    hot = zero_terms()
+    field = FoldField(params)
     start = PhasePoint(-0.1, 0.3)
     traj = integrate(
-        lambda p, u: fold_rhs(p, params, hot, u),
+        lambda p, u: fold_rhs(field, p, u),
         lambda p: 0.0, start, (0.0, 6.0),
         IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12),
     )
@@ -142,7 +145,7 @@ def _check_germ_closed_loop() -> Tuple[bool, str]:
     def layer(xi: float, y: float, eps: float) -> float:
         params = SystemParams(eps, -0.1)
         x = params.alpha + xi
-        u = fast_u(PhasePoint(x, y), params, gains, level)
+        u = fast_u(FoldLaw(params, gains, level), PhasePoint(x, y))
         return -y + x * x + u
 
     rep = germ_check(layer, [0.04, 0.02, 0.01, 0.005])
@@ -179,9 +182,10 @@ def _check_bump_range() -> Tuple[bool, str]:
 def _check_composite_bounded() -> Tuple[bool, str]:
     nbhd = default_neighborhoods(0.01)
     gains = ControllerGains(1.0, 2.0, k1=1.0, x_star=-0.01)
+    law = VdpLaw(0.01, gains, nbhd)
     worst = 0.0
     for i in range(400):
-        u = composite_u(PhasePoint(0.15 + i * 2e-3, 0.01), 0.01, gains, nbhd)
+        u = composite_u(law, PhasePoint(0.15 + i * 2e-3, 0.01))
         worst = max(worst, abs(u))
     return math.isfinite(worst) and worst < 500.0, f"max |u| = {worst:.4g}"
 

@@ -18,6 +18,7 @@ import pytest
 from canardctl.blowup import (
     ChartPointK1,
     ChartPointK2,
+    K2Field,
     germ_check,
     k2_field,
     kappa12,
@@ -25,6 +26,9 @@ from canardctl.blowup import (
 )
 from canardctl.cli import ExperimentConfig, run_experiment
 from canardctl.controllers import (
+    FoldLaw,
+    K2Law,
+    VdpLaw,
     composite_u,
     default_neighborhoods,
     fast_u,
@@ -42,7 +46,7 @@ from canardctl.core import (
     eval_H2,
 )
 from canardctl.mmo import MmoPattern, run_pattern
-from canardctl.models import fold_rhs, quadratic_gap_phi2, vdp_rhs, zero_terms
+from canardctl.models import FoldField, fold_rhs, vdp_rhs
 from canardctl.sim import Trajectory, Watcher, convergence_metrics, integrate
 
 _SEED = 20260822
@@ -60,9 +64,11 @@ def _sampled_chart_starts(count):
     return out
 
 
-def _chart_rhs(r2, alpha2, g2=None):
+def _chart_rhs(r2, alpha2, shear=0.0):
+    field = K2Field(r2, alpha2, shear)
+
     def rhs(p, mu: float) -> tuple:
-        return k2_field(ChartPointK2(r2, p[0], p[1], alpha2), g2=g2, mu2=mu)
+        return k2_field(field, p, mu)
     return rhs
 
 
@@ -70,9 +76,10 @@ def _chart_rhs(r2, alpha2, g2=None):
 def chart_runs():
     """Ten singular-chart stabilization runs shared by checks 1 and 2."""
     gains = ControllerGains(c1=1.0, c2=2.0)
+    law = K2Law(gains, _H_TINY, 0.0, 1.0)
 
     def mu(p) -> float:
-        return k2_mu(ChartPointK2(0.0, p[0], p[1], 1.0), gains, _H_TINY)
+        return k2_mu(law, p)
 
     stop = Watcher("level-convergence",
                    lambda p: 1e-7 - abs(eval_H2(p[0], p[1]) - _H_TINY),
@@ -124,36 +131,37 @@ def test_a03_shear_compensation_necessity():
     starts = [PhasePoint(0.5, 0.5), PhasePoint(-1.0, 1.0), PhasePoint(2.0, 3.2),
               PhasePoint(-1.5, 1.8), PhasePoint(1.0, 0.8)]
 
-    def g2(r, x2, y2, a2):
-        return x2 * quadratic_gap_phi2(r, x2, y2, a2)
+    def gap_after(ic, shear, watched):
+        law = K2Law(gains, _H_TINY, 1.0, 1.0, shear)
 
-    def gap_after(ic, phi2, watched):
         def mu(p) -> float:
-            return k2_mu(ChartPointK2(1.0, p[0], p[1], 1.0), gains, _H_TINY,
-                         phi2=phi2)
+            return k2_mu(law, p)
         watchers = [Watcher("level-convergence",
                             lambda p: 1e-7 - abs(eval_H2(p[0], p[1]) - _H_TINY),
                             terminal=True)] if watched else []
-        traj = integrate(_chart_rhs(1.0, 1.0, g2), mu, ic, (0.0, 60.0),
+        traj = integrate(_chart_rhs(1.0, 1.0, 1.0), mu, ic, (0.0, 60.0),
                          watchers=watchers)
         p = traj.final_state
         return abs(eval_H2(p[0], p[1]) - _H_TINY)
 
-    plain = [gap_after(ic, None, watched=False) for ic in starts]
-    comp = [gap_after(ic, quadratic_gap_phi2, watched=True) for ic in starts]
+    plain = [gap_after(ic, 0.0, watched=False) for ic in starts]
+    comp = [gap_after(ic, 1.0, watched=True) for ic in starts]
     assert max(plain) > 1e-2
     assert all(g < 1e-4 for g in comp)
 
 
 def _fold_cycle_run(channel, params, gains, level, start, t_end, center):
+    law = FoldLaw(params, gains, level)
+    field = FoldField(params, channel=channel)
+
     def u(p) -> float:
         if channel == "fast":
-            return fast_u(p, params, gains, level)
-        return slow_u(p, params, gains, level)
+            return fast_u(law, p)
+        return slow_u(law, p)
 
     section = Watcher("section-crossing", lambda p: p[0] - center)
     traj = integrate(
-        lambda p, uval: fold_rhs(p, params, zero_terms(), uval, channel=channel),
+        lambda p, uval: fold_rhs(field, p, uval),
         u, start, (0.0, t_end), watchers=[section])
     xs, ys = traj.columns
     framed = Trajectory(traj.times, ([x - center for x in xs], ys),
@@ -194,12 +202,15 @@ def test_a05_maximal_canard_tracking_bounded_control():
     gains = ControllerGains(c1=1.0, c2=2.0 - math.exp(-15.0))
     level = ScaledLevel(0.0, 0.0)
 
+    law = FoldLaw(params, gains, level)
+    field = FoldField(params)
+
     def u(p) -> float:
-        return fast_u(p, params, gains, level)
+        return fast_u(law, p)
 
     top = Watcher("section-crossing", lambda p: p[1] - 1.2, terminal=True)
     traj = integrate(
-        lambda p, uval: fold_rhs(p, params, zero_terms(), uval),
+        lambda p, uval: fold_rhs(field, p, uval),
         u, PhasePoint(0.2, 0.3), (0.0, 700.0), watchers=[top])
 
     res = [abs(p[1] - p[0] * p[0] + 0.5 * eps) for p in traj.states]
@@ -237,19 +248,19 @@ def test_a07_germ_suite_closed_loops_keep_fold_signature():
     def fast_layer(x, y, eps):
         p = PhasePoint(x, y)
         params = SystemParams(eps, 0.0)
-        return fold_rhs(p, params, zero_terms(),
-                        fast_u(p, params, gains, level))[0]
+        return fold_rhs(FoldField(params), p,
+                        fast_u(FoldLaw(params, gains, level), p))[0]
 
     def slow_layer(x, y, eps):
         p = PhasePoint(x, y)
         params = SystemParams(eps, 0.0)
-        return fold_rhs(p, params, zero_terms(),
-                        slow_u(p, params, gains, level), channel="slow")[0]
+        return fold_rhs(FoldField(params, channel="slow"), p,
+                        slow_u(FoldLaw(params, gains, level), p))[0]
 
     def blended_layer(x, y, eps):
         p = PhasePoint(x, y)
         return vdp_rhs(p, eps, composite_u(
-            p, eps, gains, default_neighborhoods(eps)))[0]
+            VdpLaw(eps, gains, default_neighborhoods(eps)), p))[0]
 
     layers = {
         "open": lambda x, y, eps: -y + x * x,

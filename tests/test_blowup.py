@@ -12,6 +12,7 @@ from canardctl.errors import DomainError, ExtrapolationError
 from canardctl.blowup import (
     ChartPointK1,
     ChartPointK2,
+    K2Field,
     germ_check,
     k1_vdp_field,
     k2_field,
@@ -85,14 +86,11 @@ def test_kappa_domain_guards():
 
 
 def test_k2_field_plain():
-    dx2, dy2 = k2_field(ChartPointK2(0.0, 1.0, 2.0, 0.0, 0.0))
+    dx2, dy2 = k2_field(K2Field(0.0, 0.0), (1.0, 2.0), 0.0)
     assert dx2 == pytest.approx(-1.0)
     assert dy2 == pytest.approx(1.0)
-    # alpha2 shifts the parabola, r2 couples the slow remainder
-    dx2, dy2 = k2_field(
-        ChartPointK2(0.5, 1.0, 2.0, 1.0, 0.25),
-        g2=lambda r2, x2, y2, a2: y2 - x2 * x2,
-    )
+    # alpha2 shifts the parabola, r2 couples the shear x2 * (y2 - x2^2)
+    dx2, dy2 = k2_field(K2Field(0.5, 1.0, shear=1.0), (1.0, 2.0), 0.25)
     assert dx2 == pytest.approx(-2.0 + 4.0 + 0.25)
     assert dy2 == pytest.approx(1.0 + 0.5 * 1.0)
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,10 +10,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canardctl.blowup import ChartPointK1, ChartPointK2, k1_vdp_field, k2_field
+from canardctl.blowup import (
+    ChartPointK1,
+    ChartPointK2,
+    K2Field,
+    k1_vdp_field,
+    k2_field,
+)
 from canardctl.controllers import (
+    FoldLaw,
     K1Domain,
+    K2Law,
     NeighborhoodParams,
+    VdpLaw,
     _phi0,
     _psi_n1,
     _psi_n2,
@@ -31,19 +41,19 @@ from canardctl.controllers import (
 )
 from canardctl.core import (
     ControllerGains,
+    LevelTerm,
     PhasePoint,
     ScaledLevel,
     SystemParams,
     eval_H1,
     eval_level_term,
 )
-from canardctl.errors import DomainError, SingularConfigurationError
-from canardctl.models import (
-    fold_rhs,
-    parabolic_shear_terms,
-    quadratic_gap_phi2,
-    vdp_rhs,
+from canardctl.errors import (
+    DomainError,
+    ExponentOverflowError,
+    SingularConfigurationError,
 )
+from canardctl.models import FoldField, fold_rhs, quadratic_gap_phi2, vdp_rhs
 from test_acceptance import _branch_oracle
 
 
@@ -61,45 +71,43 @@ def _bisect_phi0(y):
 
 class TestFastSlowLaws:
     def test_fast_u_zero_at_centered_origin(self):
-        u = fast_u(PhasePoint(0.0, 0.0), SystemParams(0.01, 0.0),
-                   ControllerGains(1.0, 2.0), ScaledLevel(0.0))
+        u = fast_u(FoldLaw(SystemParams(0.01, 0.0), ControllerGains(1.0, 2.0),
+                           ScaledLevel(0.0)), PhasePoint(0.0, 0.0))
         assert u == 0.0
 
     def test_fast_u_worked_example(self):
         # xh = 0 kills every state-dependent term, leaving -alpha^2
-        u = fast_u(PhasePoint(-0.1, 0.0), SystemParams(0.01, -0.1),
-                   ControllerGains(1.0, 2.0), ScaledLevel(0.0))
+        u = fast_u(FoldLaw(SystemParams(0.01, -0.1), ControllerGains(1.0, 2.0),
+                           ScaledLevel(0.0)), PhasePoint(-0.1, 0.0))
         assert u == pytest.approx(-0.01, rel=1e-14)
 
     def test_fast_u_shear_compensation_term(self):
-        hot = parabolic_shear_terms(100.0)
-        base = fast_u(PhasePoint(0.0, 1.0), SystemParams(0.01, 0.0),
-                      ControllerGains(1.0, 2.0), ScaledLevel(0.0))
-        comp = fast_u(PhasePoint(0.0, 1.0), SystemParams(0.01, 0.0),
-                      ControllerGains(1.0, 2.0), ScaledLevel(0.0),
-                      phi_hat=hot.phi_hat)
+        law = FoldLaw(SystemParams(0.01, 0.0), ControllerGains(1.0, 2.0),
+                      ScaledLevel(0.0))
+        base = fast_u(law, PhasePoint(0.0, 1.0))
+        comp = fast_u(law._replace(shear=100.0), PhasePoint(0.0, 1.0))
         assert comp - base == pytest.approx(-10.0, rel=1e-12)
 
     def test_slow_u_on_critical_manifold(self):
-        u = slow_u(PhasePoint(0.7, 0.49), SystemParams(0.01, 0.1),
-                   ControllerGains(1.0, 2.0), ScaledLevel(0.0))
+        u = slow_u(FoldLaw(SystemParams(0.01, 0.1), ControllerGains(1.0, 2.0),
+                           ScaledLevel(0.0)), PhasePoint(0.7, 0.49))
         assert u == pytest.approx(0.1, abs=1e-15)
 
     def test_slow_u_worked_example(self):
         eps = 0.04
-        u = slow_u(PhasePoint(0.0, eps), SystemParams(eps, 0.0),
-                   ControllerGains(1.0, 2.0), ScaledLevel(0.0))
+        u = slow_u(FoldLaw(SystemParams(eps, 0.0), ControllerGains(1.0, 2.0),
+                           ScaledLevel(0.0)), PhasePoint(0.0, eps))
         assert u == pytest.approx(0.15, rel=1e-13)
 
     def test_fast_u_vanishes_along_stored_level_zero(self):
         # on y = x^2 - eps/2 the h = 0 level term vanishes up to the
         # rounding of the grid heights themselves
         eps = 0.01
-        gains = ControllerGains(1.0, 2.0)
+        law = FoldLaw(SystemParams(eps, 0.0), ControllerGains(1.0, 2.0),
+                      ScaledLevel(0.0))
         for x in np.linspace(-1.0, 1.0, 41):
             y = x * x - 0.5 * eps
-            u = fast_u(PhasePoint(x, y), SystemParams(eps, 0.0), gains,
-                       ScaledLevel(0.0))
+            u = fast_u(law, PhasePoint(x, y))
             assert abs(u) < 1e-12
 
     def test_fast_u_bounded_with_admissible_c2(self):
@@ -109,26 +117,27 @@ class TestFastSlowLaws:
         for y in np.linspace(eps, 100.0 * eps, 60):
             # largest admissible weight on the fast channel at K = 1
             c2 = 2.0 + 1.5 * (eps / y) * math.log(eps / y)
-            u = fast_u(PhasePoint(math.sqrt(y), y), SystemParams(eps, 0.0),
-                       ControllerGains(1.0, c2), ScaledLevel(0.0))
+            law = FoldLaw(SystemParams(eps, 0.0), ControllerGains(1.0, c2),
+                          ScaledLevel(0.0))
+            u = fast_u(law, PhasePoint(math.sqrt(y), y))
             assert abs(u) < 1.0
 
 
 class TestChartK2Law:
     def test_reference_configuration(self):
         # only the -alpha2^2 term survives at the origin
-        mu = k2_mu(ChartPointK2(0.0, 0.0, 0.0, alpha2=1.0),
-                   ControllerGains(1.0, 2.0), 1e-16)
+        mu = k2_mu(K2Law(ControllerGains(1.0, 2.0), 1e-16, 0.0, alpha2=1.0),
+                   (0.0, 0.0))
         assert mu == pytest.approx(-1.0, rel=1e-12)
 
     def test_zero_without_offset_on_axis(self):
-        assert k2_mu(ChartPointK2(0.0, 0.0, 3.0), ControllerGains(1.0, 2.0),
-                     0.0) == 0.0
+        assert k2_mu(K2Law(ControllerGains(1.0, 2.0), 0.0, 0.0, 0.0),
+                     (0.0, 3.0)) == 0.0
 
     def test_shear_correction_term(self):
-        base = k2_mu(ChartPointK2(1.0, 0.0, 1.0), ControllerGains(1.0, 2.0), 0.0)
-        corr = k2_mu(ChartPointK2(1.0, 0.0, 1.0), ControllerGains(1.0, 2.0), 0.0,
-                     phi2=quadratic_gap_phi2)
+        law = K2Law(ControllerGains(1.0, 2.0), 0.0, 1.0, 0.0)
+        base = k2_mu(law, (0.0, 1.0))
+        corr = k2_mu(law._replace(shear=1.0), (0.0, 1.0))
         assert corr - base == pytest.approx(-1.0, rel=1e-12)
 
     def test_lyapunov_zero_on_target_level(self):
@@ -296,7 +305,7 @@ class TestComposite:
     def test_zero_outside_both_neighborhoods(self):
         nb = default_neighborhoods(0.01)
         gains = ControllerGains(1.0, 2.0, k1=1.0)
-        assert composite_u(PhasePoint(-1.5, 1.0), 0.01, gains, nb) == 0.0
+        assert composite_u(VdpLaw(0.01, gains, nb), PhasePoint(-1.5, 1.0)) == 0.0
 
     def test_full_authority_deep_in_n2(self):
         nb = default_neighborhoods(0.01)
@@ -305,7 +314,8 @@ class TestComposite:
         assert bump_psi(p, "N1", nb) == 0.0
         assert bump_psi(p, "N2", nb) == 1.0
         u2 = _vdp_u2(p, 0.01, gains)
-        assert composite_u(p, 0.01, gains, nb) == pytest.approx(u2, rel=1e-14)
+        assert composite_u(VdpLaw(0.01, gains, nb), p) == \
+            pytest.approx(u2, rel=1e-14)
 
     def test_u2_matches_scaled_fast_law(self):
         # u2 is the h = 0, c2 = 2 fast law with the 1/2 absorbed into c1
@@ -315,8 +325,8 @@ class TestComposite:
             eps = float(rng.uniform(0.005, 0.1))
             c1 = float(rng.uniform(0.1, 5.0))
             u2 = _vdp_u2(p, eps, ControllerGains(c1, 2.0))
-            uf = fast_u(p, SystemParams(eps, 0.0), ControllerGains(c1, 2.0),
-                        ScaledLevel(0.0))
+            uf = fast_u(FoldLaw(SystemParams(eps, 0.0), ControllerGains(c1, 2.0),
+                                ScaledLevel(0.0)), p)
             assert u2 == pytest.approx(2.0 * uf, rel=1e-12, abs=1e-15)
 
     def test_u2_zero_structure(self):
@@ -331,11 +341,11 @@ class TestComposite:
         # grid second differences: bounded, and no O(1/h) jump at the bump
         # edges (frozen against a 1e-3 scan; a C1-only blend jumps by ~1e3)
         nb = default_neighborhoods(0.01)
-        gains = ControllerGains(1.0, 2.0, k1=1.0)
+        law = VdpLaw(0.01, ControllerGains(1.0, 2.0, k1=1.0), nb)
         h = 1e-3
 
         def scan(points):
-            us = [composite_u(p, 0.01, gains, nb) for p in points]
+            us = [composite_u(law, p) for p in points]
             d2 = [(us[i + 1] - 2.0 * us[i] + us[i - 1]) / h ** 2
                   for i in range(1, len(us) - 1)]
             jump = max(abs(d2[i + 1] - d2[i]) for i in range(len(d2) - 1))
@@ -416,31 +426,29 @@ class TestArgumentChecks:
         gains = SimpleNamespace(c1=1.0, c2=args["c2"])
         msg = _eps_message(bad) if arg == "eps" else _finite_message(arg, bad)
         with pytest.raises(DomainError, match=msg):
-            law(PhasePoint(args["x"], args["y"]), params, gains,
-                ScaledLevel(0.25, 400.0))
+            law(FoldLaw(params, gains, ScaledLevel(0.25, 400.0)),
+                PhasePoint(args["x"], args["y"]))
 
     @pytest.mark.parametrize("x", [0.2, math.nan, math.inf],
                              ids=["finite", "nan-x", "inf-x"])
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("law", [fast_u, slow_u])
     def test_fold_laws_reject_a_bad_eps_at_any_point(self, law, eps, x):
-        # eval_level_term is the one eps check, and it runs before either
-        # law takes sqrt(eps); a bad point is named first
+        # the law's LevelTerm is the one eps check; it runs when the law is
+        # bound, before sqrt(eps) and before any point is evaluated
         params = SimpleNamespace(eps=eps, alpha=0.0)
-        with pytest.raises(DomainError) as info:
-            law(PhasePoint(x, 0.3), params, ControllerGains(1.0, 2.0),
-                ScaledLevel(0.25, 400.0))
-        if math.isfinite(x):
-            assert re.match(_eps_message(eps), str(info.value))
+        with pytest.raises(DomainError, match=_eps_message(eps)):
+            law(FoldLaw(params, ControllerGains(1.0, 2.0),
+                        ScaledLevel(0.25, 400.0)), PhasePoint(x, 0.3))
 
     @pytest.mark.parametrize("bad", _NONFINITE)
     @pytest.mark.parametrize("arg", ["r2", "x2", "y2", "alpha2", "level_h"])
     def test_k2_mu(self, arg, bad):
         args = {"r2": 0.1, "x2": 0.5, "y2": 1.0, "alpha2": 1.0,
                 "level_h": 1e-16, arg: bad}
-        p = ChartPointK2(args["r2"], args["x2"], args["y2"], args["alpha2"])
         with pytest.raises(DomainError, match=_finite_message(arg, bad)):
-            k2_mu(p, ControllerGains(1.0, 2.0), args["level_h"])
+            k2_mu(K2Law(ControllerGains(1.0, 2.0), args["level_h"], args["r2"],
+                        args["alpha2"]), (args["x2"], args["y2"]))
 
     @pytest.mark.parametrize("bad", _NONFINITE)
     @pytest.mark.parametrize("arg", ["r1", "x1", "eps1"])
@@ -468,8 +476,8 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
     def test_composite_u(self, bad):
         with pytest.raises(DomainError, match=_eps_message(bad)):
-            composite_u(PhasePoint(0.2, 0.04), bad, ControllerGains(1.0, 2.0),
-                        default_neighborhoods(0.01))
+            composite_u(VdpLaw(bad, ControllerGains(1.0, 2.0),
+                               default_neighborhoods(0.01)), PhasePoint(0.2, 0.04))
 
 
 def _bits(value):
@@ -479,37 +487,247 @@ def _bits(value):
 _PARAMS = SystemParams(0.01, -0.1)
 _GAINS = ControllerGains(1.5, 2.5)
 _LEVEL = ScaledLevel(0.25, 60.0)
-_SHEAR = parabolic_shear_terms()
 _VDP_GAINS = ControllerGains(1.0, 2.0, k1=1.0, x_star=-0.01)
 _NBHD = default_neighborhoods(0.01)
+_LAWS = {
+    "fold_rhs-fast": partial(fold_rhs, FoldField(_PARAMS, 100.0), u=0.7),
+    "fold_rhs-slow": partial(fold_rhs, FoldField(_PARAMS, 100.0, "slow"),
+                             u=0.7),
+    "vdp_rhs": partial(vdp_rhs, eps=0.01, u=-0.3),
+    "eval_level_term": lambda p: eval_level_term(
+        p[0], p[1], LevelTerm(0.01, 2.5, _LEVEL)),
+    "fast_u": partial(fast_u, FoldLaw(_PARAMS, _GAINS, _LEVEL)),
+    "fast_u-phi_hat": partial(fast_u, FoldLaw(_PARAMS, _GAINS, _LEVEL, 100.0)),
+    "slow_u": partial(slow_u, FoldLaw(_PARAMS, _GAINS, _LEVEL)),
+    "k2_mu": partial(k2_mu, K2Law(_GAINS, 1e-3, 0.1, 0.8, shear=1.0)),
+    "k2_field": partial(k2_field, K2Field(0.1, 0.8, shear=1.0), mu2=0.3),
+    "k1_vdp_mu": partial(k1_vdp_mu, gains=_VDP_GAINS, phi1=k1_chart_phi1),
+    "k1_vdp_field": partial(k1_vdp_field, mu1=-0.2),
+    "composite_u": partial(composite_u, VdpLaw(0.01, _VDP_GAINS, _NBHD)),
+}
 
 
-@pytest.mark.parametrize("law,point,rest", [
-    (fold_rhs, PhasePoint(0.3, 0.2), (_PARAMS, _SHEAR, 0.7, "fast")),
-    (fold_rhs, PhasePoint(0.3, 0.2), (_PARAMS, _SHEAR, 0.7, "slow")),
-    (vdp_rhs, PhasePoint(1.1, 0.4), (0.01, -0.3)),
-    (eval_level_term, PhasePoint(0.3, 0.2), (0.01, 2.5, _LEVEL)),
-    (fast_u, PhasePoint(0.3, 0.2), (_PARAMS, _GAINS, _LEVEL)),
-    (fast_u, PhasePoint(0.3, 0.2), (_PARAMS, _GAINS, _LEVEL, _SHEAR.phi_hat)),
-    (slow_u, PhasePoint(0.3, 0.2), (_PARAMS, _GAINS, _LEVEL)),
-    (k2_mu, ChartPointK2(0.1, 0.5, 1.2, 0.8), (_GAINS, 1e-3, quadratic_gap_phi2)),
-    (k2_field, ChartPointK2(0.1, 0.5, 1.2, 0.8),
-     (lambda r, x2, y2, a2: x2 * quadratic_gap_phi2(r, x2, y2, a2), 0.3)),
-    (k1_vdp_mu, ChartPointK1(0.3, 1.05, 0.1), (_VDP_GAINS, k1_chart_phi1)),
-    (k1_vdp_field, ChartPointK1(0.3, 1.05, 0.1), (-0.2,)),
-    (composite_u, PhasePoint(1.0, 2.0 / 3.0), (0.01, _VDP_GAINS, _NBHD)),
-    (composite_u, PhasePoint(0.1, 0.01), (0.01, _VDP_GAINS, _NBHD)),
-    (composite_u, PhasePoint(0.2, 0.04), (0.01, _VDP_GAINS, _NBHD)),
+@pytest.mark.parametrize("name,point", [
+    ("fold_rhs-fast", PhasePoint(0.3, 0.2)),
+    ("fold_rhs-slow", PhasePoint(0.3, 0.2)),
+    ("vdp_rhs", PhasePoint(1.1, 0.4)),
+    ("eval_level_term", PhasePoint(0.3, 0.2)),
+    ("fast_u", PhasePoint(0.3, 0.2)),
+    ("fast_u-phi_hat", PhasePoint(0.3, 0.2)),
+    ("slow_u", PhasePoint(0.3, 0.2)),
+    ("k2_mu", PhasePoint(0.5, 1.2)),
+    ("k2_field", PhasePoint(0.5, 1.2)),
+    ("k1_vdp_mu", ChartPointK1(0.3, 1.05, 0.1)),
+    ("k1_vdp_field", ChartPointK1(0.3, 1.05, 0.1)),
+    ("composite_u", PhasePoint(1.0, 2.0 / 3.0)),
+    ("composite_u", PhasePoint(0.1, 0.01)),
+    ("composite_u", PhasePoint(0.2, 0.04)),
 ], ids=["fold_rhs-fast", "fold_rhs-slow", "vdp_rhs", "eval_level_term", "fast_u",
         "fast_u-phi_hat", "slow_u", "k2_mu", "k2_field", "k1_vdp_mu",
         "k1_vdp_field", "composite_u-N1", "composite_u-N2", "composite_u-overlap"])
-def test_law_gives_the_same_bits_for_a_plain_tuple_point(law, point, rest):
+def test_law_gives_the_same_bits_for_a_plain_tuple_point(name, point):
     # the runners integrate plain-tuple states through the same laws; a
-    # slice of a chart point is the tuple its run builds: (r2, x2, y2, alpha2)
-    # in k2, (r1, x1, eps1) in k1-vdp
-    plain = point[:3] if isinstance(point, ChartPointK1) else point[:4]
+    # slice of an entry-chart point is the (r1, x1, eps1) k1-vdp builds
+    plain = point[:3] if isinstance(point, ChartPointK1) else tuple(point)
     assert type(plain) is tuple
-    assert _bits(law(plain, *rest)) == _bits(law(point, *rest))
+    assert _bits(_LAWS[name](plain)) == _bits(_LAWS[name](point))
+
+
+_FOLD_GRID = [(x, y) for x in (-0.4, 0.05, 0.3) for y in (-0.1, 0.02, 0.2)]
+_CHART_GRID = [(x, y) for x in (-1.5, 0.5, 2.0) for y in (-0.5, 1.2, 3.0)]
+_VDP_POINTS = [(1.0, 2.0 / 3.0), (0.1, 0.01), (0.2, 0.04), (0.7, 0.35),
+               (-0.1, 0.005), (1.5, 1.0)]
+_PLAIN = SystemParams(0.01, 0.0)
+_C2_2 = ControllerGains(1.5, 2.0)
+_PINNED_LAWS = {
+    "eval_level_term": (
+        lambda p: eval_level_term(*p, LevelTerm(0.01, 2.5, _LEVEL)), _FOLD_GRID),
+    "eval_level_term-c2-2": (
+        lambda p: eval_level_term(*p, LevelTerm(0.01, 2.0, ScaledLevel(0.0))),
+        _FOLD_GRID),
+    "fast_u": (partial(fast_u, FoldLaw(_PARAMS, _GAINS, _LEVEL)), _FOLD_GRID),
+    "fast_u-shear": (partial(fast_u, FoldLaw(_PLAIN, _C2_2, _LEVEL, 100.0)),
+                     _FOLD_GRID),
+    "slow_u": (partial(slow_u, FoldLaw(_PARAMS, _GAINS, _LEVEL)), _FOLD_GRID),
+    "fold_rhs-fast-shear": (
+        partial(fold_rhs, FoldField(_PLAIN, 100.0), u=0.7), _FOLD_GRID),
+    "fold_rhs-slow": (
+        partial(fold_rhs, FoldField(_PARAMS, channel="slow"), u=0.7),
+        _FOLD_GRID),
+    "k2_mu": (partial(k2_mu, K2Law(_GAINS, 1e-3, 0.1, 0.8)), _CHART_GRID),
+    "k2_mu-shear": (partial(k2_mu, K2Law(_C2_2, 1e-3, 0.1, 0.8, 1.0)),
+                    _CHART_GRID),
+    "k2_field": (partial(k2_field, K2Field(0.0, 0.8), mu2=0.3), _CHART_GRID),
+    "k2_field-shear": (partial(k2_field, K2Field(0.1, 0.8, 1.0), mu2=0.3),
+                       _CHART_GRID),
+    "composite_u": (partial(composite_u, VdpLaw(0.01, _VDP_GAINS, _NBHD)),
+                    _VDP_POINTS),
+}
+# each law's values over its grid, as the laws gave them before their
+# constants were bound once per run: the binding moves no bit
+_PINNED_BITS = {
+    'eval_level_term': (
+        '-0x1.5fe1ee68a9e82p-4', '-0x1.25930e55929c2p+4',
+        '0x1.832f1896fd88fp+15', '-0x1.0d162ec881edcp-5',
+        '0x1.876ebdc76e257p+1', '0x1.b394fbab2a770p+17',
+        '-0x1.fe931db0f6880p-5', '-0x1.1ab3891008704p+3',
+        '0x1.eebc2da5a50ffp+16',
+    ),
+    'eval_level_term-c2-2': (
+        '-0x1.9800000000000p+3', '-0x1.b000000000002p+2',
+        '0x1.1fffffffffffdp+1', '-0x1.3800000000000p+2',
+        '0x1.2000000000000p+0', '0x1.4400000000000p+3',
+        '-0x1.2800000000000p+3', '-0x1.9ffffffffffffp+1',
+        '0x1.7000000000001p+2',
+    ),
+    'fast_u': (
+        '-0x1.133b68ee940dap-4', '0x1.4f68ee5487085p-2',
+        '-0x1.6436b039d3013p+12', '0x1.3916544e551d3p-6',
+        '0x1.c4f03cbab29b2p-6', '0x1.1aa54298004e1p+12',
+        '0x1.099b677499a55p-4', '-0x1.07e95570deaa6p+0',
+        '0x1.73b4927c78839p+11',
+    ),
+    'fast_u-shear': (
+        '0x1.6c8b439581068p-4', '0x1.ac083126e9790p-3',
+        '-0x1.353f7cec8174cp-3', '-0x1.220c49ba5e355p-3',
+        '0x1.604189374bc6cp-8', '-0x1.41a9fbe77d8a9p-2',
+        '-0x1.8df3b645a1cacp-1', '-0x1.8fdf3b645a1c9p-3',
+        '0x1.1a1cac0765304p-3',
+    ),
+    'slow_u': (
+        '0x1.e15ef74c181e3p-3', '0x1.3374024040573p+5',
+        '0x1.d09e83e86370ep+14', '-0x1.957ab1abb83c2p-5',
+        '0x1.67cde0de33a75p-1', '0x1.429a53fdf8402p+19',
+        '0x1.3df80a4f5f4eap-4', '0x1.25a2e98408dc4p+3',
+        '0x1.9827ff4241c6dp+17',
+    ),
+    'fold_rhs-fast-shear': (
+        ('0x1.eb851eb851eb8p-1', '0x1.999999999999ap-4'),
+        ('0x1.ae147ae147ae1p-1', '0x1.a9fbe76c8b43bp-5'),
+        ('0x1.51eb851eb851ep-1', '-0x1.47ae147ae1478p-6'),
+        ('0x1.9ae147ae147aep-1', '-0x1.2f1a9fbe76c8cp-8'),
+        ('0x1.5d70a3d70a3d7p-1', '0x1.6872b020c49bbp-10'),
+        ('0x1.0147ae147ae14p-1', '0x1.53f7ced916873p-7'),
+        ('0x1.c7ae147ae147ap-1', '-0x1.ba5e353f7cedap-5'),
+        ('0x1.8a3d70a3d70a3p-1', '-0x1.26e978d4fdf3ap-6'),
+        ('0x1.2e147ae147ae1p-1', '0x1.26e978d4fdf3cp-5'),
+    ),
+    'fold_rhs-slow': (
+        ('0x1.0a3d70a3d70a4p-2', '0x1.0624dd2f1a9fbp-8'),
+        ('0x1.1eb851eb851edp-3', '0x1.0624dd2f1a9fbp-8'),
+        ('-0x1.47ae147ae1478p-5', '0x1.0624dd2f1a9fbp-8'),
+        ('0x1.a3d70a3d70a3ep-4', '0x1.16872b020c49cp-7'),
+        ('-0x1.1eb851eb851ecp-6', '0x1.16872b020c49cp-7'),
+        ('-0x1.947ae147ae148p-3', '0x1.16872b020c49cp-7'),
+        ('0x1.851eb851eb852p-3', '0x1.6872b020c49bbp-7'),
+        ('0x1.1eb851eb851ebp-4', '0x1.6872b020c49bbp-7'),
+        ('-0x1.c28f5c28f5c2ap-4', '0x1.6872b020c49bbp-7'),
+    ),
+    'k2_mu': (
+        '0x1.ddb1a7d3e087ap+1', '0x1.77605e9c0154cp+1',
+        '-0x1.e5a99c1d82a10p-2', '-0x1.8362dfd1cb7e0p+0',
+        '-0x1.db6e10d461c48p-2', '0x1.55405d4514d7ap+1',
+        '-0x1.106fefee65dd0p+3', '-0x1.45f85a4008b2dp+3',
+        '-0x1.94033a5fe6976p+3',
+    ),
+    'k2_mu-shear': (
+        '0x1.c49600c59eaa9p+1', '0x1.258aecbc4c297p+1',
+        '0x1.3488f4c7c5658p+0', '-0x1.971c526f443b2p+0',
+        '-0x1.fd52267c165c4p-1', '-0x1.47b2c5a593b81p+0',
+        '-0x1.7bb71efa3179bp+3', '-0x1.036d1d13c2019p+3',
+        '-0x1.799e4ac44c09fp+2',
+    ),
+    'k2_field': (
+        ('0x1.4a3d70a3d70a4p+0', '-0x1.8000000000000p+0'),
+        ('-0x1.a3d70a3d70a3dp-2', '-0x1.8000000000000p+0'),
+        ('-0x1.1ae147ae147afp+1', '-0x1.8000000000000p+0'),
+        ('0x1.3eb851eb851ecp+1', '0x1.0000000000000p-1'),
+        ('0x1.947ae147ae14ap-1', '0x1.0000000000000p-1'),
+        ('-0x1.028f5c28f5c28p+0', '0x1.0000000000000p-1'),
+        ('0x1.147ae147ae148p+3', '0x1.0000000000000p+1'),
+        ('0x1.bc28f5c28f5c1p+2', '0x1.0000000000000p+1'),
+        ('0x1.48f5c28f5c28ep+2', '0x1.0000000000000p+1'),
+    ),
+    'k2_field-shear': (
+        ('0x1.4a3d70a3d70a4p+0', '-0x1.1666666666666p+0'),
+        ('-0x1.a3d70a3d70a3dp-2', '-0x1.57ae147ae147bp+0'),
+        ('-0x1.1ae147ae147afp+1', '-0x1.9cccccccccccdp+0'),
+        ('0x1.3eb851eb851ecp+1', '0x1.d99999999999ap-2'),
+        ('0x1.947ae147ae14ap-1', '0x1.1851eb851eb85p-1'),
+        ('-0x1.028f5c28f5c28p+0', '0x1.4666666666666p-1'),
+        ('0x1.147ae147ae148p+3', '0x1.199999999999ap+0'),
+        ('0x1.bc28f5c28f5c1p+2', '0x1.70a3d70a3d70ap+0'),
+        ('0x1.48f5c28f5c28ep+2', '0x1.ccccccccccccdp+0'),
+    ),
+    'composite_u': (
+        '0x1.e169a611f09e9p-7', '0x1.47ae147ae1479p-8',
+        '0x1.68a486b1e4b5cp-7', '-0x1.04dd9e37f3730p-4',
+        '0x1.0000000000000p-59', '-0x1.137824e7ba571p-3',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_LAWS))
+def test_bound_laws_keep_their_bits(name):
+    law, points = _PINNED_LAWS[name]
+    assert tuple(_bits(law(p)) for p in points) == _PINNED_BITS[name]
+
+
+# faults the laws and fields raise at a state, with the type and message
+# they had before their constants were bound once per run
+_PINNED_FAULTS = {
+    "fold_rhs-nonfinite-control": (
+        lambda: fold_rhs(FoldField(_PARAMS), (0.1, 0.2), math.inf),
+        OverflowError, "non-finite control value inf"),
+    "fold_rhs-slow-nonfinite-control": (
+        lambda: fold_rhs(FoldField(_PARAMS, channel="slow"), (0.1, 0.2),
+                         math.nan),
+        OverflowError, "non-finite control value nan"),
+    "fast_u-level-overflow": (
+        lambda: fast_u(FoldLaw(_PLAIN, ControllerGains(1.0, 3.0),
+                               ScaledLevel(0.25)), (0.1, 3.0)),
+        ExponentOverflowError,
+        "exponent c2*y/eps - E = 900 exceeds the safe range (700)"),
+    "slow_u-level-overflow": (
+        lambda: slow_u(FoldLaw(_PLAIN, ControllerGains(1.0, 2.5),
+                               ScaledLevel(0.25, 400.0)), (0.1, 9.0)),
+        ExponentOverflowError,
+        "exponent c2*y/eps - E = 1850 exceeds the safe range (700)"),
+    "fast_u-weight-overflow": (
+        lambda: fast_u(FoldLaw(_PLAIN, ControllerGains(1.0, 6.0),
+                               ScaledLevel(0.0)), (0.1, 3.0)),
+        ExponentOverflowError,
+        "exponent (c2-2)*y/eps = 1200 exceeds the safe range (700)"),
+    "eval_level_term-out-of-range": (
+        lambda: eval_level_term(1e200, 0.0,
+                                LevelTerm(0.01, 2.0, ScaledLevel(0.0))),
+        ExponentOverflowError,
+        "exponent (c2-2)*y/eps = 0 takes its term out of floating-point range"),
+    "k2_mu-level-overflow": (
+        lambda: k2_mu(K2Law(_GAINS, 1e-3, 0.1, 0.8), (0.3, 400.0)),
+        ExponentOverflowError,
+        "exponent c2*y2 = 1000 exceeds the safe range (700)"),
+    "fast_u-nonfinite-state": (
+        lambda: fast_u(FoldLaw(_PARAMS, _GAINS, _LEVEL), (math.nan, 0.2)),
+        DomainError, "x must be finite, got nan"),
+    "fast_u-overflowed-state": (
+        lambda: fast_u(FoldLaw(_PLAIN, _C2_2, _LEVEL), (0.1, 1e308 * 10)),
+        DomainError, "y must be finite, got inf"),
+    "slow_u-nonfinite-state": (
+        lambda: slow_u(FoldLaw(_PARAMS, _GAINS, _LEVEL), (0.2, math.inf)),
+        DomainError, "y must be finite, got inf"),
+    "k2_mu-nonfinite-state": (
+        lambda: k2_mu(K2Law(_GAINS, 1e-3, 0.1, 0.8), (math.nan, 0.2)),
+        DomainError, "x2 must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_FAULTS))
+def test_bound_laws_keep_their_faults(name):
+    call, error, message = _PINNED_FAULTS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def _margin_window(v, lo, hi, margin):
@@ -668,5 +886,6 @@ def test_composite_u_matches_the_full_product_formula(point, segment):
     gains = ControllerGains(1.0, 2.0, k1=1.0, x_star=x_star)
     nbhd = default_neighborhoods(0.01, y_h)
     want = _parent_composite_u(point, 0.01, gains, nbhd)
-    assert composite_u(point, 0.01, gains, nbhd).hex() == want.hex()
-    assert composite_u(PhasePoint(*point), 0.01, gains, nbhd).hex() == want.hex()
+    law = VdpLaw(0.01, gains, nbhd)
+    assert composite_u(law, point).hex() == want.hex()
+    assert composite_u(law, PhasePoint(*point)).hex() == want.hex()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from canardctl.core import (
     EXP_GUARD,
     ControllerGains,
+    LevelTerm,
     PhasePoint,
     ScaledLevel,
     SystemParams,
@@ -106,7 +107,7 @@ def test_chart_identities_random():
 def test_eval_level_term_worked_example():
     # (0, 0.5), eps = 0.01, c2 = 2, level (1/4, 400): the h part is ~1e-131
     level = ScaledLevel(0.25, 400.0)
-    got = eval_level_term(PhasePoint(0.0, 0.5), 0.01, 2.0, level)
+    got = eval_level_term(0.0, 0.5, LevelTerm(0.01, 2.0, level))
     assert got == pytest.approx(25.25, rel=1e-14)
 
 
@@ -126,26 +127,26 @@ def test_eval_level_term_against_mpmath():
         H = mpmath.mpf(0.5) * mpmath.exp(-2 * Y / EPS) * ((Y - X ** 2) / EPS + mpmath.mpf(0.5))
         h = mpmath.mpf(0.25) * mpmath.exp(-400)
         ref = mpmath.exp(C2 * Y / EPS) * (H - h)
-        got = eval_level_term(PhasePoint(x, y), eps, c2, level)
+        got = eval_level_term(x, y, LevelTerm(eps, c2, level))
         assert got == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_eval_level_term_h_part_alone_at_top():
     # at y = 2 the h part exp(c2*y/eps - E) = exp(400 - 400) cancels exactly
     level = ScaledLevel(0.25, 400.0)
-    got = eval_level_term(PhasePoint(0.0, 2.0), 0.01, 2.0, level)
+    got = eval_level_term(0.0, 2.0, LevelTerm(0.01, 2.0, level))
     bracket = (2.0 - 0.0 + 0.005) / 0.02
     assert got == pytest.approx(bracket - 0.25, rel=1e-14)
 
 
 def test_eval_level_term_overflow_names_exponent():
     with pytest.raises(ExponentOverflowError) as exc:
-        eval_level_term(PhasePoint(0.0, 3.0), 0.01, 3.0, ScaledLevel(0.25, 0.0))
+        eval_level_term(0.0, 3.0, LevelTerm(0.01, 3.0, ScaledLevel(0.25, 0.0)))
     assert exc.value.value == pytest.approx(900.0)
     assert "c2*y/eps" in exc.value.name
     # first exponent overflowing is reported too
     with pytest.raises(ExponentOverflowError) as exc:
-        eval_level_term(PhasePoint(0.0, 3.0), 0.01, 6.0, ScaledLevel(0.0))
+        eval_level_term(0.0, 3.0, LevelTerm(0.01, 6.0, ScaledLevel(0.0)))
     assert "(c2-2)*y/eps" in exc.value.name
 
 
@@ -157,7 +158,7 @@ def test_eval_level_term_exact_reduction_at_c2_2_h0():
         x = float(rng.uniform(-3, 3))
         y = float(rng.uniform(-5, 5))
         eps = float(rng.uniform(0.01, 2.0))
-        got = eval_level_term(PhasePoint(x, y), eps, 2.0, level)
+        got = eval_level_term(x, y, LevelTerm(eps, 2.0, level))
         assert got == (y - x * x + 0.5 * eps) / (2.0 * eps)
 
 
@@ -211,14 +212,14 @@ def test_eval_level_term_rejects_nonfinite_arguments(arg, bad):
     args = {"x": 0.2, "y": 0.3, "c2": 2.0, "eps": 0.01, arg: bad}
     msg = _eps_message(bad) if arg == "eps" else _finite_message(arg, bad)
     with pytest.raises(DomainError, match=msg):
-        eval_level_term(PhasePoint(args["x"], args["y"]), args["eps"],
-                        args["c2"], ScaledLevel(0.25, 400.0))
+        eval_level_term(args["x"], args["y"], LevelTerm(
+            args["eps"], args["c2"], ScaledLevel(0.25, 400.0)))
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.0, -0.5])
 def test_eval_level_term_rejects_nonpositive_eps(eps):
     with pytest.raises(DomainError, match=_eps_message(eps)):
-        eval_level_term(PhasePoint(0.2, 0.3), eps, 2.0, ScaledLevel(0.0))
+        eval_level_term(0.2, 0.3, LevelTerm(eps, 2.0, ScaledLevel(0.0)))
 
 
 @pytest.mark.parametrize("bad", _NONFINITE)
@@ -267,10 +268,10 @@ def test_eval_level_term_against_mpmath_around_the_guard(
         exponents.append(c2 * y / eps - big_e)
     if max(exponents) > EXP_GUARD:
         with pytest.raises(ExponentOverflowError):
-            eval_level_term((x, y), eps, c2, level)
+            eval_level_term(x, y, LevelTerm(eps, c2, level))
         return
     try:
-        got = eval_level_term((x, y), eps, c2, level)
+        got = eval_level_term(x, y, LevelTerm(eps, c2, level))
     except ExponentOverflowError:
         got = None
     with mpmath.workdps(50):

@@ -4,10 +4,12 @@ The control laws are closed-form functions of the state: they build on the
 conserved quantity and the error types alone, never on the charts, the
 models or the integrator.  The package namespace re-exports nothing, and
 ``cli`` sits at the top, where no other module imports it.  No module
-imports a name it never reads.
+imports a name it never reads.  The runners call every law and field
+through the package names the benchmark's tracer rebinds.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,61 @@ def _unused_imports(module):
 @pytest.mark.parametrize("module", sorted(_ALLOWED))
 def test_module_uses_every_name_it_imports(module):
     assert _unused_imports(module) == set()
+
+
+# The benchmark's tracer (perfbench/inproc.py) counts the laws, the fields
+# and the level term by replacing every binding of each function across the
+# loaded package, and the field evaluations by wrapping the field handed to
+# `integrate`.  A runner that stopped calling one of them through such a
+# binding would read 0 there.  The counts below are each short run's calls
+# as the runners made them while every law still re-derived its constants
+# at each call, so binding them once per run moved none.
+_TRACED = (("controllers", "fast_u"), ("controllers", "slow_u"),
+           ("controllers", "k2_mu"), ("models", "fold_rhs"),
+           ("blowup", "k2_field"), ("core", "eval_level_term"))
+
+# (fast_u, slow_u, k2_mu, fold_rhs, k2_field, eval_level_term, field evals)
+# per short run; convergence_metrics adds one level term per fold point
+_TRACED_COUNTS = {
+    "fold-fast": (260, 0, 0, 260, 0, 301, 260),
+    "fold-fast-hot": (988, 0, 0, 988, 0, 1149, 988),
+    "fold-slow": (0, 26768, 0, 26768, 0, 31221, 26768),
+    "k2": (0, 0, 4099, 0, 4094, 0, 4094),
+    "k2-hot": (0, 0, 6427, 0, 6422, 0, 6422),
+}
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Replace ``original`` at every name a package module binds it to."""
+    for name, module in sorted(sys.modules.items()):
+        if module is not None and name.startswith("canardctl"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+@pytest.mark.parametrize("experiment", sorted(_TRACED_COUNTS))
+def test_the_tracer_sees_every_law_and_field_call(
+        experiment, tmp_path, monkeypatch, capsys):
+    from canardctl import cli
+
+    counts = dict.fromkeys([name for _, name in _TRACED] + ["field_evals"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in _TRACED:
+        original = getattr(sys.modules[f"canardctl.{module}"], name)
+        _rebind(monkeypatch, original, counted(name, original))
+    integrate = sys.modules["canardctl.sim"].integrate
+
+    def traced_integrate(rhs, *args, **kwargs):
+        return integrate(counted("field_evals", rhs), *args, **kwargs)
+
+    _rebind(monkeypatch, integrate, traced_integrate)
+    cfg = cli.ExperimentConfig(experiment, {"t_end": 5.0})
+    assert cli.run_experiment(cfg, tmp_path) == 0
+    assert tuple(counts.values()) == _TRACED_COUNTS[experiment]

@@ -15,11 +15,16 @@ from pathlib import Path
 
 import pytest
 
-from canardctl.controllers import NeighborhoodParams, default_neighborhoods, fast_u
+from canardctl.controllers import (
+    FoldLaw,
+    NeighborhoodParams,
+    default_neighborhoods,
+    fast_u,
+)
 from canardctl.core import ControllerGains, ScaledLevel, SystemParams
 from canardctl.errors import PatternDeviationError
 from canardctl.mmo import MmoPattern, run_pattern
-from canardctl.models import fold_rhs, zero_terms
+from canardctl.models import FoldField, fold_rhs
 from canardctl.sim import Watcher, integrate
 
 # 32.3 B per point measured (four 8-byte columns); 25 % margin.  Points kept
@@ -59,11 +64,12 @@ def test_a_long_planar_run_holds_few_bytes_per_point():
     params = SystemParams(0.01, -0.1)
     gains = ControllerGains(1.0, 2.0)
     level = ScaledLevel(0.25, 400.0)
-    hot = zero_terms()
+    law = FoldLaw(params, gains, level)
+    field = FoldField(params, channel="fast")
     section = Watcher("section-crossing", lambda p: p[0] - params.alpha)
     traj, held, _ = _traced(lambda: integrate(
-        lambda p, u: fold_rhs(p, params, hot, u, "fast"),
-        lambda p: fast_u(p, params, gains, level),
+        lambda p, u: fold_rhs(field, p, u),
+        lambda p: fast_u(law, p),
         (0.2, 0.3), (0.0, 1400.0), watchers=[section]))
     assert len(traj) == 6934
     assert held / len(traj) <= _BYTES_PER_POINT

@@ -9,27 +9,23 @@ import pytest
 
 from canardctl.core import PhasePoint, SystemParams, eval_H
 from canardctl.errors import DomainError
-from canardctl.models import (
-    HigherOrderTerms,
-    _zero,
-    fold_rhs,
-    parabolic_shear_terms,
-    quadratic_gap_phi2,
-    vdp_rhs,
-    zero_terms,
-)
+from canardctl.models import FoldField, fold_rhs, quadratic_gap_phi2, vdp_rhs
 
 
 def test_fold_rhs_plain():
-    d = fold_rhs(PhasePoint(1.0, 0.0), SystemParams(0.1, 0.0), zero_terms(), 0.0)
+    d = fold_rhs(FoldField(SystemParams(0.1, 0.0)), PhasePoint(1.0, 0.0), 0.0)
     assert d == (1.0, 0.1)
 
 
 def test_zero_terms_give_the_bits_of_a_zero_remainder_call():
-    # fold_rhs adds zero_terms' 0.0 without calling _zero; a remainder that
-    # is another function object goes through the call and must agree to
-    # the bit, signed zeros included: -0.0 - 0.0 + 0.0 is +0.0
-    called = HigherOrderTerms(lambda x, y, eps, alpha: _zero(x, y, eps, alpha))
+    # the plain normal form, shear gain 0.0, adds a remainder of 0.0 to the
+    # slow equation without working out the shear; it must give the bits of
+    # that sum, signed zeros included: -0.0 - 0.0 + 0.0 is +0.0
+    def with_zero_remainder(x, y, eps, alpha, u, channel):
+        if channel == "fast":
+            return (-y + x * x + u, eps * (x - alpha + 0.0))
+        return (-y + x * x, eps * (x - alpha + 0.0 + u))
+
     rng = random.Random(20261019)
     cases = [(-0.0, 0.0, 0.0, -0.0), (-0.0, -0.0, 0.0, 0.0),
              (0.0, 0.0, 0.0, -0.0), (0.25, 1.0, 0.25, -0.0),
@@ -45,32 +41,33 @@ def test_zero_terms_give_the_bits_of_a_zero_remainder_call():
     for x, y, alpha, u in cases:
         params = SystemParams(0.01, alpha)
         for channel in ("fast", "slow"):
-            assert bits(fold_rhs((x, y), params, zero_terms(), u, channel)) == \
-                bits(fold_rhs((x, y), params, called, u, channel)), \
+            field = FoldField(params, channel=channel)
+            assert bits(fold_rhs(field, (x, y), u)) == \
+                bits(with_zero_remainder(x, y, 0.01, alpha, u, channel)), \
                 (x, y, alpha, u, channel)
     # the -0.0 case comes out +0.0 on the slow component
-    d = fold_rhs((-0.0, 0.0), SystemParams(0.01, 0.0), zero_terms(), 0.0)
+    d = fold_rhs(FoldField(SystemParams(0.01, 0.0)), (-0.0, 0.0), 0.0)
     assert math.copysign(1.0, d[1]) == 1.0
 
 
 def test_fold_rhs_channels():
     p = PhasePoint(0.5, 0.2)
     params = SystemParams(0.01, -0.1)
-    hot = zero_terms()
-    fast = fold_rhs(p, params, hot, 2.0, channel="fast")
-    slow = fold_rhs(p, params, hot, 2.0, channel="slow")
+    fast = fold_rhs(FoldField(params, channel="fast"), p, 2.0)
+    slow = fold_rhs(FoldField(params, channel="slow"), p, 2.0)
     assert fast[0] == pytest.approx(-0.2 + 0.25 + 2.0)
     assert fast[1] == pytest.approx(0.01 * (0.5 + 0.1))
     assert slow[0] == pytest.approx(-0.2 + 0.25)
     assert slow[1] == pytest.approx(0.01 * (0.5 + 0.1 + 2.0))
-    with pytest.raises(DomainError):
-        fold_rhs(p, params, hot, 0.0, channel="sideways")
+    # the channel is checked once, when the field is bound
+    with pytest.raises(DomainError, match="^unknown actuation channel 'sideways'$"):
+        FoldField(params, channel="sideways")
 
 
 def test_fold_rhs_rejects_nonfinite_control():
     # an OverflowError, which integrate turns into an overflow-fault
     with pytest.raises(OverflowError):
-        fold_rhs(PhasePoint(0.0, 0.0), SystemParams(0.1), zero_terms(), math.nan)
+        fold_rhs(FoldField(SystemParams(0.1)), PhasePoint(0.0, 0.0), math.nan)
     with pytest.raises(OverflowError):
         vdp_rhs(PhasePoint(0.0, 0.0), 0.1, math.inf)
 
@@ -80,17 +77,19 @@ def test_fold_rhs_rejects_nonfinite_control():
 def test_fold_rhs_nonfinite_control_message(u, channel):
     with pytest.raises(OverflowError,
                        match=f"^non-finite control value {u!r}$"):
-        fold_rhs(PhasePoint(0.0, 0.0), SystemParams(0.1), zero_terms(), u,
-                 channel=channel)
+        fold_rhs(FoldField(SystemParams(0.1), channel=channel),
+                 PhasePoint(0.0, 0.0), u)
 
 
 def test_parabolic_shear_preset():
-    hot = parabolic_shear_terms()
-    assert hot.g_tilde(0.5, 0.5, 0.01, 0.0) == pytest.approx(100 * 0.5 * (0.5 - 0.25))
-    # factorization g~ = x * phi_hat at alpha = 0
-    assert hot.g_tilde(0.5, 0.5, 0.01, 0.0) == pytest.approx(
-        0.5 * hot.phi_hat(0.5, 0.5, 0.01, 0.0)
-    )
+    # the shear g~ = gain*x*(y - x^2) enters the slow equation only; at
+    # alpha = 0 it factors as x * phi_hat with phi_hat = gain*(y - x^2)
+    params = SystemParams(0.01, 0.0)
+    plain = fold_rhs(FoldField(params), (0.5, 0.5), 0.0)
+    dx, dy = fold_rhs(FoldField(params, shear=100.0), (0.5, 0.5), 0.0)
+    assert dx == plain[0]
+    assert dy == 0.01 * (0.5 - 0.0 + 100.0 * 0.5 * (0.5 - 0.25))
+    assert dy == pytest.approx(0.01 * (0.5 + 0.5 * (100.0 * (0.5 - 0.25))))
     assert quadratic_gap_phi2(1.0, 0.5, 1.0, 0.0) == pytest.approx(0.75)
 
 
@@ -106,12 +105,11 @@ def test_vdp_rhs_fold_points():
 def test_fold_flow_conserves_H_rk4():
     # alpha = 0, u = 0: H along the flow stays constant to 1e-8 over t in [0, 10]
     eps = 0.05
-    params = SystemParams(eps, 0.0)
-    hot = zero_terms()
+    field = FoldField(SystemParams(eps, 0.0))
 
     def step(p, h):
         def f(q):
-            return fold_rhs(q, params, hot, 0.0)
+            return fold_rhs(field, q, 0.0)
 
         k1 = f(p)
         k2 = f(PhasePoint(p.x + 0.5 * h * k1[0], p.y + 0.5 * h * k1[1]))

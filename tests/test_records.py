@@ -2,8 +2,9 @@
 dataclass.
 
 Every record but ``sim.Watcher`` is a slotted ``core._Record``.  Each case
-below pins the repr the record had as a frozen dataclass, and a field
-change that its ``__init__`` rejects, so ``_replace`` must validate again.
+below pins the repr the record has as a frozen dataclass would print it,
+and a field change that its ``__init__`` rejects, so ``_replace`` must
+validate again.
 """
 
 import ast
@@ -15,13 +16,25 @@ from pathlib import Path
 import pytest
 
 import canardctl
-from canardctl.blowup import GermReport
+from canardctl.blowup import GermReport, K2Field
 from canardctl.cli import ExperimentConfig, _Outcome
-from canardctl.controllers import K1Domain, NeighborhoodParams
-from canardctl.core import ControllerGains, ScaledLevel, SystemParams, _Record
+from canardctl.controllers import (
+    FoldLaw,
+    K1Domain,
+    K2Law,
+    NeighborhoodParams,
+    VdpLaw,
+)
+from canardctl.core import (
+    ControllerGains,
+    LevelTerm,
+    ScaledLevel,
+    SystemParams,
+    _Record,
+)
 from canardctl.errors import ConfigError, DomainError
 from canardctl.mmo import LoopLabel, MmoPattern, MmoSegment
-from canardctl.models import HigherOrderTerms
+from canardctl.models import FoldField
 from canardctl.sim import ConvergenceReport, Event, IntegratorConfig
 
 # (record, its repr as a frozen dataclass, a change its __init__ rejects,
@@ -49,10 +62,37 @@ _CASES = {
         K1Domain(),
         "K1Domain(rho1=0.6, delta1=0.1, sigma1=0.1, rho1_tilde=0.25)",
         {"rho1_tilde": 0.7}, DomainError),
-    "HigherOrderTerms": (
-        HigherOrderTerms(math.sin),
-        "HigherOrderTerms(g_tilde=<built-in function sin>, phi_hat=None)",
-        {"gain": 1.0}, TypeError),
+    "LevelTerm": (
+        LevelTerm(0.01, 2.5, ScaledLevel(0.25, 60.0)),
+        "LevelTerm(eps=0.01, c2=2.5, level=ScaledLevel(h0=0.25, E=60.0))",
+        {"eps": 0.0}, DomainError),
+    "FoldLaw": (
+        FoldLaw(SystemParams(0.01, -0.1), ControllerGains(1.0, 2.0),
+                ScaledLevel(0.25, 400.0)),
+        "FoldLaw(params=SystemParams(eps=0.01, alpha=-0.1), "
+        "gains=ControllerGains(c1=1.0, c2=2.0, k1=0.0, x_star=0.0), "
+        "level=ScaledLevel(h0=0.25, E=400.0), shear=0.0)",
+        {"params": SystemParams(0.0)}, DomainError),
+    "FoldField": (
+        FoldField(SystemParams(0.01, 0.0), shear=100.0),
+        "FoldField(params=SystemParams(eps=0.01, alpha=0.0), shear=100.0, "
+        "channel='fast')",
+        {"channel": "sideways"}, DomainError),
+    "K2Law": (
+        K2Law(ControllerGains(1.0, 2.0), 1e-16, 0.0, 1.0),
+        "K2Law(gains=ControllerGains(c1=1.0, c2=2.0, k1=0.0, x_star=0.0), "
+        "level_h=1e-16, r2=0.0, alpha2=1.0, shear=0.0)",
+        {"r2": math.nan}, DomainError),
+    "K2Field": (
+        K2Field(1.0, 1.0, shear=1.0),
+        "K2Field(r2=1.0, alpha2=1.0, shear=1.0)",
+        {"alpha2": math.inf}, DomainError),
+    "VdpLaw": (
+        VdpLaw(0.01, ControllerGains(1.0, 2.0), NeighborhoodParams()),
+        "VdpLaw(eps=0.01, gains=ControllerGains(c1=1.0, c2=2.0, k1=0.0, "
+        "x_star=0.0), nbhd=NeighborhoodParams(beta1=0.15, beta2=0.15, "
+        "x_min=0.3, x_max=0.3, y_min=0.02, y_h=1.25, inner_margin=0.5))",
+        {"eps": -1.0}, DomainError),
     "GermReport": (
         GermReport(0.0, 1e-9, 2.0, -1.0, True),
         "GermReport(f0=0.0, fx=1e-09, fxx=2.0, fy=-1.0, passes=True)",

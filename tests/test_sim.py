@@ -9,7 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canardctl import sim
-from canardctl.controllers import composite_u, default_neighborhoods, fast_u
+from canardctl.controllers import (
+    FoldLaw,
+    VdpLaw,
+    composite_u,
+    default_neighborhoods,
+    fast_u,
+)
 from canardctl.core import ControllerGains, PhasePoint, ScaledLevel, SystemParams
 from canardctl.dopri import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
@@ -26,7 +32,7 @@ from canardctl.errors import (
     StepLimitError,
     StepUnderflowError,
 )
-from canardctl.models import fold_rhs, vdp_rhs, zero_terms
+from canardctl.models import FoldField, fold_rhs, vdp_rhs
 from canardctl.sim import (
     _EVENT_TIME_TOL,
     ConvergenceReport,
@@ -278,11 +284,12 @@ def test_fast_controlled_fold_matches_mpmath_taylor_solver():
     params = SystemParams(0.1, -0.1)
     gains = ControllerGains(1.0, 2.0)
     level = ScaledLevel(0.25, 400.0)
-    hot = zero_terms()
+    field = FoldField(params)
+    law = FoldLaw(params, gains, level)
     cfg = IntegratorConfig()
     t_end = 2.0
-    traj = integrate(lambda p, u: fold_rhs(p, params, hot, u),
-                     lambda p: fast_u(p, params, gains, level),
+    traj = integrate(lambda p, u: fold_rhs(field, p, u),
+                     lambda p: fast_u(law, p),
                      (0.2, 0.3), (0.0, t_end), cfg)
 
     with mpmath.workdps(20):
@@ -565,11 +572,12 @@ def _fold_fast_run(wrap=_same, watched=True):
     params = SystemParams(0.01, -0.1)
     gains = ControllerGains(1.0, 2.0)
     level = ScaledLevel(0.25, 400.0)
-    hot = zero_terms()
+    field = FoldField(params, channel="fast")
+    law = FoldLaw(params, gains, level)
     section = Watcher("section-crossing", lambda p: p[0] + 0.1)
     return integrate(
-        wrap("rhs", lambda p, u: fold_rhs(p, params, hot, u, channel="fast")),
-        wrap("u", lambda p: fast_u(p, params, gains, level)),
+        wrap("rhs", lambda p, u: fold_rhs(field, p, u)),
+        wrap("u", lambda p: fast_u(law, p)),
         PhasePoint(-0.35, 0.06), (0.0, 120.0),
         watchers=[section] if watched else [])
 
@@ -577,10 +585,10 @@ def _fold_fast_run(wrap=_same, watched=True):
 def _vdp_mmo_chunk(wrap=_same):
     eps = 0.01
     gains = ControllerGains(c1=1.0, c2=2.0, k1=1.0, x_star=0.01)
-    nbhd = default_neighborhoods(eps, y_h=0.75)
+    law = VdpLaw(eps, gains, default_neighborhoods(eps, y_h=0.75))
     return integrate(
         wrap("rhs", lambda p, u: vdp_rhs(p, eps, u)),
-        wrap("u", lambda p: composite_u(p, eps, gains, nbhd)),
+        wrap("u", lambda p: composite_u(law, p)),
         PhasePoint(-1.0, 0.6), (0.0, 2000.0),
         watchers=[Watcher("set-entry",
                           lambda p: 0.0625 - p[0] * p[0] - p[1] * p[1],
@@ -602,9 +610,8 @@ def _raising_u(p):
 
 
 def _fault_at_start(u):
-    params = SystemParams(0.01, -0.1)
-    hot = zero_terms()
-    return _overflowed(lambda p, uval: fold_rhs(p, params, hot, uval),
+    field = FoldField(SystemParams(0.01, -0.1))
+    return _overflowed(lambda p, uval: fold_rhs(field, p, uval),
                        u, PhasePoint(0.2, 0.3), (0.0, 1.0))
 
 
