@@ -9,8 +9,13 @@ restricted to two directional charts:
 
 In the central chart the desingularized layer flow is regular at the former
 fold and conserves H2; the entry chart covers the approach along the slow
-manifold.  ``germ_check`` verifies that a (possibly closed-loop) fast equation
-still has a quadratic-fold germ at the origin after the control is added: the
+manifold.  Each chart's desingularized field takes its state and the
+control last, as ``integrate`` passes them: ``k2_field(field, p, mu2)``,
+handed over as a ``functools.partial`` over its bound ``K2Field``, and
+``k1_vdp_field(p, mu1)``, which has no constant to bind.
+
+``germ_check`` verifies that a (possibly closed-loop) fast equation still
+has a quadratic-fold germ at the origin after the control is added: the
 defining conditions are f = 0, f_x = 0, f_xx != 0, f_y != 0 at (0, 0) in the
 singular limit, estimated by fifth-order finite differences at a decreasing
 sequence of eps values and extrapolated to eps = 0.
@@ -126,22 +131,22 @@ def k2_field(field: K2Field, p: Sequence[float],
     return (-y2 + s * s + mu2, x2 + field.r2 * g)
 
 
-def k1_vdp_field(cp: Sequence[float], mu1: float | None = None) -> tuple[float, float, float]:
+def k1_vdp_field(p: Sequence[float],
+                 mu1: float) -> tuple[float, float, float]:
     """Desingularized entry-chart van der Pol flow (r1', x1', eps1').
 
     r1'   =  1/2 r1 eps1 x1
     x1'   = -1 + x1^2 - 1/2 x1^2 eps1 - 1/3 r1 x1^3 + mu1
     eps1' = -eps1^2 x1
 
-    The product r1^2 eps1 (the original eps) is invariant.  ``cp`` is a
-    :class:`ChartPointK1` or a plain (r1, x1, eps1[, alpha1, mu1]) tuple,
-    in the order of the derivative; ``mu1`` defaults to the chart point's.
+    The product r1^2 eps1 (the original eps) is invariant.  ``p`` is a
+    :class:`ChartPointK1` or a plain (r1, x1, eps1) tuple, in the order of
+    the derivative; ``mu1`` is the control, as the integrator passes it.
     """
-    r1, x1, eps1 = cp[0], cp[1], cp[2]
-    m = cp[4] if mu1 is None else mu1
+    r1, x1, eps1 = p[0], p[1], p[2]
     return (
         0.5 * r1 * eps1 * x1,
-        -1.0 + x1 * x1 - 0.5 * x1 * x1 * eps1 - r1 * x1 ** 3 / 3.0 + m,
+        -1.0 + x1 * x1 - 0.5 * x1 * x1 * eps1 - r1 * x1 ** 3 / 3.0 + mu1,
         -eps1 * eps1 * x1,
     )
 

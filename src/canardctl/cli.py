@@ -30,7 +30,6 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 from .blowup import K2Field, k1_vdp_field, k2_field
 from .controllers import (
     FoldLaw,
-    K1Domain,
     K2Law,
     NeighborhoodParams,
     default_neighborhoods,
@@ -541,19 +540,26 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
         fault=next((fault for _, fault, _ in runs if fault is not None), None))
 
 
+# k1-vdp's entry-chart box: the flow enters through the section
+# {eps1 = delta1} and exits through {r1 = rho1}; the transported rectangle
+# on the entry section has radial extent rho1_tilde and half-height sigma1
+# around the closed-loop branch
+_K1_RHO1 = 0.6
+_K1_DELTA1 = 0.1
+_K1_SIGMA1 = 0.1
+_K1_RHO1_TILDE = 0.25
+
+
 def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     """Entry-chart wedge transport: a grid on the entry section contracts
     onto the shifted branch before it exits at r1 = rho1."""
     # k1_vdp_mu reads only k1 and x_star; ControllerGains requires c1 and c2
     gains = ControllerGains(1.0, 2.0, **_picked(ControllerGains, eff))
     integ = IntegratorConfig(**_picked(IntegratorConfig, eff))
-    dom = K1Domain()
-    exit_section = Watcher("section-crossing", lambda s: s[0] - dom.rho1,
+    exit_section = Watcher("section-crossing", lambda s: s[0] - _K1_RHO1,
                            terminal=True)
-
     # the state is (r1, x1, eps1), the order k1_vdp_field reports it in
-    def mu(s):
-        return k1_vdp_mu(s, gains, k1_chart_phi1)
+    mu = partial(k1_vdp_mu, gains)
 
     def blown_down(traj: Trajectory) -> Trajectory:
         # (x, y, u) = (r1 x1, r1^2, r1^2 mu1)
@@ -562,21 +568,21 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
                           ([r * x for r, x in zip(r1, x1)], [r * r for r in r1]),
                           [r * r * m for r, m in zip(r1, traj.controls)])
 
-    r1_grid = [0.05 + i * (dom.rho1_tilde - 0.05) / 4 for i in range(5)]
+    r1_grid = [0.05 + i * (_K1_RHO1_TILDE - 0.05) / 4 for i in range(5)]
     exit_x1, exit_t, blown, x1_initial = [], [], [], []
     for r1 in r1_grid:
-        center = gains.x_star + k1_chart_phi1(r1, dom.delta1)
+        center = gains.x_star + k1_chart_phi1(r1, _K1_DELTA1)
         for j in range(5):
-            x1 = center - dom.sigma1 + j * dom.sigma1 / 2
+            x1 = center - _K1_SIGMA1 + j * _K1_SIGMA1 / 2
             x1_initial.append(x1)
-            traj, fault = _guarded(k1_vdp_field, mu, (r1, x1, dom.delta1),
+            traj, fault = _guarded(k1_vdp_field, mu, (r1, x1, _K1_DELTA1),
                                    (0.0, float(eff["t_end"])), integ,
                                    watchers=[exit_section])
             hits = traj.events_of("section-crossing")
             if not hits:
                 fault = fault or IntegrationError(
                     f"grid point (r1={r1:.3g}, x1={x1:.3g}) never reached "
-                    f"the exit section r1 = {dom.rho1}")
+                    f"the exit section r1 = {_K1_RHO1}")
                 fault.trajectory = blown_down(traj)  # written as on success
                 return _Outcome((), {}, {}, fault=fault)
             exit_x1.append(hits[0].state[1])

@@ -11,20 +11,22 @@ by C2 bump functions subordinate to two overlapping neighborhoods.
 
 All evaluations are closed-form pure functions of the state and frozen
 parameter blocks; no law integrates anything, and the module builds on
-`core` and `errors` alone.  The laws a closed loop evaluates at every field
-evaluation, `fast_u`, `slow_u`, `k2_mu` and `composite_u`, take one bound
-record and the state: the record (`FoldLaw`, `K2Law`, `VdpLaw`) checks the
-run's constants and works out what the formula derives from them once,
-and the law reads them.  The fold laws and `composite_u` take their state
-as an (x, y) sequence and `k2_mu` as (x2, y2); `lyapunov_L2` takes
-(r2, x2, y2, alpha2) and `k1_vdp_mu` takes (r1, x1, eps1).  A NamedTuple
-point and a plain tuple give the same bits.
+`core` and `errors` alone.  Every law a closed loop evaluates at each
+field evaluation takes what the run holds fixed first and the state last,
+so a runner hands `integrate` a ``functools.partial`` of it: `fast_u`,
+`slow_u`, `k2_mu` and `composite_u` take one bound record (`FoldLaw`,
+`K2Law`, `VdpLaw`), which checks the run's constants and works out what
+the formula derives from them once, and `k1_vdp_mu` takes the gains.  The
+fold laws and `composite_u` take their state as an (x, y) sequence,
+`k2_mu` as (x2, y2) and `k1_vdp_mu` as (r1, x1, eps1); `lyapunov_L2`
+takes (r2, x2, y2, alpha2).  A NamedTuple point and a plain tuple give
+the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .core import (
     EXP_GUARD,
@@ -46,7 +48,6 @@ from .errors import (
 
 __all__ = [
     "NeighborhoodParams",
-    "K1Domain",
     "default_neighborhoods",
     "FoldLaw",
     "fast_u",
@@ -117,46 +118,14 @@ class NeighborhoodParams(_Record):
             object.__setattr__(self, name, _band(lo, hi, m))
 
 
-def default_neighborhoods(eps: float, y_h: float = 1.25) -> NeighborhoodParams:
+def default_neighborhoods(eps: float) -> NeighborhoodParams:
     """Standard activation geometry with the floor y_min = 2*eps.
 
     The floor keeps the slow manifold within O(eps) of the critical branch
     on the whole of N1 while excluding the fold point itself.
     """
     _require_eps(eps)
-    return NeighborhoodParams(y_min=2.0 * eps, y_h=y_h)
-
-
-# rho1 ceiling: the repelling equilibrium curve in the entry chart exists
-# only up to r1 = 2/sqrt(3)
-_RHO1_MAX = 2.0 / math.sqrt(3.0)
-
-
-class K1Domain(_Record):
-    """Entry-chart box and sections for the centre-manifold controller.
-
-    The flow enters through {eps1 = delta1} and exits through {r1 = rho1};
-    the transported rectangle has half-height sigma1 around the closed-loop
-    branch and radial extent rho1_tilde.
-    """
-
-    __slots__ = _fields = ("rho1", "delta1", "sigma1", "rho1_tilde")
-
-    def __init__(self, rho1: float = 0.6, delta1: float = 0.1,
-                 sigma1: float = 0.1, rho1_tilde: float = 0.25):
-        _require_finite(rho1=rho1, delta1=delta1, sigma1=sigma1,
-                        rho1_tilde=rho1_tilde)
-        if not 0.0 < rho1 < _RHO1_MAX:
-            raise DomainError(
-                f"rho1 must lie in (0, 2/sqrt(3)), got {rho1!r}")
-        if delta1 <= 0.0:
-            raise DomainError(f"delta1 must be > 0, got {delta1!r}")
-        if sigma1 <= 0.0:
-            raise DomainError(f"sigma1 must be > 0, got {sigma1!r}")
-        if not 0.0 < rho1_tilde < rho1:
-            raise DomainError(
-                f"rho1_tilde must lie in (0, rho1), got {rho1_tilde!r}")
-        super().__init__(rho1, delta1, sigma1, rho1_tilde)
+    return NeighborhoodParams(y_min=2.0 * eps)
 
 
 class FoldLaw(_Record):
@@ -358,6 +327,11 @@ def vdp_slow_manifold_phi(y: float, eps: float,
     return _phi_expansion(y, eps)
 
 
+# r1 ceiling: the repelling equilibrium curve in the entry chart exists
+# only up to r1 = 2/sqrt(3)
+_R1_MAX = 2.0 / math.sqrt(3.0)
+
+
 def k1_chart_phi1(r1: float, eps1: float) -> float:
     """Entry-chart graph x1 = phi1(r1, eps1) of the repelling slow branch.
 
@@ -370,7 +344,7 @@ def k1_chart_phi1(r1: float, eps1: float) -> float:
     if r1 < 0.0 or eps1 < 0.0:
         raise DomainError(f"chart coordinates must be >= 0, got r1={r1!r}, "
                           f"eps1={eps1!r}")
-    if r1 >= _RHO1_MAX:
+    if r1 >= _R1_MAX:
         raise DomainError(
             f"r1 must stay below 2/sqrt(3) on the repelling branch, got {r1!r}")
     if r1 < 1e-8:
@@ -454,20 +428,20 @@ def bump_psi(p: Sequence[float], region: str, nbhd: NeighborhoodParams) -> float
     raise DomainError(f"region must be 'N1' or 'N2', got {region!r}")
 
 
-def k1_vdp_mu(p: Sequence[float], gains: ControllerGains,
-              phi1: Callable[[float, float], float]) -> float:
+def k1_vdp_mu(gains: ControllerGains, p: Sequence[float]) -> float:
     """Centre-manifold controller in the entry chart.
 
     Reverses the layer direction, recenters it at the offset x_star, and
     adds the invariance plus variational correction that pins the graph
-    {x1 = x_star + phi1} as an exponentially attracting centre manifold
-    with transverse rate -(2*phi1 + k1).  ``p`` is a :class:`ChartPointK1`
+    {x1 = x_star + phi1}, phi1 = :func:`k1_chart_phi1`, as an exponentially
+    attracting centre manifold with transverse rate -(2*phi1 + k1).  It
+    reads only k1 and x_star of the gains.  ``p`` is a :class:`ChartPointK1`
     or a plain (r1, x1, eps1) tuple.
     """
     r1, x1, eps1 = p[0], p[1], p[2]
     if not 0.0 * r1 * x1 * eps1 == 0.0:  # see core._require_finite
         _require_finite(r1=r1, x1=x1, eps1=eps1)
-    ph = phi1(r1, eps1)
+    ph = k1_chart_phi1(r1, eps1)
     if abs(ph) < 1e-12:
         raise SingularConfigurationError(
             "phi1 vanishes at the fold; the invariance correction divides by it")

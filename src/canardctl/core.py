@@ -31,7 +31,6 @@ from .errors import DomainError, ExponentOverflowError
 
 __all__ = [
     "EXP_GUARD",
-    "H_ZERO_EXPONENT",
     "SystemParams",
     "ControllerGains",
     "ScaledLevel",

@@ -214,15 +214,13 @@ def run_pattern(
         seg_gains = gains._replace(x_star=seg.x_star)
         seg_nbhd = nbhd._replace(y_h=seg.y_h)
 
+        # the loop's law and field are partials over its constants, and
         # composite_u and vdp_rhs are looked up for each loop, so a wrapper
         # installed on this module before the run sees every evaluation
         u = partial(composite_u, VdpLaw(eps, seg_gains, seg_nbhd))
-
-        def rhs(p, uval):
-            return vdp_rhs(p, eps, uval)
-
         try:
-            traj = integrate(rhs, u, p0, (t0, t0 + _LOOP_TIME_BUDGET), cfg,
+            traj = integrate(partial(vdp_rhs, eps), u, p0,
+                             (t0, t0 + _LOOP_TIME_BUDGET), cfg,
                              watchers=[_disc_watcher()])
         except IntegrationError as exc:  # overflow, step limit or underflow
             stitch(exc.trajectory)

@@ -13,12 +13,14 @@ The shear gain is 0.0 for the plain normal form.  At alpha = 0 the shear
 factors as x^ * phi^ with phi^ = shear * (y - x^2) and x^ = x - alpha,
 the form the fold control laws cancel.
 
-`fold_rhs` takes the run's `FoldField`, which binds eps, alpha, the shear
-gain and the channel once, and its state as an (x, y) sequence; `vdp_rhs`
-takes the state, eps and the control.  Each returns the velocity as a
-plain (dx, dy) tuple, and a :class:`PhasePoint` or a plain tuple give the
-same bits.  A non-finite control value raises OverflowError, which
-`sim.integrate` turns into an ``overflow-fault``.
+Both fields take what a run holds fixed first, the state as an (x, y)
+sequence, then the control: `fold_rhs(field, p, u)` with the run's
+`FoldField`, which binds eps, alpha, the shear gain and the channel once,
+and `vdp_rhs(eps, p, u)`.  A closed loop hands `integrate` a
+``functools.partial`` of either over its constants.  Each returns the
+velocity as a plain (dx, dy) tuple, and a :class:`PhasePoint` or a plain
+tuple give the same bits.  A non-finite control value raises
+OverflowError, which `sim.integrate` turns into an ``overflow-fault``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import DomainError
 
 __all__ = [
     "FoldField",
-    "quadratic_gap_phi2",
     "fold_rhs",
     "vdp_rhs",
 ]
@@ -58,15 +59,6 @@ class FoldField(_Record):
             object.__setattr__(self, name, value)
 
 
-def quadratic_gap_phi2(r2: float, x2: float, y2: float, alpha2: float) -> float:
-    """Chart-level slow remainder factor phi2 = y2 - x2^2.
-
-    ``blowup.k2_field`` and ``controllers.k2_mu`` work out the shear gain
-    times this factor inline, with the same operations.
-    """
-    return y2 - x2 * x2
-
-
 def fold_rhs(field: FoldField, p: Sequence[float],
              u: float) -> tuple[float, float]:
     """Fold normal form velocity (dx, dy) with the control injected on the
@@ -84,7 +76,7 @@ def fold_rhs(field: FoldField, p: Sequence[float],
     return (-y + x * x, eps * (x - alpha + gt + u))
 
 
-def vdp_rhs(p: Sequence[float], eps: float, u: float) -> tuple[float, float]:
+def vdp_rhs(eps: float, p: Sequence[float], u: float) -> tuple[float, float]:
     """Van der Pol velocity (dx, dy) in Lienard form with fast-channel control."""
     if not 0.0 * u == 0.0:  # u is not finite
         raise OverflowError(f"non-finite control value {u!r}")

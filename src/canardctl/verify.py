@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, List, TextIO, Tuple
+from functools import partial
+from typing import Callable, List, Tuple
 
 from .blowup import (
     ChartPointK1,
@@ -45,7 +46,7 @@ from .mmo import MmoPattern
 from .models import FoldField, fold_rhs
 from .sim import IntegratorConfig, integrate
 
-__all__ = ["CHECKS", "run_verification"]
+__all__ = ["run_verification"]
 
 _SEED = 20260822
 
@@ -76,10 +77,9 @@ def _check_level_cap() -> Tuple[bool, str]:
 def _check_h_conservation() -> Tuple[bool, str]:
     # the plain normal form conserves H exactly; the integrator must track it
     params = SystemParams(0.05, 0.0)
-    field = FoldField(params)
     start = PhasePoint(-0.1, 0.3)
     traj = integrate(
-        lambda p, u: fold_rhs(field, p, u),
+        partial(fold_rhs, FoldField(params)),
         lambda p: 0.0, start, (0.0, 6.0),
         IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12),
     )
@@ -235,12 +235,9 @@ CHECKS: List[Check] = [
 ]
 
 
-def run_verification(stream: TextIO | None = None) -> List[Tuple[bool, str]]:
-    """Run every check and print one line each, then the tally; return each
-    check's (ok, line), the line as printed."""
-    import sys
-
-    stream = stream or sys.stdout
+def run_verification() -> List[Tuple[bool, str]]:
+    """Run every check and print one line each to stdout, then the tally;
+    return each check's (ok, line), the line as printed."""
     rows = []
     for name, fn in CHECKS:
         try:
@@ -248,8 +245,8 @@ def run_verification(stream: TextIO | None = None) -> List[Tuple[bool, str]]:
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         line = f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})"
-        print(line, file=stream)
+        print(line)
         rows.append((bool(ok), line))
     passed = sum(ok for ok, _ in rows)
-    print(f"{passed}/{len(rows)} checks passed", file=stream)
+    print(f"{passed}/{len(rows)} checks passed")
     return rows

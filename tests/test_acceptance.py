@@ -259,7 +259,7 @@ def test_a07_germ_suite_closed_loops_keep_fold_signature():
 
     def blended_layer(x, y, eps):
         p = PhasePoint(x, y)
-        return vdp_rhs(p, eps, composite_u(
+        return vdp_rhs(eps, p, composite_u(
             VdpLaw(eps, gains, default_neighborhoods(eps)), p))[0]
 
     layers = {
@@ -321,11 +321,11 @@ def test_a09_vdp_head_rule():
 
     t0 = time.perf_counter()
     _, headless = run_pattern(MmoPattern.parse("3S:1.25:-0.01"), eps, gains,
-                              default_neighborhoods(eps, 1.25))
+                              default_neighborhoods(eps)._replace(y_h=1.25))
     dt_headless = time.perf_counter() - t0
     t0 = time.perf_counter()
     _, headed = run_pattern(MmoPattern.parse("3L:0.75:0.01"), eps, gains,
-                            default_neighborhoods(eps, 0.75))
+                            default_neighborhoods(eps)._replace(y_h=0.75))
     dt_headed = time.perf_counter() - t0
 
     for loop in headless:
@@ -406,7 +406,7 @@ def test_a11_slow_manifold_graph_accuracy():
     worst_excess = 0.0
     for eps in (0.01, 0.02):
         bound = 10.0 * eps * eps
-        nbhd = default_neighborhoods(eps, 1.25)
+        nbhd = default_neighborhoods(eps)._replace(y_h=1.25)
         oracle = _branch_oracle(eps, heights)
         for y in heights:
             phi = vdp_slow_manifold_phi(y, eps, nbhd)

@@ -100,7 +100,7 @@ def test_k1_vdp_field_values():
     x1 = math.sqrt(3.0)
     r1 = 3.0 * (1.0 / x1 - 1.0 / x1 ** 3)
     assert r1 == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-14)
-    dr1, dx1, deps1 = k1_vdp_field(ChartPointK1(r1, x1, 0.0))
+    dr1, dx1, deps1 = k1_vdp_field(ChartPointK1(r1, x1, 0.0), 0.0)
     assert dr1 == 0.0
     assert deps1 == 0.0
     assert dx1 == pytest.approx(0.0, abs=1e-14)
@@ -115,7 +115,7 @@ def test_k1_vdp_field_invariant_eps():
             float(rng.uniform(-2, 2)),
             float(rng.uniform(0.01, 1.0)),
         )
-        dr1, dx1, deps1 = k1_vdp_field(cp)
+        dr1, dx1, deps1 = k1_vdp_field(cp, cp.mu1)
         d_eps = 2.0 * cp.r1 * dr1 * cp.eps1 + cp.r1 ** 2 * deps1
         assert d_eps == pytest.approx(0.0, abs=1e-14)
 

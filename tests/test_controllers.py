@@ -19,7 +19,6 @@ from canardctl.blowup import (
 )
 from canardctl.controllers import (
     FoldLaw,
-    K1Domain,
     K2Law,
     NeighborhoodParams,
     VdpLaw,
@@ -53,7 +52,7 @@ from canardctl.errors import (
     ExponentOverflowError,
     SingularConfigurationError,
 )
-from canardctl.models import FoldField, fold_rhs, quadratic_gap_phi2, vdp_rhs
+from canardctl.models import FoldField, fold_rhs, vdp_rhs
 from test_acceptance import _branch_oracle
 
 
@@ -269,13 +268,13 @@ class TestBumps:
 class TestChartK1Law:
     def test_zero_on_branch_without_offset(self):
         gains = ControllerGains(1.0, 2.0, k1=1.0, x_star=0.0)
-        mu = k1_vdp_mu(ChartPointK1(0.0, 1.0, 0.0), gains, k1_chart_phi1)
+        mu = k1_vdp_mu(gains, ChartPointK1(0.0, 1.0, 0.0))
         assert mu == pytest.approx(0.0, abs=1e-14)
 
     def test_closed_loop_push_at_axis(self):
         # k1 = 0: closed-loop x1' = -f1(x1) + v = 1 at x1 = 0
         gains = ControllerGains(1.0, 2.0, k1=0.0, x_star=0.0)
-        mu = k1_vdp_mu(ChartPointK1(0.0, 0.0, 0.0), gains, k1_chart_phi1)
+        mu = k1_vdp_mu(gains, ChartPointK1(0.0, 0.0, 0.0))
         xdot = (-1.0 + 0.0) + mu
         assert xdot == pytest.approx(1.0, rel=1e-14)
 
@@ -288,17 +287,19 @@ class TestChartK1Law:
 
                 def closed(x1):
                     cp = ChartPointK1(0.0, x1, 0.0)
-                    return (-1.0 + x1 * x1) + k1_vdp_mu(cp, gains, k1_chart_phi1)
+                    return (-1.0 + x1 * x1) + k1_vdp_mu(gains, cp)
 
                 d = 1e-6
                 z = x_star + ph
                 rate = (closed(z + d) - closed(z - d)) / (2.0 * d)
                 assert rate == pytest.approx(-(2.0 * ph + k1), abs=1e-8)
 
-    def test_singular_at_vanishing_branch(self):
+    def test_singular_at_vanishing_branch(self, monkeypatch):
         gains = ControllerGains(1.0, 2.0)
+        monkeypatch.setattr("canardctl.controllers.k1_chart_phi1",
+                            lambda r, e: 0.0)
         with pytest.raises(SingularConfigurationError):
-            k1_vdp_mu(ChartPointK1(0.0, 1.0, 0.0), gains, lambda r, e: 0.0)
+            k1_vdp_mu(gains, ChartPointK1(0.0, 1.0, 0.0))
 
 
 class TestComposite:
@@ -371,7 +372,7 @@ class TestParamBlocks:
             NeighborhoodParams(beta1=-0.1)
 
     def test_default_neighborhoods_floor(self):
-        nb = default_neighborhoods(0.02, y_h=0.75)
+        nb = default_neighborhoods(0.02)._replace(y_h=0.75)
         assert nb.y_min == 0.04
         assert nb.y_h == 0.75
 
@@ -393,12 +394,6 @@ class TestParamBlocks:
                                         x_max=0.3, y_min=0.02, y_h=0.12,
                                         inner_margin=0.3)
         assert "_band" not in repr(nb)
-
-    def test_k1_domain_validation(self):
-        with pytest.raises(DomainError):
-            K1Domain(rho1=1.2)
-        with pytest.raises(DomainError):
-            K1Domain(rho1=0.5, rho1_tilde=0.6)
 
 
 _NONFINITE = [math.nan, math.inf, -math.inf]
@@ -456,7 +451,7 @@ class TestArgumentChecks:
         args = {"r1": 0.1, "x1": 1.0, "eps1": 0.1, arg: bad}
         p = ChartPointK1(args["r1"], args["x1"], args["eps1"])
         with pytest.raises(DomainError, match=_finite_message(arg, bad)):
-            k1_vdp_mu(p, ControllerGains(1.0, 2.0), k1_chart_phi1)
+            k1_vdp_mu(ControllerGains(1.0, 2.0), p)
 
     @pytest.mark.parametrize("bad", _NONFINITE)
     @pytest.mark.parametrize("arg", ["r1", "eps1"])
@@ -493,7 +488,7 @@ _LAWS = {
     "fold_rhs-fast": partial(fold_rhs, FoldField(_PARAMS, 100.0), u=0.7),
     "fold_rhs-slow": partial(fold_rhs, FoldField(_PARAMS, 100.0, "slow"),
                              u=0.7),
-    "vdp_rhs": partial(vdp_rhs, eps=0.01, u=-0.3),
+    "vdp_rhs": partial(vdp_rhs, 0.01, u=-0.3),
     "eval_level_term": lambda p: eval_level_term(
         p[0], p[1], LevelTerm(0.01, 2.5, _LEVEL)),
     "fast_u": partial(fast_u, FoldLaw(_PARAMS, _GAINS, _LEVEL)),
@@ -501,7 +496,7 @@ _LAWS = {
     "slow_u": partial(slow_u, FoldLaw(_PARAMS, _GAINS, _LEVEL)),
     "k2_mu": partial(k2_mu, K2Law(_GAINS, 1e-3, 0.1, 0.8, shear=1.0)),
     "k2_field": partial(k2_field, K2Field(0.1, 0.8, shear=1.0), mu2=0.3),
-    "k1_vdp_mu": partial(k1_vdp_mu, gains=_VDP_GAINS, phi1=k1_chart_phi1),
+    "k1_vdp_mu": partial(k1_vdp_mu, _VDP_GAINS),
     "k1_vdp_field": partial(k1_vdp_field, mu1=-0.2),
     "composite_u": partial(composite_u, VdpLaw(0.01, _VDP_GAINS, _NBHD)),
 }
@@ -821,7 +816,7 @@ _G_EDGES = [-0.15, -0.075, 0.075, 0.15]
 def test_bumps_equal_the_product_of_their_windows(y_h):
     # every band, plateau and rejecting side of each window, with the
     # other coordinate on that window's plateau or in its own band
-    nbhd = default_neighborhoods(0.01, y_h)
+    nbhd = default_neighborhoods(0.01)._replace(y_h=y_h)
     m = nbhd.inner_margin
     xs = _X_EDGES + [-0.29, -0.26, -0.1, 0.03, 0.05, 0.26, 0.29, 0.6, 1.0,
                      1.5, 1.95, 1.99, 2.5, math.nan]
@@ -884,7 +879,7 @@ def _vdp_points(draw):
 def test_composite_u_matches_the_full_product_formula(point, segment):
     y_h, x_star = segment
     gains = ControllerGains(1.0, 2.0, k1=1.0, x_star=x_star)
-    nbhd = default_neighborhoods(0.01, y_h)
+    nbhd = default_neighborhoods(0.01)._replace(y_h=y_h)
     want = _parent_composite_u(point, 0.01, gains, nbhd)
     law = VdpLaw(0.01, gains, nbhd)
     assert composite_u(law, point).hex() == want.hex()

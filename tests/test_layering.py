@@ -93,21 +93,30 @@ def test_module_uses_every_name_it_imports(module):
 # and the level term by replacing every binding of each function across the
 # loaded package, and the field evaluations by wrapping the field handed to
 # `integrate`.  A runner that stopped calling one of them through such a
-# binding would read 0 there.  The counts below are each short run's calls
-# as the runners made them while every law still re-derived its constants
-# at each call, so binding them once per run moved none.
+# binding would read 0 there.  The fold and chart-K2 counts are each short
+# run's calls as the runners made them while every law still re-derived its
+# constants at each call, and the k1-vdp and vdp-canard counts are their
+# default runs' calls while the van der Pol loops still went through adapter
+# closures, so neither change moved a count.
 _TRACED = (("controllers", "fast_u"), ("controllers", "slow_u"),
            ("controllers", "k2_mu"), ("models", "fold_rhs"),
-           ("blowup", "k2_field"), ("core", "eval_level_term"))
+           ("blowup", "k2_field"), ("core", "eval_level_term"),
+           ("controllers", "k1_vdp_mu"), ("blowup", "k1_vdp_field"),
+           ("controllers", "composite_u"), ("models", "vdp_rhs"))
 
-# (fast_u, slow_u, k2_mu, fold_rhs, k2_field, eval_level_term, field evals)
-# per short run; convergence_metrics adds one level term per fold point
+# each run's parameters, then its calls of (fast_u, slow_u, k2_mu, fold_rhs,
+# k2_field, eval_level_term, k1_vdp_mu, k1_vdp_field, composite_u, vdp_rhs)
+# and its field evaluations; convergence_metrics adds one level term per
+# fold point
+_SHORT = {"t_end": 5.0}
 _TRACED_COUNTS = {
-    "fold-fast": (260, 0, 0, 260, 0, 301, 260),
-    "fold-fast-hot": (988, 0, 0, 988, 0, 1149, 988),
-    "fold-slow": (0, 26768, 0, 26768, 0, 31221, 26768),
-    "k2": (0, 0, 4099, 0, 4094, 0, 4094),
-    "k2-hot": (0, 0, 6427, 0, 6422, 0, 6422),
+    "fold-fast": (_SHORT, (260, 0, 0, 260, 0, 301, 0, 0, 0, 0, 260)),
+    "fold-fast-hot": (_SHORT, (988, 0, 0, 988, 0, 1149, 0, 0, 0, 0, 988)),
+    "fold-slow": (_SHORT, (0, 26768, 0, 26768, 0, 31221, 0, 0, 0, 0, 26768)),
+    "k2": (_SHORT, (0, 0, 4099, 0, 4094, 0, 0, 0, 0, 0, 4094)),
+    "k2-hot": (_SHORT, (0, 0, 6427, 0, 6422, 0, 0, 0, 0, 0, 6422)),
+    "k1-vdp": ({}, (0, 0, 0, 0, 0, 0, 72117, 72092, 0, 0, 72092)),
+    "vdp-canard": ({}, (0, 0, 0, 0, 0, 0, 0, 0, 20208, 20204, 20204)),
 }
 
 
@@ -142,6 +151,7 @@ def test_the_tracer_sees_every_law_and_field_call(
         return integrate(counted("field_evals", rhs), *args, **kwargs)
 
     _rebind(monkeypatch, integrate, traced_integrate)
-    cfg = cli.ExperimentConfig(experiment, {"t_end": 5.0})
+    params, want = _TRACED_COUNTS[experiment]
+    cfg = cli.ExperimentConfig(experiment, params)
     assert cli.run_experiment(cfg, tmp_path) == 0
-    assert tuple(counts.values()) == _TRACED_COUNTS[experiment]
+    assert tuple(counts.values()) == want

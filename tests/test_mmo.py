@@ -27,7 +27,7 @@ GAINS = ControllerGains(c1=1.0, c2=2.0, k1=1.0)
 
 
 def _open_loop_vdp(start, t_end):
-    return integrate(lambda p, u: vdp_rhs(p, EPS, u), lambda p: 0.0,
+    return integrate(lambda p, u: vdp_rhs(EPS, p, u), lambda p: 0.0,
                      start, (0.0, t_end))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from canardctl.core import PhasePoint, SystemParams, eval_H
 from canardctl.errors import DomainError
-from canardctl.models import FoldField, fold_rhs, quadratic_gap_phi2, vdp_rhs
+from canardctl.models import FoldField, fold_rhs, vdp_rhs
 
 
 def test_fold_rhs_plain():
@@ -69,7 +69,7 @@ def test_fold_rhs_rejects_nonfinite_control():
     with pytest.raises(OverflowError):
         fold_rhs(FoldField(SystemParams(0.1)), PhasePoint(0.0, 0.0), math.nan)
     with pytest.raises(OverflowError):
-        vdp_rhs(PhasePoint(0.0, 0.0), 0.1, math.inf)
+        vdp_rhs(0.1, PhasePoint(0.0, 0.0), math.inf)
 
 
 @pytest.mark.parametrize("channel", ["fast", "slow"])
@@ -90,15 +90,14 @@ def test_parabolic_shear_preset():
     assert dx == plain[0]
     assert dy == 0.01 * (0.5 - 0.0 + 100.0 * 0.5 * (0.5 - 0.25))
     assert dy == pytest.approx(0.01 * (0.5 + 0.5 * (100.0 * (0.5 - 0.25))))
-    assert quadratic_gap_phi2(1.0, 0.5, 1.0, 0.0) == pytest.approx(0.75)
 
 
 def test_vdp_rhs_fold_points():
     # both fold points of the cubic are equilibria of the layer flow
-    d = vdp_rhs(PhasePoint(2.0, 4.0 / 3.0), 0.05, 0.0)
+    d = vdp_rhs(0.05, PhasePoint(2.0, 4.0 / 3.0), 0.0)
     assert d[0] == pytest.approx(0.0, abs=1e-15)
     assert d[1] == pytest.approx(0.1)
-    d = vdp_rhs(PhasePoint(0.0, 0.0), 0.05, 0.0)
+    d = vdp_rhs(0.05, PhasePoint(0.0, 0.0), 0.0)
     assert d[0] == 0.0
 
 

@@ -20,7 +20,6 @@ from canardctl.blowup import GermReport, K2Field
 from canardctl.cli import ExperimentConfig, _Outcome
 from canardctl.controllers import (
     FoldLaw,
-    K1Domain,
     K2Law,
     NeighborhoodParams,
     VdpLaw,
@@ -58,10 +57,6 @@ _CASES = {
         "NeighborhoodParams(beta1=0.1, beta2=0.15, x_min=0.3, x_max=0.3, "
         "y_min=0.02, y_h=1.25, inner_margin=0.5)",
         {"y_h": 0.01}, DomainError),
-    "K1Domain": (
-        K1Domain(),
-        "K1Domain(rho1=0.6, delta1=0.1, sigma1=0.1, rho1_tilde=0.25)",
-        {"rho1_tilde": 0.7}, DomainError),
     "LevelTerm": (
         LevelTerm(0.01, 2.5, ScaledLevel(0.25, 60.0)),
         "LevelTerm(eps=0.01, c2=2.5, level=ScaledLevel(h0=0.25, E=60.0))",

@@ -585,9 +585,9 @@ def _fold_fast_run(wrap=_same, watched=True):
 def _vdp_mmo_chunk(wrap=_same):
     eps = 0.01
     gains = ControllerGains(c1=1.0, c2=2.0, k1=1.0, x_star=0.01)
-    law = VdpLaw(eps, gains, default_neighborhoods(eps, y_h=0.75))
+    law = VdpLaw(eps, gains, default_neighborhoods(eps)._replace(y_h=0.75))
     return integrate(
-        wrap("rhs", lambda p, u: vdp_rhs(p, eps, u)),
+        wrap("rhs", lambda p, u: vdp_rhs(eps, p, u)),
         wrap("u", lambda p: composite_u(law, p)),
         PhasePoint(-1.0, 0.6), (0.0, 2000.0),
         watchers=[Watcher("set-entry",

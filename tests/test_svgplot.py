@@ -60,7 +60,7 @@ class TestPhasePortrait:
 
     def test_neighborhoods_shade_two_region_kinds(self, tmp_path):
         out = tmp_path / "vdp.svg"
-        nbhd = default_neighborhoods(0.01, y_h=1.25)
+        nbhd = default_neighborhoods(0.01)._replace(y_h=1.25)
         emit_phase_svg([_parabola_traj()], out, critical="vdp", nbhd=nbhd)
         cls = _classes(out, "polygon")
         assert "region-n1" in cls
@@ -122,7 +122,7 @@ class TestTimeseries:
 
 class TestDeterminism:
     def test_identical_bytes_across_calls(self, tmp_path):
-        nbhd = default_neighborhoods(0.01, y_h=1.25)
+        nbhd = default_neighborhoods(0.01)._replace(y_h=1.25)
         overlays = {"critical": "vdp", "nbhd": nbhd,
                     "cycle": ((0.0, 1.0, 0.0), (0.0, 1.0, 0.0))}
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
