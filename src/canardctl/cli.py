@@ -59,7 +59,7 @@ from .errors import (
     StepLimitError,
     StepUnderflowError,
 )
-from .mmo import MmoPattern, MmoSegment, classify_loops, run_pattern
+from .mmo import MmoPattern, MmoSegment, run_pattern
 from .models import FoldField, fold_rhs
 from .sim import IntegratorConfig, Trajectory, Watcher, convergence_metrics, integrate
 from .svgplot import emit_phase_svg, emit_timeseries_svg
@@ -364,12 +364,22 @@ def _convergence_results(traj: Trajectory, eps: float, level: ScaledLevel) -> Di
     }
 
 
-def _guarded(*args, **kwargs) -> Tuple[Trajectory, Optional[IntegrationError]]:
-    """integrate()'s trajectory and the fault that ended it, or None."""
-    try:
-        return integrate(*args, **kwargs), None
-    except IntegrationError as exc:  # overflow, step limit or step underflow
-        return exc.trajectory, exc
+def _run_starts(rhs, u, starts, span, integ: IntegratorConfig, watchers=()):
+    """Integrate each start in turn; yield its trajectory and the fault
+    that ended it, or None."""
+    for start in starts:
+        try:
+            yield integrate(rhs, u, start, span, integ, watchers=watchers), None
+        except IntegrationError as exc:  # overflow, step limit or step underflow
+            yield exc.trajectory, exc
+
+
+def _first_fault(runs) -> Optional[IntegrationError]:
+    """The fault of the first start that faulted: the run's fault."""
+    for _, fault in runs:
+        if fault is not None:
+            return fault
+    return None
 
 
 def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _Outcome:
@@ -387,9 +397,8 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
     # once per revolution: the cycle crosses the frame center moving right
     # on its lower arc
     section = Watcher("section-crossing", lambda p: p[0] - center)
-    runs = [_guarded(rhs, u, ic, (0.0, float(eff["t_end"])), integ,
-                     watchers=[section])
-            for ic in ics]
+    runs = list(_run_starts(rhs, u, ics, (0.0, float(eff["t_end"])), integ,
+                            [section]))
     trajs = [traj for traj, _ in runs]
 
     primary = trajs[0]
@@ -411,7 +420,7 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
         results,
         f"{cfg.experiment}: terminal residual "
         f"{results['residual_terminal']:.3g}, {len(hits)} section returns",
-        fault=next((fault for _, fault in runs if fault is not None), None))
+        fault=_first_fault(runs))
 
 
 # gain of the slow shear g~ = gain*x*(y - x^2) on fold-fast-hot's plant
@@ -433,12 +442,11 @@ def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcom
     span = (0.0, float(eff["t_end"]))
     rhs = partial(fold_rhs, FoldField(params, shear=_FOLD_SHEAR))
 
-    def run(shear):
-        law = FoldLaw(params, gains, level, shear)
-        return _guarded(rhs, partial(fast_u, law), ic, span, integ)
-
-    comp, fault = run(_FOLD_SHEAR)
-    plain, plain_fault = run(0.0)
+    # the compensated run, then the plain one, from the same start
+    (comp, fault), (plain, plain_fault) = (
+        run for shear in (_FOLD_SHEAR, 0.0) for run in _run_starts(
+            rhs, partial(fast_u, FoldLaw(params, gains, level, shear)), (ic,),
+            span, integ))
     plain_status = _status(plain_fault)
     plain_block: Dict[str, object] = {"status": plain_status,
                                       "final_time": plain.final_time}
@@ -492,20 +500,17 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
     stop = Watcher("level-convergence",
                    lambda p: 1e-7 - abs(eval_H2(p[0], p[1]) - h), terminal=True)
 
-    def run_ic(ic: PhasePoint, law: K2Law, watched: bool):
-        traj, fault = _guarded(rhs, partial(k2_mu, law), ic, span, integ,
-                               watchers=[stop] if watched else [])
+    def h_gap(traj: Trajectory) -> float:
         p = traj.final_state
         try:
-            gap = abs(eval_H2(p[0], p[1]) - h)
+            return abs(eval_H2(p[0], p[1]) - h)
         except ExponentOverflowError:
-            gap = math.inf
-        return traj, fault, gap
+            return math.inf
 
-    law = K2Law(gains, h, r2, alpha2, shear)
-    runs = [run_ic(ic, law, watched=True) for ic in ics]
+    law = partial(k2_mu, K2Law(gains, h, r2, alpha2, shear))
+    runs = list(_run_starts(rhs, law, ics, span, integ, [stop]))
     per_ic = []
-    for ic, (traj, fault, gap) in zip(ics, runs):
+    for ic, (traj, fault) in zip(ics, runs):
         hits = traj.events_of("level-convergence")
         # L2 = (H2 - h)^2 / 2, as lyapunov_L2 computes it, without its rate
         l2 = [0.5 * ht * ht for ht in (eval_H2(x2, y2) - h
@@ -513,7 +518,7 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
         per_ic.append({
             "ic": [ic.x, ic.y],
             "status": _status(fault),
-            "terminal_h_gap": gap,
+            "terminal_h_gap": h_gap(traj),
             "converged_at": hits[0].time if hits else None,
             "max_l2_increase": max([0.0] + [b - a for a, b in zip(l2, l2[1:])]),
         })
@@ -523,21 +528,22 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
     }
     extra_phase = {}
     if with_shear:
-        plain_law = K2Law(gains, h, r2, alpha2)
-        plain = [run_ic(ic, plain_law, watched=False) for ic in ics]
+        plain_law = partial(k2_mu, K2Law(gains, h, r2, alpha2))
+        plain = list(_run_starts(rhs, plain_law, ics, span, integ))
+        gaps = [h_gap(traj) for traj, _ in plain]
         results["plain_per_ic"] = [
             {"ic": [ic.x, ic.y], "status": _status(fault), "terminal_h_gap": gap}
-            for ic, (_, fault, gap) in zip(ics, plain)]
-        results["plain_worst_h_gap"] = max(gap for _, _, gap in plain)
-        extra_phase[_PLAIN_PHASE] = [traj for traj, _, _ in plain]
+            for ic, (_, fault), gap in zip(ics, plain, gaps)]
+        results["plain_worst_h_gap"] = max(gaps)
+        extra_phase[_PLAIN_PHASE] = [traj for traj, _ in plain]
 
     return _Outcome(
-        [traj for traj, _, _ in runs], {"cycle": reference_cycle(level, 1.0)},
+        [traj for traj, _ in runs], {"cycle": reference_cycle(level, 1.0)},
         results,
         f"{cfg.experiment}: worst terminal |H2 - h| = "
         f"{results['max_terminal_h_gap']:.3g} over {len(ics)} starts",
         labels=("x2", "y2", "mu2"), extra_phase=extra_phase,
-        fault=next((fault for _, fault, _ in runs if fault is not None), None))
+        fault=_first_fault(runs))
 
 
 # k1-vdp's entry-chart box: the flow enters through the section
@@ -569,28 +575,27 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
                           [r * r * m for r, m in zip(r1, traj.controls)])
 
     r1_grid = [0.05 + i * (_K1_RHO1_TILDE - 0.05) / 4 for i in range(5)]
-    exit_x1, exit_t, blown, x1_initial = [], [], [], []
-    for r1 in r1_grid:
-        center = gains.x_star + k1_chart_phi1(r1, _K1_DELTA1)
-        for j in range(5):
-            x1 = center - _K1_SIGMA1 + j * _K1_SIGMA1 / 2
-            x1_initial.append(x1)
-            traj, fault = _guarded(k1_vdp_field, mu, (r1, x1, _K1_DELTA1),
-                                   (0.0, float(eff["t_end"])), integ,
-                                   watchers=[exit_section])
-            hits = traj.events_of("section-crossing")
-            if not hits:
-                fault = fault or IntegrationError(
-                    f"grid point (r1={r1:.3g}, x1={x1:.3g}) never reached "
-                    f"the exit section r1 = {_K1_RHO1}")
-                fault.trajectory = blown_down(traj)  # written as on success
-                return _Outcome((), {}, {}, fault=fault)
-            exit_x1.append(hits[0].state[1])
-            exit_t.append(hits[0].time)
-            if len(blown) < 5:
-                blown.append(blown_down(traj))
+    # five x1 about the branch point of each r1, on the entry section
+    centers = [gains.x_star + k1_chart_phi1(r1, _K1_DELTA1) for r1 in r1_grid]
+    grid = [(r1, center - _K1_SIGMA1 + j * _K1_SIGMA1 / 2, _K1_DELTA1)
+            for r1, center in zip(r1_grid, centers) for j in range(5)]
+    runs = _run_starts(k1_vdp_field, mu, grid, (0.0, float(eff["t_end"])),
+                       integ, [exit_section])
+    exit_x1, exit_t, blown = [], [], []
+    for (r1, x1, _), (traj, fault) in zip(grid, runs):
+        hits = traj.events_of("section-crossing")
+        if not hits:  # the run ends here, at the first grid point that misses
+            fault = fault or IntegrationError(
+                f"grid point (r1={r1:.3g}, x1={x1:.3g}) never reached "
+                f"the exit section r1 = {_K1_RHO1}")
+            fault.trajectory = blown_down(traj)  # written as on success
+            return _Outcome((), {}, {}, fault=fault)
+        exit_x1.append(hits[0].state[1])
+        exit_t.append(hits[0].time)
+        if len(blown) < 5:
+            blown.append(blown_down(traj))
 
-    spread0 = max(x1_initial) - min(x1_initial)
+    spread0 = max(x1 for _, x1, _ in grid) - min(x1 for _, x1, _ in grid)
     spread1 = max(exit_x1) - min(exit_x1)
     results = {
         "grid_r1": r1_grid,
@@ -629,7 +634,7 @@ def _run_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
         "labels": labels,
         "loops": [{"label": lb.label, "t_start": lb.t_start, "t_end": lb.t_end,
                    "max_x": lb.max_x, "max_y": lb.max_y} for lb in loops],
-        "classifier_labels": [lb.label for lb in classify_loops(traj)],
+        "classifier_labels": [lb.label for lb in loops],
         "pattern": pattern.compact(),
         "repeat": pattern.repeat,
     }

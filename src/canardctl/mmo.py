@@ -1,4 +1,4 @@
-"""Loop classification and the mixed-mode oscillation supervisor.
+"""The mixed-mode oscillation supervisor and its loop labels.
 
 A loop is the stretch of a van der Pol trajectory between consecutive
 entries into a small disc around the canard point; every cycle, headed or
@@ -34,7 +34,6 @@ __all__ = [
     "LoopLabel",
     "MmoSegment",
     "MmoPattern",
-    "classify_loops",
     "run_pattern",
 ]
 
@@ -141,29 +140,12 @@ class MmoPattern(_Record):
             for s in self.segments)
 
 
-def classify_loops(traj: Trajectory) -> List[LoopLabel]:
-    """Split a planar trajectory at disc entries and label each complete
-    loop."""
-    xs, ys = traj.columns
-    r2 = DISC_RADIUS * DISC_RADIUS
-    inside = [x * x + y * y < r2 for x, y in zip(xs, ys)]
-    entries = [i for i in range(1, len(inside))
-               if inside[i] and not inside[i - 1]]
-    loops = []
-    for a, b in zip(entries, entries[1:]):
-        max_x = max(xs[a:b + 1])
-        max_y = max(ys[a:b + 1])
-        label = "LAO" if max_x > LAO_THRESHOLD else "SAO"
-        loops.append(LoopLabel(label, traj.times[a], traj.times[b], max_x, max_y))
-    return loops
-
-
-def _disc_watcher() -> Watcher:
-    return Watcher(
-        "set-entry",
-        lambda p: DISC_RADIUS * DISC_RADIUS - p[0] * p[0] - p[1] * p[1],
-        terminal=True,
-    )
+# ends every loop, and the preamble, where the orbit enters the disc
+_DISC_ENTRY = Watcher(
+    "set-entry",
+    lambda p: DISC_RADIUS * DISC_RADIUS - p[0] * p[0] - p[1] * p[1],
+    terminal=True,
+)
 
 
 def run_pattern(
@@ -174,7 +156,8 @@ def run_pattern(
     cfg: Optional[IntegratorConfig] = None,
     start: Sequence[float] = _DEFAULT_START,
 ) -> Tuple[Trajectory, List[LoopLabel]]:
-    """Drive the composite controller through a requested loop sequence.
+    """Drive the composite controller through a requested loop sequence;
+    return the stitched run and the label of each loop, made as it closes.
 
     One integrate() call per loop, each ending at the terminal disc-entry
     event; the parameters for the next loop are installed at that state,
@@ -190,8 +173,6 @@ def run_pattern(
     place, segment by segment, so a pattern costs no memory per loop it
     asks for.
     """
-    cfg = cfg or IntegratorConfig()
-
     # the stitched run, column by column: each loop after the first starts
     # at its predecessor's last point, which the run keeps once
     times, xs, ys, controls = (array("d") for _ in range(4))
@@ -221,7 +202,7 @@ def run_pattern(
         try:
             traj = integrate(partial(vdp_rhs, eps), u, p0,
                              (t0, t0 + _LOOP_TIME_BUDGET), cfg,
-                             watchers=[_disc_watcher()])
+                             watchers=[_DISC_ENTRY])
         except IntegrationError as exc:  # overflow, step limit or underflow
             stitch(exc.trajectory)
             exc.trajectory = stitched()

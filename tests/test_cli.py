@@ -600,6 +600,40 @@ def test_fault_of_any_run_decides_exit_status_and_trajectory(tmp_path, capsys,
     assert f"at t = {res['last_time']:.6g}" in res["message"]
 
 
+# at max_steps 10, fold-fast's default start uses up its steps and a start
+# at y = 30 overflows its level term at once
+_STEP_LIMIT_START, _OVERFLOW_START = [0.2, 0.3], [0.2, 30.0]
+
+
+@pytest.mark.parametrize("starts,status", [
+    ([_STEP_LIMIT_START, _OVERFLOW_START], "step-limit"),
+    ([_OVERFLOW_START, _STEP_LIMIT_START], "overflow-fault"),
+], ids=["step-limit-first", "overflow-first"])
+def test_first_start_to_fault_decides_the_run(tmp_path, capsys, starts, status):
+    def ran(name, ics):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"experiment": "fold-fast",
+                                    "params": {"max_steps": 10},
+                                    "initial_conditions": ics}))
+        code = main(["run", str(path), "--out", str(tmp_path / name)])
+        return code, capsys.readouterr().err
+
+    code, err = ran("both", starts)
+    assert code == 3
+    m = json.loads((tmp_path / "both" / "metrics.json").read_text())
+    assert m["status"] == status
+    # the first start alone faults alike and writes the same run
+    assert ran("first", starts[:1]) == (code, err)
+    alone = json.loads((tmp_path / "first" / "metrics.json").read_text())
+    for key in ("message", "last_time", "last_state"):
+        assert m["results"][key] == alone["results"][key]
+    for name in ("trajectory.csv", "controller.svg"):
+        assert (tmp_path / "both" / name).read_bytes() == \
+            (tmp_path / "first" / name).read_bytes()
+    assert read_trajectory_csv(tmp_path / "both" / "trajectory.csv")[0][1:3] == \
+        tuple(starts[0])
+
+
 def test_min_step_above_the_first_step_estimate_binds_the_first_step(
         tmp_path, capsys):
     # the field alone picks a first step near 0.009 here; a smooth run at
@@ -696,6 +730,48 @@ def test_readme_keys_table_matches_the_specs():
         assert sum((groups[g] for g in extras.split(", ") if g != "none"),
                    ()) == spec.extras, name
         assert (None if starts == "any" else int(starts)) == spec.starts, name
+
+
+def _fields(value):
+    """The fields of a record, or of every record of a list, else None."""
+    if isinstance(value, dict):
+        return set(value)
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        return set().union(*value)
+    return None
+
+
+def test_readme_results_table_matches_the_written_keys(tmp_path, capsys):
+    listed, named = {}, {}
+    for key, writers, meaning, _ in _readme_table(
+            "| results key | written by | meaning | units |"):
+        key = key.strip("`")
+        for writer in re.findall(r"`([a-z0-9-]+)`", writers) or [writers]:
+            listed.setdefault(writer, set()).add(key)
+        named[key] = set(re.findall(r"`([a-z_0-9]+)`", meaning))
+    # k1-vdp's short run faults before its grid reaches the exit section,
+    # so it writes the keys of a fault, and its default run its own keys
+    runs = [(name, _SHORT_RUNS.get(name, {})) for name in cli._SPECS]
+    written = {}
+    for i, (name, params) in enumerate(runs + [("k1-vdp", {})]):
+        code = run_experiment(ExperimentConfig(name, params), tmp_path / str(i))
+        doc = json.loads((tmp_path / str(i) / "metrics.json").read_text())
+        written["a fault" if code == 3 else name] = doc["results"]
+    (tmp_path / "deviation").mkdir()
+    cli._write_outcome(
+        ExperimentConfig("vdp-mmo"), {},
+        cli._Outcome((), {}, {}, fault=PatternDeviationError("LAO", "SAO", ())),
+        tmp_path / "deviation")
+    doc = json.loads((tmp_path / "deviation" / "metrics.json").read_text())
+    written["a pattern deviation"] = {
+        k: v for k, v in doc["results"].items() if k not in written["a fault"]}
+    assert set(written) == set(listed) == {*cli._SPECS, "a fault",
+                                           "a pattern deviation"}
+    for writer, results in written.items():
+        assert set(results) == listed[writer], writer
+        for key, value in results.items():
+            if _fields(value) is not None:
+                assert named[key] == _fields(value), (writer, key)
 
 
 def test_readme_lists_the_override_flags_in_order():

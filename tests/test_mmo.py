@@ -1,6 +1,4 @@
-"""Tests for loop classification and the pattern supervisor."""
-
-import math
+"""Tests for the pattern supervisor and the loop labels it records."""
 
 import numpy as np
 import pytest
@@ -16,19 +14,18 @@ from canardctl.mmo import (
     LoopLabel,
     MmoPattern,
     MmoSegment,
-    classify_loops,
     run_pattern,
 )
 from canardctl.models import vdp_rhs
-from canardctl.sim import IntegratorConfig, Trajectory, integrate
+from canardctl.sim import IntegratorConfig, Watcher, integrate
 
 EPS = 0.01
 GAINS = ControllerGains(c1=1.0, c2=2.0, k1=1.0)
 
 
-def _open_loop_vdp(start, t_end):
+def _open_loop_vdp(start, t_end, watchers=()):
     return integrate(lambda p, u: vdp_rhs(EPS, p, u), lambda p: 0.0,
-                     start, (0.0, t_end))
+                     start, (0.0, t_end), watchers=watchers)
 
 
 class TestPattern:
@@ -83,57 +80,41 @@ class TestPattern:
 
 
 class TestClassifier:
-    def test_synthetic_circle_all_small(self):
-        # circle around (1, 0.5) with radius 0.95: dips into the disc once
-        # per turn (closest approach ~0.17) and tops out at x = 1.95
-        ts = np.linspace(0.0, 3.0, 901)
-        cx, cy, r = 1.0, 0.5, 0.95
-        ang = math.atan2(cy, cx) + math.pi  # start at the point nearest the origin
-        states = tuple(
-            PhasePoint(cx + r * math.cos(2 * math.pi * t + ang + math.pi),
-                       cy + r * math.sin(2 * math.pi * t + ang + math.pi))
-            for t in ts)
-        traj = Trajectory(tuple(float(t) for t in ts), zip(*states),
-                          tuple(0.0 for _ in ts))
-        loops = classify_loops(traj)
-        assert len(loops) == 2
-        assert all(lb.label == "SAO" for lb in loops)
-        assert all(lb.max_x == pytest.approx(1.95, abs=1e-3) for lb in loops)
-
     def test_open_loop_fold_capture_yields_no_loops(self):
         # at the canard parameter the origin weakly attracts: along the
         # open-loop flow dH/dt = x^4 exp(-2y/eps)/(3 eps) >= 0, so the
         # orbit spirals into the fold after one descent and never closes
         # a loop; relaxation-sized loops exist only under control
-        traj = _open_loop_vdp(PhasePoint(-1.0, 0.6), 1500.0)
-        assert classify_loops(traj) == []
-        assert max(p[0] for p in traj.states) < 0.5
+        entry = Watcher("set-entry",
+                        lambda p: DISC_RADIUS ** 2 - p[0] ** 2 - p[1] ** 2)
+        traj = _open_loop_vdp(PhasePoint(-1.0, 0.6), 1500.0, [entry])
+        assert max(traj.columns[0]) < 0.5
+        # one entry into the section disc, and no second one to close a loop
+        assert len(traj.events_of("set-entry")) == 1
 
     def test_headed_canard_loops_are_large(self):
         # the headed closed-loop cycle is the relaxation-like one: it
         # jumps right and lands beyond the threshold on the right branch
         pat = MmoPattern.parse("1L:0.75:0.01", repeat=2)
-        traj, _ = run_pattern(pat, EPS, GAINS, default_neighborhoods(EPS))
-        loops = classify_loops(traj)
-        assert len(loops) >= 2
-        assert all(lb.label == "LAO" for lb in loops)
+        traj, loops = run_pattern(pat, EPS, GAINS, default_neighborhoods(EPS))
+        assert [lb.label for lb in loops] == ["LAO", "LAO"]
         assert all(2.5 < lb.max_x < 2.9 for lb in loops)
-
-    def test_no_entries_gives_empty(self):
-        traj = _open_loop_vdp(PhasePoint(2.5, 0.8), 5.0)
-        assert classify_loops(traj) == []
+        # each label's max_x is the largest x of its stretch of the run
+        xs, times = traj.columns[0], traj.times
+        for lb in loops:
+            assert lb.max_x == max(x for t, x in zip(times, xs)
+                                   if lb.t_start <= t <= lb.t_end)
+        assert 2.5 < max(xs) < 2.9
 
 
 class TestSupervisor:
     def test_two_small_loops(self):
         pat = MmoPattern.parse("2S:1.25:-0.01")
-        traj, labels = run_pattern(pat, EPS, GAINS, default_neighborhoods(EPS))
+        _, labels = run_pattern(pat, EPS, GAINS, default_neighborhoods(EPS))
         assert [lb.label for lb in labels] == ["SAO", "SAO"]
         for lb in labels:
             assert lb.max_x < 2.0
             assert abs(lb.max_y - 1.25) <= 0.1
-        # the standalone classifier agrees with the supervisor
-        assert [lb.label for lb in classify_loops(traj)] == ["SAO", "SAO"]
 
     def test_three_large_loops(self):
         pat = MmoPattern.parse("1L:0.75:0.01", repeat=3)
