@@ -12,7 +12,9 @@ fold and conserves H2; the entry chart covers the approach along the slow
 manifold.  Each chart's desingularized field takes its state and the
 control last, as ``integrate`` passes them: ``k2_field(field, p, mu2)``,
 handed over as a ``functools.partial`` over its bound ``K2Field``, and
-``k1_vdp_field(p, mu1)``, which has no constant to bind.
+``k1_vdp_field(p, mu1)``, which has no constant to bind.  Like the fields
+of `models`, each raises OverflowError for a non-finite control value,
+which `sim.integrate` turns into an ``overflow-fault``.
 
 ``germ_check`` verifies that a (possibly closed-loop) fast equation still
 has a quadratic-fold germ at the origin after the control is added: the
@@ -122,8 +124,10 @@ def k2_field(field: K2Field, p: Sequence[float],
 
     x2' = -y2 + (x2 + alpha2)^2 + mu2,  y2' = x2 + r2 * g2(x2, y2), with r2,
     alpha2 and the shear gain of g2 bound in ``field``.  ``p`` is the chart
-    state (x2, y2).
+    state (x2, y2).  A non-finite control value raises OverflowError.
     """
+    if not 0.0 * mu2 == 0.0:  # mu2 is not finite
+        raise OverflowError(f"non-finite control value {mu2!r}")
     x2, y2 = p
     shear = field.shear
     g = 0.0 if shear == 0.0 else shear * x2 * (y2 - x2 * x2)
@@ -142,7 +146,10 @@ def k1_vdp_field(p: Sequence[float],
     The product r1^2 eps1 (the original eps) is invariant.  ``p`` is a
     :class:`ChartPointK1` or a plain (r1, x1, eps1) tuple, in the order of
     the derivative; ``mu1`` is the control, as the integrator passes it.
+    A non-finite control value raises OverflowError.
     """
+    if not 0.0 * mu1 == 0.0:  # mu1 is not finite
+        raise OverflowError(f"non-finite control value {mu1!r}")
     r1, x1, eps1 = p[0], p[1], p[2]
     return (
         0.5 * r1 * eps1 * x1,

@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 failed verify checks, 2 validation error or
 unwritable output, 3 integration fault, 4 pattern deviation, 5 internal
 error (an exception no other code covers, reported with its traceback; a
 batch goes on with its next config).  The exception that ended a run, if
-any, decides its status and exit code through _FAULT_STATUS.
+any, decides its status and exit code: an IntegrationError carries its
+status, and _FAULT_STATUS names the status of every other fault.
 """
 
 from __future__ import annotations
@@ -53,11 +54,8 @@ from .errors import (
     DomainError,
     ExponentOverflowError,
     IntegrationError,
-    OverflowFaultError,
     PatternDeviationError,
     SingularConfigurationError,
-    StepLimitError,
-    StepUnderflowError,
 )
 from .mmo import MmoPattern, MmoSegment, run_pattern
 from .models import FoldField, fold_rhs
@@ -332,15 +330,12 @@ def _write_outcome(cfg: ExperimentConfig, eff: Dict[str, object],
     return code
 
 
-# status a fault leaves in metrics.json, most specific exception type first;
-# OverflowError covers ExponentOverflowError and float arithmetic overflow
+# status a fault leaves in metrics.json: an IntegrationError names its own;
+# the faults integrate does not raise, by type.  OverflowError covers
+# ExponentOverflowError and float arithmetic overflow outside a run
 _FAULT_STATUS = (
     (PatternDeviationError, "pattern-deviation"),
-    (StepLimitError, "step-limit"),
-    (StepUnderflowError, "step-underflow"),
-    (OverflowFaultError, "overflow-fault"),
     (OverflowError, "overflow-fault"),
-    (IntegrationError, "integration-fault"),
     (SingularConfigurationError, "integration-fault"),
 )
 # exit code of each status that is not an integration fault (exit 3)
@@ -348,8 +343,11 @@ _EXIT_CODES = {"ok": 0, "failed": 1, "pattern-deviation": 4}
 
 
 def _status(fault: Optional[Exception]) -> str:
-    return "ok" if fault is None else next(
-        s for kind, s in _FAULT_STATUS if isinstance(fault, kind))
+    if fault is None:
+        return "ok"
+    if isinstance(fault, IntegrationError):
+        return fault.status
+    return next(s for kind, s in _FAULT_STATUS if isinstance(fault, kind))
 
 
 # experiment runs ----------------------------------------------------------
@@ -370,7 +368,7 @@ def _run_starts(rhs, u, starts, span, integ: IntegratorConfig, watchers=()):
     for start in starts:
         try:
             yield integrate(rhs, u, start, span, integ, watchers=watchers), None
-        except IntegrationError as exc:  # overflow, step limit or step underflow
+        except IntegrationError as exc:
             yield exc.trajectory, exc
 
 
@@ -497,13 +495,14 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
     shear = 1.0 if with_shear else 0.0
     rhs = partial(k2_field, K2Field(r2, alpha2, shear))
 
+    # the watcher reads eval_H2 itself: its overflow faults the start
     stop = Watcher("level-convergence",
                    lambda p: 1e-7 - abs(eval_H2(p[0], p[1]) - h), terminal=True)
 
-    def h_gap(traj: Trajectory) -> float:
-        p = traj.final_state
+    def h_gap(x2: float, y2: float) -> float:
+        """|H2 - h| at (x2, y2), inf where eval_H2 overflows."""
         try:
-            return abs(eval_H2(p[0], p[1]) - h)
+            return abs(eval_H2(x2, y2) - h)
         except ExponentOverflowError:
             return math.inf
 
@@ -512,13 +511,13 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
     per_ic = []
     for ic, (traj, fault) in zip(ics, runs):
         hits = traj.events_of("level-convergence")
+        gaps = [h_gap(x2, y2) for x2, y2 in zip(*traj.columns)]
         # L2 = (H2 - h)^2 / 2, as lyapunov_L2 computes it, without its rate
-        l2 = [0.5 * ht * ht for ht in (eval_H2(x2, y2) - h
-                                         for x2, y2 in zip(*traj.columns))]
+        l2 = [0.5 * g * g for g in gaps]
         per_ic.append({
             "ic": [ic.x, ic.y],
             "status": _status(fault),
-            "terminal_h_gap": h_gap(traj),
+            "terminal_h_gap": gaps[-1],
             "converged_at": hits[0].time if hits else None,
             "max_l2_increase": max([0.0] + [b - a for a, b in zip(l2, l2[1:])]),
         })
@@ -530,7 +529,7 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
     if with_shear:
         plain_law = partial(k2_mu, K2Law(gains, h, r2, alpha2))
         plain = list(_run_starts(rhs, plain_law, ics, span, integ))
-        gaps = [h_gap(traj) for traj, _ in plain]
+        gaps = [h_gap(*traj.final_state) for traj, _ in plain]
         results["plain_per_ic"] = [
             {"ic": [ic.x, ic.y], "status": _status(fault), "terminal_h_gap": gap}
             for ic, (_, fault), gap in zip(ics, plain, gaps)]
@@ -711,7 +710,7 @@ def run_experiment(cfg: ExperimentConfig, outdir) -> int:
     try:
         try:
             out = spec.run(cfg, eff)
-        except tuple(kind for kind, _ in _FAULT_STATUS) as exc:
+        except (IntegrationError, *(kind for kind, _ in _FAULT_STATUS)) as exc:
             out = _Outcome((), {}, {}, fault=exc)
         code = _write_outcome(cfg, eff, out, outdir)
     except (ConfigError, DomainError) as exc:

@@ -480,8 +480,8 @@ def _vdp_u2(p: Sequence[float], eps: float, gains: ControllerGains) -> float:
 
 
 class VdpLaw(_Record):
-    """The constants of ``composite_u`` for one loop, bound once: eps,
-    checked here, the gains and the activation neighborhoods."""
+    """The constants of ``composite_u`` for one pattern segment, bound
+    once: eps, checked here, the gains and the activation neighborhoods."""
 
     __slots__ = _fields = ("eps", "gains", "nbhd")
 

@@ -2,7 +2,7 @@
 
 Numerical guards raise typed errors instead of returning inf/nan so that the
 integrator can convert them into fault events and the CLI can map them onto
-exit codes.
+exit codes; every integration fault is an IntegrationError with a status.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ __all__ = [
     "SingularConfigurationError",
     "ExtrapolationError",
     "IntegrationError",
-    "OverflowFaultError",
-    "StepUnderflowError",
-    "StepLimitError",
     "PatternDeviationError",
     "ConfigError",
 ]
@@ -54,27 +51,20 @@ class ExtrapolationError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Integration could not finish; carries the partial trajectory."""
+    """Integration could not finish; carries the partial trajectory and the
+    ``status`` a run leaves in metrics.json.
 
-    def __init__(self, message: str, trajectory=None):
+    ``integrate`` raises an ``overflow-fault`` (an OverflowError of the
+    controller, the field or a watcher), a ``step-underflow`` (the step
+    fell below min_step: a stiffness fault) or a ``step-limit`` (max_steps
+    ran out); a runner's own fault is an ``integration-fault``.
+    """
+
+    def __init__(self, message: str, trajectory=None,
+                 status: str = "integration-fault"):
         self.trajectory = trajectory
+        self.status = status
         super().__init__(message)
-
-
-class OverflowFaultError(IntegrationError):
-    """The run ended on an ``overflow-fault`` event, at its last state."""
-
-    def __init__(self, trajectory):
-        super().__init__("the control overflowed at t = "
-                         f"{trajectory.final_time:.6g}", trajectory)
-
-
-class StepUnderflowError(IntegrationError):
-    """Step control pushed the step below min_step (stiffness fault)."""
-
-
-class StepLimitError(IntegrationError):
-    """The step budget max_steps was exhausted before reaching t_end."""
 
 
 class PatternDeviationError(RuntimeError):

@@ -166,12 +166,14 @@ def run_pattern(
 
     Raises PatternDeviationError the moment a completed loop contradicts its
     segment's label, carrying the labels achieved so far and the stitched
-    trajectory.  Every fault of a loop carries the stitched run from t = 0
-    up to the fault as well: a loop that does not close (IntegrationError),
-    and the OverflowFaultError, StepLimitError or StepUnderflowError of its
-    integration, re-raised with that trajectory.  The loops are walked in
-    place, segment by segment, so a pattern costs no memory per loop it
-    asks for.
+    trajectory.  Every fault of a loop is an IntegrationError that carries
+    the stitched run from t = 0 up to the fault as well: a loop that does
+    not close (status ``integration-fault``), and the fault of its
+    integration, re-raised with its own status and that trajectory.  A
+    segment whose height the neighborhood rejects (y_h not above y_min)
+    raises DomainError before the preamble integrates.  The loops are
+    walked in place, segment by segment, so a pattern costs no memory per
+    loop it asks for.
     """
     # the stitched run, column by column: each loop after the first starts
     # at its predecessor's last point, which the run keeps once
@@ -190,20 +192,16 @@ def run_pattern(
     def stitched() -> Trajectory:
         return Trajectory(times, (xs, ys), controls, events)
 
-    def run_chunk(seg: MmoSegment, t0: float,
+    def run_chunk(law: VdpLaw, t0: float,
                   p0: Tuple[float, float]) -> Trajectory:
-        seg_gains = gains._replace(x_star=seg.x_star)
-        seg_nbhd = nbhd._replace(y_h=seg.y_h)
-
         # the loop's law and field are partials over its constants, and
         # composite_u and vdp_rhs are looked up for each loop, so a wrapper
         # installed on this module before the run sees every evaluation
-        u = partial(composite_u, VdpLaw(eps, seg_gains, seg_nbhd))
         try:
-            traj = integrate(partial(vdp_rhs, eps), u, p0,
-                             (t0, t0 + _LOOP_TIME_BUDGET), cfg,
+            traj = integrate(partial(vdp_rhs, eps), partial(composite_u, law),
+                             p0, (t0, t0 + _LOOP_TIME_BUDGET), cfg,
                              watchers=[_DISC_ENTRY])
-        except IntegrationError as exc:  # overflow, step limit or underflow
+        except IntegrationError as exc:
             stitch(exc.trajectory)
             exc.trajectory = stitched()
             raise
@@ -214,13 +212,18 @@ def run_pattern(
                 stitched())
         return traj
 
-    # preamble: reach the section once under the first loop's parameters
-    run_chunk(pattern.segments[0], 0.0, (start[0], start[1]))
+    # every segment's law, so a segment its neighborhood rejects fails here
+    laws = [VdpLaw(eps, gains._replace(x_star=seg.x_star),
+                   nbhd._replace(y_h=seg.y_h)) for seg in pattern.segments]
 
-    for seg in (seg for _ in range(pattern.repeat) for seg in pattern.segments
-                for _ in range(seg.count)):
+    # preamble: reach the section once under the first loop's parameters
+    run_chunk(laws[0], 0.0, (start[0], start[1]))
+
+    for seg, law in ((seg, law) for _ in range(pattern.repeat)
+                     for seg, law in zip(pattern.segments, laws)
+                     for _ in range(seg.count)):
         t0 = times[-1]
-        chunk = run_chunk(seg, t0, (xs[-1], ys[-1]))
+        chunk = run_chunk(law, t0, (xs[-1], ys[-1]))
         max_x = max(chunk.columns[0])
         max_y = max(chunk.columns[1])
         got = "LAO" if max_x > LAO_THRESHOLD else "SAO"

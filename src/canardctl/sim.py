@@ -36,10 +36,11 @@ The controller is evaluated once per field evaluation, and the engine keeps
 the values it needs.  The controls a trajectory records are the values from
 the first field call and from each accepted step's last stage, which FSAL
 places at the new state; only a state the run ends on at a terminal event
-is evaluated again.  An OverflowError raised by the controller or the field
-(the package's fields raise one for a non-finite control value) ends the
-run on a terminal ``overflow-fault`` event at the last accepted state and
-raises ``OverflowFaultError``; any other exception passes through.  Events
+is evaluated again.  A fault raises ``IntegrationError`` with a
+``status``.  An OverflowError of the controller, the field (the package's
+fields raise one for a non-finite control value) or a watcher, anywhere in
+the run, ends it on an ``overflow-fault`` event at the last accepted state;
+any other exception passes through.  Events
 requested through watchers are localized on the dense output by bisection
 to 1e-10 * max(1, |t|) in time.  Every watcher fires by one rule: where
 its ``fn`` rises through zero, from g0 < 0 to g1 >= 0, so a nan value
@@ -66,13 +67,7 @@ from .dopri import (
     _step_3,
     _step_planar,
 )
-from .errors import (
-    DomainError,
-    ExponentOverflowError,
-    OverflowFaultError,
-    StepLimitError,
-    StepUnderflowError,
-)
+from .errors import DomainError, ExponentOverflowError, IntegrationError
 
 __all__ = [
     "IntegratorConfig",
@@ -246,112 +241,108 @@ def _run(rhs, u, start, t_span, cfg, watchers):
     times, controls = array("d", [t]), array("d", [math.nan])
     values, events = array("d", y), []
 
+    status = "ok"
+    # an OverflowError of the controller, the field or a watcher, anywhere
+    # in the run, ends it at the last accepted state (t, y)
     try:
         controls[0] = u0 = u(y)
         f_now = rhs(y, u0)
         if len(f_now) != len(y):
             raise _length_error(f_now, y)
         h = _initial_step(rhs, u, y, f_now, t1 - t, cfg)
-    except OverflowError:
-        events.append(Event("overflow-fault", t, y))
-        return times, values, controls, events, "overflow-fault"
-    if not h > min_step:
-        # the first step obeys min_step like every later one, within the span
-        h = min(min_step, t1 - t)
-    g_now = [w.fn(y) for w in watchers]
-    just_rejected = False
-    nsteps = 0
-    status = "ok"
+        if not h > min_step:  # min_step binds the first step too, in the span
+            h = min(min_step, t1 - t)
+        g_now = [w.fn(y) for w in watchers]
+        just_rejected = False
+        nsteps = 0
 
-    # The clamps below are min()/max() written as comparisons, which keep
-    # their results bit for bit: min(a, b) is b only if b < a, and
-    # max(a, b) is b only if b > a.
-    while t < t1:
-        if nsteps >= max_steps:
-            status = "step-limit"
-            break
-        if max_step < h:
-            h = max_step
-        clamped = h > t1 - t
-        if clamped:
-            h = t1 - t
+        # The clamps below are min()/max() written as comparisons, which
+        # keep their results bit for bit: min(a, b) is b only if b < a, and
+        # max(a, b) is b only if b > a.
+        while t < t1:
+            if nsteps >= max_steps:
+                status = "step-limit"
+                break
+            if max_step < h:
+                h = max_step
+            clamped = h > t1 - t
+            if clamped:
+                h = t1 - t
 
-        try:
             # the last stage is the 5th-order solution at t + h, and the
             # control found there is the one the new point records
             y_new, u_new, ks, err = step(rhs, u, y, f_now, h, atol, rtol)
-        except OverflowError:
-            events.append(Event("overflow-fault", t, y))
-            status = "overflow-fault"
-            break
-        nsteps += 1
+            nsteps += 1
 
-        if not err <= 1.0:
-            if not err < inf:  # inf or nan counts as err = 10
-                err = 10.0
-            shrink = _SAFE / err ** _EXPO1
-            h *= shrink if shrink > _FAC_MIN else _FAC_MIN
-            if h < min_step:
-                status = "step-underflow"
-                break
-            just_rejected = True
-            continue
-
-        # accepted: each watcher's value at y_new serves this step's sweep
-        # and the next one's start
-        if watchers:
-            crossed = None
-            for i, w in enumerate(watchers):
-                g0 = g_now[i]
-                g_now[i] = g1 = w.fn(y_new)
-                if g0 < 0.0 <= g1:
-                    if crossed is None:
-                        crossed = []
-                    crossed.append(w)
-            if crossed:
-                dense = _interpolant(h, y, y_new, ks)
-                # theta of each crossing on the dense output, in time order;
-                # the sort is stable, so ties keep the watchers' order
-                fired = sorted(
-                    ((_locate(lambda th: w.fn(dense(th)) >= 0.0, h, t), w)
-                     for w in crossed), key=lambda f: f[0])
-                stop = next((th for th, w in fired if w.terminal), None)
-                events.extend(Event(w.kind, t + th * h, dense(th))
-                              for th, w in fired if stop is None or th <= stop)
-                if stop is not None:
-                    # a dense-output state: no stage ran there, so evaluate u
-                    y = dense(stop)
-                    times.append(t + stop * h)
-                    values.extend(y)
-                    try:
-                        controls.append(u(y))
-                    except OverflowError:
-                        controls.append(math.nan)
+            if not err <= 1.0:
+                if not err < inf:  # inf or nan counts as err = 10
+                    err = 10.0
+                shrink = _SAFE / err ** _EXPO1
+                h *= shrink if shrink > _FAC_MIN else _FAC_MIN
+                if h < min_step:
+                    status = "step-underflow"
                     break
+                just_rejected = True
+                continue
 
-        t = t1 if clamped else t + h
-        y = y_new
-        times.append(t)
-        values.extend(y)
-        controls.append(u_new)
-        f_now = ks[6]
+            # accepted: each watcher's value at y_new serves this sweep
+            # and the next one's start
+            if watchers:
+                crossed = None
+                for i, w in enumerate(watchers):
+                    g0 = g_now[i]
+                    g_now[i] = g1 = w.fn(y_new)
+                    if g0 < 0.0 <= g1:
+                        if crossed is None:
+                            crossed = []
+                        crossed.append(w)
+                if crossed:
+                    dense = _interpolant(h, y, y_new, ks)
+                    # theta of each crossing on the dense output, in time
+                    # order; the stable sort keeps the watchers' order on ties
+                    fired = sorted(
+                        ((_locate(lambda th: w.fn(dense(th)) >= 0.0, h, t), w)
+                         for w in crossed), key=lambda f: f[0])
+                    stop = next((th for th, w in fired if w.terminal), None)
+                    events.extend(Event(w.kind, t + th * h, dense(th)) for th, w
+                                  in fired if stop is None or th <= stop)
+                    if stop is not None:
+                        # a dense-output state, where no stage evaluated u
+                        y = dense(stop)
+                        times.append(t + stop * h)
+                        values.extend(y)
+                        try:
+                            controls.append(u(y))
+                        except OverflowError:
+                            controls.append(math.nan)
+                        break
 
-        facold = 1e-4 if 1e-4 > err else err
-        fac = err ** _EXPO1 / facold ** _BETA
-        scale = _SAFE / fac if fac > 0.0 else _FAC_MAX
-        if not scale > _FAC_MIN:
-            scale = _FAC_MIN
-        elif not scale < _FAC_MAX:
-            scale = _FAC_MAX
-        if just_rejected:
-            if not scale < 1.0:
-                scale = 1.0
-            just_rejected = False
-        if not clamped:
-            h *= scale
-            if h < min_step and t < t1:
-                status = "step-underflow"
-                break
+            t = t1 if clamped else t + h
+            y = y_new
+            times.append(t)
+            values.extend(y)
+            controls.append(u_new)
+            f_now = ks[6]
+
+            facold = 1e-4 if 1e-4 > err else err
+            fac = err ** _EXPO1 / facold ** _BETA
+            scale = _SAFE / fac if fac > 0.0 else _FAC_MAX
+            if not scale > _FAC_MIN:
+                scale = _FAC_MIN
+            elif not scale < _FAC_MAX:
+                scale = _FAC_MAX
+            if just_rejected:
+                if not scale < 1.0:
+                    scale = 1.0
+                just_rejected = False
+            if not clamped:
+                h *= scale
+                if h < min_step and t < t1:
+                    status = "step-underflow"
+                    break
+    except OverflowError:
+        events.append(Event("overflow-fault", t, y))
+        status = "overflow-fault"
     return times, values, controls, events, status
 
 
@@ -372,13 +363,15 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     controls are the values those calls returned: at the start state and,
     at each accepted step, from the last (FSAL) stage, which runs at the
     new state.  Only a state the run ends on at a terminal event is
-    evaluated again.  An ``OverflowError`` (typed, from float arithmetic
-    such as ``x ** 3``, or a field's for a non-finite control value) raises
-    :class:`OverflowFaultError`, its trajectory ending on an
-    ``overflow-fault`` event; a fault at the start state records the
-    control ``u`` returned there, or nan if it raised.  Step-size collapse
-    raises :class:`StepUnderflowError` and an exhausted step budget
-    :class:`StepLimitError`; each fault carries the partial trajectory.
+    evaluated again.  Each fault raises :class:`IntegrationError` with the
+    partial trajectory and a ``status``.  An ``OverflowError`` (typed,
+    from float arithmetic such as ``x ** 3``, or a field's for a non-finite
+    control value) of ``u``, ``rhs`` or a watcher's ``fn``, at the start,
+    in a step, in the sweep or in a bisection probe, is an
+    ``overflow-fault``: the trajectory ends on that event at the last
+    accepted state, and a fault at the start state records the control
+    ``u`` returned there, or nan if it raised.  Step-size collapse is a
+    ``step-underflow`` and an exhausted step budget a ``step-limit``.
     """
     cfg = cfg or IntegratorConfig()
     times, values, controls, events, status = _run(
@@ -386,16 +379,14 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     n = len(start)
     traj = Trajectory(times, [values[i::n] for i in range(n)], controls,
                       events)
-    if status == "overflow-fault":
-        raise OverflowFaultError(traj)
-    if status == "step-underflow":
-        raise StepUnderflowError(
-            f"step size collapsed below min_step = {cfg.min_step:g} "
-            f"at t = {traj.final_time:.6g}", traj)
-    if status == "step-limit":
-        raise StepLimitError(
-            f"max_steps = {cfg.max_steps} exhausted at t = {traj.final_time:.6g}",
-            traj)
+    if status == "ok":
+        return traj
+    at = f"at t = {traj.final_time:.6g}"
+    raise IntegrationError({
+        "overflow-fault": f"the control overflowed {at}",
+        "step-underflow": f"step size collapsed below min_step = {cfg.min_step:g} {at}",
+        "step-limit": f"max_steps = {cfg.max_steps} exhausted {at}",
+    }[status], traj, status)
     return traj
 
 

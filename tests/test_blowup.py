@@ -147,3 +147,15 @@ def test_germ_check_input_validation():
         germ_check(lambda x, y, eps: -y, [1e-5, 1e-4, 1e-6])
     with pytest.raises(DomainError):
         germ_check(lambda x, y, eps: -y, [1e-4, 0.0, -1e-6])
+
+
+@pytest.mark.parametrize("field", [
+    lambda mu: k2_field(K2Field(0.0, 1.0), (0.5, 0.5), mu),
+    lambda mu: k1_vdp_field((0.1, -1.0, 0.1), mu),
+], ids=["k2_field", "k1_vdp_field"])
+@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
+def test_chart_field_refuses_a_non_finite_control(field, mu):
+    # as fold_rhs and vdp_rhs do, so that integrate reports an overflow fault
+    with pytest.raises(OverflowError, match="non-finite control value"):
+        field(mu)
+    assert all(math.isfinite(v) for v in field(0.25))

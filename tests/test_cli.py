@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from canardctl import cli, cycles, sim
+from canardctl import cli, cycles, mmo, sim
 from canardctl.cli import (
     ExperimentConfig,
     main,
@@ -32,12 +32,10 @@ from canardctl.core import PhasePoint
 from canardctl.errors import (
     ConfigError,
     IntegrationError,
-    OverflowFaultError,
     PatternDeviationError,
-    StepLimitError,
 )
 from canardctl.mmo import MmoPattern
-from canardctl.sim import Trajectory, integrate
+from canardctl.sim import IntegratorConfig, Trajectory, integrate
 
 
 class TestConfigValidation:
@@ -352,7 +350,8 @@ class TestRunExperiment:
         def keeping_partial(*args, **kwargs):
             try:
                 return integrate(*args, **kwargs)
-            except StepLimitError as exc:
+            except IntegrationError as exc:
+                assert exc.status == "step-limit"
                 charted.append(exc.trajectory)
                 raise
 
@@ -634,6 +633,54 @@ def test_first_start_to_fault_decides_the_run(tmp_path, capsys, starts, status):
         tuple(starts[0])
 
 
+def test_k2_watcher_overflow_faults_its_start_and_keeps_the_others(
+        tmp_path, capsys):
+    # at y2 = -400 the level watcher's eval_H2 overflows at the start; the
+    # first start runs cleanly and keeps its record
+    cfg = ExperimentConfig("k2", {"t_end": 5.0},
+                           [[0.5, 0.5], [0.5, -400.0]])
+    assert run_experiment(cfg, tmp_path) == 3
+    m = json.loads((tmp_path / "metrics.json").read_text())
+    assert m["status"] == "overflow-fault"
+    first, second = m["results"]["per_ic"]
+    assert first["ic"] == [0.5, 0.5] and first["status"] == "ok"
+    assert math.isfinite(first["terminal_h_gap"])
+    assert second["ic"] == [0.5, -400.0]
+    assert second["status"] == "overflow-fault"
+    assert second["terminal_h_gap"] == math.inf
+    [row] = read_trajectory_csv(tmp_path / "trajectory.csv")
+    assert row[:3] == (0.0, 0.5, -400.0)
+
+
+def test_k2_non_finite_control_is_an_overflow_fault(tmp_path, capsys):
+    # k2_mu is -inf at x2 = 1e200, and k2_field refuses it
+    cfg = ExperimentConfig("k2", {}, [[1e200, 0.0]])
+    assert run_experiment(cfg, tmp_path) == 3
+    m = json.loads((tmp_path / "metrics.json").read_text())
+    assert m["status"] == "overflow-fault"
+    assert m["results"]["message"] == "the control overflowed at t = 0"
+    assert m["results"]["last_state"] == [1e200, 0.0]
+
+
+def test_vdp_mmo_rejects_a_bad_segment_before_it_integrates(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    integrate = mmo.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(mmo, "integrate", counted)
+    # the second segment's y_h lies below y_min
+    cfg = ExperimentConfig("vdp-mmo", {"pattern": "1S:1.25:-0.01,1L:0.75:0.01",
+                                       "y_min": 0.9})
+    assert run_experiment(cfg, tmp_path) == 2
+    assert "y_min < y_h required" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_min_step_above_the_first_step_estimate_binds_the_first_step(
         tmp_path, capsys):
     # the field alone picks a first step near 0.009 here; a smooth run at
@@ -700,11 +747,26 @@ def _readme_table(header):
             for line in block.splitlines()[1:]]  # past the | --- | row
 
 
+def _integration_fault_statuses():
+    """The status of each kind of IntegrationError: a runner's own fault,
+    and the three faults integrate raises, each provoked here."""
+    statuses = {IntegrationError("a runner's own fault").status}
+    for rhs, u, cfg in (
+            (lambda p, u: (1.0, 0.0), lambda p: math.exp(1e3), None),
+            (lambda p, u: (1.0, 0.0), lambda p: 0.0, IntegratorConfig(max_steps=1)),
+            (lambda p, u: (1.0 + p[0] * p[0], 0.0), lambda p: 0.0, None)):
+        with pytest.raises(IntegrationError) as exc:
+            integrate(rhs, u, (0.0, 0.0), (0.0, 3.0), cfg)
+        statuses.add(exc.value.status)
+    return statuses
+
+
 def test_readme_lists_every_status_a_run_can_leave():
     block = _readme().split("The `status` in `metrics.json` is `ok` or one of:")[1]
     listed = re.findall(r"^- `([a-z-]+)`:", block.split("\n\n")[1], re.M)
     assert sorted(listed) == sorted(
-        {status for _, status in cli._FAULT_STATUS} | {"failed"})
+        {status for _, status in cli._FAULT_STATUS}
+        | _integration_fault_statuses() | {"failed"})
 
 
 def test_readme_lists_every_registered_experiment():
@@ -802,14 +864,12 @@ def _program_exit_codes(tmp_path, monkeypatch):
     def fault_of(kind):
         if kind is PatternDeviationError:
             return kind("LAO", "SAO", ())
-        if kind is OverflowFaultError:
-            return kind(tiny)
-        if issubclass(kind, IntegrationError):
-            return kind("fault", tiny)
         return kind("fault")
 
     codes = {status: written(fault=fault_of(kind))
              for kind, status in cli._FAULT_STATUS}
+    codes.update({status: written(fault=IntegrationError("fault", tiny, status))
+                  for status in _integration_fault_statuses()})
     integration = {c for s, c in codes.items() if s != "pattern-deviation"}
     assert len(integration) == 1
     bad = tmp_path / "bad.json"

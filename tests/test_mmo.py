@@ -6,8 +6,8 @@ import pytest
 from canardctl.controllers import NeighborhoodParams, default_neighborhoods
 from canardctl.core import ControllerGains, PhasePoint
 from canardctl import mmo
-from canardctl.errors import (ConfigError, OverflowFaultError,
-                              PatternDeviationError, StepUnderflowError)
+from canardctl.errors import (ConfigError, IntegrationError,
+                              PatternDeviationError)
 from canardctl.mmo import (
     DISC_RADIUS,
     LAO_THRESHOLD,
@@ -178,8 +178,9 @@ class TestSupervisor:
         first, _ = run_pattern(MmoPattern.parse("1S:1.25:-0.01"), EPS, GAINS, nb)
         limit = calls[0] + 50
         calls[0] = 0
-        with pytest.raises(OverflowFaultError) as exc:
+        with pytest.raises(IntegrationError) as exc:
             run_pattern(MmoPattern.parse("2S:1.25:-0.01"), EPS, GAINS, nb)
+        assert exc.value.status == "overflow-fault"
         traj = exc.value.trajectory
         assert traj.times[:len(first)] == first.times
         assert len(traj) > len(first)
@@ -200,9 +201,10 @@ class TestSupervisor:
             return integrate(rhs, u, p0, span, cfg, watchers=watchers)
 
         monkeypatch.setattr(mmo, "integrate", coarse_first_loop)
-        with pytest.raises(StepUnderflowError) as exc:
+        with pytest.raises(IntegrationError) as exc:
             run_pattern(MmoPattern.parse("3S:1.25:-0.01"), EPS, GAINS,
                         default_neighborhoods(EPS))
+        assert exc.value.status == "step-underflow"
         assert len(calls) == 2
         traj = exc.value.trajectory
         # the run from t = 0: the preamble's disc entry precedes the fault

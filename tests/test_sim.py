@@ -28,9 +28,6 @@ from canardctl.errors import (
     DomainError,
     ExponentOverflowError,
     IntegrationError,
-    OverflowFaultError,
-    StepLimitError,
-    StepUnderflowError,
 )
 from canardctl.models import FoldField, fold_rhs, vdp_rhs
 from canardctl.sim import (
@@ -185,8 +182,9 @@ def test_terminal_level_convergence_truncates():
 
 def _overflowed(*args, **kwargs):
     """The partial trajectory an integration that overflows raises."""
-    with pytest.raises(OverflowFaultError) as exc:
+    with pytest.raises(IntegrationError) as exc:
         integrate(*args, **kwargs)
+    assert exc.value.status == "overflow-fault"
     traj = exc.value.trajectory
     assert str(exc.value) == f"the control overflowed at t = {traj.final_time:.6g}"
     return traj
@@ -221,21 +219,76 @@ def test_float_overflow_becomes_fault_event(in_field):
     assert math.isnan(traj.controls[0]) != in_field
 
 
+def _accelerating(p, u):
+    return (1.0 + p[0], 0.0)
+
+
+def _ends_on_its_fault(traj):
+    """The trajectory's overflow-fault event sits at its last accepted point."""
+    [event] = traj.events
+    assert event.kind == "overflow-fault"
+    assert (event.time, event.state) == (traj.final_time, traj.final_state)
+
+
+def test_watcher_overflow_at_the_start_is_a_fault():
+    def g(p):
+        raise OverflowError("math range error")
+
+    traj = _overflowed(_accelerating, lambda p: 0.5, (0.0, 0.0), (0.0, 5.0),
+                       watchers=[Watcher("set-entry", g)])
+    _ends_on_its_fault(traj)
+    assert len(traj) == 1 and traj.controls[0] == 0.5
+
+
+def test_watcher_overflow_in_the_sweep_is_a_fault():
+    seen = []
+
+    def g(p):
+        if p[0] > 2.0:
+            seen.append(p)
+            raise OverflowError("math range error")
+        return -1.0
+
+    traj = _overflowed(_accelerating, _no_u, (0.0, 0.0), (0.0, 5.0),
+                       watchers=[Watcher("set-entry", g)])
+    _ends_on_its_fault(traj)
+    # the step whose new state the sweep could not judge is not kept
+    assert len(traj) > 1 and traj.final_state[0] <= 2.0 < seen[0][0]
+
+
+def test_watcher_overflow_in_a_bisection_probe_is_a_fault():
+    swept = []
+
+    def g(p):
+        # the first call after the sweep saw the crossing is a probe
+        if swept:
+            raise OverflowError("math range error")
+        if p[0] >= 1.0:
+            swept.append(p)
+        return p[0] - 1.0
+
+    traj = _overflowed(_accelerating, _no_u, (0.0, 0.0), (0.0, 5.0),
+                       watchers=[Watcher("section-crossing", g, terminal=True)])
+    _ends_on_its_fault(traj)
+    assert len(traj) > 1 and traj.final_state[0] < 1.0 <= swept[0][0]
+
+
 def test_finite_time_blowup_raises_stiffness_fault():
-    with pytest.raises(StepUnderflowError) as exc:
+    with pytest.raises(IntegrationError) as exc:
         integrate(
             lambda p, u: (1.0 + p[0] * p[0], 0.0),
             _no_u,
             PhasePoint(0.0, 0.0),
             (0.0, 3.0),
         )
+    assert exc.value.status == "step-underflow"
     partial = exc.value.trajectory
     assert partial is not None and len(partial) > 1
     assert partial.final_time < 3.0
 
 
 def test_step_limit_raises():
-    with pytest.raises(StepLimitError):
+    with pytest.raises(IntegrationError) as exc:
         integrate(
             lambda p, u: (p[1], -p[0]),
             _no_u,
@@ -243,6 +296,7 @@ def test_step_limit_raises():
             (0.0, 1000.0),
             IntegratorConfig(max_steps=50),
         )
+    assert exc.value.status == "step-limit"
 
 
 def test_determinism_bitwise():
@@ -665,8 +719,9 @@ def _huge_slope_past_half():
     def rhs(p, u):
         return (1e300 if p[0] > 0.5 else p[1], -p[0])
 
-    with pytest.raises(StepUnderflowError) as exc:
+    with pytest.raises(IntegrationError) as exc:
         integrate(rhs, _no_u, (0.0, 1.0), (0.0, 3.0))
+    assert exc.value.status == "step-underflow"
     return exc.value.trajectory
 
 
