@@ -401,7 +401,8 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
 
     primary = trajs[0]
     xs, ys = primary.columns
-    framed = Trajectory(primary.times, ([x - center for x in xs], ys),
+    # x in the frame, which Trajectory reads into an array('d') as it goes
+    framed = Trajectory(primary.times, ((x - center for x in xs), ys),
                         primary.controls, primary.events)
     results: Dict[str, object] = _convergence_results(framed, params.eps, level)
     hits = primary.events_of("section-crossing")
@@ -511,15 +512,22 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
     per_ic = []
     for ic, (traj, fault) in zip(ics, runs):
         hits = traj.events_of("level-convergence")
-        gaps = [h_gap(x2, y2) for x2, y2 in zip(*traj.columns)]
-        # L2 = (H2 - h)^2 / 2, as lyapunov_L2 computes it, without its rate
-        l2 = [0.5 * g * g for g in gaps]
+        # L2 = (H2 - h)^2 / 2, as lyapunov_L2 computes it, without its rate;
+        # its largest step up is kept as max() keeps it, in one pass
+        points = zip(*traj.columns)
+        gap = h_gap(*next(points))
+        l2, rise = 0.5 * gap * gap, 0.0
+        for x2, y2 in points:
+            gap = h_gap(x2, y2)
+            prev, l2 = l2, 0.5 * gap * gap
+            if l2 - prev > rise:
+                rise = l2 - prev
         per_ic.append({
             "ic": [ic.x, ic.y],
             "status": _status(fault),
-            "terminal_h_gap": gaps[-1],
+            "terminal_h_gap": gap,
             "converged_at": hits[0].time if hits else None,
-            "max_l2_increase": max([0.0] + [b - a for a, b in zip(l2, l2[1:])]),
+            "max_l2_increase": rise,
         })
     results: Dict[str, object] = {
         "per_ic": per_ic,

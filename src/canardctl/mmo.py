@@ -24,7 +24,12 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .controllers import _UPPER_FOLD_Y, NeighborhoodParams, VdpLaw, composite_u
 from .core import ControllerGains, _Record
-from .errors import ConfigError, IntegrationError, PatternDeviationError
+from .errors import (
+    ConfigError,
+    DomainError,
+    IntegrationError,
+    PatternDeviationError,
+)
 from .models import vdp_rhs
 from .sim import IntegratorConfig, Trajectory, Watcher, integrate
 
@@ -73,6 +78,11 @@ class MmoSegment(NamedTuple):
     label: str
     y_h: float
     x_star: float
+
+    def compact(self) -> str:
+        """The segment as MmoPattern.parse reads it, e.g. "1L:0.75:0.01"."""
+        return (f"{self.count}{self.label[0]}:"
+                f"{float(self.y_h)!r}:{float(self.x_star)!r}")
 
 
 class MmoPattern(_Record):
@@ -135,9 +145,7 @@ class MmoPattern(_Record):
         """Inverse of parse (repeat is carried separately); the numbers are
         written as the repr of their float, so parse gives back the exact
         segments."""
-        return ",".join(
-            f"{s.count}{s.label[0]}:{float(s.y_h)!r}:{float(s.x_star)!r}"
-            for s in self.segments)
+        return ",".join(s.compact() for s in self.segments)
 
 
 # ends every loop, and the preamble, where the orbit enters the disc
@@ -171,7 +179,8 @@ def run_pattern(
     not close (status ``integration-fault``), and the fault of its
     integration, re-raised with its own status and that trajectory.  A
     segment whose height the neighborhood rejects (y_h not above y_min)
-    raises DomainError before the preamble integrates.  The loops are
+    raises DomainError before the preamble integrates, its message led by
+    the segment's 1-based index and compact text.  The loops are
     walked in place, segment by segment, so a pattern costs no memory per
     loop it asks for.
     """
@@ -212,9 +221,15 @@ def run_pattern(
                 stitched())
         return traj
 
-    # every segment's law, so a segment its neighborhood rejects fails here
-    laws = [VdpLaw(eps, gains._replace(x_star=seg.x_star),
-                   nbhd._replace(y_h=seg.y_h)) for seg in pattern.segments]
+    # every segment's law, so a segment its neighborhood rejects fails here,
+    # named by its 1-based index and its text
+    laws = []
+    for i, seg in enumerate(pattern.segments, 1):
+        try:
+            laws.append(VdpLaw(eps, gains._replace(x_star=seg.x_star),
+                               nbhd._replace(y_h=seg.y_h)))
+        except DomainError as exc:
+            raise DomainError(f"segment {i} ({seg.compact()}): {exc}") from exc
 
     # preamble: reach the section once under the first loop's parameters
     run_chunk(laws[0], 0.0, (start[0], start[1]))

@@ -387,7 +387,6 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
         "step-underflow": f"step size collapsed below min_step = {cfg.min_step:g} {at}",
         "step-limit": f"max_steps = {cfg.max_steps} exhausted {at}",
     }[status], traj, status)
-    return traj
 
 
 class ConvergenceReport(_Record):
@@ -402,7 +401,8 @@ class ConvergenceReport(_Record):
 
 def convergence_metrics(traj: Trajectory, eps: float,
                         level: ScaledLevel) -> ConvergenceReport:
-    """Residual time series exp(2y/eps)(H - h) over a planar trajectory.
+    """Residual exp(2y/eps)(H - h) of a planar trajectory, at the points its
+    report reads.
 
     The weight c2 = 2 carries no large exponentials, so the evaluation is
     safe along any finite trajectory; overflowing points (possible after a
@@ -411,20 +411,33 @@ def convergence_metrics(traj: Trajectory, eps: float,
     residual, the cut reported as ``threshold``; it is None when the run
     never gets there, and when the cut is not finite (an initial residual
     that overflowed or is nan), since no residual can fall below such a cut.
+
+    The residual is evaluated once at each point from the first up to the
+    first one at or below a finite cut, and at the last point: at most
+    (index of that crossing + 2) evaluations.  No point between the
+    crossing and the last one is evaluated, so a hand-built trajectory with
+    a non-finite point there no longer raises; `integrate` only returns
+    finite states.
     """
     lt = LevelTerm(eps, 2.0, level)
-    res = []
-    for x, y in zip(*traj.columns):
+    xs, ys = traj.columns
+    last = len(xs) - 1
+
+    def residual(i: int) -> float:
         try:
-            res.append(eval_level_term(x, y, lt))
+            return eval_level_term(xs[i], ys[i], lt)
         except ExponentOverflowError:
-            res.append(math.inf)
-    initial = res[0]
+            return math.inf
+
+    i = 0
+    initial = r = residual(0)
     cut = 1e-3 * abs(initial)
     t_below = None
     if math.isfinite(cut):
-        for t, r in zip(traj.times, res):
-            if abs(r) <= cut:
-                t_below = t
-                break
-    return ConvergenceReport(initial, res[-1], t_below, cut)
+        while not abs(r) <= cut and i < last:
+            i += 1
+            r = residual(i)
+        if abs(r) <= cut:
+            t_below = traj.times[i]
+    return ConvergenceReport(initial, r if i == last else residual(last),
+                             t_below, cut)

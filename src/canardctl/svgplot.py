@@ -19,6 +19,7 @@ _W, _H = 720, 540
 _ML, _MR, _MT, _MB = 62, 16, 16, 46
 _PAD = 0.06  # margin around the data box, per unit of its width
 _THIN_CAP = 4000  # most points a thinned polyline keeps
+_CHUNK = 256  # points _mapped formats with one "%"
 
 _TRAJ_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b",
                 "#e377c2", "#17becf", "#bcbd22")
@@ -126,15 +127,22 @@ class _Mapper:
 def _mapped(m: _Mapper, xs: Sequence[float], ys: Sequence[float]) -> str:
     """Space-separated "px,py" strings of the points, as _fmt writes them.
 
-    The arithmetic is that of px() and py(), inlined.  "%.2f" gives at most
-    one "-0.00" per coordinate and only as the whole coordinate, so one
-    replace over the joined string does what _fmt does per value.
+    The arithmetic is that of px() and py(), inlined.  The points are
+    formatted _CHUNK at a time, each chunk by one "%" over its interleaved
+    coordinates, so no string is made per point.  "%.2f" gives at most one
+    "-0.00" per coordinate and only as the whole coordinate, so one replace
+    over the joined string does what _fmt does per value.
     """
     x_lo, sx, y_lo, sy = m.x_lo, m.sx, m.y_lo, m.sy
     bottom = _H - _MB
-    s = " ".join(["%.2f,%.2f" % (_ML + (x - x_lo) * sx, bottom - (y - y_lo) * sy)
-                  for x, y in zip(xs, ys)])
-    return s.replace("-0.00", "0.00")
+    chunks = []
+    for i in range(0, len(xs), _CHUNK):
+        pxs = [_ML + (x - x_lo) * sx for x in xs[i:i + _CHUNK]]
+        coords = [0.0] * (2 * len(pxs))  # the px and py of each point
+        coords[::2] = pxs
+        coords[1::2] = [bottom - (y - y_lo) * sy for y in ys[i:i + _CHUNK]]
+        chunks.append(" ".join(["%.2f,%.2f"] * len(pxs)) % tuple(coords))
+    return " ".join(chunks).replace("-0.00", "0.00")
 
 
 def _polyline_points(m: _Mapper, xs: Sequence[float],
@@ -261,11 +269,15 @@ def _axes(out: list[str], m: _Mapper, x_label: str, y_label: str) -> None:
 
 
 def _write(out: list[str], path) -> None:
-    """Close the plot area and the document, and write it to ``path``."""
+    """Close the plot area and the document, and write it to ``path``, one
+    line of ``out`` after the other, so the document is never joined into
+    one string."""
     out.append("</g>")
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+        for line in out:
+            fh.write(line)
+            fh.write("\n")
 
 
 def emit_phase_svg(trajs: Sequence, path, x_label: str = "x",

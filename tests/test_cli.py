@@ -676,7 +676,8 @@ def test_vdp_mmo_rejects_a_bad_segment_before_it_integrates(
     cfg = ExperimentConfig("vdp-mmo", {"pattern": "1S:1.25:-0.01,1L:0.75:0.01",
                                        "y_min": 0.9})
     assert run_experiment(cfg, tmp_path) == 2
-    assert "y_min < y_h required" in capsys.readouterr().err
+    assert ("error: segment 2 (1L:0.75:0.01): y_min < y_h required"
+            in capsys.readouterr().err)
     assert calls == []
     assert list(tmp_path.iterdir()) == []
 

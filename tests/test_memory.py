@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from canardctl.cli import ExperimentConfig, run_experiment
 from canardctl.controllers import (
     FoldLaw,
     NeighborhoodParams,
@@ -33,6 +34,11 @@ _BYTES_PER_POINT = 40.0
 # 1.06-1.07 MB measured for 28,462 points; about 22 % margin.  Tuples of float
 # objects peaked at 5.29 MB.
 _VDP_PLANT_PEAK = 1.3e6
+# fold-fast-hot at its defaults, run and written through run_experiment:
+# 1,038,122-1,038,189 B measured, about 10 % margin.  With the residual
+# evaluated at every point and every SVG joined into one string before it
+# was written, the run peaked at 1,253,298 B.
+_FOLD_FAST_HOT_PEAK = 1.14e6
 # 42 KB measured for a pattern of 10^5 loops that deviates on its first; a
 # list of its 10^5 segments, built before the first loop, peaked at 9.6 MB
 _LONG_PATTERN_PEAK = 2e6
@@ -75,28 +81,46 @@ def test_a_long_planar_run_holds_few_bytes_per_point():
     assert held / len(traj) <= _BYTES_PER_POINT
 
 
+def _warm_up(run):
+    """run() under a no-op profile hook.
+
+    Python 3.11 looks up the line of every traced allocation by scanning
+    its function's line table, unless a profile hook has seen the function;
+    one short run under a no-op hook makes a traced run of the same code
+    several times faster and allocates nothing it counts.
+    """
+    hook = sys.getprofile()
+    sys.setprofile(lambda *args: None)
+    try:
+        run()
+    finally:
+        sys.setprofile(hook)
+
+
 def test_the_supervised_benchmark_run_peaks_below_its_budget():
     # the vdp-plant workload's run: LLLSSSS four times over
     eps = 0.01
     gains = ControllerGains(c1=1.0, c2=2.0, k1=1.0)
     nbhd = default_neighborhoods(eps)
-    # Python 3.11 looks up the line of every traced allocation by scanning
-    # its function's line table, unless a profile hook has seen the
-    # function; one short run under a no-op hook makes the traced run below
-    # several times faster and allocates nothing it counts
-    hook = sys.getprofile()
-    sys.setprofile(lambda *args: None)
-    try:
-        run_pattern(MmoPattern.parse("1L:0.75:0.01,1S:1.25:-0.01"), eps,
-                    gains, nbhd)
-    finally:
-        sys.setprofile(hook)
+    _warm_up(lambda: run_pattern(
+        MmoPattern.parse("1L:0.75:0.01,1S:1.25:-0.01"), eps, gains, nbhd))
     (traj, loops), _, peak = _traced(lambda: run_pattern(
         MmoPattern.parse("3L:0.75:0.01,4S:1.25:-0.01", repeat=4), eps,
         gains, nbhd))
     assert "".join(lb.label[0] for lb in loops) == "LLLSSSS" * 4
     assert len(traj) == 28462
     assert peak <= _VDP_PLANT_PEAK
+
+
+def test_a_fold_run_and_its_artifacts_peak_below_their_budget(tmp_path):
+    # the run's two trajectories are the live data; what the runner and the
+    # writers add on top is a few chunks, not a copy per point
+    _warm_up(lambda: run_experiment(
+        ExperimentConfig("fold-fast-hot", {"t_end": 5.0}), tmp_path / "warm"))
+    cfg = ExperimentConfig("fold-fast-hot")
+    code, _, peak = _traced(lambda: run_experiment(cfg, tmp_path / "run"))
+    assert code == 0
+    assert peak <= _FOLD_FAST_HOT_PEAK
 
 
 def test_a_long_pattern_costs_nothing_per_loop_it_asks_for():

@@ -16,7 +16,14 @@ from canardctl.controllers import (
     default_neighborhoods,
     fast_u,
 )
-from canardctl.core import ControllerGains, PhasePoint, ScaledLevel, SystemParams
+from canardctl.core import (
+    ControllerGains,
+    LevelTerm,
+    PhasePoint,
+    ScaledLevel,
+    SystemParams,
+    eval_level_term,
+)
 from canardctl.dopri import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _A71, _A72, _A73, _A74, _A75, _A76,
@@ -576,6 +583,60 @@ def test_convergence_metrics_no_time_below_an_infinite_cut():
     assert rep.threshold == math.inf
     assert rep.terminal < 0.0
     assert rep.time_below is None
+
+
+def _full_scan(traj, eps, level):
+    """The report from the residual at every point, and the index of the
+    first point at or below a finite cut (None if there is none)."""
+    lt = LevelTerm(eps, 2.0, level)
+    res = []
+    for x, y in zip(*traj.columns):
+        try:
+            res.append(eval_level_term(x, y, lt))
+        except ExponentOverflowError:
+            res.append(math.inf)
+    cut = 1e-3 * abs(res[0])
+    first = None
+    if math.isfinite(cut):
+        first = next((i for i, r in enumerate(res) if abs(r) <= cut), None)
+    t_below = None if first is None else traj.times[first]
+    return (res[0], res[-1], t_below, cut), first
+
+
+# (x, y) points at eps = 0.01 and h = 0, where the residual is
+# (y - x^2 + eps/2) / (2 eps): x = 1e200 overflows it to an infinite one;
+# no two points are equal
+_SCANS = {
+    "overflow points": [(0.0, 0.4), (1e200, 0.0), (0.0, 0.1),
+                        (0.0, -0.00499), (0.0, 0.3), (1e201, 0.0)],
+    "zero initial residual": [(0.0, -0.005), (0.0, 0.1), (0.0, 0.2)],
+    "infinite cut": [(1e200, 0.0), (0.0, 0.1), (0.0, -0.005)],
+    "crossing at the last point": [(0.0, 0.4), (0.0, 0.2), (0.0, -0.005)],
+    "no crossing": [(0.0, 0.4), (0.0, 0.3), (0.0, 0.2)],
+    "one point": [(0.0, 0.4)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCANS))
+def test_convergence_metrics_reads_only_the_points_its_report_needs(
+        case, monkeypatch):
+    xs, ys = zip(*_SCANS[case])
+    times = [float(i) for i in range(len(xs))]
+    traj = Trajectory(times, (xs, ys), [0.0] * len(xs))
+    level = ScaledLevel(0.0)
+    want, first = _full_scan(traj, 0.01, level)
+    calls = []
+
+    def counted(x, y, lt):
+        calls.append((x, y))
+        return eval_level_term(x, y, lt)
+
+    monkeypatch.setattr(sim, "eval_level_term", counted)
+    rep = convergence_metrics(traj, 0.01, level)
+    assert repr((rep.initial, rep.terminal, rep.time_below,
+                 rep.threshold)) == repr(want)
+    assert len(calls) <= (len(xs) if first is None else first + 2)
+    assert len(set(calls)) == len(calls)  # each point once
 
 
 # -- bit-level pins ----------------------------------------------------------

@@ -226,6 +226,10 @@ _COLUMN_CASES = {
     "subnormal": ([5e-324, -5e-324, 0.0], [5e-324, 1.0, -5e-324]),
     "no-finite-pair": ([_NAN, 1.0, _INF], [0.0, -_INF, 2.0]),
     "empty": ([], []),
+    # runs of 257 and 442 points, longer than one chunk of _mapped
+    "runs-past-a-chunk": ([0.01 * i - 2.0 for i in range(700)],
+                          [_NAN if i == 257 else 0.02 * i - 4.0
+                           for i in range(700)]),
 }
 
 
