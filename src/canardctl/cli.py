@@ -352,8 +352,9 @@ def _status(fault: Optional[Exception]) -> str:
 
 # experiment runs ----------------------------------------------------------
 
-def _convergence_results(traj: Trajectory, eps: float, level: ScaledLevel) -> Dict[str, object]:
-    rep = convergence_metrics(traj, eps, level)
+def _convergence_results(traj: Trajectory, eps: float, level: ScaledLevel,
+                         center: float = 0.0) -> Dict[str, object]:
+    rep = convergence_metrics(traj, eps, level, center)
     return {
         "residual_initial": rep.initial,
         "residual_terminal": rep.terminal,
@@ -400,11 +401,8 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
     trajs = [traj for traj, _ in runs]
 
     primary = trajs[0]
-    xs, ys = primary.columns
-    # x in the frame, which Trajectory reads into an array('d') as it goes
-    framed = Trajectory(primary.times, ((x - center for x in xs), ys),
-                        primary.controls, primary.events)
-    results: Dict[str, object] = _convergence_results(framed, params.eps, level)
+    results: Dict[str, object] = _convergence_results(primary, params.eps,
+                                                      level, center)
     hits = primary.events_of("section-crossing")
     results["section_return_times"] = [ev.time for ev in hits]
     # widest state gap between consecutive section returns

@@ -16,7 +16,11 @@ field evaluation takes what the run holds fixed first and the state last,
 so a runner hands `integrate` a ``functools.partial`` of it: `fast_u`,
 `slow_u`, `k2_mu` and `composite_u` take one bound record (`FoldLaw`,
 `K2Law`, `VdpLaw`), which checks the run's constants and works out what
-the formula derives from them once, and `k1_vdp_mu` takes the gains.  The
+the formula derives from them once, and `k1_vdp_mu` takes the gains.
+`composite_u` evaluates both of its laws, the blown-down entry-chart law
+and the fold-local law, in its own frame, and `k1_chart_phi1` its
+first-order graph; only the branch root `_phi0` and the two bumps, which
+`bump_psi` shares, are calls of their own.  The
 fold laws and `composite_u` take their state as an (x, y) sequence,
 `k2_mu` as (x2, y2) and `k1_vdp_mu` as (r1, x1, eps1); `lyapunov_L2`
 takes (r2, x2, y2, alpha2).  A NamedTuple point and a plain tuple give
@@ -66,6 +70,9 @@ __all__ = [
 # upper fold of the van der Pol critical manifold: the repelling branch
 # x in (0, 2) exists for cubic heights y in (0, 4/3)
 _UPPER_FOLD_Y = 4.0 / 3.0
+
+# the angle between the three roots of the depressed cubic in _phi0
+_TWO_PI_3 = 2.0 * math.pi / 3.0
 
 # widest transition band a bump inequality may spend on easing in and out;
 # wide box constraints would otherwise soften the bump over O(1) distances
@@ -289,7 +296,7 @@ def _phi0(y: float) -> float:
             a = 1.0
         elif a < -1.0:
             a = -1.0
-        x = 1.0 + 2.0 * math.cos(math.acos(a) / 3.0 - 2.0 * math.pi / 3.0)
+        x = 1.0 + 2.0 * math.cos(math.acos(a) / 3.0 - _TWO_PI_3)
     fx = 2.0 * x - x * x
     if fx != 0.0:
         x -= (x * x - x ** 3 / 3.0 - y) / fx
@@ -299,14 +306,9 @@ def _phi0(y: float) -> float:
     return x
 
 
-def _phi_expansion(y: float, eps: float) -> float:
-    """First-order graph phi0 + eps*phi0/(2*phi0 - phi0**2)**2 at height y."""
-    p0 = _phi0(y)
-    fx = 2.0 * p0 - p0 * p0
-    if fx == 0.0:
-        raise SingularConfigurationError(
-            f"slow branch loses hyperbolicity at height {y!r}")
-    return p0 + eps * (p0 / (fx * fx))
+def _lost_hyperbolicity(y: float) -> SingularConfigurationError:
+    return SingularConfigurationError(
+        f"slow branch loses hyperbolicity at height {y!r}")
 
 
 def vdp_slow_manifold_phi(y: float, eps: float,
@@ -324,7 +326,11 @@ def vdp_slow_manifold_phi(y: float, eps: float,
         raise DomainError(
             f"height {y!r} outside the graph domain "
             f"[{nbhd.y_min!r}, {nbhd.y_h!r}]")
-    return _phi_expansion(y, eps)
+    p0 = _phi0(y)
+    fx = 2.0 * p0 - p0 * p0
+    if fx == 0.0:
+        raise _lost_hyperbolicity(y)
+    return p0 + eps * (p0 / (fx * fx))
 
 
 # r1 ceiling: the repelling equilibrium curve in the entry chart exists
@@ -349,8 +355,14 @@ def k1_chart_phi1(r1: float, eps1: float) -> float:
             f"r1 must stay below 2/sqrt(3) on the repelling branch, got {r1!r}")
     if r1 < 1e-8:
         return math.sqrt(1.0 + 0.5 * eps1)
+    # the first-order graph at height y and eps = y*eps1, as in
+    # vdp_slow_manifold_phi
     y = r1 * r1
-    return _phi_expansion(y, y * eps1) / r1
+    p0 = _phi0(y)
+    fx = 2.0 * p0 - p0 * p0
+    if fx == 0.0:
+        raise _lost_hyperbolicity(y)
+    return (p0 + y * eps1 * (p0 / (fx * fx))) / r1
 
 
 def _smoothstep(t: float) -> float:
@@ -455,40 +467,26 @@ def k1_vdp_mu(gains: ControllerGains, p: Sequence[float]) -> float:
             - (-1.0 + d * d - 0.5 * d * d * eps1 - r1 * d ** 3 / 3.0) + v)
 
 
-def _vdp_u1(p: Sequence[float], eps: float, gains: ControllerGains) -> float:
-    """Blow-down of the entry-chart controller to original coordinates.
-
-    Called only where psi1 > 0, which puts (x, y) finite inside N1, so y
-    lies in (y_min, y_h), the domain of the slow-manifold graph.
-    """
-    x, y = p
-    phi = _phi_expansion(y, eps)
-    sy = math.sqrt(y)
-    xs = gains.x_star * sy
-    v1 = ((2.0 * phi + xs) / phi
-          * (-y + phi * phi - eps / (2.0 * y) * phi * phi - phi ** 3 / 3.0)
-          - (eps / y * phi + sy * phi * phi + gains.k1 * sy) * (x - phi - xs))
-    d = x - xs
-    return (-(-y + x * x - x * x * eps / (2.0 * y) - x ** 3 / 3.0)
-            - (-y + d * d - d * d * eps / (2.0 * y) - d ** 3 / 3.0) + v1)
-
-
-def _vdp_u2(p: Sequence[float], eps: float, gains: ControllerGains) -> float:
-    """Fold-local law: the h = 0, c2 = 2 fast controller in closed form."""
-    x, y = p
-    return gains.c1 * x / math.sqrt(eps) * (y - x * x + 0.5 * eps)
-
-
 class VdpLaw(_Record):
-    """The constants of ``composite_u`` for one pattern segment, bound
-    once: eps, checked here, the gains and the activation neighborhoods."""
+    """The constants of ``composite_u`` for one pattern segment, bound once.
 
-    __slots__ = _fields = ("eps", "gains", "nbhd")
+    ``composite_u`` reads eps, checked here, the gains and the activation
+    neighborhoods, which a segment holds fixed; this record keeps the gains
+    it reads (x_star and k1 for the branch-pinning law, c1 for the
+    fold-local one) and works out sqrt(eps).  A record built again, by
+    ``_replace`` or from gains with another x_star, binds them again.
+    """
+
+    _fields = ("eps", "gains", "nbhd")
+    __slots__ = _fields + ("_x_star", "_k1", "_c1", "_sqrt_eps")
 
     def __init__(self, eps: float, gains: ControllerGains,
                  nbhd: NeighborhoodParams):
         _require_eps(eps)
         super().__init__(eps, gains, nbhd)
+        for name, value in (("_x_star", gains.x_star), ("_k1", gains.k1),
+                            ("_c1", gains.c1), ("_sqrt_eps", math.sqrt(eps))):
+            object.__setattr__(self, name, value)
 
 
 def composite_u(law: VdpLaw, p: Sequence[float]) -> float:
@@ -497,7 +495,11 @@ def composite_u(law: VdpLaw, p: Sequence[float]) -> float:
     Where one bump alone is active its controller acts with full
     authority; on the overlap plateau the blend is the mean of the two.
     The envelope factor (s - psi1*psi2)/s with s = psi1 + psi2 keeps the
-    blend C2 where a support boundary is crossed.
+    blend C2 where a support boundary is crossed.  Both laws are evaluated
+    here, each only where its bump is positive: u1, the entry-chart law
+    ``k1_vdp_mu`` blown down to (x, y) about the first-order graph of
+    ``vdp_slow_manifold_phi``, and u2, the h = 0, c2 = 2 fast law in
+    closed form.
     """
     x, y = p
     nbhd = law.nbhd
@@ -505,7 +507,30 @@ def composite_u(law: VdpLaw, p: Sequence[float]) -> float:
     psi2 = _psi_n2(x, y, nbhd)
     if psi1 == 0.0 and psi2 == 0.0:
         return 0.0
-    u1 = _vdp_u1(p, law.eps, law.gains) if psi1 > 0.0 else 0.0
-    u2 = _vdp_u2(p, law.eps, law.gains) if psi2 > 0.0 else 0.0
+    eps = law.eps
+    xx = x * x
+    u1 = u2 = 0.0
+    if psi1 > 0.0:
+        # psi1 > 0 puts (x, y) finite inside N1, so y lies in (y_min, y_h),
+        # the domain of the slow-manifold graph
+        p0 = _phi0(y)
+        fx = 2.0 * p0 - p0 * p0
+        if fx == 0.0:
+            raise _lost_hyperbolicity(y)
+        phi = p0 + eps * (p0 / (fx * fx))
+        sy = math.sqrt(y)
+        xs = law._x_star * sy
+        y2 = 2.0 * y
+        v1 = ((2.0 * phi + xs) / phi
+              * (-y + phi * phi - eps / y2 * phi * phi - phi ** 3 / 3.0)
+              - (eps / y * phi + sy * phi * phi + law._k1 * sy)
+              * (x - phi - xs))
+        d = x - xs
+        dd = d * d
+        # -f(x) - f(x - xs) + v1, f(x) = -y + x^2 - x^2*eps/(2y) - x^3/3
+        u1 = (-(-y + xx - xx * eps / y2 - x ** 3 / 3.0)
+              - (-y + dd - dd * eps / y2 - d ** 3 / 3.0) + v1)
+    if psi2 > 0.0:
+        u2 = law._c1 * x / law._sqrt_eps * (y - xx + 0.5 * eps)
     s = psi1 + psi2
     return (psi1 * u1 + psi2 * u2) * (s - psi1 * psi2) / s

@@ -72,7 +72,12 @@ def _length_error(k, y):
 # before any sum could cut the state down.  The kernels learn the length
 # from their unpacking, whose try costs nothing until it raises; only
 # the unpacking sits inside it, so a ValueError from the field or the
-# controller passes through unchanged.
+# controller passes through unchanged.  Each error scale
+# max(abs(y_i), abs(n_i)) is written as comparisons, and gives the
+# builtins' bits: max(a, b) is b only if b > a, so a nan n_i leaves the
+# scale at |y_i|, which a run from a finite start never makes nan; and a
+# zero scale that comes out as -0.0 still gives atol + rtol * -0.0 == atol,
+# since IntegratorConfig keeps atol > 0.
 
 def _step_planar(rhs, u, y, k1, h, atol, rtol):
     y0, y1 = y
@@ -125,12 +130,16 @@ def _step_planar(rhs, u, y, k1, h, atol, rtol):
         g0, g1 = k7
     except ValueError:
         raise _length_error(k7, y) from None
+    s0 = y0 if y0 > 0.0 else -y0
+    m0 = n0 if n0 > 0.0 else -n0
+    s1 = y1 if y1 > 0.0 else -y1
+    m1 = n1 if n1 > 0.0 else -n1
     q0 = (h * (0.0 + _E1 * a0 + _E2 * b0 + _E3 * c0 + _E4 * d0 + _E5 * e0
                + _E6 * f0 + _E7 * g0)
-          / (atol + rtol * max(abs(y0), abs(n0))))
+          / (atol + rtol * (m0 if m0 > s0 else s0)))
     q1 = (h * (0.0 + _E1 * a1 + _E2 * b1 + _E3 * c1 + _E4 * d1 + _E5 * e1
                + _E6 * f1 + _E7 * g1)
-          / (atol + rtol * max(abs(y1), abs(n1))))
+          / (atol + rtol * (m1 if m1 > s1 else s1)))
     err = math.sqrt((0.0 + q0 * q0 + q1 * q1) / 2)
     return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
 
@@ -194,15 +203,21 @@ def _step_3(rhs, u, y, k1, h, atol, rtol):
         g0, g1, g2 = k7
     except ValueError:
         raise _length_error(k7, y) from None
+    s0 = y0 if y0 > 0.0 else -y0
+    m0 = n0 if n0 > 0.0 else -n0
+    s1 = y1 if y1 > 0.0 else -y1
+    m1 = n1 if n1 > 0.0 else -n1
+    s2 = y2 if y2 > 0.0 else -y2
+    m2 = n2 if n2 > 0.0 else -n2
     q0 = (h * (0.0 + _E1 * a0 + _E2 * b0 + _E3 * c0 + _E4 * d0 + _E5 * e0
                + _E6 * f0 + _E7 * g0)
-          / (atol + rtol * max(abs(y0), abs(n0))))
+          / (atol + rtol * (m0 if m0 > s0 else s0)))
     q1 = (h * (0.0 + _E1 * a1 + _E2 * b1 + _E3 * c1 + _E4 * d1 + _E5 * e1
                + _E6 * f1 + _E7 * g1)
-          / (atol + rtol * max(abs(y1), abs(n1))))
+          / (atol + rtol * (m1 if m1 > s1 else s1)))
     q2 = (h * (0.0 + _E1 * a2 + _E2 * b2 + _E3 * c2 + _E4 * d2 + _E5 * e2
                + _E6 * f2 + _E7 * g2)
-          / (atol + rtol * max(abs(y2), abs(n2))))
+          / (atol + rtol * (m2 if m2 > s2 else s2)))
     err = math.sqrt((0.0 + q0 * q0 + q1 * q1 + q2 * q2) / 3)
     return y_new, u_new, (k1, k2, k3, k4, k5, k6, k7), err
 

@@ -6,11 +6,11 @@ fast-slow system, or the blow-up's entry chart (r1, x1, eps1)), and every
 state it builds or returns is a plain tuple of floats, whatever sequence
 the start is.  The `Trajectory` it returns keeps its points as float
 columns, an ``array('d')`` each for the times, the controls and every state
-component, at 8 bytes a value.  The run fills the times and controls as it
-accepts steps, and the state components point after point in one more
-array, which it splits into columns once, at its end.  A trajectory's
-points are rebuilt as tuples only when ``states`` or ``final_state`` asks
-for them.
+component, at 8 bytes a value.  The run fills every column as it accepts
+steps, through one bound ``append`` per column, and hands the columns to
+the trajectory as they are, with no interleaved copy to split at its end.
+A trajectory's points are rebuilt as tuples only when ``states`` or
+``final_state`` asks for them.
 
 The integrator is a Dormand-Prince 5(4) embedded pair with the matching
 quartic dense-output interpolant.  Its step-size control is written in PI
@@ -222,8 +222,10 @@ def _locate(crossed, h, t_old):
 
 
 def _run(rhs, u, start, t_span, cfg, watchers):
-    """One integration run: (times, values, controls, events, status), where
-    ``values`` holds the components of every point, point after point."""
+    """One integration run: (times, columns, controls, events, status,
+    cause), where ``columns`` holds one array of every point's values per
+    state component, and ``cause`` is the OverflowError of an
+    overflow-fault, or None."""
     t, t1 = t_span
     if not (math.isfinite(t) and math.isfinite(t1) and t1 > t):
         raise DomainError(f"bad t_span {t_span!r}")
@@ -239,7 +241,9 @@ def _run(rhs, u, start, t_span, cfg, watchers):
     inf = math.inf
     y = tuple(start)
     times, controls = array("d", [t]), array("d", [math.nan])
-    values, events = array("d", y), []
+    columns, events = tuple([array("d", [v]) for v in y]), []
+    push0, push1 = columns[0].append, columns[1].append
+    push2 = columns[2].append if n == 3 else None
 
     status = "ok"
     # an OverflowError of the controller, the field or a watcher, anywhere
@@ -310,7 +314,8 @@ def _run(rhs, u, start, t_span, cfg, watchers):
                         # a dense-output state, where no stage evaluated u
                         y = dense(stop)
                         times.append(t + stop * h)
-                        values.extend(y)
+                        for column, v in zip(columns, y):
+                            column.append(v)
                         try:
                             controls.append(u(y))
                         except OverflowError:
@@ -320,7 +325,10 @@ def _run(rhs, u, start, t_span, cfg, watchers):
             t = t1 if clamped else t + h
             y = y_new
             times.append(t)
-            values.extend(y)
+            push0(y[0])
+            push1(y[1])
+            if push2 is not None:
+                push2(y[2])
             controls.append(u_new)
             f_now = ks[6]
 
@@ -340,10 +348,10 @@ def _run(rhs, u, start, t_span, cfg, watchers):
                 if h < min_step and t < t1:
                     status = "step-underflow"
                     break
-    except OverflowError:
+    except OverflowError as exc:
         events.append(Event("overflow-fault", t, y))
-        status = "overflow-fault"
-    return times, values, controls, events, status
+        return times, columns, controls, events, "overflow-fault", exc
+    return times, columns, controls, events, status, None
 
 
 def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
@@ -370,15 +378,15 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     in a step, in the sweep or in a bisection probe, is an
     ``overflow-fault``: the trajectory ends on that event at the last
     accepted state, and a fault at the start state records the control
-    ``u`` returned there, or nan if it raised.  Step-size collapse is a
-    ``step-underflow`` and an exhausted step budget a ``step-limit``.
+    ``u`` returned there, or nan if it raised; the ``IntegrationError``
+    is raised from that ``OverflowError``, its ``__cause__``.  Step-size
+    collapse is a ``step-underflow`` and an exhausted step budget a
+    ``step-limit``.
     """
     cfg = cfg or IntegratorConfig()
-    times, values, controls, events, status = _run(
+    times, columns, controls, events, status, cause = _run(
         rhs, u, start, t_span, cfg, tuple(watchers))
-    n = len(start)
-    traj = Trajectory(times, [values[i::n] for i in range(n)], controls,
-                      events)
+    traj = Trajectory(times, columns, controls, events)
     if status == "ok":
         return traj
     at = f"at t = {traj.final_time:.6g}"
@@ -386,7 +394,7 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
         "overflow-fault": f"the control overflowed {at}",
         "step-underflow": f"step size collapsed below min_step = {cfg.min_step:g} {at}",
         "step-limit": f"max_steps = {cfg.max_steps} exhausted {at}",
-    }[status], traj, status)
+    }[status], traj, status) from cause
 
 
 class ConvergenceReport(_Record):
@@ -399,10 +407,10 @@ class ConvergenceReport(_Record):
         super().__init__(initial, terminal, time_below, threshold)
 
 
-def convergence_metrics(traj: Trajectory, eps: float,
-                        level: ScaledLevel) -> ConvergenceReport:
+def convergence_metrics(traj: Trajectory, eps: float, level: ScaledLevel,
+                        center: float = 0.0) -> ConvergenceReport:
     """Residual exp(2y/eps)(H - h) of a planar trajectory, at the points its
-    report reads.
+    report reads, in the frame whose x is the trajectory's x - ``center``.
 
     The weight c2 = 2 carries no large exponentials, so the evaluation is
     safe along any finite trajectory; overflowing points (possible after a
@@ -425,7 +433,7 @@ def convergence_metrics(traj: Trajectory, eps: float,
 
     def residual(i: int) -> float:
         try:
-            return eval_level_term(xs[i], ys[i], lt)
+            return eval_level_term(xs[i] - center, ys[i], lt)
         except ExponentOverflowError:
             return math.inf
 

@@ -31,6 +31,7 @@ from canardctl.cli import (
 from canardctl.core import PhasePoint
 from canardctl.errors import (
     ConfigError,
+    ExponentOverflowError,
     IntegrationError,
     PatternDeviationError,
 )
@@ -634,14 +635,27 @@ def test_first_start_to_fault_decides_the_run(tmp_path, capsys, starts, status):
 
 
 def test_k2_watcher_overflow_faults_its_start_and_keeps_the_others(
-        tmp_path, capsys):
+        tmp_path, capsys, monkeypatch):
     # at y2 = -400 the level watcher's eval_H2 overflows at the start; the
     # first start runs cleanly and keeps its record
     cfg = ExperimentConfig("k2", {"t_end": 5.0},
                            [[0.5, 0.5], [0.5, -400.0]])
+    faults = []
+    first_fault = cli._first_fault
+
+    def recorded(runs):
+        faults.append(first_fault(runs))
+        return faults[-1]
+
+    monkeypatch.setattr(cli, "_first_fault", recorded)
     assert run_experiment(cfg, tmp_path) == 3
     m = json.loads((tmp_path / "metrics.json").read_text())
     assert m["status"] == "overflow-fault"
+    assert m["results"]["message"] == "the control overflowed at t = 0"
+    # the fault is raised from the overflow that ended the start
+    [fault] = faults
+    assert isinstance(fault.__cause__, ExponentOverflowError)
+    assert (fault.__cause__.name, fault.__cause__.value) == ("-2*y2", 800.0)
     first, second = m["results"]["per_ic"]
     assert first["ic"] == [0.5, 0.5] and first["status"] == "ok"
     assert math.isfinite(first["terminal_h_gap"])

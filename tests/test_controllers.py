@@ -26,7 +26,6 @@ from canardctl.controllers import (
     _psi_n1,
     _psi_n2,
     _smoothstep,
-    _vdp_u2,
     bump_psi,
     composite_u,
     default_neighborhoods,
@@ -300,6 +299,45 @@ class TestChartK1Law:
                             lambda r, e: 0.0)
         with pytest.raises(SingularConfigurationError):
             k1_vdp_mu(gains, ChartPointK1(0.0, 1.0, 0.0))
+
+
+# The two laws composite_u blends, each as a function of its own: the
+# reference its one-frame evaluation must match bit for bit.
+
+def _vdp_u1(p, eps, gains):
+    """Blow-down of the entry-chart controller to original coordinates,
+    about the first-order slow-manifold graph at height y."""
+    x, y = p
+    p0 = _phi0(y)
+    fx = 2.0 * p0 - p0 * p0
+    phi = p0 + eps * (p0 / (fx * fx))
+    sy = math.sqrt(y)
+    xs = gains.x_star * sy
+    v1 = ((2.0 * phi + xs) / phi
+          * (-y + phi * phi - eps / (2.0 * y) * phi * phi - phi ** 3 / 3.0)
+          - (eps / y * phi + sy * phi * phi + gains.k1 * sy) * (x - phi - xs))
+    d = x - xs
+    return (-(-y + x * x - x * x * eps / (2.0 * y) - x ** 3 / 3.0)
+            - (-y + d * d - d * d * eps / (2.0 * y) - d ** 3 / 3.0) + v1)
+
+
+def _vdp_u2(p, eps, gains):
+    """Fold-local law: the h = 0, c2 = 2 fast controller in closed form."""
+    x, y = p
+    return gains.c1 * x / math.sqrt(eps) * (y - x * x + 0.5 * eps)
+
+
+def _oracle_blend(p, eps, gains, nbhd):
+    """composite_u built from the two law functions above."""
+    x, y = p
+    psi1 = _psi_n1(x, y, nbhd)
+    psi2 = _psi_n2(x, y, nbhd)
+    if psi1 == 0.0 and psi2 == 0.0:
+        return 0.0
+    u1 = _vdp_u1(p, eps, gains) if psi1 > 0.0 else 0.0
+    u2 = _vdp_u2(p, eps, gains) if psi2 > 0.0 else 0.0
+    s = psi1 + psi2
+    return (psi1 * u1 + psi2 * u2) * (s - psi1 * psi2) / s
 
 
 class TestComposite:
@@ -884,3 +922,61 @@ def test_composite_u_matches_the_full_product_formula(point, segment):
     law = VdpLaw(0.01, gains, nbhd)
     assert composite_u(law, point).hex() == want.hex()
     assert composite_u(law, PhasePoint(*point)).hex() == want.hex()
+
+
+# (eps, y_h, gains): the supervised run's segments, a stiffer and a softer
+# eps, and gains away from the defaults in every entry composite_u reads
+_BLEND_CASES = [
+    (0.01, 0.75, ControllerGains(1.0, 2.0, k1=1.0, x_star=0.01)),
+    (0.01, 1.25, ControllerGains(1.0, 2.0, k1=1.0, x_star=-0.01)),
+    (0.004, 1.0, ControllerGains(2.5, 2.0, k1=0.0, x_star=0.05)),
+    (0.03, 1.3, ControllerGains(0.4, 3.0, k1=2.5, x_star=-0.2)),
+]
+
+
+@pytest.mark.parametrize("eps,y_h,gains", _BLEND_CASES)
+def test_composite_u_equals_the_blend_of_the_two_law_functions(eps, y_h, gains):
+    nbhd = default_neighborhoods(eps)._replace(y_h=y_h)
+    law = VdpLaw(eps, gains, nbhd)
+    xs = [float(x) for x in np.linspace(-0.35, 2.05, 121)] + _X_EDGES
+    ys = ([float(y) for y in np.linspace(-0.05, 1.35, 71)]
+          + [nbhd.y_min, nbhd.y_min + 0.5 * nbhd._band_n1_y, y_h])
+    points = [(x, y) for x in xs for y in ys]
+    for x in xs:
+        # across either tube, through its bands, at this x
+        for g in np.linspace(-0.16, 0.16, 17):
+            points += [(x, x * x - x ** 3 / 3.0 - float(g)),
+                       (x, x * x - float(g))]
+    seen = set()
+    for x, y in points:
+        want = _oracle_blend((x, y), eps, gains, nbhd)
+        assert _bits(composite_u(law, (x, y))) == _bits(want), (x, y)
+        psi1, psi2 = _psi_n1(x, y, nbhd), _psi_n2(x, y, nbhd)
+        seen.add(("N1" if psi1 > 0.0 else "")
+                 + ("N2" if psi2 > 0.0 else "")
+                 + ("-band" if 0.0 < psi1 < 1.0 or 0.0 < psi2 < 1.0 else ""))
+    # N1 alone and N2 alone, each on a plateau and in a band, and their
+    # overlap, whose plateau is empty at eps = 0.03 (N2's tops out below
+    # N1's floor band)
+    assert {"N1", "N1-band", "N2", "N2-band", "N1N2-band"} <= seen
+    assert ("N1N2" in seen) == (eps < 0.02)
+
+
+def test_vdp_law_binds_the_constants_of_its_gains():
+    nbhd = default_neighborhoods(0.01)
+    gains = ControllerGains(1.5, 2.0, k1=0.5, x_star=0.0)
+    law = VdpLaw(0.01, gains, nbhd)
+    # as vdp-mmo builds each segment's law, and through _replace
+    for other, new_gains in (
+            (VdpLaw(0.01, gains._replace(x_star=-0.05), nbhd),
+             gains._replace(x_star=-0.05)),
+            (law._replace(gains=ControllerGains(0.7, 2.0, k1=2.0,
+                                                x_star=0.03)),
+             ControllerGains(0.7, 2.0, k1=2.0, x_star=0.03))):
+        assert (other._x_star, other._k1, other._c1, other._sqrt_eps) == (
+            new_gains.x_star, new_gains.k1, new_gains.c1, math.sqrt(0.01))
+        # in N1 alone, in N2 alone and in the overlap
+        for p in ((1.0, 2.0 / 3.0), (0.1, 0.01), (0.2, 0.04)):
+            assert _bits(composite_u(other, p)) == _bits(
+                _oracle_blend(p, 0.01, new_gains, nbhd))
+    assert law._replace(eps=0.02)._sqrt_eps == math.sqrt(0.02)

@@ -639,6 +639,22 @@ def test_convergence_metrics_reads_only_the_points_its_report_needs(
     assert len(set(calls)) == len(calls)  # each point once
 
 
+@pytest.mark.parametrize("center", [0.05, -0.3, 1e200])
+@pytest.mark.parametrize("case", sorted(_SCANS))
+def test_convergence_metrics_in_a_shifted_frame_equals_the_framed_copy(
+        case, center):
+    # fold-fast frames x about alpha: the report at ``center`` is the report
+    # on a copy of the trajectory whose x is x - center, to the bit
+    xs, ys = zip(*_SCANS[case])
+    times = [float(i) for i in range(len(xs))]
+    traj = Trajectory(times, (xs, ys), [0.0] * len(xs))
+    framed = Trajectory(times, ([x - center for x in xs], ys), [0.0] * len(xs))
+    for level in (ScaledLevel(0.0), ScaledLevel(0.1, 2.0)):
+        got = convergence_metrics(traj, 0.01, level, center)
+        want = convergence_metrics(framed, 0.01, level)
+        assert repr(got) == repr(want)
+
+
 # -- bit-level pins ----------------------------------------------------------
 # SHA-256 of repr((times, states, controls, events)) for runs that exercise
 # every engine path: a watcher run, a terminal-event stop, a mid-run fault
