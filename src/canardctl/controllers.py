@@ -306,9 +306,15 @@ def _phi0(y: float) -> float:
     return x
 
 
-def _lost_hyperbolicity(y: float) -> SingularConfigurationError:
-    return SingularConfigurationError(
-        f"slow branch loses hyperbolicity at height {y!r}")
+def _phi_expansion(y: float, eps: float) -> float:
+    """First-order graph phi0 + eps*phi0/(2*phi0 - phi0**2)**2 at height y;
+    `k1_chart_phi1` and `composite_u` write it out in their own frames."""
+    p0 = _phi0(y)
+    fx = 2.0 * p0 - p0 * p0
+    if fx == 0.0:
+        raise SingularConfigurationError(
+            f"slow branch loses hyperbolicity at height {y!r}")
+    return p0 + eps * (p0 / (fx * fx))
 
 
 def vdp_slow_manifold_phi(y: float, eps: float,
@@ -326,11 +332,7 @@ def vdp_slow_manifold_phi(y: float, eps: float,
         raise DomainError(
             f"height {y!r} outside the graph domain "
             f"[{nbhd.y_min!r}, {nbhd.y_h!r}]")
-    p0 = _phi0(y)
-    fx = 2.0 * p0 - p0 * p0
-    if fx == 0.0:
-        raise _lost_hyperbolicity(y)
-    return p0 + eps * (p0 / (fx * fx))
+    return _phi_expansion(y, eps)
 
 
 # r1 ceiling: the repelling equilibrium curve in the entry chart exists
@@ -355,13 +357,12 @@ def k1_chart_phi1(r1: float, eps1: float) -> float:
             f"r1 must stay below 2/sqrt(3) on the repelling branch, got {r1!r}")
     if r1 < 1e-8:
         return math.sqrt(1.0 + 0.5 * eps1)
-    # the first-order graph at height y and eps = y*eps1, as in
-    # vdp_slow_manifold_phi
+    # _phi_expansion(y, y*eps1), in this frame
     y = r1 * r1
     p0 = _phi0(y)
     fx = 2.0 * p0 - p0 * p0
     if fx == 0.0:
-        raise _lost_hyperbolicity(y)
+        _phi_expansion(y, y * eps1)  # raises: the branch is not hyperbolic
     return (p0 + y * eps1 * (p0 / (fx * fx))) / r1
 
 
@@ -513,10 +514,11 @@ def composite_u(law: VdpLaw, p: Sequence[float]) -> float:
     if psi1 > 0.0:
         # psi1 > 0 puts (x, y) finite inside N1, so y lies in (y_min, y_h),
         # the domain of the slow-manifold graph
+        # phi = _phi_expansion(y, eps), in this frame
         p0 = _phi0(y)
         fx = 2.0 * p0 - p0 * p0
         if fx == 0.0:
-            raise _lost_hyperbolicity(y)
+            _phi_expansion(y, eps)  # raises: the branch is not hyperbolic
         phi = p0 + eps * (p0 / (fx * fx))
         sy = math.sqrt(y)
         xs = law._x_star * sy

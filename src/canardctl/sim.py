@@ -6,11 +6,11 @@ fast-slow system, or the blow-up's entry chart (r1, x1, eps1)), and every
 state it builds or returns is a plain tuple of floats, whatever sequence
 the start is.  The `Trajectory` it returns keeps its points as float
 columns, an ``array('d')`` each for the times, the controls and every state
-component, at 8 bytes a value.  The run fills every column as it accepts
-steps, through one bound ``append`` per column, and hands the columns to
-the trajectory as they are, with no interleaved copy to split at its end.
-A trajectory's points are rebuilt as tuples only when ``states`` or
-``final_state`` asks for them.
+component, at 8 bytes a value.  The run fills the times and controls as it
+accepts steps, and the state components point after point in one more
+array, which it splits into columns once, at its end.  A trajectory's
+points are rebuilt as tuples only when ``states`` or ``final_state`` asks
+for them.
 
 The integrator is a Dormand-Prince 5(4) embedded pair with the matching
 quartic dense-output interpolant.  Its step-size control is written in PI
@@ -222,10 +222,10 @@ def _locate(crossed, h, t_old):
 
 
 def _run(rhs, u, start, t_span, cfg, watchers):
-    """One integration run: (times, columns, controls, events, status,
-    cause), where ``columns`` holds one array of every point's values per
-    state component, and ``cause`` is the OverflowError of an
-    overflow-fault, or None."""
+    """One integration run: (times, values, controls, events, status, cause),
+    where ``values`` holds the components of every point, point after
+    point, and ``cause`` is the OverflowError of an overflow-fault, or
+    None."""
     t, t1 = t_span
     if not (math.isfinite(t) and math.isfinite(t1) and t1 > t):
         raise DomainError(f"bad t_span {t_span!r}")
@@ -241,9 +241,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
     inf = math.inf
     y = tuple(start)
     times, controls = array("d", [t]), array("d", [math.nan])
-    columns, events = tuple([array("d", [v]) for v in y]), []
-    push0, push1 = columns[0].append, columns[1].append
-    push2 = columns[2].append if n == 3 else None
+    values, events = array("d", y), []
 
     status = "ok"
     # an OverflowError of the controller, the field or a watcher, anywhere
@@ -314,8 +312,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
                         # a dense-output state, where no stage evaluated u
                         y = dense(stop)
                         times.append(t + stop * h)
-                        for column, v in zip(columns, y):
-                            column.append(v)
+                        values.extend(y)
                         try:
                             controls.append(u(y))
                         except OverflowError:
@@ -325,10 +322,7 @@ def _run(rhs, u, start, t_span, cfg, watchers):
             t = t1 if clamped else t + h
             y = y_new
             times.append(t)
-            push0(y[0])
-            push1(y[1])
-            if push2 is not None:
-                push2(y[2])
+            values.extend(y)
             controls.append(u_new)
             f_now = ks[6]
 
@@ -350,8 +344,11 @@ def _run(rhs, u, start, t_span, cfg, watchers):
                     break
     except OverflowError as exc:
         events.append(Event("overflow-fault", t, y))
-        return times, columns, controls, events, "overflow-fault", exc
-    return times, columns, controls, events, status, None
+        # without its traceback, which would keep this frame and every
+        # local of the run alive for as long as the fault is
+        return (times, values, controls, events, "overflow-fault",
+                exc.with_traceback(None))
+    return times, values, controls, events, status, None
 
 
 def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
@@ -384,9 +381,11 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     ``step-limit``.
     """
     cfg = cfg or IntegratorConfig()
-    times, columns, controls, events, status, cause = _run(
+    times, values, controls, events, status, cause = _run(
         rhs, u, start, t_span, cfg, tuple(watchers))
-    traj = Trajectory(times, columns, controls, events)
+    n = len(start)
+    traj = Trajectory(times, [values[i::n] for i in range(n)], controls,
+                      events)
     if status == "ok":
         return traj
     at = f"at t = {traj.final_time:.6g}"
