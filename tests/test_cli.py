@@ -656,6 +656,8 @@ def test_k2_watcher_overflow_faults_its_start_and_keeps_the_others(
     [fault] = faults
     assert isinstance(fault.__cause__, ExponentOverflowError)
     assert (fault.__cause__.name, fault.__cause__.value) == ("-2*y2", 800.0)
+    # without a traceback, which would keep the run's frame and locals alive
+    assert fault.__cause__.__traceback__ is None
     first, second = m["results"]["per_ic"]
     assert first["ic"] == [0.5, 0.5] and first["status"] == "ok"
     assert math.isfinite(first["terminal_h_gap"])
