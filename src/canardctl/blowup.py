@@ -11,8 +11,8 @@ In the central chart the desingularized layer flow is regular at the former
 fold and conserves H2; the entry chart covers the approach along the slow
 manifold.  Each chart's desingularized field takes its state and the
 control last, as ``integrate`` passes them: ``k2_field(field, p, mu2)``,
-handed over as a ``functools.partial`` over its bound ``K2Field``, and
-``k1_vdp_field(p, mu1)``, which has no constant to bind.  Like the fields
+handed over bound as a method of its ``K2Field`` (``types.MethodType``),
+and ``k1_vdp_field(p, mu1)``, which has no constant to bind.  Like the fields
 of `models`, each raises OverflowError for a non-finite control value,
 which `sim.integrate` turns into an ``overflow-fault``.
 

@@ -26,6 +26,7 @@ import random
 import sys
 from functools import partial
 from pathlib import Path
+from types import MethodType
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .blowup import K2Field, k1_vdp_field, k2_field
@@ -381,28 +382,57 @@ def _first_fault(runs) -> Optional[IntegrationError]:
     return None
 
 
-def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _Outcome:
+def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str,
+              shear: float = 0.0) -> _Outcome:
+    """Fold-plant runs from each start, the law acting on ``channel``.
+
+    A sheared plant's law carries the compensating term; its plain twin,
+    the law without it, runs from the same start.  At fold-fast-hot's gains
+    both converge, and the correction's job shows in the controller trace
+    and in k2-hot, where the cancellation is exact; at c1 = 0.5 the plain
+    loop loses the cycle and only its status records it.  A sheared run
+    reads no alpha: the shear factorizes only at alpha = 0.
+    """
     params, gains, level, integ = _blocks(
         eff, SystemParams, ControllerGains, ScaledLevel, IntegratorConfig)
-    default_ic = PhasePoint(0.2, 0.3) if channel == "fast" else PhasePoint(0.45, 0.25)
-    ics = cfg.initial_conditions or (default_ic,)
+    fast = channel == "fast"
+    ics = cfg.initial_conditions or (
+        PhasePoint(0.2, 0.3) if fast else PhasePoint(0.45, 0.25),)
+    span = (0.0, float(eff["t_end"]))
     # fast actuation relocates the fold to x = alpha; slow actuation cancels
     # the detuning instead and leaves the canard point at the origin
-    center = params.alpha if channel == "fast" else 0.0
-    u = partial(fast_u if channel == "fast" else slow_u,
-                FoldLaw(params, gains, level))
-    rhs = partial(fold_rhs, FoldField(params, channel=channel))
+    center = params.alpha if fast else 0.0
+    law = fast_u if fast else slow_u
+    u = MethodType(law, FoldLaw(params, gains, level, shear))
+    rhs = MethodType(fold_rhs, FoldField(params, shear, channel))
 
     # once per revolution: the cycle crosses the frame center moving right
-    # on its lower arc
-    section = Watcher("section-crossing", lambda p: p[0] - center)
-    runs = list(_run_starts(rhs, u, ics, (0.0, float(eff["t_end"])), integ,
-                            [section]))
-    trajs = [traj for traj, _ in runs]
-
-    primary = trajs[0]
+    # on its lower arc; a sheared plant's run watches nothing
+    watchers = () if shear else [
+        Watcher("section-crossing", lambda p: p[0] - center)]
+    runs = list(_run_starts(rhs, u, ics, span, integ, watchers))
+    primary, fault = runs[0]
     results: Dict[str, object] = _convergence_results(primary, params.eps,
                                                       level, center)
+    overlays = {"critical": "fold",
+                "cycle": reference_cycle(level, params.eps, center)}
+    if shear:
+        [(plain, plain_fault)] = _run_starts(
+            rhs, MethodType(law, FoldLaw(params, gains, level)), ics, span, integ)
+        plain_block: Dict[str, object] = {"status": _status(plain_fault),
+                                          "final_time": plain.final_time}
+        if plain_fault is None:
+            plain_block.update(_convergence_results(plain, params.eps, level, center))
+        results = {"compensated": {**results, "status": _status(fault)},
+                   "plain": plain_block}
+        return _Outcome(
+            [primary, plain], overlays, results,
+            f"{cfg.experiment}: compensated terminal residual "
+            f"{results['compensated']['residual_terminal']:.3g}; "
+            f"plain run {plain_block['status']}",
+            extra_csv={_PLAIN_CSV: plain}, fault=fault)
+
+    trajs = [traj for traj, _ in runs]
     hits = primary.events_of("section-crossing")
     results["section_return_times"] = [ev.time for ev in hits]
     # widest state gap between consecutive section returns
@@ -412,56 +442,10 @@ def _run_fold(cfg: ExperimentConfig, eff: Dict[str, object], channel: str) -> _O
     results["overflow_events"] = sum(
         len(traj.events_of("overflow-fault")) for traj in trajs)
     return _Outcome(
-        trajs, {"critical": "fold",
-                "cycle": reference_cycle(level, params.eps, center)},
-        results,
+        trajs, overlays, results,
         f"{cfg.experiment}: terminal residual "
         f"{results['residual_terminal']:.3g}, {len(hits)} section returns",
         fault=_first_fault(runs))
-
-
-# gain of the slow shear g~ = gain*x*(y - x^2) on fold-fast-hot's plant
-_FOLD_SHEAR = 100.0
-
-
-def _run_fold_fast_hot(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
-    """Shear-perturbed plant, with and without the compensating term.
-
-    At these gains both runs converge; the correction's job shows in the
-    controller trace and in the chart-level necessity demo (k2-hot), where
-    the cancellation is exact.  At c1 = 0.5 the plain loop loses the cycle
-    and only its status records it; a compensated run's fault is the run's.
-    It reads no alpha: the shear factorizes only at alpha = 0.
-    """
-    params, gains, level, integ = _blocks(
-        eff, SystemParams, ControllerGains, ScaledLevel, IntegratorConfig)
-    ic = (cfg.initial_conditions or (PhasePoint(0.2, 0.3),))[0]
-    span = (0.0, float(eff["t_end"]))
-    rhs = partial(fold_rhs, FoldField(params, shear=_FOLD_SHEAR))
-
-    # the compensated run, then the plain one, from the same start
-    (comp, fault), (plain, plain_fault) = (
-        run for shear in (_FOLD_SHEAR, 0.0) for run in _run_starts(
-            rhs, partial(fast_u, FoldLaw(params, gains, level, shear)), (ic,),
-            span, integ))
-    plain_status = _status(plain_fault)
-    plain_block: Dict[str, object] = {"status": plain_status,
-                                      "final_time": plain.final_time}
-    if plain_status == "ok":
-        plain_block.update(_convergence_results(plain, params.eps, level))
-    results = {
-        "compensated": {**_convergence_results(comp, params.eps, level),
-                        "status": _status(fault)},
-        "plain": plain_block,
-    }
-    return _Outcome(
-        [comp, plain], {"critical": "fold",
-                        "cycle": reference_cycle(level, params.eps)},
-        results,
-        f"fold-fast-hot: compensated terminal residual "
-        f"{results['compensated']['residual_terminal']:.3g}; "
-        f"plain run {plain_status}",
-        extra_csv={_PLAIN_CSV: plain}, fault=fault)
 
 
 def _chart_ics(count: int) -> Tuple[PhasePoint, ...]:
@@ -483,16 +467,14 @@ _SHEAR_ICS = (PhasePoint(0.5, 0.5), PhasePoint(-1.0, 1.0), PhasePoint(2.0, 3.2),
 
 
 def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
-                   with_shear: bool) -> _Outcome:
+                   shear: float = 0.0) -> _Outcome:
     """Central-chart runs; r2 = sqrt(eps) weights only the shear, so k2 reads no eps."""
     params, gains, level, integ = _blocks({"eps": 0.0, **eff}, SystemParams,
                                           ControllerGains, ScaledLevel, IntegratorConfig)
     r2, alpha2, h = math.sqrt(params.eps), params.alpha, level.value
-    ics = cfg.initial_conditions or (_SHEAR_ICS if with_shear else _chart_ics(10))
+    ics = cfg.initial_conditions or (_SHEAR_ICS if shear else _chart_ics(10))
     span = (0.0, float(eff["t_end"]))
-    # k2-hot's shear g2 = x2*(y2 - x2^2), at gain 1
-    shear = 1.0 if with_shear else 0.0
-    rhs = partial(k2_field, K2Field(r2, alpha2, shear))
+    rhs = MethodType(k2_field, K2Field(r2, alpha2, shear))
 
     # the watcher reads eval_H2 itself: its overflow faults the start
     stop = Watcher("level-convergence",
@@ -505,7 +487,7 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
         except ExponentOverflowError:
             return math.inf
 
-    law = partial(k2_mu, K2Law(gains, h, r2, alpha2, shear))
+    law = MethodType(k2_mu, K2Law(gains, h, r2, alpha2, shear))
     runs = list(_run_starts(rhs, law, ics, span, integ, [stop]))
     per_ic = []
     for ic, (traj, fault) in zip(ics, runs):
@@ -532,8 +514,8 @@ def _run_k2_family(cfg: ExperimentConfig, eff: Dict[str, object],
         "max_terminal_h_gap": max(r["terminal_h_gap"] for r in per_ic),
     }
     extra_phase = {}
-    if with_shear:
-        plain_law = partial(k2_mu, K2Law(gains, h, r2, alpha2))
+    if shear:
+        plain_law = MethodType(k2_mu, K2Law(gains, h, r2, alpha2))
         plain = list(_run_starts(rhs, plain_law, ics, span, integ))
         gaps = [h_gap(*traj.final_state) for traj, _ in plain]
         results["plain_per_ic"] = [
@@ -570,7 +552,7 @@ def _run_k1_vdp(cfg: ExperimentConfig, eff: Dict[str, object]) -> _Outcome:
     exit_section = Watcher("section-crossing", lambda s: s[0] - _K1_RHO1,
                            terminal=True)
     # the state is (r1, x1, eps1), the order k1_vdp_field reports it in
-    mu = partial(k1_vdp_mu, gains)
+    mu = MethodType(k1_vdp_mu, gains)
 
     def blown_down(traj: Trajectory) -> Trajectory:
         # (x, y, u) = (r1 x1, r1^2, r1^2 mu1)
@@ -665,10 +647,11 @@ _SPECS: Dict[str, _Spec] = {
     "fold-fast": _Spec(
         {"eps": 0.01, "alpha": -0.1, "c1": 1.0, "c2": 2.0,
          "h0": 0.25, "E": 400.0, "t_end": 1400.0},
-        _INTEG_KEYS, lambda cfg, eff: _run_fold(cfg, eff, "fast")),
+        _INTEG_KEYS, partial(_run_fold, channel="fast")),
+    # the slow shear g~ = gain*x*(y - x^2) on this plant, at gain 100
     "fold-fast-hot": _Spec(
         {"eps": 0.01, "c1": 5.0, "c2": 2.0, "h0": 0.25, "E": 400.0, "t_end": 700.0},
-        _INTEG_KEYS, _run_fold_fast_hot, 1),
+        _INTEG_KEYS, partial(_run_fold, channel="fast", shear=100.0), 1),
     # slow actuation only brakes or boosts the climb, so its transverse
     # contraction at c2 = 2 is c1*sqrt(eps)/4 and must beat the layer
     # repulsion 2*x along the canard ascent; a low stored cycle keeps that
@@ -676,14 +659,15 @@ _SPECS: Dict[str, _Spec] = {
     "fold-slow": _Spec(
         {"eps": 0.01, "alpha": -0.1, "c1": 60.0, "c2": 2.0,
          "h0": 0.25, "E": 60.0, "t_end": 600.0},
-        _INTEG_KEYS, lambda cfg, eff: _run_fold(cfg, eff, "slow")),
+        _INTEG_KEYS, partial(_run_fold, channel="slow")),
     "k2": _Spec(
         {"alpha": 1.0, "c1": 1.0, "c2": 2.0, "h0": 1e-16, "E": 0.0, "t_end": 500.0},
-        _INTEG_KEYS, lambda cfg, eff: _run_k2_family(cfg, eff, False)),
+        _INTEG_KEYS, _run_k2_family),
+    # the shear g2 = x2*(y2 - x2^2) on this plant, at gain 1
     "k2-hot": _Spec(
         {"eps": 1.0, "alpha": 1.0, "c1": 10.0, "c2": 2.0,
          "h0": 1e-16, "E": 0.0, "t_end": 60.0},
-        _INTEG_KEYS, lambda cfg, eff: _run_k2_family(cfg, eff, True)),
+        _INTEG_KEYS, partial(_run_k2_family, shear=1.0)),
     "k1-vdp": _Spec(
         {"k1": 1.0, "x_star": -0.01, "t_end": 6000.0},
         _INTEG_KEYS, _run_k1_vdp, 0),

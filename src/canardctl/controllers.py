@@ -13,10 +13,12 @@ All evaluations are closed-form pure functions of the state and frozen
 parameter blocks; no law integrates anything, and the module builds on
 `core` and `errors` alone.  Every law a closed loop evaluates at each
 field evaluation takes what the run holds fixed first and the state last,
-so a runner hands `integrate` a ``functools.partial`` of it: `fast_u`,
-`slow_u`, `k2_mu` and `composite_u` take one bound record (`FoldLaw`,
-`K2Law`, `VdpLaw`), which checks the run's constants and works out what
-the formula derives from them once, and `k1_vdp_mu` takes the gains.
+so a runner hands `integrate` the law bound as a method of them
+(``types.MethodType``, which CPython calls without leaving its interpreter
+loop): `fast_u`, `slow_u`, `k2_mu` and `composite_u` take one bound
+record (`FoldLaw`, `K2Law`, `VdpLaw`), which checks the run's constants
+and works out what the formula derives from them once, and `k1_vdp_mu`
+takes the gains.
 `composite_u` evaluates both of its laws, the blown-down entry-chart law
 and the fold-local law, in its own frame, and `k1_chart_phi1` its
 first-order graph; only the branch root `_phi0` and the two bumps, which

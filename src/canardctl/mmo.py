@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from functools import partial
+from types import MethodType
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .controllers import _UPPER_FOLD_Y, NeighborhoodParams, VdpLaw, composite_u
@@ -203,11 +203,12 @@ def run_pattern(
 
     def run_chunk(law: VdpLaw, t0: float,
                   p0: Tuple[float, float]) -> Trajectory:
-        # the loop's law and field are partials over its constants, and
+        # the loop's law and field are methods bound to its constants, and
         # composite_u and vdp_rhs are looked up for each loop, so a wrapper
         # installed on this module before the run sees every evaluation
         try:
-            traj = integrate(partial(vdp_rhs, eps), partial(composite_u, law),
+            traj = integrate(MethodType(vdp_rhs, eps),
+                             MethodType(composite_u, law),
                              p0, (t0, t0 + _LOOP_TIME_BUDGET), cfg,
                              watchers=[_DISC_ENTRY])
         except IntegrationError as exc:

@@ -16,10 +16,10 @@ the form the fold control laws cancel.
 Both fields take what a run holds fixed first, the state as an (x, y)
 sequence, then the control: `fold_rhs(field, p, u)` with the run's
 `FoldField`, which binds eps, alpha, the shear gain and the channel once,
-and `vdp_rhs(eps, p, u)`.  A closed loop hands `integrate` a
-``functools.partial`` of either over its constants.  Each returns the
-velocity as a plain (dx, dy) tuple, and a :class:`PhasePoint` or a plain
-tuple give the same bits.  A non-finite control value raises
+and `vdp_rhs(eps, p, u)`.  A closed loop hands `integrate` either one
+bound as a method of its constants (``types.MethodType``).  Each returns
+the velocity as a plain (dx, dy) tuple, and a :class:`PhasePoint` or a
+plain tuple give the same bits.  A non-finite control value raises
 OverflowError, which `sim.integrate` turns into an ``overflow-fault``.
 """
 

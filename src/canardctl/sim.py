@@ -8,9 +8,8 @@ the start is.  The `Trajectory` it returns keeps its points as float
 columns, an ``array('d')`` each for the times, the controls and every state
 component, at 8 bytes a value.  The run fills the times and controls as it
 accepts steps, and the state components point after point in one more
-array, which it splits into columns once, at its end.  A trajectory's
-points are rebuilt as tuples only when ``states`` or ``final_state`` asks
-for them.
+array, which it splits into columns once, at its end.  Only
+``final_state`` rebuilds a point as a tuple.
 
 The integrator is a Dormand-Prince 5(4) embedded pair with the matching
 quartic dense-output interpolant.  Its step-size control is written in PI
@@ -39,12 +38,12 @@ places at the new state; only a state the run ends on at a terminal event
 is evaluated again.  A fault raises ``IntegrationError`` with a
 ``status``.  An OverflowError of the controller, the field (the package's
 fields raise one for a non-finite control value) or a watcher, anywhere in
-the run, ends it on an ``overflow-fault`` event at the last accepted state;
-any other exception passes through.  Events
-requested through watchers are localized on the dense output by bisection
-to 1e-10 * max(1, |t|) in time.  Every watcher fires by one rule: where
-its ``fn`` rises through zero, from g0 < 0 to g1 >= 0, so a nan value
-never fires.  After each accepted step one plain loop sweeps the watchers
+the run, ends it on an ``overflow-fault`` event at the last accepted state,
+with the OverflowError's text in the fault's message; any other exception
+passes through.  Events requested through watchers are localized on the
+dense output by bisection to 1e-10 * max(1, |t|) in time.  Every watcher
+fires by one rule: where its ``fn`` rises through zero, from g0 < 0 to
+g1 >= 0, so a nan value never fires.  After each accepted step one plain loop sweeps the watchers
 in order: it calls each watcher's ``fn`` once at the new state and keeps
 that value as the next step's starting value.  Apart from the start state
 and the bisection probes, no watcher is evaluated anywhere else.
@@ -149,10 +148,8 @@ class Trajectory:
     ``columns``, one sequence of floats per state component, each stored as
     an ``array('d')`` (an ``array('d')`` given is kept, not copied), so a
     stored point costs 8 bytes a value and no object of its own.
-    ``states`` and ``final_state`` are read-only views that rebuild plain
-    tuples on each call; ``states`` builds one tuple per point, so the
-    package's own readers use the columns.  A trajectory's attributes
-    cannot be set.
+    ``final_state`` is a read-only view that rebuilds the last point as a
+    plain tuple on each call.  A trajectory's attributes cannot be set.
     """
 
     __slots__ = ("times", "columns", "controls", "events")
@@ -176,10 +173,6 @@ class Trajectory:
     @property
     def final_time(self) -> float:
         return self.times[-1]
-
-    @property
-    def states(self) -> tuple:
-        return tuple(zip(*self.columns))
 
     @property
     def final_state(self) -> tuple:
@@ -356,7 +349,7 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
 
     The state has two or three components, ``start`` is any sequence of
     floats, and every state the run builds or returns (stage points,
-    trajectory points rebuilt from its float columns, event states) is a
+    the final state rebuilt from its float columns, event states) is a
     plain tuple.  ``u(p) -> float`` is the feedback, called once per field
     evaluation, and ``rhs(p, u_value)`` returns the derivative as a
     sequence in the order of the state.  A start of any other length,
@@ -376,9 +369,10 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
     ``overflow-fault``: the trajectory ends on that event at the last
     accepted state, and a fault at the start state records the control
     ``u`` returned there, or nan if it raised; the ``IntegrationError``
-    is raised from that ``OverflowError``, its ``__cause__``.  Step-size
-    collapse is a ``step-underflow`` and an exhausted step budget a
-    ``step-limit``.
+    is raised from that ``OverflowError``, its ``__cause__``, and its
+    message, "overflow at t = ...: " and the cause's text, names what
+    overflowed.  Step-size collapse is a ``step-underflow`` and an
+    exhausted step budget a ``step-limit``.
     """
     cfg = cfg or IntegratorConfig()
     times, values, controls, events, status, cause = _run(
@@ -390,7 +384,7 @@ def integrate(rhs, u, start, t_span, cfg=None, watchers=()):
         return traj
     at = f"at t = {traj.final_time:.6g}"
     raise IntegrationError({
-        "overflow-fault": f"the control overflowed {at}",
+        "overflow-fault": f"overflow {at}: {cause}",
         "step-underflow": f"step size collapsed below min_step = {cfg.min_step:g} {at}",
         "step-limit": f"max_steps = {cfg.max_steps} exhausted {at}",
     }[status], traj, status) from cause

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from functools import partial
+from types import MethodType
 from typing import Callable, List, Tuple
 
 from .blowup import (
@@ -79,7 +79,7 @@ def _check_h_conservation() -> Tuple[bool, str]:
     params = SystemParams(0.05, 0.0)
     start = PhasePoint(-0.1, 0.3)
     traj = integrate(
-        partial(fold_rhs, FoldField(params)),
+        MethodType(fold_rhs, FoldField(params)),
         lambda p: 0.0, start, (0.0, 6.0),
         IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12),
     )

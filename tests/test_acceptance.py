@@ -109,7 +109,7 @@ def test_a02_lyapunov_monotone_along_chart_runs(chart_runs):
     worst = 0.0
     for traj in trajs:
         prev = None
-        for p in traj.states:
+        for p in zip(*traj.columns):
             l2, _ = lyapunov_L2(ChartPointK2(0.0, p[0], p[1], 1.0),
                                 gains, _H_TINY)
             if prev is not None:
@@ -213,10 +213,10 @@ def test_a05_maximal_canard_tracking_bounded_control():
         lambda p, uval: fold_rhs(field, p, uval),
         u, PhasePoint(0.2, 0.3), (0.0, 700.0), watchers=[top])
 
-    res = [abs(p[1] - p[0] * p[0] + 0.5 * eps) for p in traj.states]
+    res = [abs(p[1] - p[0] * p[0] + 0.5 * eps) for p in zip(*traj.columns)]
     captured = next(i for i, r in enumerate(res) if r < 0.5 * eps)
     window = [res[i] for i in range(captured, len(traj))
-              if 0.05 <= traj.states[i][1] <= 1.0]
+              if 0.05 <= traj.columns[1][i] <= 1.0]
     assert window, "orbit never crossed the measurement heights"
     assert max(window) < 5 * eps
     assert max(abs(v) for v in traj.controls if math.isfinite(v)) <= 10.0

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from canardctl import cli, cycles, mmo, sim
+from canardctl import cli, cycles, mmo
 from canardctl.cli import (
     ExperimentConfig,
     main,
@@ -28,6 +28,7 @@ from canardctl.cli import (
     run_experiment,
     _write_trajectory_csv,
 )
+from canardctl.controllers import default_neighborhoods
 from canardctl.core import PhasePoint
 from canardctl.errors import (
     ConfigError,
@@ -37,6 +38,7 @@ from canardctl.errors import (
 )
 from canardctl.mmo import MmoPattern
 from canardctl.sim import IntegratorConfig, Trajectory, integrate
+from test_sim import _points
 
 
 class TestConfigValidation:
@@ -329,7 +331,7 @@ class TestRunExperiment:
         assert chart.final_time == 10.0
         assert read_trajectory_csv(tmp_path / "trajectory.csv") == tuple(
             (t, r1 * x1, r1 * r1, r1 * r1 * mu)
-            for t, (r1, x1, _), mu in zip(chart.times, chart.states, chart.controls))
+            for t, (r1, x1, _), mu in zip(chart.times, _points(chart), chart.controls))
         assert m["results"]["last_time"] == 10.0
 
     def test_step_limit_leaves_metrics_and_partial_trajectory(self, tmp_path, capsys):
@@ -368,7 +370,7 @@ class TestRunExperiment:
         assert len(chart) > 1
         assert read_trajectory_csv(tmp_path / "trajectory.csv") == tuple(
             (t, r1 * x1, r1 * r1, r1 * r1 * mu)
-            for t, (r1, x1, _), mu in zip(chart.times, chart.states, chart.controls))
+            for t, (r1, x1, _), mu in zip(chart.times, _points(chart), chart.controls))
 
     def test_pattern_deviation_exits_4_with_diagnostics(self, tmp_path, capsys):
         cfg = ExperimentConfig(
@@ -534,7 +536,8 @@ def test_fold_overflow_exits_3_and_keeps_the_fold_results(tmp_path, capsys,
     assert res["time_below"] is None
     assert res["residual_initial"] == math.inf
     assert res["section_return_times"] == []
-    assert res["message"].startswith("the control overflowed at t = ")
+    assert res["message"].startswith(
+        "overflow at t = 0: exponent c2*y/eps - E = ")
     rows = read_trajectory_csv(tmp_path / "trajectory.csv")
     assert res["last_time"] == rows[-1][0]
     assert res["last_state"] == [rows[-1][1], rows[-1][2]]
@@ -651,7 +654,8 @@ def test_k2_watcher_overflow_faults_its_start_and_keeps_the_others(
     assert run_experiment(cfg, tmp_path) == 3
     m = json.loads((tmp_path / "metrics.json").read_text())
     assert m["status"] == "overflow-fault"
-    assert m["results"]["message"] == "the control overflowed at t = 0"
+    assert m["results"]["message"] == (
+        "overflow at t = 0: exponent -2*y2 = 800 exceeds the safe range (700)")
     # the fault is raised from the overflow that ended the start
     [fault] = faults
     assert isinstance(fault.__cause__, ExponentOverflowError)
@@ -674,8 +678,21 @@ def test_k2_non_finite_control_is_an_overflow_fault(tmp_path, capsys):
     assert run_experiment(cfg, tmp_path) == 3
     m = json.loads((tmp_path / "metrics.json").read_text())
     assert m["status"] == "overflow-fault"
-    assert m["results"]["message"] == "the control overflowed at t = 0"
+    assert m["results"]["message"] == (
+        "overflow at t = 0: non-finite control value -inf")
     assert m["results"]["last_state"] == [1e200, 0.0]
+
+
+def test_float_overflow_in_a_law_names_its_cause(tmp_path, capsys):
+    # composite_u's x ** 3 overflows at x = 1e120, before the field runs;
+    # the message carries that OverflowError's own text
+    with pytest.raises(OverflowError) as cause:
+        1e120 ** 3
+    cfg = ExperimentConfig("vdp-canard", {}, [[1e120, 0.5]])
+    assert run_experiment(cfg, tmp_path) == 3
+    m = json.loads((tmp_path / "metrics.json").read_text())
+    assert m["status"] == "overflow-fault"
+    assert m["results"]["message"] == f"overflow at t = 0: {cause.value}"
 
 
 def test_vdp_mmo_rejects_a_bad_segment_before_it_integrates(
@@ -716,24 +733,62 @@ _SHORT_RUNS = {"fold-fast": {"t_end": 5.0}, "fold-fast-hot": {"t_end": 5.0},
                "k2-hot": {"t_end": 5.0}, "k1-vdp": {"t_end": 5.0},
                "vdp-mmo": {"pattern": "1S:1.25:-0.01"}}
 
+# a bound key takes effect only where a run reaches it, so each gets a value
+# the short runs reach: a step budget they exhaust, a floor above their
+# first step and an earlier end; the test caps the steps at half the
+# longest one
+_BOUND_KEYS = {"max_steps": 10, "min_step": 0.5, "t_end": 4.0}
 
-def test_no_registered_experiment_builds_the_states_view(
-        tmp_path, capsys, monkeypatch):
-    # the runners, the supervisor and the writers read a trajectory's
-    # columns; a states view would build one object per point
-    built = []
-    states = sim.Trajectory.states
 
-    def recorded(traj):
-        built.append((name, len(traj)))  # the experiment running now
-        return states.fget(traj)
+def _perturbed(key, value):
+    """Another valid value of a key that is not bound: another pattern, an
+    integer plus one, and a number times 0.8 (0.5 for 0)."""
+    if isinstance(value, str):
+        return "1L:0.75:0.01"
+    if cli._KEYS[key][0] is int:
+        return value + 1
+    return 0.8 * value if value else 0.5
 
-    monkeypatch.setattr(sim.Trajectory, "states", property(recorded))
-    for name in sorted(cli._SPECS):
-        cfg = ExperimentConfig(name, _SHORT_RUNS.get(name, {}))
-        assert run_experiment(cfg, tmp_path / name) == (
-            3 if name == "k1-vdp" else 0)
-    assert built == []
+
+def _artifacts(outdir):
+    """Every file a run wrote, its metrics.json without the config echo."""
+    out = {}
+    for path in sorted(outdir.iterdir()):
+        out[path.name] = path.read_bytes()
+        if path.name == "metrics.json":
+            out[path.name] = json.loads(out[path.name])
+            del out[path.name]["config"]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, spec in cli._SPECS.items() if spec.defaults or spec.extras))
+def test_every_accepted_key_takes_effect(tmp_path, capsys, name):
+    spec = cli._SPECS[name]
+    base = _SHORT_RUNS.get(name, {})
+    eff = {**spec.defaults, **base}
+    # an optional key's value is the library's default
+    integ = IntegratorConfig()
+    library = {key: getattr(integ, key) for key in integ._fields}
+    if "beta1" in spec.extras:
+        nbhd = default_neighborhoods(eff["eps"])
+        library.update((key, getattr(nbhd, key)) for key in nbhd._fields)
+    run_experiment(ExperimentConfig(name, base), tmp_path / "base")
+    want = _artifacts(tmp_path / "base")
+    times = [row[0] for row in read_trajectory_csv(tmp_path / "base" /
+                                                   "trajectory.csv")]
+    bounds = {**_BOUND_KEYS,
+              "max_step": 0.5 * max(b - a for a, b in zip(times, times[1:]))}
+    for key in sorted({*spec.defaults, *spec.extras}):
+        params = {**base, key: bounds[key] if key in bounds else _perturbed(
+            key, eff.get(key, library.get(key)))}
+        assert run_experiment(ExperimentConfig(name, params), tmp_path / key) != 2
+        got = _artifacts(tmp_path / key)
+        assert got != want, f"{key} = {params[key]!r} changed no artifact"
+        if key == "max_steps":
+            assert got["metrics.json"]["status"] == "step-limit"
+        if key == "min_step":
+            assert got["metrics.json"]["status"] != "ok"
 
 
 # at these gains the compensated runs converge within the step budget and

@@ -30,6 +30,7 @@ from canardctl.svgplot import (
     emit_phase_svg,
     emit_timeseries_svg,
 )
+from test_sim import _points
 
 _NS = "{http://www.w3.org/2000/svg}"
 
@@ -343,20 +344,20 @@ def test_phase_svg_matches_the_per_point_writer(tmp_path):
     # two trajectories, the second with a nan state, and a reference cycle
     # that reaches past both
     a = _parabola_traj(9001)
-    states = list(_parabola_traj(300, -0.5, 0.5).states)
+    states = list(_points(_parabola_traj(300, -0.5, 0.5)))
     states[100] = PhasePoint(math.nan, 0.2)
     b = Trajectory(tuple(range(300)), zip(*states), tuple([0.0] * 300))
     ring = tuple((1.5 * math.cos(0.1 * i), 1.5 * math.sin(0.1 * i))
                  for i in range(64))
     out = tmp_path / "phase.svg"
     emit_phase_svg([a, b], out, cycle=tuple(zip(*ring)))
-    ref = _ref_box((p[0], p[1]) for traj in (a, b) for p in traj.states)
+    ref = _ref_box((p[0], p[1]) for traj in (a, b) for p in _points(traj))
     for x, y in ring:
         ref.add(x, y)
     m = _Mapper(ref.padded())
     want = [run for traj in (a, b)
             for run in _ref_polyline_points(
-                m, [(p[0], p[1]) for p in _ref_thin(traj.states)])]
+                m, [(p[0], p[1]) for p in _ref_thin(_points(traj))])]
     got = [el.get("points") for el in ET.parse(out).getroot().iter(f"{_NS}polyline")
            if el.get("class") == "traj"]
     assert len(got) == 3
